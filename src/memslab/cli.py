@@ -17,14 +17,16 @@ the config fingerprint.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
 from . import acceptance
+from .artifacts import fingerprint, write_csv, write_json
 from .curve import (
     CurveConfig,
+    CurveTrace,
     bound_report,
     extremal_on_ray,
     write_bounds_json,
@@ -55,11 +57,6 @@ class _ConfigProblems(Exception):
     def __init__(self, problems):
         super().__init__("; ".join(p["message"] for p in problems))
         self.problems = problems
-
-
-def _fingerprint(config: dict) -> str:
-    blob = json.dumps(config, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
 def _scaled(count: int, scale: float) -> int:
@@ -140,14 +137,14 @@ def _require(config: dict, keys: list, problems: list) -> None:
             problems.append({"field": key, "message": f"missing required field {key!r}"})
 
 
-def _load_inputs(config: dict, args, need_params=(), profiles=True):
+def _load_inputs(config: dict, args, need_params=()):
     problems = []
     _require(config, ["domain", *need_params], problems)
     mesh = None
     if "domain" in config:
         mesh = _build_mesh(config["domain"], args.resolution_scale, problems, "domain")
     f = g = None
-    if profiles and mesh is not None:
+    if mesh is not None:
         f = _build_profile(config.get("f", {}), mesh, problems, "f")
         g = _build_profile(config.get("g", {}), mesh, problems, "g")
     if problems:
@@ -155,20 +152,37 @@ def _load_inputs(config: dict, args, need_params=(), profiles=True):
     return mesh, f, g
 
 
-def cmd_solve(config: dict, args, out: Path, fp: str) -> int:
+_VERDICT_EXIT = {
+    Verdict.CONVERGED: EXIT_OK,
+    Verdict.NONEXISTENCE_SUSPECTED: EXIT_NONEXISTENCE,
+    Verdict.INCONCLUSIVE: EXIT_INCONCLUSIVE,
+}
+
+
+def _solve_at_parameters(config: dict, args):
+    """Inputs, checked (lambda, mu) and the minimal solve of solve and eigen."""
     mesh, f, g = _load_inputs(config, args, need_params=["lambda", "mu"])
     problems = []
     cfg = _solve_config(config, problems)
+    params = []
+    for key in ("lambda", "mu"):
+        try:
+            value = float(config[key])
+        except (TypeError, ValueError):
+            value = math.nan
+        if not (math.isfinite(value) and value >= 0):
+            problems.append({"field": key, "message": "must be a finite "
+                             f"nonnegative number, got {config[key]!r}"})
+        params.append(value)
     if problems:
         raise _ConfigProblems(problems)
-    lam, mu = float(config["lambda"]), float(config["mu"])
-    if lam < 0 or mu < 0:
-        raise _ConfigProblems(
-            [{"field": "lambda/mu", "message": "parameters must be nonnegative"}]
-        )
-    outcome = minimal_solve(mesh, f, g, lam, mu, cfg)
+    lam, mu = params
+    return mesh, f, g, lam, mu, minimal_solve(mesh, f, g, lam, mu, cfg)
+
+
+def cmd_solve(config: dict, args, out: Path, fp: str) -> int:
+    mesh, *_, outcome = _solve_at_parameters(config, args)
     summary = {
-        "config_fingerprint": fp,
         "verdict": outcome.verdict.value,
         "reason": outcome.reason.value if outcome.reason else None,
         "iterations": outcome.iterations,
@@ -180,14 +194,8 @@ def cmd_solve(config: dict, args, out: Path, fp: str) -> int:
             {"sup_u": su, "sup_v": sv, "residuals": list(outcome.final_residual)}
         )
         write_solution_csv(out / "solution.csv", mesh, outcome.state, fp)
-    (out / "solve_summary.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n"
-    )
-    if outcome.verdict is Verdict.CONVERGED:
-        return EXIT_OK
-    if outcome.verdict is Verdict.NONEXISTENCE_SUSPECTED:
-        return EXIT_NONEXISTENCE
-    return EXIT_INCONCLUSIVE
+    write_json(out / "solve_summary.json", summary, fp)
+    return _VERDICT_EXIT[outcome.verdict]
 
 
 def cmd_curve(config: dict, args, out: Path, fp: str) -> int:
@@ -211,8 +219,6 @@ def cmd_curve(config: dict, args, out: Path, fp: str) -> int:
             samples.append(extremal_on_ray(mesh, f, g, float(theta), cfg))
         except Exception as exc:  # per-ray failure: keep going, keep partial data
             failures.append({"theta": theta, "error": str(exc)})
-    from .curve import CurveTrace
-
     trace = CurveTrace(
         samples=tuple(samples),
         mesh_fingerprint=mesh.fingerprint(),
@@ -220,37 +226,22 @@ def cmd_curve(config: dict, args, out: Path, fp: str) -> int:
     )
     write_trace_csv(out / "curve.csv", trace, fp)
     if failures:
-        (out / "curve_failures.json").write_text(
-            json.dumps({"config_fingerprint": fp, "failures": failures},
-                       indent=2, sort_keys=True) + "\n"
-        )
+        write_json(out / "curve_failures.json", {"failures": failures}, fp)
         return EXIT_RAY_FAILED
     return EXIT_OK
 
 
 def cmd_eigen(config: dict, args, out: Path, fp: str) -> int:
-    mesh, f, g = _load_inputs(config, args, need_params=["lambda", "mu"])
-    problems = []
-    cfg = _solve_config(config, problems)
-    if problems:
-        raise _ConfigProblems(problems)
-    lam, mu = float(config["lambda"]), float(config["mu"])
-    outcome = minimal_solve(mesh, f, g, lam, mu, cfg)
+    mesh, f, g, lam, mu, outcome = _solve_at_parameters(config, args)
     if not outcome.converged:
-        (out / "eigen_summary.json").write_text(
-            json.dumps({"config_fingerprint": fp,
-                        "verdict": outcome.verdict.value}, indent=2) + "\n"
-        )
-        return (EXIT_NONEXISTENCE
-                if outcome.verdict is Verdict.NONEXISTENCE_SUSPECTED
-                else EXIT_INCONCLUSIVE)
+        write_json(out / "eigen_summary.json",
+                   {"verdict": outcome.verdict.value}, fp)
+        return _VERDICT_EXIT[outcome.verdict]
     result = linearized_eigen(mesh, f, g, lam, mu, outcome.state)
     write_eigen_csv(out / "eigenfunctions.csv", mesh, result, fp)
-    (out / "eigen_summary.json").write_text(
-        json.dumps({"config_fingerprint": fp, "nu1": result.nu1,
-                    "classification": classify(result),
-                    "iterations": result.iterations}, indent=2, sort_keys=True) + "\n"
-    )
+    write_json(out / "eigen_summary.json",
+               {"nu1": result.nu1, "classification": classify(result),
+                "iterations": result.iterations}, fp)
     return EXIT_OK
 
 
@@ -267,11 +258,8 @@ def cmd_symmetrize(config: dict, args, out: Path, fp: str) -> int:
     disk = build_radial(2, radius, nodes)
     for name, prof in (("f", f), ("g", g)):
         star = symmetrize(prof, mesh, disk)
-        with open(out / f"{name}_symmetrized.csv", "w", newline="") as fh:
-            fh.write(f"# config_fingerprint: {fp}\n")
-            fh.write("index,value\n")
-            for i, val in enumerate(star.values):
-                fh.write(f"{i},{val!r}\n")
+        write_csv(out / f"{name}_symmetrized.csv", ["index", "value"],
+                  enumerate(star.values), fp)
     return EXIT_OK
 
 
@@ -286,11 +274,9 @@ def cmd_extremal(config: dict, args, out: Path, fp: str) -> int:
         float(config.get("moser_alpha", 2.0)), cfg,
     )
     write_approach_csv(out / "approach.csv", record, fp)
-    (out / "extremal_summary.json").write_text(
-        json.dumps({"config_fingerprint": fp, "lambda_star": record.lam_star,
-                    "theta": record.theta, "samples": len(record.samples)},
-                   indent=2, sort_keys=True) + "\n"
-    )
+    write_json(out / "extremal_summary.json",
+               {"lambda_star": record.lam_star, "theta": record.theta,
+                "samples": len(record.samples)}, fp)
     return EXIT_OK
 
 
@@ -312,11 +298,8 @@ def cmd_check(config: dict, args, out: Path, fp: str) -> int:
         results.append(result)
         all_pass &= result.passed
         print(result.line())
-    (out / "check_report.json").write_text(
-        json.dumps({"config_fingerprint": fp,
-                    "results": [r.to_dict() for r in results]},
-                   indent=2, sort_keys=True) + "\n"
-    )
+    write_json(out / "check_report.json",
+               {"results": [r.to_dict() for r in results]}, fp)
     return EXIT_OK if all_pass else EXIT_CHECK_FAILED
 
 
@@ -346,20 +329,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        config = json.loads(Path(args.config).read_text())
-        if not isinstance(config, dict):
-            raise ValueError("config root must be a JSON object")
-    except (OSError, ValueError) as exc:
-        json.dump({"error": "invalid-config",
-                   "violations": [{"field": "--config", "message": str(exc)}]},
-                  sys.stderr)
-        sys.stderr.write("\n")
-        return EXIT_BAD_CONFIG
-
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    fp = _fingerprint(config)
-    try:
+        try:
+            config = json.loads(Path(args.config).read_text())
+            if not isinstance(config, dict):
+                raise ValueError("config root must be a JSON object")
+        except (OSError, ValueError) as exc:
+            raise _ConfigProblems([{"field": "--config", "message": str(exc)}]) from exc
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        fp = fingerprint(json.dumps(config, sort_keys=True, separators=(",", ":")))
         return _COMMANDS[args.command](config, args, out, fp)
     except _ConfigProblems as exc:
         json.dump({"error": "invalid-config", "violations": exc.problems}, sys.stderr)

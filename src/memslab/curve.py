@@ -12,13 +12,12 @@ so every sample carries its final bracket width and the certificates used.
 
 from __future__ import annotations
 
-import csv
-import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .artifacts import write_csv, write_json
 from .exceptions import ConfigurationError, ConvergenceError, UnboundedRayError
 from .mesh import Mesh, principal_eigenpair, unit_ball_volume
 from .profiles import Profile, symmetrize
@@ -164,13 +163,9 @@ class _RayOracle:
     def probe(self, lam: float) -> bool | None:
         budget = self.cfg.solve.max_iter
         for _ in range(self.cfg.budget_escalations + 1):
-            solve_cfg = SolveConfig(
-                tol_sup=self.cfg.solve.tol_sup,
-                max_iter=budget,
-                touch_threshold=self.cfg.solve.touch_threshold,
-            )
             out = minimal_solve(
-                self.mesh, self.f, self.g, lam, self.theta * lam, solve_cfg
+                self.mesh, self.f, self.g, lam, self.theta * lam,
+                replace(self.cfg.solve, max_iter=budget),
             )
             self.iterations += out.iterations
             if out.verdict is Verdict.CONVERGED:
@@ -317,29 +312,17 @@ def compare_symmetrized(
 def write_trace_csv(path, trace: CurveTrace, fingerprint: str = "") -> None:
     """Columns: theta, lambda_star, mu_star, bracket_width, lower_cert,
     upper_cert, solver_iters_total."""
-    with open(path, "w", newline="") as fh:
-        if fingerprint:
-            fh.write(f"# config_fingerprint: {fingerprint}\n")
-        fh.write(f"# mesh: {trace.mesh_fingerprint} profiles: "
-                 f"{trace.profile_fingerprints[0]},{trace.profile_fingerprints[1]}\n")
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["theta", "lambda_star", "mu_star", "bracket_width",
-             "lower_cert", "upper_cert", "solver_iters_total"]
-        )
-        for s in trace.samples:
-            writer.writerow(
-                [repr(s.theta), repr(s.lam_star), repr(s.mu_star),
-                 repr(s.bracket_width), repr(s.lower_cert),
-                 "" if s.upper_cert is None else repr(s.upper_cert),
-                 s.iterations_total]
-            )
+    f_fp, g_fp = trace.profile_fingerprints
+    write_csv(
+        path,
+        ["theta", "lambda_star", "mu_star", "bracket_width",
+         "lower_cert", "upper_cert", "solver_iters_total"],
+        ((s.theta, s.lam_star, s.mu_star, s.bracket_width, s.lower_cert,
+          s.upper_cert, s.iterations_total) for s in trace.samples),
+        fingerprint,
+        comments=[f"mesh: {trace.mesh_fingerprint} profiles: {f_fp},{g_fp}"],
+    )
 
 
 def write_bounds_json(path, report: BoundReport, fingerprint: str = "") -> None:
-    payload = report.to_dict()
-    if fingerprint:
-        payload["config_fingerprint"] = fingerprint
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, report.to_dict(), fingerprint)

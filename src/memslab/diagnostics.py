@@ -10,16 +10,16 @@ from the origin.
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .artifacts import write_csv
 from .curve import CurveConfig, extremal_on_ray
 from .exceptions import ConvergenceError, PreconditionError
 from .mesh import Mesh, build_radial, integrate
 from .profiles import Profile
-from .solver import SolveConfig, StatePair, Verdict, minimal_solve
+from .solver import StatePair, Verdict, minimal_solve
 from .stability import linearized_eigen
 
 
@@ -87,10 +87,8 @@ def approach_extremal(
     # stay pessimistic: sweep below the certified-feasible end of the bracket
     lam_star = ray.lam_star * (1.0 - 0.5 * ray.bracket_width)
 
-    big_budget = SolveConfig(
-        tol_sup=cfg.solve.tol_sup,
-        max_iter=cfg.solve.max_iter * 4 ** cfg.budget_escalations,
-        touch_threshold=cfg.solve.touch_threshold,
+    big_budget = replace(
+        cfg.solve, max_iter=cfg.solve.max_iter * 4 ** cfg.budget_escalations
     )
     samples = []
     for t in fr:
@@ -138,13 +136,10 @@ def singular_residual(dimension: int, nodes: int) -> float:
 
 def write_approach_csv(path, record: ApproachRecord, fingerprint: str = "") -> None:
     """Columns: t, lambda, sup_u, sup_v, nu1, X, Y, iters."""
-    with open(path, "w", newline="") as fh:
-        if fingerprint:
-            fh.write(f"# config_fingerprint: {fingerprint}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["t", "lambda", "sup_u", "sup_v", "nu1", "X", "Y", "iters"])
-        for s in record.samples:
-            writer.writerow(
-                [repr(s.t), repr(s.lam), repr(s.sup_u), repr(s.sup_v),
-                 repr(s.nu1), repr(s.x_integral), repr(s.y_integral), s.iterations]
-            )
+    write_csv(
+        path,
+        ["t", "lambda", "sup_u", "sup_v", "nu1", "X", "Y", "iters"],
+        ((s.t, s.lam, s.sup_u, s.sup_v, s.nu1, s.x_integral, s.y_integral,
+          s.iterations) for s in record.samples),
+        fingerprint,
+    )

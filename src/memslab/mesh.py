@@ -19,6 +19,7 @@ import scipy.sparse as sp
 from scipy.linalg import cho_solve_banded, cholesky_banded
 from scipy.sparse.linalg import splu
 
+from .artifacts import fingerprint
 from .exceptions import ConfigurationError, ConvergenceError, NumericsError
 
 RADIAL = "radial"
@@ -136,21 +137,20 @@ class Mesh:
     def n_nodes(self) -> int:
         return self.weights.size
 
-    def node_coordinates(self) -> np.ndarray:
-        """(n,) radii for radial meshes, (n, 2) cell centers for rectangles."""
+    def coordinate_columns(self) -> dict[str, np.ndarray]:
+        """Node coordinates by name: ``r`` for radial meshes, ``x, y`` for
+        rectangles (cell centers)."""
         if self.kind == RADIAL:
-            return self.radii
+            return {"r": self.radii}
         gx, gy = np.meshgrid(self.xs, self.ys, indexing="ij")
-        return np.column_stack([gx.ravel(), gy.ravel()])
+        return {"x": gx.ravel(), "y": gy.ravel()}
 
     def fingerprint(self) -> str:
-        import hashlib
-
         if self.kind == RADIAL:
             tag = f"radial:N={self.dimension}:R={self.radius!r}:n={self.n_nodes}"
         else:
             tag = f"rect:{self.lx!r}x{self.ly!r}:{self.nx}x{self.ny}"
-        return hashlib.sha256(tag.encode()).hexdigest()[:16]
+        return fingerprint(tag)
 
 
 def build_radial(dimension: int, radius: float, nodes: int) -> Mesh:

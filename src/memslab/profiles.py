@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import fingerprint
 from .exceptions import ConfigurationError, HypothesisError
 from .mesh import RADIAL, Mesh, unit_ball_volume
 
@@ -53,12 +54,10 @@ class Profile:
         return float(self.values.min())
 
     def fingerprint(self) -> str:
-        import hashlib
-
-        h = hashlib.sha256()
-        h.update(f"{self.kind}:{self.param!r}:{self.scale!r}".encode())
-        h.update(np.ascontiguousarray(self.values).tobytes())
-        return h.hexdigest()[:16]
+        return fingerprint(
+            f"{self.kind}:{self.param!r}:{self.scale!r}",
+            np.ascontiguousarray(self.values).tobytes(),
+        )
 
 
 def _validate(values: np.ndarray, weights: np.ndarray) -> None:

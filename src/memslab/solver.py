@@ -19,12 +19,12 @@ sign-fixed entries.
 
 from __future__ import annotations
 
-import csv
 import enum
 from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import write_node_table
 from .exceptions import NumericsError, PreconditionError
 from .mesh import RADIAL, Mesh
 from .profiles import Profile
@@ -269,18 +269,4 @@ def explicit_supersolution(
 
 def write_solution_csv(path, mesh: Mesh, state: StatePair, fingerprint: str = "") -> None:
     """Solution snapshot: node coordinate(s), u, v."""
-    coords = mesh.node_coordinates()
-    with open(path, "w", newline="") as fh:
-        if fingerprint:
-            fh.write(f"# config_fingerprint: {fingerprint}\n")
-        writer = csv.writer(fh)
-        if mesh.kind == RADIAL:
-            writer.writerow(["r", "u", "v"])
-            for r, u, v in zip(coords, state.u, state.v):
-                writer.writerow([repr(float(r)), repr(float(u)), repr(float(v))])
-        else:
-            writer.writerow(["x", "y", "u", "v"])
-            for (x, y), u, v in zip(coords, state.u, state.v):
-                writer.writerow(
-                    [repr(float(x)), repr(float(y)), repr(float(u)), repr(float(v))]
-                )
+    write_node_table(path, mesh, {"u": state.u, "v": state.v}, fingerprint)

@@ -15,13 +15,13 @@ the iterates give two-sided eigenvalue brackets that steer re-shifting.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
+from .artifacts import write_node_table
 from .exceptions import ConvergenceError, NumericsError, PreconditionError
 from .mesh import Mesh
 from .profiles import CONSTANT, Profile
@@ -215,19 +215,6 @@ def stability_inequality_gap(
 
 def write_eigen_csv(path, mesh: Mesh, result: EigenResult, fingerprint: str = "") -> None:
     """Eigenfunction snapshot: node coordinate(s), phi1, phi2."""
-    coords = mesh.node_coordinates()
-    with open(path, "w", newline="") as fh:
-        if fingerprint:
-            fh.write(f"# config_fingerprint: {fingerprint}\n")
-        writer = csv.writer(fh)
-        if coords.ndim == 1:
-            writer.writerow(["r", "phi1", "phi2"])
-            rows = zip(coords, result.phi1, result.phi2)
-            for r, p1, p2 in rows:
-                writer.writerow([repr(float(r)), repr(float(p1)), repr(float(p2))])
-        else:
-            writer.writerow(["x", "y", "phi1", "phi2"])
-            for (x, y), p1, p2 in zip(coords, result.phi1, result.phi2):
-                writer.writerow(
-                    [repr(float(x)), repr(float(y)), repr(float(p1)), repr(float(p2))]
-                )
+    write_node_table(
+        path, mesh, {"phi1": result.phi1, "phi2": result.phi2}, fingerprint
+    )

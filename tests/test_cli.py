@@ -62,6 +62,18 @@ class TestSolve:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "invalid-config"
 
+    @pytest.mark.parametrize("command, lam", [
+        ("solve", float("nan")), ("solve", float("inf")), ("eigen", -0.1),
+    ])
+    def test_bad_parameter_exit_four(self, tmp_path, capsys, command, lam):
+        code, _ = run(
+            tmp_path, command,
+            {"domain": DISK, "f": ONES, "g": ONES, "lambda": lam, "mu": 0.5},
+        )
+        assert code == 4
+        err = json.loads(capsys.readouterr().err)
+        assert [v["field"] for v in err["violations"]] == ["lambda"]
+
     def test_bad_domain_lists_all_violations(self, tmp_path, capsys):
         code, _ = run(
             tmp_path, "solve",
@@ -134,6 +146,8 @@ class TestOtherCommands:
         lines = (out / "f_symmetrized.csv").read_text().splitlines()
         assert lines[1] == "index,value"
         assert len(lines) == 2 + 64
+        values = [float(line.split(",")[1]) for line in lines[2:]]
+        assert values == pytest.approx([1.0] * 64)
 
     def test_extremal(self, tmp_path):
         code, out = run(

@@ -8,6 +8,8 @@ from memslab import ConfigurationError, build_radial, build_rect
 from memslab.curve import (
     BoundReport,
     CurveConfig,
+    CurveTrace,
+    RaySample,
     bound_report,
     compare_symmetrized,
     dimension_constant,
@@ -208,6 +210,15 @@ class TestSerialization:
         assert header == ["theta", "lambda_star", "mu_star", "bracket_width",
                           "lower_cert", "upper_cert", "solver_iters_total"]
         assert len(lines) == 3 + 2
+
+    def test_trace_csv_without_upper_cert(self, tmp_path):
+        ray = RaySample(theta=1.0, lam_star=1.5, mu_star=1.5, bracket_width=1e-3,
+                        lower_cert=0.5, upper_cert=None, iterations_total=7)
+        path = tmp_path / "curve.csv"
+        write_trace_csv(path, CurveTrace((ray,), "m", ("f", "g")))
+        lines = path.read_text().splitlines()
+        assert lines[0] == "# mesh: m profiles: f,g"
+        assert lines[2] == "1.0,1.5,1.5,0.001,0.5,,7"
 
     def test_bounds_json(self, disk, one, tmp_path):
         import json

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -111,3 +112,8 @@ class TestApproachExtremal:
         assert lines[0] == "# config_fingerprint: dead"
         assert lines[1] == "t,lambda,sup_u,sup_v,nu1,X,Y,iters"
         assert len(lines) == 2 + len(record.samples)
+
+        sample = dataclasses.replace(record.samples[0], nu1=np.float64(2.5))
+        write_approach_csv(path, dataclasses.replace(record, samples=(sample,)))
+        lines = path.read_text().splitlines()
+        assert lines[1].split(",")[4] == "2.5"

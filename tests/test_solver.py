@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import jn_zeros
 
-from memslab import PreconditionError, build_radial
+from memslab import PreconditionError, build_radial, build_rect
 from memslab.profiles import constant_profile
 from memslab.solver import (
     DELTA_FLOOR,
@@ -194,6 +194,18 @@ class TestResidual:
         assert lines[0] == "# config_fingerprint: cafe"
         assert lines[1] == "r,u,v"
         assert len(lines) == 2 + disk256.n_nodes
+
+    def test_solution_snapshot_csv_rect(self, tmp_path):
+        rect = build_rect(2.0, 1.0, 16, 20)
+        u = np.arange(rect.n_nodes, dtype=float)
+        path = tmp_path / "solution.csv"
+        write_solution_csv(path, rect, StatePair(u=u, v=2.0 * u))
+        lines = path.read_text().splitlines()
+        assert lines[0] == "x,y,u,v"
+        assert len(lines) == 1 + rect.n_nodes
+        rows = [[float(c) for c in line.split(",")] for line in lines[1:]]
+        assert rows[1] == [rect.hx / 2, 1.5 * rect.hy, 1.0, 2.0]
+        assert rows[rect.ny] == [1.5 * rect.hx, rect.hy / 2, 20.0, 40.0]
 
 
 class TestSolveConfig:
