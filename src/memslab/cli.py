@@ -152,6 +152,19 @@ def _load_inputs(config: dict, args, need_params=()):
     return mesh, f, g
 
 
+def _parameter(config: dict, key: str, problems: list, positive=False) -> float:
+    """``config[key]`` as a finite number >= 0 (> 0 if ``positive``)."""
+    try:
+        value = float(config[key])
+    except (TypeError, ValueError):
+        value = math.nan
+    if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
+        sign = "positive" if positive else "nonnegative"
+        problems.append({"field": key, "message": f"must be a finite {sign} "
+                         f"number, got {config[key]!r}"})
+    return value
+
+
 _VERDICT_EXIT = {
     Verdict.CONVERGED: EXIT_OK,
     Verdict.NONEXISTENCE_SUSPECTED: EXIT_NONEXISTENCE,
@@ -164,19 +177,10 @@ def _solve_at_parameters(config: dict, args):
     mesh, f, g = _load_inputs(config, args, need_params=["lambda", "mu"])
     problems = []
     cfg = _solve_config(config, problems)
-    params = []
-    for key in ("lambda", "mu"):
-        try:
-            value = float(config[key])
-        except (TypeError, ValueError):
-            value = math.nan
-        if not (math.isfinite(value) and value >= 0):
-            problems.append({"field": key, "message": "must be a finite "
-                             f"nonnegative number, got {config[key]!r}"})
-        params.append(value)
+    lam = _parameter(config, "lambda", problems)
+    mu = _parameter(config, "mu", problems)
     if problems:
         raise _ConfigProblems(problems)
-    lam, mu = params
     return mesh, f, g, lam, mu, minimal_solve(mesh, f, g, lam, mu, cfg)
 
 
@@ -205,8 +209,10 @@ def cmd_curve(config: dict, args, out: Path, fp: str) -> int:
     grid = config["theta_grid"]
     if not isinstance(grid, list) or not grid:
         problems.append({"field": "theta_grid", "message": "must be a non-empty list"})
-    elif any(not isinstance(t, (int, float)) or t <= 0 for t in grid):
-        problems.append({"field": "theta_grid", "message": "entries must be positive"})
+    elif any(not isinstance(t, (int, float)) or not math.isfinite(t) or t <= 0
+             for t in grid):
+        problems.append({"field": "theta_grid",
+                         "message": "entries must be finite and positive"})
     elif any(b <= a for a, b in zip(grid, grid[1:])):
         problems.append({"field": "theta_grid", "message": "must be strictly increasing"})
     if problems:
@@ -267,10 +273,11 @@ def cmd_extremal(config: dict, args, out: Path, fp: str) -> int:
     mesh, f, g = _load_inputs(config, args, need_params=["theta", "fractions"])
     problems = []
     cfg = _curve_config(config, args.threads, problems)
+    theta = _parameter(config, "theta", problems, positive=True)
     if problems:
         raise _ConfigProblems(problems)
     record = approach_extremal(
-        mesh, f, g, float(config["theta"]), config["fractions"],
+        mesh, f, g, theta, config["fractions"],
         float(config.get("moser_alpha", 2.0)), cfg,
     )
     write_approach_csv(out / "approach.csv", record, fp)
@@ -336,7 +343,10 @@ def main(argv=None) -> int:
         except (OSError, ValueError) as exc:
             raise _ConfigProblems([{"field": "--config", "message": str(exc)}]) from exc
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise _ConfigProblems([{"field": "--out", "message": str(exc)}]) from exc
         fp = fingerprint(json.dumps(config, sort_keys=True, separators=(",", ":")))
         return _COMMANDS[args.command](config, args, out, fp)
     except _ConfigProblems as exc:

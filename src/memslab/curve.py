@@ -138,6 +138,7 @@ class RaySample:
     upper_cert: float | None
     iterations_total: int
     unresolved_probes: int = 0
+    newton_steps: int = 0
 
 
 @dataclass(frozen=True)
@@ -158,6 +159,7 @@ class _RayOracle:
     def __init__(self, mesh, f, g, theta, cfg: CurveConfig):
         self.mesh, self.f, self.g, self.theta, self.cfg = mesh, f, g, theta, cfg
         self.iterations = 0
+        self.newton_steps = 0
         self.unresolved = 0
 
     def probe(self, lam: float) -> bool | None:
@@ -168,6 +170,7 @@ class _RayOracle:
                 replace(self.cfg.solve, max_iter=budget),
             )
             self.iterations += out.iterations
+            self.newton_steps += out.newton_steps
             if out.verdict is Verdict.CONVERGED:
                 return True
             if out.verdict is Verdict.NONEXISTENCE_SUSPECTED:
@@ -245,6 +248,7 @@ def extremal_on_ray(
         upper_cert=upper_corner,
         iterations_total=oracle.iterations,
         unresolved_probes=oracle.unresolved,
+        newton_steps=oracle.newton_steps,
     )
 
 

@@ -15,6 +15,30 @@ identical data the two components stay bit-for-bit equal, and the update
 map is order-preserving even in floating point: the right-hand sides are
 monotone node-wise and the cached triangular factors of the M-matrix have
 sign-fixed entries.
+
+Near the critical curve the Picard contraction factor tends to 1.  Where
+the operator is tridiagonal (radial meshes) the minimal solve then tries a
+certified Newton step: after 5 straight Picard steps whose increment ratio
+exceeds 0.5, it solves ``J d = r`` at the current iterate x.  J is the
+coupled linearization, a Z-matrix, and r the weighted residual, which is
+>= 0 up to rounding because x = T(previous) with previous <= x.  The step
+is kept only if
+
+* d >= 0 node-wise: with r >= 0 this certifies J as a nonsingular M-matrix,
+  and for the convex sources monotone Newton then stays below the minimal
+  solution (Ortega & Rheinboldt 1970, 13.3);
+* x + d stays out of the touch band;
+* the Picard step y = T(x + d) does not go below x + d, or already meets
+  ``tol_sup``.
+
+A refused step is discarded and ends Newton for that solve.  The iterates
+stay monotone even in floating point: x + d >= x since d >= 0, and
+y = T(x + d) >= T(x) >= x since T is monotone.  The coupled system is
+solved in the unknowns (d_u + d_v) / 2 and (d_u - d_v) / 2, so identical
+data still gives bit-for-bit equal fields.  Convergence needs the same
+increment and residual contract, and nonexistence verdicts still come only
+from Picard steps (touch or divergence).  Rectangles keep pure Picard:
+their coupled solve would need a sparse LU per step.
 """
 
 from __future__ import annotations
@@ -33,6 +57,8 @@ DELTA_FLOOR = 1e-10           # floor for (1 - u) in denominators
 _RESIDUAL_RTOL = 1e-6         # converged residual <= rtol * (lam + mu)
 _SUPERSOLUTION_SLACK = 1e-8   # allowed signed defect when checking a super-solution
 _DIVERGENCE_WINDOW = 30       # consecutive increment growths before divergence verdict
+_NEWTON_AFTER = 5             # straight slow Picard steps before a Newton step is tried
+_SLOW_RATIO = 0.5             # a Picard step is slow if its increment ratio exceeds this
 
 
 @dataclass(frozen=True)
@@ -80,6 +106,7 @@ class SolveOutcome:
     final_residual: tuple[float, float] | None = None
     reason: NonexistenceReason | None = None
     last_increment: float | None = None
+    newton_steps: int = 0         # accepted Newton steps (radial meshes only)
 
     @property
     def converged(self) -> bool:
@@ -105,6 +132,46 @@ def residual(
     return float(np.max(np.abs(ru))), float(np.max(np.abs(rv)))
 
 
+def _picard(op, fu, gv, u, v) -> tuple[np.ndarray, np.ndarray]:
+    """One Jacobi-style Picard step: two Poisson solves with frozen sources."""
+    u_new = op.solve(_source(fu, v))
+    v_new = op.solve(_source(gv, u))
+    if not (np.all(np.isfinite(u_new)) and np.all(np.isfinite(v_new))):
+        raise NumericsError("non-finite iterate; floor clamp failed")
+    return u_new, v_new
+
+
+def _sup_gap(a, b, c, d) -> float:
+    return float(max(np.max(np.abs(a - b)), np.max(np.abs(c - d))))
+
+
+def _newton_step(mesh: Mesh, fu, gv, u, v, cfg: SolveConfig):
+    """Certified Newton step from the Picard iterate (u, v); see the module
+    notes.  Returns (z_u, z_v, y_u, y_v) with z = (u, v) + d and y = T(z),
+    or None if one of the checks refuses the step."""
+    op, w = mesh.operator, mesh.weights
+    den_u, den_v = _clamped_denominator(v), _clamped_denominator(u)
+    src_u, src_v = _source(fu, v), _source(gv, u)
+    k = op.symmetric_form
+    try:
+        d_u, d_v = op.solve_coupled(
+            2.0 * w * src_u / den_u, 2.0 * w * src_v / den_v,
+            w * src_u - k @ u, w * src_v - k @ v,
+        )
+    except NumericsError:   # singular J: no certificate
+        return None
+    if not (np.all(d_u >= 0) and np.all(d_v >= 0)):
+        return None
+    z_u, z_v = u + d_u, v + d_v
+    if not max(z_u.max(), z_v.max()) < 1.0 - cfg.touch_threshold:
+        return None
+    y_u, y_v = _picard(op, fu, gv, z_u, z_v)
+    below = np.any(y_u < z_u) or np.any(y_v < z_v)
+    if below and _sup_gap(y_u, z_u, y_v, z_v) > cfg.tol_sup:
+        return None
+    return z_u, z_v, y_u, y_v
+
+
 def _iterate(
     mesh: Mesh,
     f: Profile,
@@ -121,26 +188,32 @@ def _iterate(
     fu = lam * f.values
     gv = mu * g.values
     u, v = u0, v0
+    newton = watch_touch and op.tridiagonal
     inc_prev = np.inf
-    growth_streak = 0
+    growth_streak = slow_streak = newton_steps = 0
     for it in range(1, cfg.max_iter + 1):
-        u_new = op.solve(_source(fu, v))
-        v_new = op.solve(_source(gv, u))
-        if not (np.all(np.isfinite(u_new)) and np.all(np.isfinite(v_new))):
-            raise NumericsError("non-finite iterate; floor clamp failed")
+        step = None
+        if newton and slow_streak >= _NEWTON_AFTER:
+            step = _newton_step(mesh, fu, gv, u, v, cfg)
+            newton = step is not None   # one refused step ends Newton here
+            slow_streak = 0
+        if step is None:
+            u_new, v_new = _picard(op, fu, gv, u, v)
+        else:
+            u, v, u_new, v_new = step
+            newton_steps += 1
         if on_step is not None:
             on_step(it, u_new, v_new)
+        inc = _sup_gap(u_new, u, v_new, v)
         top = max(u_new.max(), v_new.max())
         if watch_touch and 1.0 - top < cfg.touch_threshold:
             return SolveOutcome(
                 verdict=Verdict.NONEXISTENCE_SUSPECTED,
                 reason=NonexistenceReason.TOUCHED_ONE,
                 iterations=it,
-                last_increment=float(
-                    max(np.max(np.abs(u_new - u)), np.max(np.abs(v_new - v)))
-                ),
+                last_increment=inc,
+                newton_steps=newton_steps,
             )
-        inc = float(max(np.max(np.abs(u_new - u)), np.max(np.abs(v_new - v))))
         u, v = u_new, v_new
         if inc <= cfg.tol_sup:
             state = StatePair(u=u, v=v)
@@ -152,6 +225,7 @@ def _iterate(
                     state=state,
                     final_residual=res,
                     last_increment=inc,
+                    newton_steps=newton_steps,
                 )
             # increment converged but residual not yet in contract: keep going
         if watch_touch:
@@ -164,11 +238,14 @@ def _iterate(
                         reason=NonexistenceReason.RESIDUAL_DIVERGENCE,
                         iterations=it,
                         last_increment=inc,
+                        newton_steps=newton_steps,
                     )
                 growth_streak = 0
+        slow_streak = slow_streak + 1 if inc > _SLOW_RATIO * inc_prev else 0
         inc_prev = inc
     return SolveOutcome(
-        verdict=Verdict.INCONCLUSIVE, iterations=cfg.max_iter, last_increment=inc
+        verdict=Verdict.INCONCLUSIVE, iterations=cfg.max_iter, last_increment=inc,
+        newton_steps=newton_steps,
     )
 
 
@@ -190,8 +267,12 @@ def minimal_solve(
     ``[1 - touch_threshold, inf)`` yields a TOUCHED_ONE nonexistence verdict;
     exhausting the budget with a still-shrinking increment is INCONCLUSIVE.
 
-    ``on_step(it, u, v)`` is invoked with every fresh iterate, mainly for
-    trace instrumentation in tests.
+    Near the critical curve on radial meshes, certified Newton steps may
+    replace the iterate a Picard step starts from (see the module notes);
+    ``newton_steps`` counts them and ``iterations`` still counts loop steps.
+
+    ``on_step(it, u, v)`` is invoked with every fresh Picard iterate, mainly
+    for trace instrumentation in tests.
     """
     if lam < 0 or mu < 0:
         raise PreconditionError("parameters must be nonnegative")

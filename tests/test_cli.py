@@ -118,6 +118,16 @@ class TestCurve:
         assert code == 4
         capsys.readouterr()
 
+    def test_nan_grid_exit_four(self, tmp_path, capsys):
+        code, out = run(
+            tmp_path, "curve",
+            {"domain": DISK, "f": ONES, "g": ONES, "theta_grid": [float("nan")]},
+        )
+        assert code == 4
+        err = json.loads(capsys.readouterr().err)
+        assert [v["field"] for v in err["violations"]] == ["theta_grid"]
+        assert not (out / "curve_failures.json").exists()
+
 
 class TestOtherCommands:
     def test_bounds(self, tmp_path):
@@ -161,6 +171,18 @@ class TestOtherCommands:
         assert len(lines) == 2 + 2
 
 
+    @pytest.mark.parametrize("theta", [-1.0, float("nan")])
+    def test_extremal_bad_theta_exit_four(self, tmp_path, capsys, theta):
+        code, _ = run(
+            tmp_path, "extremal",
+            {"domain": DISK, "f": ONES, "g": ONES, "theta": theta,
+             "fractions": [0.5]},
+        )
+        assert code == 4
+        err = json.loads(capsys.readouterr().err)
+        assert [v["field"] for v in err["violations"]] == ["theta"]
+
+
 class TestCheck:
     def test_single_cheap_criterion(self, tmp_path, capsys):
         code, out = run(
@@ -191,6 +213,17 @@ class TestCheck:
             "infrastructure", "singular-identity"
         }
         capsys.readouterr()
+
+
+def test_out_names_a_file_exit_four(tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"domain": DISK, "f": ONES, "g": ONES}))
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    code = main(["bounds", "--config", str(cfg), "--out", str(taken)])
+    assert code == 4
+    err = json.loads(capsys.readouterr().err)
+    assert [v["field"] for v in err["violations"]] == ["--out"]
 
 
 def test_unreadable_config_exit_four(tmp_path, capsys):

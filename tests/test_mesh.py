@@ -6,6 +6,7 @@ from scipy.special import jn_zeros
 
 from memslab import (
     ConfigurationError,
+    NumericsError,
     build_radial,
     build_rect,
     integrate,
@@ -136,11 +137,47 @@ class TestPoisson:
         for coarse, fine in zip(errors, errors[1:]):
             assert 3.5 <= coarse / fine <= 4.5
 
+    def test_fine_disk_residual_contract(self):
+        # ||A||_inf ~ 1.3e8 here; an absolute residual bound fails on rounding
+        disk = build_radial(2, 1.0, 4096)
+        u = solve_poisson(disk.operator, np.ones(disk.n_nodes))
+        assert np.max(np.abs(u - (1.0 - disk.radii**2) / 4.0)) < 1e-7
+
     def test_rect_manufactured_solution(self, square64):
         gx, gy = np.meshgrid(square64.xs, square64.ys, indexing="ij")
         exact = (np.sin(np.pi * gx) * np.sin(np.pi * gy)).ravel()
         u = solve_poisson(square64.operator, 2.0 * np.pi**2 * exact)
         assert np.max(np.abs(u - exact)) < 5e-4
+
+
+class TestCoupledSolve:
+    @staticmethod
+    def dense(op, c12, c21, r1, r2):
+        k = op.symmetric_form.toarray()
+        jac = np.block([[k, -np.diag(c12)], [-np.diag(c21), k]])
+        d = np.linalg.solve(jac, np.concatenate([r1, r2]))
+        return d[: op.size], d[op.size:]
+
+    def test_matches_dense_solve(self, rng):
+        op = build_radial(2, 1.0, 40).operator
+        c12, c21 = rng.uniform(0.0, 0.02, (2, op.size))
+        r1, r2 = rng.uniform(-1.0, 1.0, (2, op.size))
+        d1, d2 = op.solve_coupled(c12, c21, r1, r2)
+        e1, e2 = self.dense(op, c12, c21, r1, r2)
+        np.testing.assert_allclose(d1, e1, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(d2, e2, rtol=1e-10, atol=1e-12)
+
+    def test_symmetric_data_bitwise(self, disk256, rng):
+        c = rng.uniform(0.0, 0.01, disk256.n_nodes)
+        r = rng.uniform(0.0, 1.0, disk256.n_nodes)
+        d1, d2 = disk256.operator.solve_coupled(c, c.copy(), r, r.copy())
+        np.testing.assert_array_equal(d1, d2)
+
+    def test_rectangle_refused(self, square64):
+        zero = np.zeros(square64.n_nodes)
+        assert not square64.operator.tridiagonal
+        with pytest.raises(NumericsError):
+            square64.operator.solve_coupled(zero, zero, zero, zero)
 
 
 class TestEigenpair:

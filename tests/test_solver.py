@@ -112,6 +112,89 @@ class TestMinimalSolve:
         assert out.last_increment is not None
 
 
+def picard_only(mesh, f, g, lam, mu, cfg=SolveConfig()):
+    """Reference loop: the plain Jacobi Picard iteration, no Newton steps."""
+    op = mesh.operator
+    u = v = np.zeros(mesh.n_nodes)
+    for _ in range(cfg.max_iter):
+        u_new = op.solve(lam * f.values / (1.0 - v) ** 2)
+        v_new = op.solve(mu * g.values / (1.0 - u) ** 2)
+        if 1.0 - max(u_new.max(), v_new.max()) < cfg.touch_threshold:
+            return Verdict.NONEXISTENCE_SUSPECTED, None
+        inc = max(np.max(np.abs(u_new - u)), np.max(np.abs(v_new - v)))
+        u, v = u_new, v_new
+        state = StatePair(u=u, v=v)
+        if inc <= cfg.tol_sup and max(residual(mesh, f, g, lam, mu, state)) <= (
+            1e-6 * (lam + mu)
+        ):
+            return Verdict.CONVERGED, state
+    return Verdict.INCONCLUSIVE, None
+
+
+class TestNewtonFinish:
+    @pytest.mark.parametrize("theta, lam, verdict", [
+        (1.0, 0.78, Verdict.CONVERGED),
+        (1.0, 0.785, Verdict.CONVERGED),
+        # past lam*(theta) the linearization stops being an M-matrix along
+        # the iteration; a Newton step taken without the d >= 0 certificate
+        # breaks the node-wise increase here
+        (1.0, 0.8, Verdict.NONEXISTENCE_SUSPECTED),
+        (0.5, 1.15, Verdict.NONEXISTENCE_SUSPECTED),
+        (2.0, 0.58, Verdict.NONEXISTENCE_SUSPECTED),
+    ])
+    def test_monotone_increase_exact(self, disk256, ones_disk, theta, lam, verdict):
+        prev = {"u": np.zeros(disk256.n_nodes), "v": np.zeros(disk256.n_nodes)}
+
+        def watch(it, u, v):
+            assert np.all(u >= prev["u"])
+            assert np.all(v >= prev["v"])
+            prev["u"], prev["v"] = u, v
+
+        out = minimal_solve(
+            disk256, ones_disk, ones_disk, lam, theta * lam, on_step=watch
+        )
+        assert out.verdict is verdict
+        assert out.newton_steps > 0 or verdict is not Verdict.CONVERGED
+
+    @pytest.mark.parametrize("lam", [0.78, 0.785])
+    def test_symmetric_reduction_bitwise(self, disk256, ones_disk, lam):
+        seen = []
+        out = minimal_solve(
+            disk256, ones_disk, ones_disk, lam, lam,
+            on_step=lambda it, u, v: seen.append(np.array_equal(u, v)),
+        )
+        assert out.newton_steps > 0
+        assert len(seen) == out.iterations and all(seen)
+
+    @pytest.mark.parametrize("theta, lam_star", [(1.0, 0.78923), (0.5, 1.08844)])
+    def test_verdicts_match_picard(self, theta, lam_star):
+        # lam_star: this mesh's critical parameter on the ray, to about 1e-5
+        mesh = build_radial(2, 1.0, 1024)
+        one = constant_profile(mesh, 1.0)
+        newton_used = 0
+        verdicts = set()
+        for factor in (0.9, 0.99, 0.997, 0.9995, 1.0005, 1.003, 1.01, 1.1):
+            lam = factor * lam_star
+            out = minimal_solve(mesh, one, one, lam, theta * lam)
+            verdict, state = picard_only(mesh, one, one, lam, theta * lam)
+            assert out.verdict is verdict, factor
+            verdicts.add(verdict)
+            newton_used += out.newton_steps
+            if state is not None:
+                assert np.max(np.abs(out.state.u - state.u)) <= 1e-8
+                assert np.max(np.abs(out.state.v - state.v)) <= 1e-8
+        assert verdicts == {Verdict.CONVERGED, Verdict.NONEXISTENCE_SUSPECTED}
+        assert newton_used > 0
+
+    def test_rectangle_stays_picard(self):
+        square = build_rect(1.0, 1.0, 24, 24)
+        one = constant_profile(square, 1.0)
+        out = minimal_solve(square, one, one, 2.6, 2.6)  # lam* ~ 2.68 here
+        assert out.converged
+        assert out.iterations > 50   # a slow tail, where a radial mesh takes Newton
+        assert out.newton_steps == 0
+
+
 class TestExplicitSupersolutions:
     def test_quadratic_at_origin(self, disk256):
         w = explicit_supersolution(disk256, "quadratic")

@@ -46,6 +46,9 @@ RUNS = (
      {"domain": SQUARE, "f": ONES, "g": ONES, "lambda": 0.5, "mu": 0.5}),
     ("solve-disk-touch", "solve",
      {"domain": DISK, "f": ONES, "g": ONES, "lambda": 0.9, "mu": 0.9}),
+    # near lam*(1) ~ 0.7896: the minimal solve takes certified Newton steps
+    ("solve-disk-near-critical", "solve",
+     {"domain": DISK, "f": ONES, "g": ONES, "lambda": 0.78, "mu": 0.78}),
     ("eigen-disk", "eigen",
      {"domain": DISK, "f": ONES, "g": ONES, "lambda": 0.4, "mu": 0.6}),
     ("eigen-disk-touch", "eigen",
