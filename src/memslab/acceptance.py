@@ -60,17 +60,10 @@ def _scaled(n: int, scale: float) -> int:
 
 
 @lru_cache(maxsize=None)
-def _disk_ray(n: int, theta: float, radius: float = 1.0, threads: int = 1):
+def _disk_ray(n: int, theta: float, radius: float = 1.0):
     mesh = build_radial(2, radius, n)
     one = constant_profile(mesh, 1.0)
-    return extremal_on_ray(mesh, one, one, theta, CurveConfig(threads=threads))
-
-
-@lru_cache(maxsize=None)
-def _disk_minimal(n: int, lam: float, mu: float):
-    mesh = build_radial(2, 1.0, n)
-    one = constant_profile(mesh, 1.0)
-    return mesh, one, minimal_solve(mesh, one, one, lam, mu, SolveConfig())
+    return extremal_on_ray(mesh, one, one, theta, CurveConfig())
 
 
 def _bump_fields(mesh, count: int, rng) -> list:
@@ -170,7 +163,7 @@ def curve_monotonicity(scale):
     mesh = build_radial(2, 1.0, n)
     one = constant_profile(mesh, 1.0)
     grid = [0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 4.0]
-    trace = trace_curve(mesh, one, one, grid, CurveConfig(threads=4))
+    trace = trace_curve(mesh, one, one, grid, CurveConfig(), workers=4)
     lams = [s.lam_star for s in trace.samples]
     slack = 2.0 * max(s.bracket_width for s in trace.samples)
     ok = all(b <= a * (1.0 + slack) for a, b in zip(lams, lams[1:]))

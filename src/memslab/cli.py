@@ -7,7 +7,8 @@ Exit codes are part of the contract:
     1  check: at least one criterion failed
     2  solve: nonexistence suspected
     3  solve: inconclusive within budget
-    4  invalid configuration (diagnostics as JSON on stderr)
+    4  invalid arguments or configuration, including inputs a library
+       precondition rejects (diagnostics as JSON on stderr)
     5  curve: at least one ray failed (partial CSV plus failure manifest)
 
 Identical configs produce byte-identical CSV outputs; every artifact embeds
@@ -34,7 +35,7 @@ from .curve import (
 )
 from .diagnostics import approach_extremal, write_approach_csv
 from .exceptions import ConfigurationError, HypothesisError, PreconditionError
-from .mesh import Mesh, build_radial, build_rect, unit_ball_volume
+from .mesh import Mesh, build_radial, build_rect
 from .profiles import (
     Profile,
     constant_profile,
@@ -118,13 +119,12 @@ def _solve_config(config: dict, problems: list) -> SolveConfig:
         return SolveConfig()
 
 
-def _curve_config(config: dict, threads: int, problems: list) -> CurveConfig:
+def _curve_config(config: dict, problems: list) -> CurveConfig:
     spec = config.get("curve", {})
     try:
         return CurveConfig(
             rtol=float(spec.get("rtol", 1e-3)),
             solve=_solve_config(config, problems),
-            threads=threads,
         )
     except (TypeError, ValueError) as exc:
         problems.append({"field": "curve", "message": str(exc)})
@@ -152,16 +152,16 @@ def _load_inputs(config: dict, args, need_params=()):
     return mesh, f, g
 
 
-def _parameter(config: dict, key: str, problems: list, positive=False) -> float:
-    """``config[key]`` as a finite number >= 0 (> 0 if ``positive``)."""
+def _parameter(config: dict, key: str, problems: list, above=None) -> float:
+    """``config[key]`` as a finite number >= 0 (> ``above`` if given)."""
     try:
         value = float(config[key])
     except (TypeError, ValueError):
         value = math.nan
-    if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
-        sign = "positive" if positive else "nonnegative"
-        problems.append({"field": key, "message": f"must be a finite {sign} "
-                         f"number, got {config[key]!r}"})
+    if not (math.isfinite(value) and (value >= 0 if above is None else value > above)):
+        bound = "nonnegative" if above is None else f"above {above}"
+        problems.append({"field": key, "message": f"must be finite and {bound}, "
+                         f"got {config[key]!r}"})
     return value
 
 
@@ -205,7 +205,7 @@ def cmd_solve(config: dict, args, out: Path, fp: str) -> int:
 def cmd_curve(config: dict, args, out: Path, fp: str) -> int:
     mesh, f, g = _load_inputs(config, args, need_params=["theta_grid"])
     problems = []
-    cfg = _curve_config(config, args.threads, problems)
+    cfg = _curve_config(config, problems)
     grid = config["theta_grid"]
     if not isinstance(grid, list) or not grid:
         problems.append({"field": "theta_grid", "message": "must be a non-empty list"})
@@ -260,10 +260,9 @@ def cmd_bounds(config: dict, args, out: Path, fp: str) -> int:
 def cmd_symmetrize(config: dict, args, out: Path, fp: str) -> int:
     mesh, f, g = _load_inputs(config, args)
     nodes = _scaled(int(config.get("target_nodes", 256)), args.resolution_scale)
-    radius = (mesh.volume / unit_ball_volume(2)) ** 0.5
-    disk = build_radial(2, radius, nodes)
+    ball = build_radial(mesh.dimension, mesh.equal_measure_radius, nodes)
     for name, prof in (("f", f), ("g", g)):
-        star = symmetrize(prof, mesh, disk)
+        star = symmetrize(prof, mesh, ball)
         write_csv(out / f"{name}_symmetrized.csv", ["index", "value"],
                   enumerate(star.values), fp)
     return EXIT_OK
@@ -272,14 +271,13 @@ def cmd_symmetrize(config: dict, args, out: Path, fp: str) -> int:
 def cmd_extremal(config: dict, args, out: Path, fp: str) -> int:
     mesh, f, g = _load_inputs(config, args, need_params=["theta", "fractions"])
     problems = []
-    cfg = _curve_config(config, args.threads, problems)
-    theta = _parameter(config, "theta", problems, positive=True)
+    cfg = _curve_config(config, problems)
+    theta = _parameter(config, "theta", problems, above=0)
+    alpha = _parameter({"moser_alpha": 2.0, **config}, "moser_alpha", problems,
+                       above=1)
     if problems:
         raise _ConfigProblems(problems)
-    record = approach_extremal(
-        mesh, f, g, theta, config["fractions"],
-        float(config.get("moser_alpha", 2.0)), cfg,
-    )
+    record = approach_extremal(mesh, f, g, theta, config["fractions"], alpha, cfg)
     write_approach_csv(out / "approach.csv", record, fp)
     write_json(out / "extremal_summary.json",
                {"lambda_star": record.lam_star, "theta": record.theta,
@@ -321,8 +319,16 @@ _COMMANDS = {
 }
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors exit 4 like any invalid input; exit 2 means suspected
+    nonexistence."""
+
+    def error(self, message):
+        raise _ConfigProblems([{"field": "arguments", "message": message}])
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="memslab",
         description="Coupled MEMS pull-in laboratory: solves, curves, bounds, checks.",
     )
@@ -330,12 +336,11 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="path to a JSON run config")
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker processes for ray sweeps")
+                        help="accepted for compatibility; rays run in-process")
     parser.add_argument("--resolution-scale", type=float, default=1.0,
                         help="multiply configured node counts by this factor")
-    args = parser.parse_args(argv)
-
     try:
+        args = parser.parse_args(argv)
         try:
             config = json.loads(Path(args.config).read_text())
             if not isinstance(config, dict):
@@ -350,9 +355,12 @@ def main(argv=None) -> int:
         fp = fingerprint(json.dumps(config, sort_keys=True, separators=(",", ":")))
         return _COMMANDS[args.command](config, args, out, fp)
     except _ConfigProblems as exc:
-        json.dump({"error": "invalid-config", "violations": exc.problems}, sys.stderr)
-        sys.stderr.write("\n")
-        return EXIT_BAD_CONFIG
+        violations = exc.problems
+    except (ConfigurationError, HypothesisError, PreconditionError) as exc:
+        violations = [{"field": "config", "message": str(exc)}]
+    json.dump({"error": "invalid-config", "violations": violations}, sys.stderr)
+    sys.stderr.write("\n")
+    return EXIT_BAD_CONFIG
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ so every sample carries its final bracket width and the certificates used.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -24,6 +25,7 @@ from .profiles import Profile, symmetrize
 from .solver import SolveConfig, Verdict, minimal_solve
 
 _MAX_DOUBLINGS = 60
+_BUDGET_ESCALATIONS = 2   # retries at 4x, 16x, ... the base budget
 
 
 def dimension_constant(dimension: int) -> float:
@@ -97,7 +99,7 @@ class BoundReport:
 
 def bound_report(mesh: Mesh, f: Profile, g: Profile) -> BoundReport:
     """Evaluate every applicable bound for the given configuration."""
-    dim = mesh.dimension if mesh.kind == "radial" else 2
+    dim = mesh.dimension
     a_f, a_g = lower_bound(f.sup(), g.sup(), mesh.volume, dim)
     mu1 = principal_eigenpair(mesh.operator, mesh).value
     uf, ug = upper_bound(mu1, f.inf(), g.inf())
@@ -114,7 +116,7 @@ def bound_report(mesh: Mesh, f: Profile, g: Profile) -> BoundReport:
         inf_g=g.inf(),
         volume=mesh.volume,
         dimension=dim,
-        equal_measure_radius=(mesh.volume / unit_ball_volume(dim)) ** (1.0 / dim),
+        equal_measure_radius=mesh.equal_measure_radius,
     )
 
 
@@ -124,8 +126,16 @@ class CurveConfig:
 
     rtol: float = 1e-3
     solve: SolveConfig = SolveConfig()
-    budget_escalations: int = 2   # retries at 4x, 16x, ... the base budget
-    threads: int = 1
+
+    def __post_init__(self):
+        if not 0 < self.rtol < 1:
+            raise ConfigurationError(f"rtol must lie in (0, 1), got {self.rtol!r}")
+
+
+def probe_budgets(solve: SolveConfig) -> list[SolveConfig]:
+    """The budgets a feasibility probe tries in turn: 1x, 4x, 16x the base."""
+    return [replace(solve, max_iter=solve.max_iter * 4**k)
+            for k in range(_BUDGET_ESCALATIONS + 1)]
 
 
 @dataclass(frozen=True)
@@ -163,11 +173,9 @@ class _RayOracle:
         self.unresolved = 0
 
     def probe(self, lam: float) -> bool | None:
-        budget = self.cfg.solve.max_iter
-        for _ in range(self.cfg.budget_escalations + 1):
+        for budget in probe_budgets(self.cfg.solve):
             out = minimal_solve(
-                self.mesh, self.f, self.g, lam, self.theta * lam,
-                replace(self.cfg.solve, max_iter=budget),
+                self.mesh, self.f, self.g, lam, self.theta * lam, budget
             )
             self.iterations += out.iterations
             self.newton_steps += out.newton_steps
@@ -175,7 +183,6 @@ class _RayOracle:
                 return True
             if out.verdict is Verdict.NONEXISTENCE_SUSPECTED:
                 return False
-            budget *= 4
         self.unresolved += 1
         return None
 
@@ -193,8 +200,8 @@ def extremal_on_ray(
     ray and at the eigenvalue upper bound when available (geometric
     expansion otherwise), then bisects to the configured relative width.
     """
-    if theta <= 0:
-        raise ConfigurationError("theta must be positive")
+    if not 0 < theta < math.inf:
+        raise ConfigurationError(f"theta must be finite and positive, got {theta!r}")
     report = bound_report(mesh, f, g)
     lower_corner = min(report.a_f, report.a_g / theta)
     upper_corner = None
@@ -263,21 +270,22 @@ def trace_curve(
     g: Profile,
     theta_grid,
     cfg: CurveConfig = CurveConfig(),
+    workers: int = 1,
 ) -> CurveTrace:
     """Sample the critical curve over a strictly increasing theta grid.
 
-    Rays are independent; with cfg.threads > 1 they run in worker
+    Rays are independent; with workers > 1 they run in that many worker
     processes.  Output order follows the grid regardless of scheduling.
     """
     thetas = [float(t) for t in theta_grid]
-    if any(t <= 0 for t in thetas):
-        raise ConfigurationError("all theta values must be positive")
+    if any(not 0 < t < math.inf for t in thetas):
+        raise ConfigurationError("all theta values must be finite and positive")
     if any(b <= a for a, b in zip(thetas, thetas[1:])):
         raise ConfigurationError("theta grid must be strictly increasing")
 
     tasks = [(mesh, f, g, t, cfg) for t in thetas]
-    if cfg.threads > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
+    if workers > 1 and len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             samples = list(pool.map(_ray_task, tasks))
     else:
         samples = [_ray_task(t) for t in tasks]
@@ -302,10 +310,6 @@ def compare_symmetrized(
     domain's critical parameter dominates the disk's, within bracket
     tolerance.
     """
-    ball = unit_ball_volume(disk_mesh.dimension)
-    expected = ball * disk_mesh.radius**disk_mesh.dimension
-    if abs(rect_mesh.volume - expected) > 1e-8 * expected:
-        raise ConfigurationError("disk mesh must have the same measure as the domain")
     f_star = symmetrize(f, rect_mesh, disk_mesh)
     g_star = symmetrize(g, rect_mesh, disk_mesh)
     original = extremal_on_ray(rect_mesh, f, g, theta, cfg)

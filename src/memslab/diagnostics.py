@@ -10,12 +10,12 @@ from the origin.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .artifacts import write_csv
-from .curve import CurveConfig, extremal_on_ray
+from .curve import CurveConfig, extremal_on_ray, probe_budgets
 from .exceptions import ConvergenceError, PreconditionError
 from .mesh import Mesh, build_radial, integrate
 from .profiles import Profile
@@ -73,11 +73,17 @@ def approach_extremal(
 ) -> ApproachRecord:
     """Sweep the minimal branch at the given fractions of the critical point.
 
-    Fractions must be strictly increasing in (0, 1).  A solve that fails to
+    Fractions must be strictly increasing in (0, 1) and alpha must exceed
+    1; both are checked before the ray runs.  A solve that fails to
     converge below t = 0.99 means the critical parameter was overestimated
     and raises; at t >= 0.99 the sample is skipped instead.
     """
-    fr = [float(t) for t in fractions]
+    if not alpha > 1:
+        raise PreconditionError("alpha must exceed 1")
+    try:
+        fr = [float(t) for t in fractions]
+    except (TypeError, ValueError) as exc:
+        raise PreconditionError(f"fractions must be a list of numbers: {exc}") from exc
     if any(not 0.0 < t < 1.0 for t in fr):
         raise PreconditionError("fractions must lie strictly inside (0, 1)")
     if any(b <= a for a, b in zip(fr, fr[1:])):
@@ -87,9 +93,7 @@ def approach_extremal(
     # stay pessimistic: sweep below the certified-feasible end of the bracket
     lam_star = ray.lam_star * (1.0 - 0.5 * ray.bracket_width)
 
-    big_budget = replace(
-        cfg.solve, max_iter=cfg.solve.max_iter * 4 ** cfg.budget_escalations
-    )
+    big_budget = probe_budgets(cfg.solve)[-1]
     samples = []
     for t in fr:
         lam = t * lam_star

@@ -163,8 +163,8 @@ class Mesh:
     weights: np.ndarray
     volume: float
     operator: DirichletLaplacian
+    dimension: int
     # radial fields
-    dimension: int | None = None
     radius: float | None = None
     radii: np.ndarray | None = None
     spacing: float | None = None
@@ -181,6 +181,12 @@ class Mesh:
     @property
     def n_nodes(self) -> int:
         return self.weights.size
+
+    @property
+    def equal_measure_radius(self) -> float:
+        """Radius of the ball of this mesh's dimension and measure."""
+        dim = self.dimension
+        return (self.volume / unit_ball_volume(dim)) ** (1.0 / dim)
 
     def coordinate_columns(self) -> dict[str, np.ndarray]:
         """Node coordinates by name: ``r`` for radial meshes, ``x, y`` for
@@ -307,6 +313,7 @@ def build_rect(lx: float, ly: float, nx: int, ny: int) -> Mesh:
         weights=w,
         volume=lx * ly,
         operator=op,
+        dimension=2,
         lx=lx,
         ly=ly,
         nx=nx,

@@ -133,8 +133,12 @@ def symmetrize(profile: Profile, source: Mesh, target: Mesh) -> Profile:
     """
     if target.kind != RADIAL:
         raise ConfigurationError("rearrangement target must be a radial mesh")
-    ball = unit_ball_volume(target.dimension)
-    r_equal = (source.volume / ball) ** (1.0 / target.dimension)
+    if target.dimension != source.dimension:
+        raise ConfigurationError(
+            f"target dimension {target.dimension} differs from the source's "
+            f"{source.dimension}"
+        )
+    r_equal = source.equal_measure_radius
     if abs(target.radius - r_equal) > 1e-8 * r_equal:
         raise ConfigurationError(
             f"target radius {target.radius} does not match the equal-measure "
@@ -149,6 +153,7 @@ def symmetrize(profile: Profile, source: Mesh, target: Mesh) -> Profile:
     cum_integral = np.concatenate([[0.0], np.cumsum(sv * sw)])
 
     # measure of the centered ball through each target cell edge
+    ball = unit_ball_volume(target.dimension)
     n = target.n_nodes
     h = target.spacing
     edges = np.empty(n + 1)

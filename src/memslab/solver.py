@@ -44,6 +44,7 @@ their coupled solve would need a sparse LU per step.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,6 +71,10 @@ class SolveConfig:
     touch_threshold: float = 1e-6
 
     def __post_init__(self):
+        if not (isinstance(self.max_iter, (int, np.integer)) and self.max_iter >= 1):
+            raise PreconditionError(
+                f"max_iter must be an integer >= 1, got {self.max_iter!r}"
+            )
         if not self.tol_sup > 0:
             raise PreconditionError("tol_sup must be positive")
         if not self.touch_threshold > self.tol_sup:
@@ -113,6 +118,14 @@ class SolveOutcome:
         return self.verdict is Verdict.CONVERGED
 
 
+def check_parameters(lam: float, mu: float) -> None:
+    """Raise PreconditionError unless lam and mu are finite and >= 0."""
+    if not (0 <= lam < math.inf and 0 <= mu < math.inf):
+        raise PreconditionError(
+            f"parameters must be finite and nonnegative, got {lam!r}, {mu!r}"
+        )
+
+
 def _clamped_denominator(w: np.ndarray) -> np.ndarray:
     return np.maximum(1.0 - w, DELTA_FLOOR)
 
@@ -133,11 +146,15 @@ def residual(
 
 
 def _picard(op, fu, gv, u, v) -> tuple[np.ndarray, np.ndarray]:
-    """One Jacobi-style Picard step: two Poisson solves with frozen sources."""
+    """One Jacobi-style Picard step: two Poisson solves with frozen sources.
+
+    A parameter so large that a solve overflows gives +inf entries, which
+    the touch test reads as touching; only NaN signals a failed clamp.
+    """
     u_new = op.solve(_source(fu, v))
     v_new = op.solve(_source(gv, u))
-    if not (np.all(np.isfinite(u_new)) and np.all(np.isfinite(v_new))):
-        raise NumericsError("non-finite iterate; floor clamp failed")
+    if np.isnan(u_new).any() or np.isnan(v_new).any():
+        raise NumericsError("NaN iterate; floor clamp failed")
     return u_new, v_new
 
 
@@ -211,7 +228,7 @@ def _iterate(
                 verdict=Verdict.NONEXISTENCE_SUSPECTED,
                 reason=NonexistenceReason.TOUCHED_ONE,
                 iterations=it,
-                last_increment=inc,
+                last_increment=inc if math.isfinite(inc) else None,  # overflowed
                 newton_steps=newton_steps,
             )
         u, v = u_new, v_new
@@ -274,8 +291,7 @@ def minimal_solve(
     ``on_step(it, u, v)`` is invoked with every fresh Picard iterate, mainly
     for trace instrumentation in tests.
     """
-    if lam < 0 or mu < 0:
-        raise PreconditionError("parameters must be nonnegative")
+    check_parameters(lam, mu)
     if f.values.shape != (mesh.n_nodes,) or g.values.shape != (mesh.n_nodes,):
         raise PreconditionError("profiles must live on the given mesh")
     zero = np.zeros(mesh.n_nodes)
@@ -301,6 +317,7 @@ def supersolution_descend(
     node is reported.  The limit is a solution sitting above the minimal
     one.
     """
+    check_parameters(lam, mu)
     op = mesh.operator
     for name, arr in (("U", big_u), ("V", big_v)):
         bad = np.where((arr < 0) | (arr > 1.0 - DELTA_FLOOR))[0]

@@ -8,30 +8,31 @@ the off-diagonal weights
 giving a non-symmetric block operator with a unique principal eigenvalue
 carrying a strictly positive eigenfunction pair.  There is no variational
 characterization for the coupled problem, so the eigenvalue is computed by
-shifted inverse power iteration: the initial shift makes the shifted block
-an irreducible M-matrix (inverse-positive), and Collatz-Wielandt ratios of
-the iterates give two-sided eigenvalue brackets that steer re-shifting.
+shift-invert Arnoldi (ARPACK) at a shift below every Gershgorin disc.  There
+the shifted block is an irreducible M-matrix, so its inverse is positive and
+the principal eigenvalue is the one nearest the shift, with a positive
+eigenvector (Perron-Frobenius): one sparse LU and a few dozen solves give
+it to rounding.  The fixed all-ones start vector makes runs repeatable.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs, splu
 
 from .artifacts import write_node_table
 from .exceptions import ConvergenceError, NumericsError, PreconditionError
-from .mesh import Mesh
+from .mesh import Mesh, principal_eigenpair
 from .profiles import CONSTANT, Profile
-from .solver import DELTA_FLOOR, StatePair
+from .solver import DELTA_FLOOR, StatePair, check_parameters
 
 _CLASSIFY_EPS = 1e-6
-_EIG_TOL = 1e-8            # successive eigenvalue estimates
 _EIG_RESIDUAL_RTOL = 1e-7  # block residual target, relative to 1 + |nu1|
-_EIG_MAX_ITER = 10_000
-_RESHIFT_EVERY = 40
+_WEAK_COUPLING = 1e-7      # coupling scale below which Arnoldi cannot split the pair
 
 
 @dataclass(frozen=True)
@@ -56,54 +57,63 @@ def coupling_weights(
 def _principal_block_eigen(
     amat: sp.spmatrix, a12: np.ndarray, a21: np.ndarray
 ) -> tuple[float, np.ndarray, np.ndarray, int]:
-    """Shifted inverse power iteration on [[A, -a12], [-a21, A]]."""
+    """Shift-invert Arnoldi on [[A, -a12], [-a21, A]] at an M-matrix shift."""
     n = a12.size
+    # the similarity diag(1, c) equalizes the coupling maxima: same spectrum,
+    # phi2 scaled by 1 / c, so neither component sinks to rounding when
+    # lam / mu is extreme
+    c = math.sqrt(a21.max()) / math.sqrt(a12.max())
+    b12, b21 = a12 * c, a21 / c
     blocks = sp.bmat(
         [
-            [amat, sp.diags(-a12)],
-            [sp.diags(-a21), amat],
+            [amat, sp.diags(-b12)],
+            [sp.diags(-b21), amat],
         ],
         format="csc",
     )
-    ident = sp.identity(2 * n, format="csc")
+    # below every Gershgorin disc: blocks - shift I is an irreducible M-matrix
+    shift = -(float(b12.max()) + float(b21.max()) + 1.0)
+    lu = splu(blocks - shift * sp.identity(2 * n, format="csc"))
+    solves = 0
 
-    safe_shift = -(float(a12.max()) + float(a21.max()) + 1.0)
-    shift = safe_shift
-    lu = splu(blocks - shift * ident)
-    x = np.ones(2 * n)
-    nu = np.inf
+    def solve(x: np.ndarray) -> np.ndarray:
+        nonlocal solves
+        solves += 1
+        return lu.solve(x)
 
-    def residual_ok(nu_est: float, vec: np.ndarray) -> bool:
-        r = blocks @ vec - nu_est * vec
-        return np.max(np.abs(r)) <= _EIG_RESIDUAL_RTOL * (1.0 + abs(nu_est)) * np.abs(
-            vec
-        ).max()
+    resolvent = LinearOperator((2 * n, 2 * n), matvec=solve, dtype=float)
+    try:
+        theta, vecs = eigs(resolvent, k=1, which="LM", v0=np.ones(2 * n), tol=0)
+    except ArpackNoConvergence as exc:
+        raise ConvergenceError("block eigen iteration did not converge") from exc
+    x = vecs[:, 0].real
+    x = x / x[np.argmax(np.abs(x))]
+    return shift + 1.0 / float(theta[0].real), x[:n], c * x[n:], solves
 
-    for it in range(1, _EIG_MAX_ITER + 1):
-        y = lu.solve(x)
-        if not np.all(y > 0):
-            # lost inverse positivity: the shift crossed the eigenvalue
-            shift = safe_shift
-            lu = splu(blocks - shift * ident)
-            y = lu.solve(x)
-        ratios = y / x
-        # Collatz-Wielandt bounds for the resolvent's dominant eigenvalue
-        lo, hi = shift + 1.0 / ratios.max(), shift + 1.0 / ratios.min()
-        nu_new = shift + float(x @ x) / float(x @ y)
-        x = y / np.abs(y).max()
-        converged = abs(nu_new - nu) <= _EIG_TOL and residual_ok(nu_new, x)
-        nu = nu_new
-        if converged:
-            break
-        if it % _RESHIFT_EVERY == 0 and hi > lo:
-            # move the shift just below the certified lower bound
-            candidate = lo - 0.05 * (hi - lo) - 1e-9 * (1.0 + abs(lo))
-            if candidate > shift:
-                shift = candidate
-                lu = splu(blocks - shift * ident)
-    else:
-        raise ConvergenceError("block eigen iteration stagnated")
-    return nu, x[:n], x[n:], it
+
+def _weakly_coupled_eigen(
+    mesh: Mesh, a12: np.ndarray, a21: np.ndarray
+) -> tuple[float, np.ndarray, np.ndarray, int]:
+    """First-order principal pair when b = sqrt(max a12 * max a21) <= 1e-7.
+
+    At b = 0 the block is diag(A, A), with principal eigenspace
+    span{(psi, 0), (0, psi)}.  For small b its two eigenvalues differ by
+    about 2b, and Arnoldi mixes their vectors once that is at rounding
+    level.  First-order perturbation on the eigenspace gives
+    nu1 = mu1 - b sqrt(k12 k21) and phi2 = c sqrt(k21 / k12) psi, with
+    c = sqrt(max a21 / max a12) and k = <psi, (a / max a) psi> / <psi, psi>
+    in the quadrature inner product; the residual is of order b.
+    """
+    pair = principal_eigenpair(mesh.operator, mesh)
+    psi = pair.vector
+    if not a12.any():   # lam = mu = 0: exactly diag(A, A)
+        return pair.value, psi, psi, pair.iterations
+    mass = mesh.weights * psi * psi
+    root12, root21 = math.sqrt(a12.max()), math.sqrt(a21.max())
+    k12 = mass @ (a12 / a12.max()) / mass.sum()
+    k21 = mass @ (a21 / a21.max()) / mass.sum()
+    nu = pair.value - root12 * root21 * math.sqrt(k12 * k21)
+    return nu, psi, root21 / root12 * math.sqrt(k21 / k12) * psi, pair.iterations
 
 
 def linearized_eigen(
@@ -118,20 +128,37 @@ def linearized_eigen(
 
     Returns the eigenvalue together with the positive pair normalized to
     sup phi1 = 1.  The block residual meets
-    ``1e-6 * (1 + |nu1|)`` in the sup norm.
+    ``1e-6 * (1 + |nu1|) * max(1, sup phi2)`` in the sup norm: phi2 grows
+    like sqrt(mu / lam) for mu >> lam, and so does the rounding in its
+    residual.
+
+    With lam = mu = 0 the block is diag(A, A), whose principal eigenspace is
+    two-dimensional; the pair is then (mu1, psi, psi) from the Dirichlet
+    eigenpair, and couplings too weak for Arnoldi to split that eigenspace
+    take the first-order pair next to it (``_weakly_coupled_eigen``).  With
+    exactly one of lam, mu zero the block is triangular and has no positive
+    eigenpair, which raises PreconditionError.
     """
-    if lam < 0 or mu < 0:
-        raise PreconditionError("parameters must be nonnegative")
+    check_parameters(lam, mu)
+    if (lam == 0) != (mu == 0):
+        raise PreconditionError(
+            "exactly one of lam, mu is zero: the linearization is triangular "
+            "and has no positive eigenpair"
+        )
     a12, a21 = coupling_weights(f, g, lam, mu, state)
-    amat = mesh.operator.matrix
-    nu, phi1, phi2, iters = _principal_block_eigen(amat, a12, a21)
+    if math.sqrt(a12.max()) * math.sqrt(a21.max()) <= _WEAK_COUPLING:
+        nu, phi1, phi2, iters = _weakly_coupled_eigen(mesh, a12, a21)
+    else:
+        nu, phi1, phi2, iters = _principal_block_eigen(
+            mesh.operator.matrix, a12, a21
+        )
     if not (np.all(phi1 > 0) and np.all(phi2 > 0)):
         raise NumericsError("principal eigenfunction pair not strictly positive")
     scale = phi1.max()
     phi1 = phi1 / scale
     phi2 = phi2 / scale
     res = block_residual(mesh, a12, a21, nu, phi1, phi2)
-    if res > 10 * _EIG_RESIDUAL_RTOL * (1.0 + abs(nu)):
+    if res > 10 * _EIG_RESIDUAL_RTOL * (1.0 + abs(nu)) * max(1.0, phi2.max()):
         raise ConvergenceError(f"block eigen residual {res:.3e} out of contract")
     return EigenResult(nu1=nu, phi1=phi1, phi2=phi2, iterations=iters)
 
@@ -148,27 +175,6 @@ def block_residual(
     r1 = op.apply(phi1) - a12 * phi2 - nu * phi1
     r2 = op.apply(phi2) - a21 * phi1 - nu * phi2
     return float(np.max(np.abs(r1)) + np.max(np.abs(r2)))
-
-
-def scalar_linearized_eigenvalue(mesh: Mesh, weight: np.ndarray) -> float:
-    """Principal eigenvalue of -Lap - weight on the mesh (scalar problem).
-
-    Independent oracle for the symmetric reduction: the scalar operator is
-    self-adjoint in the quadrature inner product, so the eigenvalue comes
-    from ARPACK on the symmetric pencil (K - W diag(weight)) x = nu W x,
-    a different code path than the block iteration.
-    """
-    from scipy.sparse.linalg import eigsh
-
-    kmat = mesh.operator.symmetric_form
-    wdiag = sp.diags(mesh.weights)
-    pencil = (kmat - wdiag @ sp.diags(weight)).tocsc()
-    sigma = -(float(weight.max()) + 1.0)
-    vals = eigsh(
-        pencil, k=1, M=wdiag.tocsc(), sigma=sigma, which="LM",
-        return_eigenvectors=False,
-    )
-    return float(vals[0])
 
 
 def classify(result: EigenResult) -> str:

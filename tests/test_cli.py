@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from memslab import build_radial
 from memslab.cli import main
+from memslab.profiles import power_profile, symmetrize
 
 DISK = {"kind": "radial", "dimension": 2, "radius": 1.0, "nodes": 64}
 ONES = {"kind": "constant", "value": 1.0}
@@ -44,6 +46,17 @@ class TestSolve:
              "solver": {"max_iter": 3}},
         )
         assert code == 3
+
+    def test_overflowing_parameters_touch(self, tmp_path):
+        # the first solve overflows: that is touching, not a numerical failure
+        code, out = run(
+            tmp_path, "solve",
+            {"domain": DISK, "f": ONES, "g": ONES, "lambda": 1.7e308, "mu": 1.7e308},
+        )
+        assert code == 2
+        summary = json.loads((out / "solve_summary.json").read_text())
+        assert summary["reason"] == "touched-one"
+        assert summary["last_increment"] is None
 
     def test_missing_parameters_exit_four(self, tmp_path, capsys):
         code, _ = run(tmp_path, "solve", {"domain": DISK, "f": ONES, "g": ONES})
@@ -171,6 +184,19 @@ class TestOtherCommands:
         assert len(lines) == 2 + 2
 
 
+    def test_symmetrize_keeps_dimension(self, tmp_path):
+        ball = {"kind": "radial", "dimension": 3, "radius": 1.5, "nodes": 48}
+        code, out = run(
+            tmp_path, "symmetrize",
+            {"domain": ball, "f": {"kind": "power", "alpha": 2.0}, "g": ONES,
+             "target_nodes": 32},
+        )
+        assert code == 0
+        mesh = build_radial(3, 1.5, 48)
+        expected = symmetrize(power_profile(mesh, 2.0), mesh, build_radial(3, 1.5, 32))
+        lines = (out / "f_symmetrized.csv").read_text().splitlines()[2:]
+        assert [float(line.split(",")[1]) for line in lines] == list(expected.values)
+
     @pytest.mark.parametrize("theta", [-1.0, float("nan")])
     def test_extremal_bad_theta_exit_four(self, tmp_path, capsys, theta):
         code, _ = run(
@@ -181,6 +207,40 @@ class TestOtherCommands:
         assert code == 4
         err = json.loads(capsys.readouterr().err)
         assert [v["field"] for v in err["violations"]] == ["theta"]
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("command, config, field", [
+        ("solve", {"lambda": 0.5, "mu": 0.5, "solver": {"max_iter": 0}}, "solver"),
+        ("curve", {"theta_grid": [1.0], "curve": {"rtol": 1.5}}, "curve"),
+        ("extremal", {"theta": 1.0, "fractions": [0.5, 2.0]}, "config"),
+        ("extremal", {"theta": 1.0, "fractions": "x"}, "config"),
+        ("extremal", {"theta": 1.0, "fractions": [0.5], "moser_alpha": 0.5},
+         "moser_alpha"),
+        ("eigen", {"lambda": 0.0, "mu": 0.5}, "config"),
+        ("eigen", {"lambda": 0.5, "mu": 0.0}, "config"),
+    ])
+    def test_exit_four_with_one_violation(self, tmp_path, capsys, command, config,
+                                          field):
+        code, _ = run(tmp_path, command, {"domain": DISK, "f": ONES, "g": ONES,
+                                          **config})
+        assert code == 4
+        err = json.loads(capsys.readouterr().err)
+        assert [v["field"] for v in err["violations"]] == [field]
+
+    @pytest.mark.parametrize("extra", [["--bogus"], ["--threads", "x"]])
+    def test_usage_error_exit_four(self, tmp_path, capsys, extra):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"domain": DISK, "f": ONES, "g": ONES}))
+        code = main(["bounds", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                     *extra])
+        assert code == 4
+        err = json.loads(capsys.readouterr().err)
+        assert [v["field"] for v in err["violations"]] == ["arguments"]
+        with pytest.raises(SystemExit) as exc:   # help is not an error
+            main(["-h"])
+        assert exc.value.code == 0
+        capsys.readouterr()
 
 
 class TestCheck:

@@ -129,8 +129,9 @@ class TestExtremalOnRay:
         assert s.lower_cert == pytest.approx(16.0 / 27.0)  # measure-based bound
 
     def test_rejects_bad_theta(self, disk, one):
-        with pytest.raises(ConfigurationError):
-            extremal_on_ray(disk, one, one, 0.0, FAST)
+        for theta in (0.0, math.nan, math.inf):
+            with pytest.raises(ConfigurationError):
+                extremal_on_ray(disk, one, one, theta, FAST)
 
 
 class TestTraceCurve:
@@ -155,13 +156,21 @@ class TestTraceCurve:
             trace_curve(disk, one, one, [1.0, 0.5], FAST)
         with pytest.raises(ConfigurationError):
             trace_curve(disk, one, one, [-1.0, 0.5], FAST)
+        for grid in ([math.nan], [1.0, math.inf]):
+            with pytest.raises(ConfigurationError):
+                trace_curve(disk, one, one, grid, FAST)
+
+    @pytest.mark.parametrize("rtol", [0.0, -1e-3, 1.0, math.nan])
+    def test_config_rejects_bad_rtol(self, rtol):
+        with pytest.raises(ConfigurationError):
+            CurveConfig(rtol=rtol)
 
     def test_parallel_matches_serial(self, one):
         mesh = build_radial(2, 1.0, 64)
         p = constant_profile(mesh, 1.0)
         grid = [0.5, 1.0, 2.0]
-        serial = trace_curve(mesh, p, p, grid, CurveConfig(rtol=2e-3, threads=1))
-        parallel = trace_curve(mesh, p, p, grid, CurveConfig(rtol=2e-3, threads=3))
+        serial = trace_curve(mesh, p, p, grid, CurveConfig(rtol=2e-3))
+        parallel = trace_curve(mesh, p, p, grid, CurveConfig(rtol=2e-3), workers=3)
         for a, b in zip(serial.samples, parallel.samples):
             assert a.lam_star == b.lam_star
 
@@ -238,8 +247,7 @@ class TestBudgetHonesty:
         one = constant_profile(mesh, 1.0)
         from memslab.solver import SolveConfig
 
-        cfg = CurveConfig(rtol=1e-4, solve=SolveConfig(max_iter=60),
-                          budget_escalations=1)
+        cfg = CurveConfig(rtol=1e-4, solve=SolveConfig(max_iter=15))
         s = extremal_on_ray(mesh, one, one, 1.0, cfg)
         assert s.unresolved_probes >= 1
         assert s.bracket_width > cfg.rtol

@@ -201,6 +201,13 @@ class TestEigenpair:
         assert np.max(np.abs(res)) <= 1e-8 * pair.value
 
 
+def test_equal_measure_radius():
+    assert build_radial(3, 1.5, 48).equal_measure_radius == 1.5
+    rect = build_rect(2.0, 1.0, 32, 16)
+    assert rect.dimension == 2
+    assert rect.equal_measure_radius == pytest.approx(math.sqrt(2.0 / math.pi))
+
+
 def test_volume_helper():
     assert unit_ball_volume(1) == pytest.approx(2.0)
     assert unit_ball_volume(2) == pytest.approx(math.pi)

@@ -145,6 +145,14 @@ class TestSymmetrize:
         again = symmetrize(p, disk, disk)
         assert np.max(np.abs(again.values - p.values)) < 5e-3
 
+    def test_dimension_mismatch_rejected(self):
+        # the 3-ball of radius 3/4 and the disk of radius 3/4 have equal measure
+        ball = build_radial(3, 0.75, 48)
+        disk = build_radial(2, 0.75, 64)
+        assert disk.volume == pytest.approx(ball.volume, rel=1e-12)
+        with pytest.raises(ConfigurationError, match="dimension"):
+            symmetrize(power_profile(ball, 2.0), ball, disk)
+
     def test_measure_mismatch_rejected(self, square_and_disk):
         rect, _ = square_and_disk
         wrong = build_radial(2, 1.0, 64)

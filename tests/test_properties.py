@@ -1,0 +1,93 @@
+"""Property tests: every float parameter is either accepted or rejected with
+a documented input error, never a numerical failure.
+
+Hypothesis draws from all floats, NaN and the infinities included, mixed
+with the range where solves converge so that the eigen solve and whole rays
+run too.  A PreconditionError or ConfigurationError is the documented
+rejection; any other exception (NumericsError, ConvergenceError, SuperLU's
+RuntimeError) fails the test.  The mesh is small, the examples few and fixed
+(derandomized), and everything runs in-process.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from memslab import ConfigurationError, PreconditionError, build_radial
+from memslab.curve import CurveConfig, extremal_on_ray
+from memslab.profiles import constant_profile
+from memslab.solver import (
+    SolveConfig,
+    explicit_supersolution,
+    minimal_solve,
+    supersolution_descend,
+)
+from memslab.stability import linearized_eigen
+
+DISK = build_radial(2, 1.0, 32)
+ONE = constant_profile(DISK, 1.0)
+ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
+PARAMETER = st.one_of(st.floats(0.0, 1.0), ANY_FLOAT)
+THETA = st.one_of(st.floats(1e-3, 1e3), ANY_FLOAT)
+FEW = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+BUDGET = SolveConfig(max_iter=500)
+
+
+def _finite_nonnegative(*values):
+    return all(0 <= x < math.inf for x in values)
+
+
+@FEW
+@given(lam=PARAMETER, mu=PARAMETER)
+@example(lam=math.nan, mu=0.1)
+@example(lam=math.inf, mu=0.1)
+@example(lam=0.0, mu=0.5)
+@example(lam=0.171875, mu=2.6754998413539926e-101)   # coupling below rounding
+@example(lam=1e-30, mu=0.5)
+@example(lam=0.0, mu=5.722234971514097e307)   # the first solve overflows
+@example(lam=1.7976931348623157e308, mu=1.7976931348623157e308)
+def test_minimal_solve_and_eigen_accept_or_reject(lam, mu):
+    try:
+        out = minimal_solve(DISK, ONE, ONE, lam, mu, BUDGET)
+    except PreconditionError:
+        assert not _finite_nonnegative(lam, mu)
+        return
+    assert _finite_nonnegative(lam, mu)
+    if out.converged:
+        try:
+            eig = linearized_eigen(DISK, ONE, ONE, lam, mu, out.state)
+        except PreconditionError:
+            assert (lam == 0) != (mu == 0)
+            return
+        assert math.isfinite(eig.nu1)
+        assert np.all(eig.phi1 > 0) and np.all(eig.phi2 > 0)
+
+
+@FEW
+@given(lam=PARAMETER, mu=PARAMETER)
+@example(lam=0.1, mu=math.nan)
+def test_supersolution_descend_accepts_or_rejects(lam, mu):
+    w = explicit_supersolution(DISK, "quadratic")
+    try:
+        supersolution_descend(DISK, ONE, ONE, lam, mu, w, w, BUDGET)
+    except PreconditionError:
+        return
+    assert _finite_nonnegative(lam, mu)
+
+
+@FEW
+@given(theta=THETA)
+@example(theta=math.nan)
+@example(theta=math.inf)
+@example(theta=5e-324)
+@example(theta=1.7976931348623157e308)
+def test_ray_accepts_or_rejects(theta):
+    cfg = CurveConfig(rtol=1e-2)
+    try:
+        ray = extremal_on_ray(DISK, ONE, ONE, theta, cfg)
+    except ConfigurationError:
+        assert not 0 < theta < math.inf
+        return
+    assert 0 < ray.lam_star < math.inf

@@ -297,3 +297,8 @@ class TestSolveConfig:
             SolveConfig(tol_sup=0.0)
         with pytest.raises(PreconditionError):
             SolveConfig(tol_sup=1e-3, touch_threshold=1e-6)
+
+    @pytest.mark.parametrize("max_iter", [0, -3, 2.5])
+    def test_max_iter_must_be_positive_integer(self, max_iter):
+        with pytest.raises(PreconditionError):
+            SolveConfig(max_iter=max_iter)

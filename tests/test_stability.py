@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import eigsh
 
 from memslab import PreconditionError, build_radial, principal_eigenpair
 from memslab.profiles import constant_profile, power_profile
@@ -10,10 +12,28 @@ from memslab.stability import (
     coupling_weights,
     eigen_ratio_check,
     linearized_eigen,
-    scalar_linearized_eigenvalue,
     stability_inequality_gap,
     write_eigen_csv,
 )
+
+
+def scalar_linearized_eigenvalue(mesh, weight):
+    """Principal eigenvalue of -Lap - weight on the mesh (scalar problem).
+
+    Independent oracle for the symmetric reduction: the scalar operator is
+    self-adjoint in the quadrature inner product, so the eigenvalue comes
+    from symmetric Lanczos on the pencil (K - W diag(weight)) x = nu W x,
+    a different code path than the block solve.
+    """
+    kmat = mesh.operator.symmetric_form
+    wdiag = sp.diags(mesh.weights)
+    pencil = (kmat - wdiag @ sp.diags(weight)).tocsc()
+    sigma = -(float(weight.max()) + 1.0)
+    vals = eigsh(
+        pencil, k=1, M=wdiag.tocsc(), sigma=sigma, which="LM",
+        return_eigenvectors=False,
+    )
+    return float(vals[0])
 
 
 @pytest.fixture(scope="module")
@@ -38,11 +58,30 @@ def mu1(disk):
 
 class TestLinearizedEigen:
     def test_uncoupled_reduces_to_dirichlet_eigenpair(self, disk, one, zero_state, mu1):
+        # diag(A, A): the pair is the Dirichlet one, not an arbitrary vector
+        # of the two-dimensional eigenspace
         res = linearized_eigen(disk, one, one, 0.0, 0.0, zero_state)
-        assert res.nu1 == pytest.approx(mu1, abs=1e-7)
+        assert res.nu1 == mu1
         psi1 = principal_eigenpair(disk.operator, disk).vector
-        assert np.max(np.abs(res.phi1 - psi1)) < 1e-6
-        assert np.max(np.abs(res.phi2 - psi1)) < 1e-6
+        assert np.array_equal(res.phi1, psi1) and np.array_equal(res.phi2, psi1)
+
+    @pytest.mark.parametrize("lam, mu", [
+        (1e-15, 1e-15), (1e-30, 0.5), (0.5, 1e-30), (1e-8, 1e-8), (1e-7, 1e-7),
+        (1e-14, 0.5),
+    ])
+    def test_weak_coupling_closed_form(self, disk, one, zero_state, mu1, lam, mu):
+        # couplings at or below rounding: the pair stays positive and exact
+        res = linearized_eigen(disk, one, one, lam, mu, zero_state)
+        assert res.nu1 == pytest.approx(mu1 - 2.0 * np.sqrt(lam * mu), abs=1e-9)
+        np.testing.assert_allclose(res.phi2 / res.phi1, np.sqrt(mu / lam), rtol=1e-6)
+
+    @pytest.mark.parametrize("lam, mu", [
+        (0.0, 0.5), (0.5, 0.0), (float("nan"), 0.5), (0.5, float("inf")),
+    ])
+    def test_rejects_reducible_or_non_finite(self, disk, one, zero_state, lam, mu):
+        # one zero makes the block triangular: no positive eigenpair exists
+        with pytest.raises(PreconditionError):
+            linearized_eigen(disk, one, one, lam, mu, zero_state)
 
     @pytest.mark.parametrize("t", [0.1, 0.5, 1.5])
     def test_zero_state_shifts_by_twice_t(self, disk, one, zero_state, mu1, t):

@@ -51,6 +51,9 @@ RUNS = (
      {"domain": DISK, "f": ONES, "g": ONES, "lambda": 0.78, "mu": 0.78}),
     ("eigen-disk", "eigen",
      {"domain": DISK, "f": ONES, "g": ONES, "lambda": 0.4, "mu": 0.6}),
+    # uncoupled: the Dirichlet pair (mu1, psi, psi)
+    ("eigen-disk-uncoupled", "eigen",
+     {"domain": DISK, "f": ONES, "g": ONES, "lambda": 0.0, "mu": 0.0}),
     ("eigen-disk-touch", "eigen",
      {"domain": DISK, "f": ONES, "g": ONES, "lambda": 0.9, "mu": 0.9}),
     ("eigen-square", "eigen",
@@ -63,6 +66,8 @@ RUNS = (
     ("bounds-square", "bounds", {"domain": SQUARE, "f": INDICATOR, "g": HALF}),
     ("symmetrize-square", "symmetrize",
      {"domain": SQUARE, "f": INDICATOR, "g": ONES, "target_nodes": 32}),
+    ("symmetrize-ball3", "symmetrize",
+     {"domain": BALL3, "f": POWER, "g": ONES, "target_nodes": 32}),
     ("extremal-disk", "extremal",
      {"domain": DISK, "f": ONES, "g": ONES, "theta": 1.0,
       "fractions": [0.5, 0.9], "curve": CURVE}),
