@@ -64,7 +64,17 @@ def _scaled(count: int, scale: float) -> int:
     return max(16, int(round(count * scale)))
 
 
+def _is_object(spec, field: str, problems: list) -> bool:
+    """Whether a config section is a JSON object; if not, record a violation."""
+    if isinstance(spec, dict):
+        return True
+    problems.append({"field": field, "message": f"must be a JSON object, got {spec!r}"})
+    return False
+
+
 def _build_mesh(spec: dict, scale: float, problems: list, field: str) -> Mesh | None:
+    if not _is_object(spec, field, problems):
+        return None
     try:
         kind = spec.get("kind")
         if kind == "radial":
@@ -83,7 +93,7 @@ def _build_mesh(spec: dict, scale: float, problems: list, field: str) -> Mesh | 
         problems.append(
             {"field": field, "message": f"unknown domain kind {kind!r}"}
         )
-    except (KeyError, TypeError, ValueError, ConfigurationError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, ConfigurationError) as exc:
         problems.append({"field": field, "message": str(exc)})
     return None
 
@@ -91,6 +101,8 @@ def _build_mesh(spec: dict, scale: float, problems: list, field: str) -> Mesh | 
 def _build_profile(
     spec: dict, mesh: Mesh, problems: list, field: str
 ) -> Profile | None:
+    if not _is_object(spec, field, problems):
+        return None
     try:
         kind = spec.get("kind", "constant")
         if kind == "constant":
@@ -100,7 +112,7 @@ def _build_profile(
         if kind == "tabulated":
             return load_tabulated(mesh, spec["path"])
         problems.append({"field": field, "message": f"unknown profile kind {kind!r}"})
-    except (KeyError, TypeError, ValueError, OSError,
+    except (KeyError, TypeError, ValueError, OverflowError, OSError,
             ConfigurationError, HypothesisError) as exc:
         problems.append({"field": field, "message": str(exc)})
     return None
@@ -108,25 +120,29 @@ def _build_profile(
 
 def _solve_config(config: dict, problems: list) -> SolveConfig:
     spec = config.get("solver", {})
+    if not _is_object(spec, "solver", problems):
+        return SolveConfig()
     try:
         return SolveConfig(
             tol_sup=float(spec.get("tol_sup", 1e-10)),
             max_iter=int(spec.get("max_iter", 10_000)),
             touch_threshold=float(spec.get("touch_threshold", 1e-6)),
         )
-    except (TypeError, ValueError, PreconditionError) as exc:
+    except (TypeError, ValueError, OverflowError, PreconditionError) as exc:
         problems.append({"field": "solver", "message": str(exc)})
         return SolveConfig()
 
 
 def _curve_config(config: dict, problems: list) -> CurveConfig:
     spec = config.get("curve", {})
+    if not _is_object(spec, "curve", problems):
+        spec = {}
     try:
         return CurveConfig(
             rtol=float(spec.get("rtol", 1e-3)),
             solve=_solve_config(config, problems),
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         problems.append({"field": "curve", "message": str(exc)})
         return CurveConfig()
 
@@ -156,7 +172,7 @@ def _parameter(config: dict, key: str, problems: list, above=None) -> float:
     """``config[key]`` as a finite number >= 0 (> ``above`` if given)."""
     try:
         value = float(config[key])
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         value = math.nan
     if not (math.isfinite(value) and (value >= 0 if above is None else value > above)):
         bound = "nonnegative" if above is None else f"above {above}"
@@ -259,7 +275,10 @@ def cmd_bounds(config: dict, args, out: Path, fp: str) -> int:
 
 def cmd_symmetrize(config: dict, args, out: Path, fp: str) -> int:
     mesh, f, g = _load_inputs(config, args)
-    nodes = _scaled(int(config.get("target_nodes", 256)), args.resolution_scale)
+    try:
+        nodes = _scaled(int(config.get("target_nodes", 256)), args.resolution_scale)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise _ConfigProblems([{"field": "target_nodes", "message": str(exc)}]) from exc
     ball = build_radial(mesh.dimension, mesh.equal_measure_radius, nodes)
     for name, prof in (("f", f), ("g", g)):
         star = symmetrize(prof, mesh, ball)

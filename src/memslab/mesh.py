@@ -7,6 +7,12 @@ finite-volume discretization of -Laplace with homogeneous Dirichlet data
 eliminated.  The finite-volume form keeps the operator an M-matrix (discrete
 maximum principle) in every dimension and makes it symmetric in the
 quadrature inner product.
+
+A Poisson solve is a banded Cholesky solve on radial meshes (tridiagonal
+operator) and a fast diagonalization on rectangles: the operator there is
+the Kronecker sum of two 1-D operators whose eigenvectors are closed-form
+sine modes, so a solve is four dense matrix products with the mode matrices
+(Lynch, Rice & Thomas, Numer. Math. 6, 1964).
 """
 
 from __future__ import annotations
@@ -18,7 +24,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import cho_solve_banded, cholesky_banded
 from scipy.linalg.lapack import dgbsv
-from scipy.sparse.linalg import splu
+# unused: perfbench/tracer.py LAYERS looks it up, and --trace 1 fails without it
+from scipy.sparse.linalg import splu  # noqa: F401
 
 from .artifacts import fingerprint
 from .exceptions import ConfigurationError, ConvergenceError, NumericsError
@@ -42,18 +49,24 @@ class DirichletLaplacian:
     Internally stored through its symmetric form ``K = W @ A`` where ``W`` is
     the diagonal of quadrature weights: ``K`` is symmetric positive definite
     and tridiagonal (radial) or 5-point (rectangle).  The action of the
-    operator itself is ``A u = (K u) / w`` and a Poisson solve amounts to
-    ``K u = w * rhs``.  Factorizations are cached and reused; they are
-    dropped when pickling, so meshes can travel to worker processes.  When
-    ``K`` is tridiagonal, ``solve_coupled`` also solves the two-field
-    linearized systems of the minimal-solution iteration in O(n).
+    operator itself is ``A u = (K u) / w``.
+
+    A tridiagonal ``K`` is solved as ``K u = w * rhs`` through a banded
+    Cholesky factor, cached on first use and dropped when pickling, so meshes
+    can travel to worker processes; ``solve_coupled`` then also solves the
+    two-field linearized systems of the minimal-solution iteration in O(n).
+    Otherwise ``modes = (qx, qy, inv_eig)`` must diagonalize ``A`` on an
+    ``nx x ny`` grid: ``A = Qx Lx Qx^T (+) Qy Ly Qy^T`` with orthonormal
+    ``qx``, ``qy`` and ``inv_eig[kx, ky] = 1 / (Lx[kx] + Ly[ky])``, so
+    ``A^-1 r = Qx ((Qx^T R Qy) * inv_eig) Qy^T`` with ``R`` the right-hand
+    side reshaped to ``(nx, ny)``.
     """
 
-    def __init__(self, sym: sp.spmatrix, weights: np.ndarray):
+    def __init__(self, sym: sp.spmatrix, weights: np.ndarray, modes=None):
         self._sym = sym.tocsr()
         self._weights = weights
         self._banded = None       # upper banded Cholesky factor, radial case
-        self._lu = None           # SuperLU factorization, 2D case
+        self._modes = modes       # (qx, qy, inv_eig), rectangle case
         self._tridiagonal = self._is_tridiagonal(sym)
         if self._tridiagonal:
             self._diag, self._off = self._sym.diagonal(), self._sym.diagonal(1)
@@ -90,23 +103,22 @@ class DirichletLaplacian:
         return float(phi @ (self._sym @ phi))
 
     def _factorize(self):
-        if self._tridiagonal:
-            if self._banded is None:
-                ab = np.zeros((2, self.size))
-                ab[1] = self._diag
-                ab[0, 1:] = self._off
-                self._banded = cholesky_banded(ab, lower=False)
-        elif self._lu is None:
-            self._lu = splu(self._sym.tocsc())
+        if self._banded is None:
+            ab = np.zeros((2, self.size))
+            ab[1] = self._diag
+            ab[0, 1:] = self._off
+            self._banded = cholesky_banded(ab, lower=False)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve A u = rhs (equivalently K u = w * rhs)."""
+        if not self._tridiagonal:
+            qx, qy, inv_eig = self._modes
+            r = rhs.reshape(inv_eig.shape)
+            return (qx @ ((qx.T @ r @ qy) * inv_eig) @ qy.T).ravel()
         self._factorize()
         b = self._weights * rhs
-        if self._tridiagonal:
-            # callers reject non-finite data, so the finiteness scan is skipped
-            return cho_solve_banded((self._banded, False), b, check_finite=False)
-        return self._lu.solve(b)
+        # callers reject non-finite data, so the finiteness scan is skipped
+        return cho_solve_banded((self._banded, False), b, check_finite=False)
 
     def solve_coupled(
         self, c12: np.ndarray, c21: np.ndarray, r1: np.ndarray, r2: np.ndarray
@@ -146,7 +158,6 @@ class DirichletLaplacian:
     def __getstate__(self):
         state = self.__dict__.copy()
         state["_banded"] = None
-        state["_lu"] = None
         return state
 
 
@@ -273,12 +284,31 @@ def build_radial(dimension: int, radius: float, nodes: int) -> Mesh:
     return mesh
 
 
+def sine_modes(n: int, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal eigenvectors (columns) and eigenvalues of the 1-D operator
+    ``tridiag(-1, 2, -1) / h^2`` with half-cell Dirichlet closure (diagonal 3
+    at both ends) on ``n`` cells.
+
+    Mode k = 1..n is ``sin(pi k (i + 1/2) / n)`` with eigenvalue
+    ``(2 - 2 cos(pi k / n)) / h^2``, evaluated as ``4 sin^2(pi k / 2n) / h^2``
+    to avoid cancellation at small k.  Columns are normalized numerically,
+    since mode n (the alternating vector) has twice the squared norm of the
+    others.
+    """
+    k = np.arange(1, n + 1)
+    q = np.sin(np.pi * np.outer(np.arange(n) + 0.5, k) / n)
+    q /= np.linalg.norm(q, axis=0)
+    return q, (2.0 * np.sin(0.5 * np.pi * k / n) / h) ** 2
+
+
 def build_rect(lx: float, ly: float, nx: int, ny: int) -> Mesh:
     """Cell-centered grid on the rectangle (0, lx) x (0, ly).
 
     5-point Laplacian; Dirichlet walls enter through half-cell fluxes, which
     keeps the assembled matrix exactly symmetric with the uniform cell-area
-    quadrature.
+    quadrature.  The operator is the Kronecker sum of two 1-D operators, and
+    their sine modes (``sine_modes``) are computed here once for its fast
+    diagonalization solve.
     """
     problems = []
     if not (isinstance(lx, (int, float)) and lx > 0):
@@ -307,7 +337,11 @@ def build_rect(lx: float, ly: float, nx: int, ny: int) -> Mesh:
     w = np.full(nx * ny, hx * hy)
     sym = (a * (hx * hy)).tocsr()
 
-    op = DirichletLaplacian(sym, w)
+    qx, eig_x = sine_modes(nx, hx)
+    qy, eig_y = sine_modes(ny, hy)
+    inv_eig = 1.0 / (eig_x[:, None] + eig_y[None, :])
+
+    op = DirichletLaplacian(sym, w, modes=(qx, qy, inv_eig))
     mesh = Mesh(
         kind=RECT,
         weights=w,
@@ -323,7 +357,7 @@ def build_rect(lx: float, ly: float, nx: int, ny: int) -> Mesh:
         xs=xs,
         ys=ys,
     )
-    for arr in (w, xs, ys):
+    for arr in (w, xs, ys, qx, qy, inv_eig):
         arr.flags.writeable = False
     return mesh
 

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -219,6 +220,20 @@ class TestInputErrors:
          "moser_alpha"),
         ("eigen", {"lambda": 0.0, "mu": 0.5}, "config"),
         ("eigen", {"lambda": 0.5, "mu": 0.0}, "config"),
+        # a section of the wrong JSON type
+        ("solve", {"lambda": 0.5, "mu": 0.5, "solver": 5}, "solver"),
+        ("curve", {"theta_grid": [1.0], "curve": "x"}, "curve"),
+        ("bounds", {"domain": 7}, "domain"),
+        ("bounds", {"f": 3}, "f"),
+        ("symmetrize", {"target_nodes": "x"}, "target_nodes"),
+        # JSON's Infinity where an integer belongs, an integer too large for
+        # a float where a number belongs
+        ("solve", {"lambda": 0.5, "mu": 0.5, "solver": {"max_iter": math.inf}},
+         "solver"),
+        ("bounds", {"domain": {**DISK, "nodes": math.inf}}, "domain"),
+        ("solve", {"lambda": 10**400, "mu": 0.5}, "lambda"),
+        ("bounds", {"f": {"kind": "constant", "value": 10**400}}, "f"),
+        ("curve", {"theta_grid": [1.0], "curve": {"rtol": 10**400}}, "curve"),
     ])
     def test_exit_four_with_one_violation(self, tmp_path, capsys, command, config,
                                           field):

@@ -1,7 +1,9 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import spsolve
 from scipy.special import jn_zeros
 
 from memslab import (
@@ -142,6 +144,19 @@ class TestPoisson:
         disk = build_radial(2, 1.0, 4096)
         u = solve_poisson(disk.operator, np.ones(disk.n_nodes))
         assert np.max(np.abs(u - (1.0 - disk.radii**2) / 4.0)) < 1e-7
+
+    def test_rect_matches_direct_solve(self, rng):
+        # unequal sides and node counts expose axis, ordering and mode
+        # normalization mistakes that a square hides
+        rect = build_rect(2.0, 0.5, 16, 40)
+        op = rect.operator
+        rhs = rng.uniform(-1.0, 1.0, rect.n_nodes)
+        u = op.solve(rhs)
+        direct = spsolve(op.matrix.tocsc(), rhs)
+        assert np.max(np.abs(u - direct)) <= 1e-12 * np.max(np.abs(direct))
+        np.testing.assert_array_equal(solve_poisson(op, rhs), u)
+        # worker processes get the operator by pickle
+        np.testing.assert_array_equal(pickle.loads(pickle.dumps(op)).solve(rhs), u)
 
     def test_rect_manufactured_solution(self, square64):
         gx, gy = np.meshgrid(square64.xs, square64.ys, indexing="ij")

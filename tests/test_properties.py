@@ -65,6 +65,13 @@ def test_minimal_solve_and_eigen_accept_or_reject(lam, mu):
         assert np.all(eig.phi1 > 0) and np.all(eig.phi2 > 0)
 
 
+def test_subnormal_parameters_converge():
+    # 1e-6 * (lam + mu) underflows to 0 here; the residual bound is floored
+    out = minimal_solve(DISK, ONE, ONE, 5e-324, 5e-324)
+    assert out.converged
+    assert out.iterations <= 3
+
+
 @FEW
 @given(lam=PARAMETER, mu=PARAMETER)
 @example(lam=0.1, mu=math.nan)

@@ -19,6 +19,21 @@ from memslab.solver import (
 
 # frozen from a 4096-node radial run (tools/make_goldens.py)
 GOLDEN_DISK_SUP_U_HALF = 0.1619976976289698
+# lam*(1) of the unit square with f = g = 1 on n x n cells, bisected to 1e-6
+SQUARE_LAM_STAR = {32: 2.682186, 64: 2.684353}
+
+
+def monotone_watch(mesh):
+    """on_step callback asserting that every iterate is node-wise >= the
+    previous one, exactly (no rounding slack)."""
+    prev = {"u": np.zeros(mesh.n_nodes), "v": np.zeros(mesh.n_nodes)}
+
+    def watch(it, u, v):
+        assert np.all(u >= prev["u"])
+        assert np.all(v >= prev["v"])
+        prev["u"], prev["v"] = u, v
+
+    return watch
 
 
 class TestMinimalSolve:
@@ -55,15 +70,31 @@ class TestMinimalSolve:
             minimal_solve(disk256, ones_disk, ones_disk, -0.1, 0.2)
 
     def test_monotone_increase_exact(self, disk256, ones_disk):
-        prev = {"u": np.zeros(disk256.n_nodes), "v": np.zeros(disk256.n_nodes)}
-
-        def watch(it, u, v):
-            assert np.all(u >= prev["u"])
-            assert np.all(v >= prev["v"])
-            prev["u"], prev["v"] = u, v
-
-        out = minimal_solve(disk256, ones_disk, ones_disk, 0.6, 0.4, on_step=watch)
+        out = minimal_solve(disk256, ones_disk, ones_disk, 0.6, 0.4,
+                            on_step=monotone_watch(disk256))
         assert out.converged
+
+    @pytest.mark.parametrize("n, factor, verdict", [
+        (n, factor, verdict)
+        for n in (32, 64)
+        for factor, verdict in [
+            (0.5, Verdict.CONVERGED),
+            (0.99, Verdict.CONVERGED),
+            (0.999, Verdict.CONVERGED),
+            (1.001, Verdict.NONEXISTENCE_SUSPECTED),
+            (1.05, Verdict.NONEXISTENCE_SUSPECTED),
+        ]
+    ])
+    def test_monotone_increase_exact_rect(self, n, factor, verdict):
+        # the fast-diagonalization solve has no sign-fixed factors, so the
+        # node-wise increase is checked right up to either side of lam*
+        square = build_rect(1.0, 1.0, n, n)
+        one = constant_profile(square, 1.0)
+        lam = factor * SQUARE_LAM_STAR[n]
+        out = minimal_solve(square, one, one, lam, lam, on_step=monotone_watch(square))
+        assert out.verdict is verdict
+        if verdict is Verdict.NONEXISTENCE_SUSPECTED:
+            assert out.reason is NonexistenceReason.TOUCHED_ONE
 
     def test_symmetric_reduction_bitwise(self, disk256, ones_disk):
         seen = []
@@ -72,6 +103,17 @@ class TestMinimalSolve:
             on_step=lambda it, u, v: seen.append(np.array_equal(u, v)),
         )
         assert len(seen) > 1 and all(seen)
+
+    def test_symmetric_reduction_bitwise_rect(self):
+        square = build_rect(1.0, 1.0, 32, 32)
+        one = constant_profile(square, 1.0)
+        seen = []
+        out = minimal_solve(
+            square, one, one, 2.6, 2.6,
+            on_step=lambda it, u, v: seen.append(np.array_equal(u, v)),
+        )
+        assert out.converged
+        assert len(seen) == out.iterations > 1 and all(seen)
 
     def test_ordering_lemma(self, disk256, ones_disk, rng):
         # mu u / lam <= v <= u for every converged run with mu <= lam
@@ -143,15 +185,9 @@ class TestNewtonFinish:
         (2.0, 0.58, Verdict.NONEXISTENCE_SUSPECTED),
     ])
     def test_monotone_increase_exact(self, disk256, ones_disk, theta, lam, verdict):
-        prev = {"u": np.zeros(disk256.n_nodes), "v": np.zeros(disk256.n_nodes)}
-
-        def watch(it, u, v):
-            assert np.all(u >= prev["u"])
-            assert np.all(v >= prev["v"])
-            prev["u"], prev["v"] = u, v
-
         out = minimal_solve(
-            disk256, ones_disk, ones_disk, lam, theta * lam, on_step=watch
+            disk256, ones_disk, ones_disk, lam, theta * lam,
+            on_step=monotone_watch(disk256),
         )
         assert out.verdict is verdict
         assert out.newton_steps > 0 or verdict is not Verdict.CONVERGED

@@ -30,6 +30,8 @@ from memslab.cli import main  # noqa: E402
 DISK = {"kind": "radial", "dimension": 2, "radius": 1.0, "nodes": 64}
 BALL3 = {"kind": "radial", "dimension": 3, "radius": 1.5, "nodes": 48}
 SQUARE = {"kind": "rect", "lx": 1.0, "ly": 1.0, "nx": 16, "ny": 16}
+# unequal sides and node counts: an axis or ordering mistake changes its bytes
+WIDE = {"kind": "rect", "lx": 2.0, "ly": 0.5, "nx": 16, "ny": 40}
 ONES = {"kind": "constant", "value": 1.0}
 HALF = {"kind": "constant", "value": 0.5}
 POWER = {"kind": "power", "alpha": 2.0}
@@ -44,6 +46,8 @@ RUNS = (
      {"domain": BALL3, "f": POWER, "g": ONES, "lambda": 1.0, "mu": 0.5}),
     ("solve-square", "solve",
      {"domain": SQUARE, "f": ONES, "g": ONES, "lambda": 0.5, "mu": 0.5}),
+    ("solve-rect-wide", "solve",
+     {"domain": WIDE, "f": ONES, "g": HALF, "lambda": 2.0, "mu": 1.5}),
     ("solve-disk-touch", "solve",
      {"domain": DISK, "f": ONES, "g": ONES, "lambda": 0.9, "mu": 0.9}),
     # near lam*(1) ~ 0.7896: the minimal solve takes certified Newton steps
