@@ -225,7 +225,8 @@ def cmd_curve(config: dict, args, out: Path, fp: str) -> int:
     grid = config["theta_grid"]
     if not isinstance(grid, list) or not grid:
         problems.append({"field": "theta_grid", "message": "must be a non-empty list"})
-    elif any(not isinstance(t, (int, float)) or not math.isfinite(t) or t <= 0
+    # an int beyond float range fails the comparison instead of raising
+    elif any(not isinstance(t, (int, float)) or not 0 < t <= sys.float_info.max
              for t in grid):
         problems.append({"field": "theta_grid",
                          "message": "entries must be finite and positive"})

@@ -82,7 +82,7 @@ def approach_extremal(
         raise PreconditionError("alpha must exceed 1")
     try:
         fr = [float(t) for t in fractions]
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise PreconditionError(f"fractions must be a list of numbers: {exc}") from exc
     if any(not 0.0 < t < 1.0 for t in fr):
         raise PreconditionError("fractions must lie strictly inside (0, 1)")

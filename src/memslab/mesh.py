@@ -22,7 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg import (
+    LinAlgError, cho_solve_banded, cholesky_banded, eigvalsh_tridiagonal,
+)
 from scipy.linalg.lapack import dgbsv
 # unused: perfbench/tracer.py LAYERS looks it up, and --trace 1 fails without it
 from scipy.sparse.linalg import splu  # noqa: F401
@@ -55,18 +57,22 @@ class DirichletLaplacian:
     Cholesky factor, cached on first use and dropped when pickling, so meshes
     can travel to worker processes; ``solve_coupled`` then also solves the
     two-field linearized systems of the minimal-solution iteration in O(n).
-    Otherwise ``modes = (qx, qy, inv_eig)`` must diagonalize ``A`` on an
+    Otherwise ``modes = (qx, qy, eig)`` must diagonalize ``A`` on an
     ``nx x ny`` grid: ``A = Qx Lx Qx^T (+) Qy Ly Qy^T`` with orthonormal
-    ``qx``, ``qy`` and ``inv_eig[kx, ky] = 1 / (Lx[kx] + Ly[ky])``, so
-    ``A^-1 r = Qx ((Qx^T R Qy) * inv_eig) Qy^T`` with ``R`` the right-hand
-    side reshaped to ``(nx, ny)``.
+    ``qx``, ``qy`` and ``eig[kx, ky] = Lx[kx] + Ly[ky]``, so
+    ``A^-1 r = Qx ((Qx^T R Qy) / eig) Qy^T`` with ``R`` the right-hand
+    side reshaped to ``(nx, ny)``.  ``shifted_solver`` solves with
+    ``A - nu`` the same way on either kind.
     """
 
     def __init__(self, sym: sp.spmatrix, weights: np.ndarray, modes=None):
         self._sym = sym.tocsr()
         self._weights = weights
         self._banded = None       # upper banded Cholesky factor, radial case
-        self._modes = modes       # (qx, qy, inv_eig), rectangle case
+        self._modes = modes       # (qx, qy, eig), rectangle case
+        self._lowest = None       # mu1, computed on first use
+        if modes is not None:
+            self._inv_eig = 1.0 / modes[2]
         self._tridiagonal = self._is_tridiagonal(sym)
         if self._tridiagonal:
             self._diag, self._off = self._sym.diagonal(), self._sym.diagonal(1)
@@ -109,16 +115,61 @@ class DirichletLaplacian:
             ab[0, 1:] = self._off
             self._banded = cholesky_banded(ab, lower=False)
 
+    def _modal_solve(self, rhs: np.ndarray, inv_eig: np.ndarray) -> np.ndarray:
+        qx, qy, _ = self._modes
+        r = rhs.reshape(inv_eig.shape)
+        return (qx @ ((qx.T @ r @ qy) * inv_eig) @ qy.T).ravel()
+
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve A u = rhs (equivalently K u = w * rhs)."""
         if not self._tridiagonal:
-            qx, qy, inv_eig = self._modes
-            r = rhs.reshape(inv_eig.shape)
-            return (qx @ ((qx.T @ r @ qy) * inv_eig) @ qy.T).ravel()
+            return self._modal_solve(rhs, self._inv_eig)
         self._factorize()
         b = self._weights * rhs
         # callers reject non-finite data, so the finiteness scan is skipped
         return cho_solve_banded((self._banded, False), b, check_finite=False)
+
+    @property
+    def lowest_eigenvalue(self) -> float:
+        """mu1, the smallest eigenvalue of A.
+
+        ``eig[0, 0]`` on rectangles; on radial meshes LAPACK bisection on
+        the symmetric tridiagonal ``W^-1/2 K W^-1/2``, which is similar to A.
+        Neither makes a Poisson solve.
+        """
+        if self._lowest is None:
+            if self._tridiagonal:
+                root = np.sqrt(self._weights)
+                self._lowest = float(eigvalsh_tridiagonal(
+                    self._diag / self._weights, self._off / (root[:-1] * root[1:]),
+                    select="i", select_range=(0, 0))[0])
+            else:
+                self._lowest = float(self._modes[2][0, 0])
+        return self._lowest
+
+    def shifted_solver(self, nu: float):
+        """Solver ``rhs -> (A - nu)^-1 rhs``, or None when A - nu is not
+        positive definite (nu at or above mu1, to rounding).
+
+        One factorization per shift: a banded Cholesky of ``K - nu W`` on
+        radial meshes; on rectangles ``1 / (eig - nu)`` replaces the inverse
+        eigenvalues of ``solve``.  Its solves are not Poisson solves and do
+        not go through ``solve``.
+        """
+        if not self._tridiagonal:
+            if not nu < self._modes[2][0, 0]:
+                return None
+            inv_eig = 1.0 / (self._modes[2] - nu)
+            return lambda rhs: self._modal_solve(rhs, inv_eig)
+        ab = np.zeros((2, self.size))
+        ab[1] = self._diag - nu * self._weights
+        ab[0, 1:] = self._off
+        try:
+            factor = cholesky_banded(ab, lower=False)
+        except LinAlgError:
+            return None
+        return lambda rhs: cho_solve_banded(
+            (factor, False), self._weights * rhs, check_finite=False)
 
     def solve_coupled(
         self, c12: np.ndarray, c21: np.ndarray, r1: np.ndarray, r2: np.ndarray
@@ -339,9 +390,9 @@ def build_rect(lx: float, ly: float, nx: int, ny: int) -> Mesh:
 
     qx, eig_x = sine_modes(nx, hx)
     qy, eig_y = sine_modes(ny, hy)
-    inv_eig = 1.0 / (eig_x[:, None] + eig_y[None, :])
+    eig = eig_x[:, None] + eig_y[None, :]
 
-    op = DirichletLaplacian(sym, w, modes=(qx, qy, inv_eig))
+    op = DirichletLaplacian(sym, w, modes=(qx, qy, eig))
     mesh = Mesh(
         kind=RECT,
         weights=w,
@@ -357,7 +408,7 @@ def build_rect(lx: float, ly: float, nx: int, ny: int) -> Mesh:
         xs=xs,
         ys=ys,
     )
-    for arr in (w, xs, ys, qx, qy, inv_eig):
+    for arr in (w, xs, ys, qx, qy, eig):
         arr.flags.writeable = False
     return mesh
 

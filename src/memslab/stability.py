@@ -5,14 +5,26 @@ the off-diagonal weights
 
     a12 = 2 * lam * f / (1 - v)^3,    a21 = 2 * mu * g / (1 - u)^3,
 
-giving a non-symmetric block operator with a unique principal eigenvalue
-carrying a strictly positive eigenfunction pair.  There is no variational
-characterization for the coupled problem, so the eigenvalue is computed by
-shift-invert Arnoldi (ARPACK) at a shift below every Gershgorin disc.  There
-the shifted block is an irreducible M-matrix, so its inverse is positive and
-the principal eigenvalue is the one nearest the shift, with a positive
-eigenvector (Perron-Frobenius): one sparse LU and a few dozen solves give
-it to rounding.  The fixed all-ones start vector makes runs repeatable.
+giving a non-symmetric block operator J = [[A, -a12], [-a21, A]] with a
+unique principal eigenvalue nu1 carrying a strictly positive eigenfunction
+pair.  There is no variational characterization for the coupled problem,
+but the system is cooperative (Montenegro, Bull. LMS 37, 2005), which
+reduces nu1 to a scalar root: below mu1, the principal Dirichlet
+eigenvalue, (A - nu)^-1 is positive, and by Perron-Frobenius
+(Collatz-Wielandt) J - nu is a nonsingular M-matrix exactly when the
+spectral radius of
+
+    K(nu) = (A - nu)^-1 a12 (A - nu)^-1 a21
+
+is below 1.  So nu1 is the unique nu < mu1 with rho(K(nu)) = 1, and
+phi1 = K(nu1) phi1, phi2 = (A - nu1)^-1 a21 phi1.  rho is found by power
+iteration, each application of K being two shifted solves
+(``DirichletLaplacian.shifted_solver``); K is self-adjoint in the product
+weighted by w * a21, which gives its Rayleigh quotient.  The root is found
+by a safeguarded secant on log rho in s = log(mu1 - nu), where log rho has
+slope near -2 both close to mu1 and far below it.  No block matrix is
+formed or factorized, and the fixed all-ones start vector makes runs
+repeatable.
 """
 
 from __future__ import annotations
@@ -21,8 +33,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs, splu
+# unused: perfbench/tracer.py LAYERS looks it up, and --trace 1 fails without it
+from scipy.sparse.linalg import splu  # noqa: F401
 
 from .artifacts import write_node_table
 from .exceptions import ConvergenceError, NumericsError, PreconditionError
@@ -32,7 +44,13 @@ from .solver import DELTA_FLOOR, StatePair, check_parameters
 
 _CLASSIFY_EPS = 1e-6
 _EIG_RESIDUAL_RTOL = 1e-7  # block residual target, relative to 1 + |nu1|
-_WEAK_COUPLING = 1e-7      # coupling scale below which Arnoldi cannot split the pair
+# coupling scale b below which the gap mu1 - nu1 (about b) is lost in the
+# rounding of the shifted solves next to mu1
+_WEAK_COUPLING = 1e-7
+_POWER_RTOL = 1e-13        # Perron residual of K(nu), relative to rho
+_POWER_MAX = 5_000         # applications of K per eigen solve
+_SECANT_MAX = 100          # evaluations of rho per eigen solve
+_ROOT_TOL = 1e-13          # root tolerance in nu, relative to 1 + |nu|
 
 
 @dataclass(frozen=True)
@@ -55,40 +73,68 @@ def coupling_weights(
 
 
 def _principal_block_eigen(
-    amat: sp.spmatrix, a12: np.ndarray, a21: np.ndarray
+    mesh: Mesh, a12: np.ndarray, a21: np.ndarray
 ) -> tuple[float, np.ndarray, np.ndarray, int]:
-    """Shift-invert Arnoldi on [[A, -a12], [-a21, A]] at an M-matrix shift."""
-    n = a12.size
-    # the similarity diag(1, c) equalizes the coupling maxima: same spectrum,
-    # phi2 scaled by 1 / c, so neither component sinks to rounding when
-    # lam / mu is extreme
-    c = math.sqrt(a21.max()) / math.sqrt(a12.max())
-    b12, b21 = a12 * c, a21 / c
-    blocks = sp.bmat(
-        [
-            [amat, sp.diags(-b12)],
-            [sp.diags(-b21), amat],
-        ],
-        format="csc",
-    )
-    # below every Gershgorin disc: blocks - shift I is an irreducible M-matrix
-    shift = -(float(b12.max()) + float(b21.max()) + 1.0)
-    lu = splu(blocks - shift * sp.identity(2 * n, format="csc"))
-    solves = 0
+    """nu1 as the root of rho(K(nu)) = 1; the count is of K applications."""
+    op, w = mesh.operator, mesh.weights
+    mu1 = op.lowest_eigenvalue
+    left = w * a21       # K is self-adjoint in <x, y> = sum(left * x * y)
+    x = np.ones(a12.size)
+    applications = 0
 
-    def solve(x: np.ndarray) -> np.ndarray:
-        nonlocal solves
-        solves += 1
-        return lu.solve(x)
+    def log_rho(nu: float):
+        """log rho(K(nu)) and y = (A - nu)^-1 a21 x, with x left as the
+        Perron vector (sup 1); (inf, None) when A - nu is not positive
+        definite.  Far from the root, log rho is needed only to about
+        1e-3 of its size."""
+        nonlocal x, applications
+        solve = op.shifted_solver(nu)
+        if solve is None:
+            return math.inf, None
+        while applications < _POWER_MAX:
+            applications += 1
+            y = solve(a21 * x)
+            z = solve(a12 * y)
+            norm2 = left @ (x * x)
+            rho = (left @ (x * z)) / norm2
+            r = z - rho * x
+            tol = max(_POWER_RTOL, 1e-3 * abs(math.log(rho))) * rho
+            if left @ (r * r) <= tol * tol * norm2:
+                return math.log(rho), y
+            x = z / z.max()
+        raise ConvergenceError("power iteration on K(nu) did not converge")
 
-    resolvent = LinearOperator((2 * n, 2 * n), matvec=solve, dtype=float)
-    try:
-        theta, vecs = eigs(resolvent, k=1, which="LM", v0=np.ones(2 * n), tol=0)
-    except ArpackNoConvergence as exc:
-        raise ConvergenceError("block eigen iteration did not converge") from exc
-    x = vecs[:, 0].real
-    x = x / x[np.argmax(np.abs(x))]
-    return shift + 1.0 / float(theta[0].real), x[:n], c * x[n:], solves
+    # bracket in s = log(mu1 - nu): A has nonnegative row sums, so below 0
+    # ||(A - nu)^-1||_inf <= 1 / |nu| and rho <= b^2 / nu^2, under 1/4 at
+    # nu = -(2b + 1); rho grows without bound as nu -> mu1.  The secant
+    # starts at nu = 0, the stability threshold.
+    b = math.sqrt(a12.max()) * math.sqrt(a21.max())
+    s_neg, s_pos = math.log(mu1 + 2.0 * b + 1.0), -math.inf
+    s, s_old, g_old, nu_old = math.log(mu1), math.inf, math.inf, math.inf
+    for _ in range(_SECANT_MAX):
+        nu = mu1 - math.exp(s)
+        g, y = log_rho(nu)
+        if g > 0:
+            s_pos = s
+        else:
+            s_neg = s
+        width = min(abs(nu - nu_old), math.exp(s_neg) - math.exp(s_pos))
+        # rho rounds to exactly 1 near the root often enough to test for
+        if y is not None and (g == 0 or width <= _ROOT_TOL * (1.0 + abs(nu))):
+            # scale phi2 by <phi2, a12 phi2>_w = <phi1, a21 phi1>_w, which
+            # holds at the eigenpair because A is symmetric in the quadrature
+            # product; unlike 1 / rho it does not blow up an error in nu by
+            # 1 / (mu1 - nu)
+            scale = math.sqrt((left @ (x * x)) / ((w * a12) @ (y * y)))
+            return nu, x, scale * y, applications
+        s_new = s + 0.5 * g      # log rho has slope near -2 at both ends
+        if math.isfinite(g - g_old) and g != g_old:
+            s_new = s - g * (s - s_old) / (g - g_old)
+        s_old, g_old, nu_old = s, g, nu
+        if not s_pos < s_new < s_neg:
+            s_new = 0.5 * (s_pos + s_neg) if s_pos > -math.inf else s + 0.5 * g
+        s = s_new
+    raise ConvergenceError("secant on rho(K(nu)) = 1 did not converge")
 
 
 def _weakly_coupled_eigen(
@@ -98,8 +144,8 @@ def _weakly_coupled_eigen(
 
     At b = 0 the block is diag(A, A), with principal eigenspace
     span{(psi, 0), (0, psi)}.  For small b its two eigenvalues differ by
-    about 2b, and Arnoldi mixes their vectors once that is at rounding
-    level.  First-order perturbation on the eigenspace gives
+    about 2b, and the gap mu1 - nu1 of about b is lost in the rounding of
+    the shifted solves next to mu1.  First-order perturbation on the eigenspace gives
     nu1 = mu1 - b sqrt(k12 k21) and phi2 = c sqrt(k21 / k12) psi, with
     c = sqrt(max a21 / max a12) and k = <psi, (a / max a) psi> / <psi, psi>
     in the quadrature inner product; the residual is of order b.
@@ -134,7 +180,7 @@ def linearized_eigen(
 
     With lam = mu = 0 the block is diag(A, A), whose principal eigenspace is
     two-dimensional; the pair is then (mu1, psi, psi) from the Dirichlet
-    eigenpair, and couplings too weak for Arnoldi to split that eigenspace
+    eigenpair, and couplings whose gap mu1 - nu1 would sink to rounding
     take the first-order pair next to it (``_weakly_coupled_eigen``).  With
     exactly one of lam, mu zero the block is triangular and has no positive
     eigenpair, which raises PreconditionError.
@@ -149,9 +195,7 @@ def linearized_eigen(
     if math.sqrt(a12.max()) * math.sqrt(a21.max()) <= _WEAK_COUPLING:
         nu, phi1, phi2, iters = _weakly_coupled_eigen(mesh, a12, a21)
     else:
-        nu, phi1, phi2, iters = _principal_block_eigen(
-            mesh.operator.matrix, a12, a21
-        )
+        nu, phi1, phi2, iters = _principal_block_eigen(mesh, a12, a21)
     if not (np.all(phi1 > 0) and np.all(phi2 > 0)):
         raise NumericsError("principal eigenfunction pair not strictly positive")
     scale = phi1.max()

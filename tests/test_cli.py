@@ -234,6 +234,9 @@ class TestInputErrors:
         ("solve", {"lambda": 10**400, "mu": 0.5}, "lambda"),
         ("bounds", {"f": {"kind": "constant", "value": 10**400}}, "f"),
         ("curve", {"theta_grid": [1.0], "curve": {"rtol": 10**400}}, "curve"),
+        ("curve", {"theta_grid": [0.5, 10**400]}, "theta_grid"),
+        # approach_extremal checks fractions; the message names the field
+        ("extremal", {"theta": 1.0, "fractions": [0.5, 10**400]}, "config"),
     ])
     def test_exit_four_with_one_violation(self, tmp_path, capsys, command, config,
                                           field):

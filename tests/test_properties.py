@@ -4,8 +4,8 @@ a documented input error, never a numerical failure.
 Hypothesis draws from all floats, NaN and the infinities included, mixed
 with the range where solves converge so that the eigen solve and whole rays
 run too.  A PreconditionError or ConfigurationError is the documented
-rejection; any other exception (NumericsError, ConvergenceError, SuperLU's
-RuntimeError) fails the test.  The mesh is small, the examples few and fixed
+rejection; any other exception (NumericsError, ConvergenceError) fails the
+test.  The mesh is small, the examples few and fixed
 (derandomized), and everything runs in-process.
 """
 

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+import scipy.linalg as sl
 import scipy.sparse as sp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.sparse.linalg import eigsh
 
-from memslab import PreconditionError, build_radial, principal_eigenpair
-from memslab.profiles import constant_profile, power_profile
+from memslab import PreconditionError, build_radial, build_rect, principal_eigenpair
+from memslab.profiles import constant_profile, power_profile, tabulated_profile
 from memslab.solver import StatePair, minimal_solve
 from memslab.stability import (
     EigenResult,
@@ -34,6 +37,40 @@ def scalar_linearized_eigenvalue(mesh, weight):
         return_eigenvectors=False,
     )
     return float(vals[0])
+
+
+def dense_block_eigenvalue(mesh, a12, a21):
+    """Smallest real part of the spectrum of [[A, -a12], [-a21, A]].
+
+    Independent oracle for the block solve: a dense QR eigensolve of the
+    whole block, with no shift, power iteration or secant.
+    """
+    amat = mesh.operator.matrix.toarray()
+    block = np.block([[amat, -np.diag(a12)], [-np.diag(a21), amat]])
+    return float(np.min(sl.eigvals(block).real))
+
+
+def _strips_square():
+    # f = g = indicator of {x < 0.15} u {x > 0.85}: two far-apart strips
+    # give a second eigenvalue of the block next to nu1
+    mesh = build_rect(1.0, 1.0, 24, 24)
+    gx = np.repeat((np.arange(24) + 0.5) / 24, 24)
+    f = tabulated_profile(mesh, ((gx < 0.15) | (gx > 0.85)).astype(float))
+    return mesh, f, f
+
+
+def _wide_rect():
+    mesh = build_rect(2.0, 0.5, 32, 16)
+    return mesh, constant_profile(mesh, 1.0), constant_profile(mesh, 0.5)
+
+
+def _power_ball():
+    mesh = build_radial(3, 1.0, 128)
+    return mesh, power_profile(mesh, 2.0), constant_profile(mesh, 1.0)
+
+
+# lam* of the strips square on theta = 1 from an rtol 1e-6 bisection
+STRIPS_LAM_STAR = 16.974086864275886
 
 
 @pytest.fixture(scope="module")
@@ -72,6 +109,20 @@ class TestLinearizedEigen:
     def test_weak_coupling_closed_form(self, disk, one, zero_state, mu1, lam, mu):
         # couplings at or below rounding: the pair stays positive and exact
         res = linearized_eigen(disk, one, one, lam, mu, zero_state)
+        assert res.nu1 == pytest.approx(mu1 - 2.0 * np.sqrt(lam * mu), abs=1e-9)
+        np.testing.assert_allclose(res.phi2 / res.phi1, np.sqrt(mu / lam), rtol=1e-6)
+
+    @pytest.mark.parametrize("lam, mu", [(1e-14, 0.5), (1e-7, 1e-7)])
+    def test_weak_coupling_fine_mesh(self, lam, mu):
+        # on 1024 nodes nu1 carries a rounding error of about 1e-11 next to a
+        # gap mu1 - nu1 of about 1e-7; phi2 taken as (A - nu1)^-1 a21 phi1
+        # without the <phi2, a12 phi2>_w = <phi1, a21 phi1>_w scale is off by
+        # 1e-5 relative here
+        fine = build_radial(2, 1.0, 1024)
+        one = constant_profile(fine, 1.0)
+        zero = StatePair(u=np.zeros(fine.n_nodes), v=np.zeros(fine.n_nodes))
+        mu1 = principal_eigenpair(fine.operator, fine).value
+        res = linearized_eigen(fine, one, one, lam, mu, zero)
         assert res.nu1 == pytest.approx(mu1 - 2.0 * np.sqrt(lam * mu), abs=1e-9)
         np.testing.assert_allclose(res.phi2 / res.phi1, np.sqrt(mu / lam), rtol=1e-6)
 
@@ -121,12 +172,62 @@ class TestLinearizedEigen:
         nu_scalar = scalar_linearized_eigenvalue(disk, weight)
         assert res.nu1 == pytest.approx(nu_scalar, abs=1e-8)
 
+    @pytest.mark.parametrize("case, lam, mu", [
+        *(pytest.param(_strips_square, t * STRIPS_LAM_STAR, t * STRIPS_LAM_STAR,
+                       id=f"strips-{t}") for t in (0.9, 0.99, 0.999)),
+        pytest.param(_wide_rect, 2.0, 1.5, id="wide"),
+        pytest.param(_power_ball, 1.0, 0.5, id="ball3-power"),
+    ])
+    def test_matches_dense_block_spectrum(self, case, lam, mu):
+        mesh, f, g = case()
+        out = minimal_solve(mesh, f, g, lam, mu)
+        assert out.converged
+        res = linearized_eigen(mesh, f, g, lam, mu, out.state)
+        a12, a21 = coupling_weights(f, g, lam, mu, out.state)
+        assert res.nu1 == pytest.approx(
+            dense_block_eigenvalue(mesh, a12, a21), rel=1e-10)
+        # Collatz-Wielandt: for any positive pair, the node-wise ratios
+        # (J phi) / phi bracket nu1.  Slack: 64 rounding units of the
+        # largest row sum of |J|, the scale of the error in J phi
+        op = mesh.operator
+        ratios = np.concatenate([
+            (op.apply(res.phi1) - a12 * res.phi2) / res.phi1,
+            (op.apply(res.phi2) - a21 * res.phi1) / res.phi2,
+        ])
+        row_sum = abs(op.matrix).sum(axis=1).max() + max(a12.max(), a21.max())
+        slack = 64 * np.finfo(float).eps * row_sum
+        assert ratios.min() - slack <= res.nu1 <= ratios.max() + slack
+
     def test_monotone_loss_of_stability(self, disk, one):
         nus = []
         for lam in (0.3, 0.55, 0.75):
             out = minimal_solve(disk, one, one, lam, lam)
             nus.append(linearized_eigen(disk, one, one, lam, lam, out.state).nu1)
         assert nus[0] > nus[1] > nus[2]
+
+
+SMALL_DISK = build_radial(2, 1.0, 32)
+SQUARE16 = build_rect(1.0, 1.0, 16, 16)
+# log-uniform over [1e-30, 10]: b = 2 sqrt(lam mu) falls on both sides of
+# the weak-coupling threshold 1e-7
+LOG_PARAMETER = st.floats(np.log(1e-30), np.log(10.0)).map(np.exp)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(mesh=st.sampled_from([SMALL_DISK, SQUARE16]), lam=LOG_PARAMETER,
+       mu=LOG_PARAMETER)
+@example(mesh=SQUARE16, lam=1e-14, mu=0.5)   # b just above the threshold
+@example(mesh=SQUARE16, lam=10.0, mu=10.0)   # nu1 < 0
+@example(mesh=SMALL_DISK, lam=1e-30, mu=1e-30)
+def test_zero_state_closed_form_property(mesh, lam, mu):
+    # constant profiles at the zero state: nu1 = mu1 - 2 sqrt(lam mu) and
+    # phi2 / phi1 = sqrt(mu / lam) exactly, on either eigen path
+    one = constant_profile(mesh, 1.0)
+    zero = StatePair(u=np.zeros(mesh.n_nodes), v=np.zeros(mesh.n_nodes))
+    mu1 = principal_eigenpair(mesh.operator, mesh).value
+    res = linearized_eigen(mesh, one, one, lam, mu, zero)
+    assert res.nu1 == pytest.approx(mu1 - 2.0 * np.sqrt(lam * mu), abs=1e-9)
+    np.testing.assert_allclose(res.phi2 / res.phi1, np.sqrt(mu / lam), rtol=1e-6)
 
 
 class TestClassify:

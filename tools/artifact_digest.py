@@ -62,6 +62,8 @@ RUNS = (
      {"domain": DISK, "f": ONES, "g": ONES, "lambda": 0.9, "mu": 0.9}),
     ("eigen-square", "eigen",
      {"domain": SQUARE, "f": INDICATOR, "g": ONES, "lambda": 0.8, "mu": 0.5}),
+    ("eigen-rect-wide", "eigen",
+     {"domain": WIDE, "f": ONES, "g": HALF, "lambda": 2.0, "mu": 1.5}),
     ("curve-disk", "curve",
      {"domain": DISK, "f": ONES, "g": ONES, "theta_grid": [0.5, 1.0, 2.0],
       "curve": CURVE}),
