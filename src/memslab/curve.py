@@ -20,7 +20,9 @@ import numpy as np
 
 from .artifacts import write_csv, write_json
 from .exceptions import ConfigurationError, ConvergenceError, UnboundedRayError
-from .mesh import Mesh, principal_eigenpair, unit_ball_volume
+from .mesh import Mesh, unit_ball_volume
+# unused: perfbench/tracer.py LAYERS looks it up, and --trace 1 fails without it
+from .mesh import principal_eigenpair  # noqa: F401
 from .profiles import Profile, symmetrize
 from .solver import SolveConfig, Verdict, minimal_solve
 
@@ -101,7 +103,7 @@ def bound_report(mesh: Mesh, f: Profile, g: Profile) -> BoundReport:
     """Evaluate every applicable bound for the given configuration."""
     dim = mesh.dimension
     a_f, a_g = lower_bound(f.sup(), g.sup(), mesh.volume, dim)
-    mu1 = principal_eigenpair(mesh.operator, mesh).value
+    mu1 = mesh.operator.lowest_eigenvalue
     uf, ug = upper_bound(mu1, f.inf(), g.inf())
     return BoundReport(
         a_f=a_f,
@@ -149,6 +151,9 @@ class RaySample:
     iterations_total: int
     unresolved_probes: int = 0
     newton_steps: int = 0
+    # no probe showed the infeasible end infeasible: the probe that ended the
+    # upward expansion was unresolved, and no bisection probe was infeasible
+    upper_unverified: bool = False
 
 
 @dataclass(frozen=True)
@@ -199,6 +204,9 @@ def extremal_on_ray(
     The bracket starts at the certified lower box corner scaled into the
     ray and at the eigenvalue upper bound when available (geometric
     expansion otherwise), then bisects to the configured relative width.
+    An unresolved probe ends the expansion without showing infeasibility;
+    the sample then reports ``upper_unverified`` unless a later bisection
+    probe turns out infeasible.
     """
     if not 0 < theta < math.inf:
         raise ConfigurationError(f"theta must be finite and positive, got {theta!r}")
@@ -226,7 +234,7 @@ def extremal_on_ray(
     else:
         b = 2.0 * a
     doublings = 0
-    while oracle.probe(b) is True:
+    while (verdict := oracle.probe(b)) is True:
         a = b
         b *= 2.0
         doublings += 1
@@ -234,6 +242,7 @@ def extremal_on_ray(
             raise UnboundedRayError(
                 f"no infeasible parameter found below {b:.3e} on theta={theta}"
             )
+    upper_unverified = verdict is None
 
     while (b - a) > cfg.rtol * b:
         mid = 0.5 * (a + b)
@@ -243,7 +252,7 @@ def extremal_on_ray(
         if verdict:
             a = mid
         else:
-            b = mid
+            b, upper_unverified = mid, False
 
     lam_star = 0.5 * (a + b)
     return RaySample(
@@ -256,6 +265,7 @@ def extremal_on_ray(
         iterations_total=oracle.iterations,
         unresolved_probes=oracle.unresolved,
         newton_steps=oracle.newton_steps,
+        upper_unverified=upper_unverified,
     )
 
 
@@ -319,14 +329,18 @@ def compare_symmetrized(
 
 def write_trace_csv(path, trace: CurveTrace, fingerprint: str = "") -> None:
     """Columns: theta, lambda_star, mu_star, bracket_width, lower_cert,
-    upper_cert, solver_iters_total."""
+    upper_cert, solver_iters_total, unresolved_probes, newton_steps,
+    upper_unverified.  The last three are integers (the flag as 0 or 1), so
+    every cell but an absent upper_cert parses as a float."""
     f_fp, g_fp = trace.profile_fingerprints
     write_csv(
         path,
         ["theta", "lambda_star", "mu_star", "bracket_width",
-         "lower_cert", "upper_cert", "solver_iters_total"],
+         "lower_cert", "upper_cert", "solver_iters_total",
+         "unresolved_probes", "newton_steps", "upper_unverified"],
         ((s.theta, s.lam_star, s.mu_star, s.bracket_width, s.lower_cert,
-          s.upper_cert, s.iterations_total) for s in trace.samples),
+          s.upper_cert, s.iterations_total, s.unresolved_probes,
+          s.newton_steps, int(s.upper_unverified)) for s in trace.samples),
         fingerprint,
         comments=[f"mesh: {trace.mesh_fingerprint} profiles: {f_fp},{g_fp}"],
     )

@@ -8,11 +8,12 @@ eliminated.  The finite-volume form keeps the operator an M-matrix (discrete
 maximum principle) in every dimension and makes it symmetric in the
 quadrature inner product.
 
-A Poisson solve is a banded Cholesky solve on radial meshes (tridiagonal
-operator) and a fast diagonalization on rectangles: the operator there is
-the Kronecker sum of two 1-D operators whose eigenvectors are closed-form
-sine modes, so a solve is four dense matrix products with the mode matrices
-(Lynch, Rice & Thomas, Numer. Math. 6, 1964).
+A Poisson solve is a tridiagonal LDL^T substitution on radial meshes (LAPACK
+``dpttrs`` with the factors of a banded Cholesky factorization) and a fast
+diagonalization on rectangles: the operator there is the Kronecker sum of
+two 1-D operators whose eigenvectors are closed-form sine modes, so a solve
+is four dense matrix products with the mode matrices (Lynch, Rice & Thomas,
+Numer. Math. 6, 1964).
 """
 
 from __future__ import annotations
@@ -22,10 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import (
-    LinAlgError, cho_solve_banded, cholesky_banded, eigvalsh_tridiagonal,
-)
-from scipy.linalg.lapack import dgbsv
+from scipy.linalg import LinAlgError, cholesky_banded, eigvalsh_tridiagonal
+from scipy.linalg.lapack import dgbsv, dpttrs
 # unused: perfbench/tracer.py LAYERS looks it up, and --trace 1 fails without it
 from scipy.sparse.linalg import splu  # noqa: F401
 
@@ -53,10 +52,11 @@ class DirichletLaplacian:
     and tridiagonal (radial) or 5-point (rectangle).  The action of the
     operator itself is ``A u = (K u) / w``.
 
-    A tridiagonal ``K`` is solved as ``K u = w * rhs`` through a banded
-    Cholesky factor, cached on first use and dropped when pickling, so meshes
-    can travel to worker processes; ``solve_coupled`` then also solves the
-    two-field linearized systems of the minimal-solution iteration in O(n).
+    A tridiagonal ``K`` is solved as ``K u = w * rhs`` by LDL^T substitution
+    (``dpttrs``) with factors converted from a banded Cholesky factor,
+    cached on first use and dropped when pickling, so meshes can travel to
+    worker processes; ``solve_coupled`` then also solves the two-field
+    linearized systems of the minimal-solution iteration in O(n).
     Otherwise ``modes = (qx, qy, eig)`` must diagonalize ``A`` on an
     ``nx x ny`` grid: ``A = Qx Lx Qx^T (+) Qy Ly Qy^T`` with orthonormal
     ``qx``, ``qy`` and ``eig[kx, ky] = Lx[kx] + Ly[ky]``, so
@@ -68,7 +68,7 @@ class DirichletLaplacian:
     def __init__(self, sym: sp.spmatrix, weights: np.ndarray, modes=None):
         self._sym = sym.tocsr()
         self._weights = weights
-        self._banded = None       # upper banded Cholesky factor, radial case
+        self._ldl = None          # LDL^T factors (d, e) of K, radial case
         self._modes = modes       # (qx, qy, eig), rectangle case
         self._lowest = None       # mu1, computed on first use
         if modes is not None:
@@ -108,12 +108,21 @@ class DirichletLaplacian:
         """Discrete integral of |grad phi|^2 via summation by parts."""
         return float(phi @ (self._sym @ phi))
 
-    def _factorize(self):
-        if self._banded is None:
-            ab = np.zeros((2, self.size))
-            ab[1] = self._diag
-            ab[0, 1:] = self._off
-            self._banded = cholesky_banded(ab, lower=False)
+    def _ldl_factors(self, diag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(d, e)`` with ``tridiag(off, diag, off) = L D L^T`` for ``dpttrs``.
+
+        Raises LinAlgError when the matrix is not positive definite.  The
+        upper bidiagonal Cholesky factor U gives ``D = diag(U_ii^2)`` and the
+        unit lower bidiagonal ``L = U^T D^-1/2`` with subdiagonal
+        ``e_i = U_{i,i+1} / U_ii``.  Factorizing through ``cholesky_banded``
+        (not ``dpttrf``) keeps the one call that perfbench times as
+        ``mesh.factorize``.
+        """
+        ab = np.zeros((2, self.size))
+        ab[1] = diag
+        ab[0, 1:] = self._off
+        u = cholesky_banded(ab, lower=False)
+        return u[1] ** 2, u[0, 1:] / u[1, :-1]
 
     def _modal_solve(self, rhs: np.ndarray, inv_eig: np.ndarray) -> np.ndarray:
         qx, qy, _ = self._modes
@@ -124,10 +133,10 @@ class DirichletLaplacian:
         """Solve A u = rhs (equivalently K u = w * rhs)."""
         if not self._tridiagonal:
             return self._modal_solve(rhs, self._inv_eig)
-        self._factorize()
-        b = self._weights * rhs
-        # callers reject non-finite data, so the finiteness scan is skipped
-        return cho_solve_banded((self._banded, False), b, check_finite=False)
+        if self._ldl is None:
+            self._ldl = self._ldl_factors(self._diag)
+        # callers reject non-finite data; dpttrs makes no finiteness scan
+        return dpttrs(*self._ldl, self._weights * rhs, overwrite_b=True)[0]
 
     @property
     def lowest_eigenvalue(self) -> float:
@@ -151,25 +160,22 @@ class DirichletLaplacian:
         """Solver ``rhs -> (A - nu)^-1 rhs``, or None when A - nu is not
         positive definite (nu at or above mu1, to rounding).
 
-        One factorization per shift: a banded Cholesky of ``K - nu W`` on
-        radial meshes; on rectangles ``1 / (eig - nu)`` replaces the inverse
-        eigenvalues of ``solve``.  Its solves are not Poisson solves and do
-        not go through ``solve``.
+        One factorization per shift: the LDL^T factors of ``K - nu W`` on
+        radial meshes, substituted by ``dpttrs`` as in ``solve``; on
+        rectangles ``1 / (eig - nu)`` replaces the inverse eigenvalues of
+        ``solve``.  Its solves are not Poisson solves and do not go through
+        ``solve``.
         """
         if not self._tridiagonal:
             if not nu < self._modes[2][0, 0]:
                 return None
             inv_eig = 1.0 / (self._modes[2] - nu)
             return lambda rhs: self._modal_solve(rhs, inv_eig)
-        ab = np.zeros((2, self.size))
-        ab[1] = self._diag - nu * self._weights
-        ab[0, 1:] = self._off
         try:
-            factor = cholesky_banded(ab, lower=False)
+            d, e = self._ldl_factors(self._diag - nu * self._weights)
         except LinAlgError:
             return None
-        return lambda rhs: cho_solve_banded(
-            (factor, False), self._weights * rhs, check_finite=False)
+        return lambda rhs: dpttrs(d, e, self._weights * rhs, overwrite_b=True)[0]
 
     def solve_coupled(
         self, c12: np.ndarray, c21: np.ndarray, r1: np.ndarray, r2: np.ndarray
@@ -208,7 +214,7 @@ class DirichletLaplacian:
 
     def __getstate__(self):
         state = self.__dict__.copy()
-        state["_banded"] = None
+        state["_ldl"] = None
         return state
 
 

@@ -13,13 +13,17 @@ just below 1) are reported as suspected nonexistence, never as a crash.
 Both fields are updated from the previous iterate (Jacobi style), so with
 identical data the two components stay bit-for-bit equal.  On radial meshes
 the update map is order-preserving even in floating point: the right-hand
-sides are monotone node-wise and the cached banded Cholesky factor of the
-M-matrix has sign-fixed entries.  Rectangles solve by fast diagonalization
-through dense sine-mode matrices, whose rounding has no fixed sign, so there
-the order is a tested property rather than a proved one: the tests require
-every iterate to be node-wise >= the previous one, with no slack, on 32^2
-and 64^2 squares at 0.5, 0.99 and 0.999 of lam* (converging) and at 1.001
-and 1.05 of lam* (touching).
+sides are monotone node-wise, and the Poisson solve is an LDL^T substitution
+(``dpttrs``) with d > 0 and, since the M-matrix has negative off-diagonals,
+subdiagonal e <= 0.  Its forward step b_i - e_{i-1} b_{i-1}, the division by
+d_i and the back step b_i / d_i - e_i x_{i+1} are each nondecreasing in their
+inputs, and correct rounding (also a fused multiply-add) keeps them so; the
+tests check solve(b + delta) >= solve(b) with no slack.  Rectangles solve by
+fast diagonalization through dense sine-mode matrices, whose rounding has no
+fixed sign, so there the order is a tested property rather than a proved
+one: the tests require every iterate to be node-wise >= the previous one,
+with no slack, on 32^2 and 64^2 squares at 0.5, 0.99 and 0.999 of lam*
+(converging) and at 1.001 and 1.05 of lam* (touching).
 
 Near the critical curve the Picard contraction factor tends to 1.  Where
 the operator is tridiagonal (radial meshes) the minimal solve then tries a

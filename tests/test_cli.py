@@ -150,6 +150,14 @@ class TestOtherCommands:
         data = json.loads((out / "bounds.json").read_text())
         assert data["a_f"] == pytest.approx(16.0 / 27.0)
 
+    def test_bounds_fine_disk(self, tmp_path):
+        # power iteration cannot meet its residual contract on this mesh
+        fine = {"kind": "radial", "dimension": 2, "radius": 1.0, "nodes": 16384}
+        code, out = run(tmp_path, "bounds", {"domain": fine, "f": ONES, "g": ONES})
+        assert code == 0
+        data = json.loads((out / "bounds.json").read_text())
+        assert data["mu1"] == pytest.approx(5.783185962946784, rel=1e-6)  # j01^2
+
     def test_eigen(self, tmp_path):
         code, out = run(
             tmp_path, "eigen",

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import jn_zeros
 
-from memslab import ConfigurationError, build_radial, build_rect
+from memslab import ConfigurationError, build_radial, build_rect, principal_eigenpair
 from memslab.curve import (
     BoundReport,
     CurveConfig,
@@ -88,6 +88,13 @@ class TestBoundArithmetic:
         assert rep.c_n == pytest.approx(16.0 / 27.0)
         assert rep.a_f <= rep.upper_f
         assert rep.equal_measure_radius == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("kind", ["disk", "rect"])
+    def test_report_mu1_matches_power_iteration(self, disk, kind):
+        mesh = disk if kind == "disk" else build_rect(2.0, 0.5, 16, 40)
+        one = constant_profile(mesh, 1.0)
+        expected = principal_eigenpair(mesh.operator, mesh).value
+        assert bound_report(mesh, one, one).mu1 == pytest.approx(expected, rel=1e-8)
 
     def test_report_power_profile_has_no_upper(self, disk):
         fpow = power_profile(disk, 2.0)
@@ -217,7 +224,8 @@ class TestSerialization:
         assert lines[0] == "# config_fingerprint: f00d"
         header = lines[2].split(",")
         assert header == ["theta", "lambda_star", "mu_star", "bracket_width",
-                          "lower_cert", "upper_cert", "solver_iters_total"]
+                          "lower_cert", "upper_cert", "solver_iters_total",
+                          "unresolved_probes", "newton_steps", "upper_unverified"]
         assert len(lines) == 3 + 2
 
     def test_trace_csv_without_upper_cert(self, tmp_path):
@@ -227,7 +235,7 @@ class TestSerialization:
         write_trace_csv(path, CurveTrace((ray,), "m", ("f", "g")))
         lines = path.read_text().splitlines()
         assert lines[0] == "# mesh: m profiles: f,g"
-        assert lines[2] == "1.0,1.5,1.5,0.001,0.5,,7"
+        assert lines[2] == "1.0,1.5,1.5,0.001,0.5,,7,0,0,0"
 
     def test_bounds_json(self, disk, one, tmp_path):
         import json
@@ -252,6 +260,24 @@ class TestBudgetHonesty:
         assert s.unresolved_probes >= 1
         assert s.bracket_width > cfg.rtol
         assert s.lam_star > s.lower_cert * 0.99
+
+    def test_unresolved_expansion_marks_upper_unverified(self):
+        # at theta = 0.145 lam* lies 0.04% below twice the upper corner, so
+        # the expansion probe there needs 41 steps to touch; a budget of
+        # 2 (escalated to 8, 32) resolves the lower and corner probes only
+        mesh = build_radial(2, 1.0, 64)
+        one = constant_profile(mesh, 1.0)
+        from memslab.solver import SolveConfig
+
+        starved = CurveConfig(rtol=1e-3, solve=SolveConfig(max_iter=2))
+        s = extremal_on_ray(mesh, one, one, 0.145, starved)
+        assert s.upper_unverified
+        assert s.unresolved_probes >= 1
+        upper_end = s.lam_star * (1.0 + 0.5 * s.bracket_width)
+        assert upper_end == pytest.approx(2.0 * s.upper_cert, rel=1e-12)
+        full = extremal_on_ray(mesh, one, one, 0.145, CurveConfig(rtol=1e-3))
+        assert not full.upper_unverified
+        assert full.lam_star < 2.0 * s.upper_cert
 
 
 class TestIntervalPipeline:

@@ -3,6 +3,9 @@ import pickle
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse.linalg import spsolve
 from scipy.special import jn_zeros
 
@@ -163,6 +166,49 @@ class TestPoisson:
         exact = (np.sin(np.pi * gx) * np.sin(np.pi * gy)).ravel()
         u = solve_poisson(square64.operator, 2.0 * np.pi**2 * exact)
         assert np.max(np.abs(u - exact)) < 5e-4
+
+
+# one radial mesh per tested dimension, at ragged node counts
+ORDER_MESHES = [build_radial(dim, 1.0, n)
+                for dim, n in ((1, 16), (2, 37), (3, 64), (8, 29))]
+
+
+class TestRadialSolve:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 8])
+    def test_matches_direct_solve(self, dim, rng):
+        op = build_radial(dim, 1.0, 257).operator
+        rhs = rng.uniform(-1.0, 1.0, op.size)
+        direct = spsolve(op.matrix.tocsc(), rhs)
+        assert np.max(np.abs(op.solve(rhs) - direct)) <= 1e-10 * np.max(np.abs(direct))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 8])
+    def test_shifted_solver(self, dim, rng):
+        op = build_radial(dim, 1.0, 257).operator
+        nu = 0.5 * op.lowest_eigenvalue
+        rhs = rng.uniform(-1.0, 1.0, op.size)
+        direct = spsolve((op.matrix - nu * sp.identity(op.size)).tocsc(), rhs)
+        u = op.shifted_solver(nu)(rhs)
+        assert np.max(np.abs(u - direct)) <= 1e-10 * np.max(np.abs(direct))
+        assert op.shifted_solver(op.lowest_eigenvalue * (1.0 + 1e-9)) is None
+
+    def test_pickled_operator_solves_bitwise(self, disk256, rng):
+        op = disk256.operator
+        rhs = rng.uniform(-1.0, 1.0, op.size)
+        u = op.solve(rhs)   # caches the factors, which pickling drops
+        np.testing.assert_array_equal(pickle.loads(pickle.dumps(op)).solve(rhs), u)
+
+    # increments near rounding, as between late Picard iterates: a solver
+    # whose rounding has no fixed sign (a dense modal solve, say) fails here
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(mesh=st.sampled_from(ORDER_MESHES), seed=st.integers(0, 2**32 - 1),
+           exponent=st.integers(-17, -12), sparsity=st.sampled_from([1, 2, 8]))
+    def test_order_preserving_exactly(self, mesh, seed, exponent, sparsity):
+        rng = np.random.default_rng(seed)
+        op = mesh.operator
+        b = rng.uniform(0.0, 1.0, op.size)
+        delta = rng.uniform(0.0, 1.0, op.size) * 10.0**exponent
+        delta[rng.integers(0, sparsity, op.size) != 0] = 0.0
+        assert np.all(op.solve(b + delta) >= op.solve(b))
 
 
 class TestCoupledSolve:

@@ -69,6 +69,7 @@ RUNS = (
       "curve": CURVE}),
     ("curve-disk-power", "curve",
      {"domain": DISK, "f": ONES, "g": POWER, "theta_grid": [1.0], "curve": CURVE}),
+    ("bounds-disk", "bounds", {"domain": DISK, "f": ONES, "g": HALF}),
     ("bounds-square", "bounds", {"domain": SQUARE, "f": INDICATOR, "g": HALF}),
     ("symmetrize-square", "symmetrize",
      {"domain": SQUARE, "f": INDICATOR, "g": ONES, "target_nodes": 32}),
