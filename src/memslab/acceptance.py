@@ -101,7 +101,7 @@ def bound_sandwich(scale):
     """Critical parameter between the analytic certificates, matching the golden."""
     n = _scaled(1024, scale)
     mesh = build_radial(2, 1.0, n)
-    mu1 = principal_eigenpair(mesh.operator, mesh).value
+    mu1 = mesh.operator.lowest_eigenvalue
     sample = _disk_ray(n, 1.0)
     lo = 16.0 / 27.0 - 0.003
     hi = 4.0 * mu1 / 27.0 + 0.003
@@ -250,7 +250,7 @@ def stability(scale):
     ratio_gap = eigen_ratio_check(eig, lam, mu)
 
     # zero-state analytic eigenvalue
-    mu1 = principal_eigenpair(mesh.operator, mesh).value
+    mu1 = mesh.operator.lowest_eigenvalue
     zero = StatePair(u=np.zeros(mesh.n_nodes), v=np.zeros(mesh.n_nodes))
     t = 0.4
     eig0 = linearized_eigen(mesh, one, one, t, t, zero)

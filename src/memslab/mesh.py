@@ -13,7 +13,9 @@ A Poisson solve is a tridiagonal LDL^T substitution on radial meshes (LAPACK
 diagonalization on rectangles: the operator there is the Kronecker sum of
 two 1-D operators whose eigenvectors are closed-form sine modes, so a solve
 is four dense matrix products with the mode matrices (Lynch, Rice & Thomas,
-Numer. Math. 6, 1964).
+Numer. Math. 6, 1964).  The coupled linearized solve of the Newton finish is
+a banded LU on radial meshes and conjugate gradients (Hestenes & Stiefel,
+J. Res. NBS 49, 1952) on fast-diagonalization solves on rectangles.
 """
 
 from __future__ import annotations
@@ -37,6 +39,8 @@ RECT = "rect"
 _POISSON_RTOL = 1e-10       # linear-solve backward-error contract, sup-norm
 _EIG_RESIDUAL_RTOL = 1e-8   # sup-norm eigen residual contract relative to mu1
 _EIG_MAX_ITER = 10_000
+_CG_RTOL = 1e-12            # coupled CG residual target, relative, in the w-norm
+_CG_MAX_ITER = 200          # CG steps per coupled solve
 
 
 def unit_ball_volume(dimension: int) -> float:
@@ -55,14 +59,15 @@ class DirichletLaplacian:
     A tridiagonal ``K`` is solved as ``K u = w * rhs`` by LDL^T substitution
     (``dpttrs``) with factors converted from a banded Cholesky factor,
     cached on first use and dropped when pickling, so meshes can travel to
-    worker processes; ``solve_coupled`` then also solves the two-field
-    linearized systems of the minimal-solution iteration in O(n).
-    Otherwise ``modes = (qx, qy, eig)`` must diagonalize ``A`` on an
-    ``nx x ny`` grid: ``A = Qx Lx Qx^T (+) Qy Ly Qy^T`` with orthonormal
-    ``qx``, ``qy`` and ``eig[kx, ky] = Lx[kx] + Ly[ky]``, so
+    worker processes.  Otherwise ``modes = (qx, qy, eig)`` must diagonalize
+    ``A`` on an ``nx x ny`` grid: ``A = Qx Lx Qx^T (+) Qy Ly Qy^T`` with
+    orthonormal ``qx``, ``qy`` and ``eig[kx, ky] = Lx[kx] + Ly[ky]``, so
     ``A^-1 r = Qx ((Qx^T R Qy) / eig) Qy^T`` with ``R`` the right-hand
     side reshaped to ``(nx, ny)``.  ``shifted_solver`` solves with
-    ``A - nu`` the same way on either kind.
+    ``A - nu`` the same way on either kind.  ``solve_coupled`` solves the
+    two-field linearized systems of the minimal-solution iteration: one
+    O(n) banded solve when ``K`` is tridiagonal, conjugate gradients on
+    Poisson solves otherwise.
     """
 
     def __init__(self, sym: sp.spmatrix, weights: np.ndarray, modes=None):
@@ -81,11 +86,6 @@ class DirichletLaplacian:
     def _is_tridiagonal(m: sp.spmatrix) -> bool:
         coo = m.tocoo()
         return bool(np.all(np.abs(coo.row - coo.col) <= 1))
-
-    @property
-    def tridiagonal(self) -> bool:
-        """Whether ``K`` is tridiagonal, so ``solve_coupled`` applies."""
-        return self._tridiagonal
 
     @property
     def size(self) -> int:
@@ -180,18 +180,24 @@ class DirichletLaplacian:
     def solve_coupled(
         self, c12: np.ndarray, c21: np.ndarray, r1: np.ndarray, r2: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Solve ``K d1 - c12 d2 = r1``, ``K d2 - c21 d1 = r2`` (tridiagonal K).
+        """Solve ``K d1 - c12 d2 = r1``, ``K d2 - c21 d1 = r2``.
 
-        ``c12`` and ``c21`` are node-wise couplings in the weighted form.  The
-        unknowns are ``s = (d1 + d2) / 2`` and ``t = (d1 - d2) / 2``,
-        interleaved as ``(s_i, t_i)``, which gives a bandwidth-2 system with
-        diagonal blocks ``K - p`` and ``K + p`` (``p = (c12 + c21) / 2``) and
-        coupling ``+-q`` (``q = (c12 - c21) / 2``).  With ``c12 == c21`` and
-        ``r1 == r2`` the ``t`` rows decouple exactly, so ``t == 0`` and the
-        two returned fields are bit-for-bit equal.
+        ``c12`` and ``c21`` are nonnegative node-wise couplings in the
+        weighted form.  With ``c12 == c21`` and ``r1 == r2`` the two returned
+        fields are bit-for-bit equal on either mesh kind.  NumericsError
+        means no solution was certified: a singular banded system, or on
+        rectangles a Jacobian that is not a nonsingular M-matrix
+        (``_coupled_cg``).
+
+        For tridiagonal K the unknowns are ``s = (d1 + d2) / 2`` and
+        ``t = (d1 - d2) / 2``, interleaved as ``(s_i, t_i)``, which gives a
+        bandwidth-2 system with diagonal blocks ``K - p`` and ``K + p``
+        (``p = (c12 + c21) / 2``) and coupling ``+-q``
+        (``q = (c12 - c21) / 2``), solved by ``dgbsv``; with symmetric data
+        the ``t`` rows decouple exactly, so ``t == 0``.
         """
         if not self._tridiagonal:
-            raise NumericsError("coupled banded solve needs a tridiagonal K")
+            return self._coupled_cg(c12, c21, r1, r2)
         off2 = np.repeat(self._off, 2)
         p = 0.5 * (c12 + c21)
         q = 0.5 * (c12 - c21)
@@ -211,6 +217,47 @@ class DirichletLaplacian:
             raise NumericsError(f"coupled linearized system singular (info={info})")
         s, t = st[0::2], st[1::2]
         return s + t, s - t
+
+    def _coupled_cg(self, c12, c21, r1, r2) -> tuple[np.ndarray, np.ndarray]:
+        """``solve_coupled`` by conjugate gradients on Poisson solves.
+
+        With ``a = c / w`` and ``S = A^-1`` the system reads
+        ``d1 = g1 + S a12 d2``, ``d2 = g2 + S a21 d1`` with ``g = S (r / w)``.
+        In ``z = (sqrt(a21) d1, sqrt(a12) d2)`` it becomes
+        ``(I - [[0, G], [G^T, 0]]) z = (sqrt(a21) g1, sqrt(a12) g2)`` with
+        ``G = sqrt(a21) S sqrt(a12)``, self-adjoint in the w-product with
+        eigenvalues ``1 +- sigma``; ``sigma_max^2`` is the spectral radius of
+        ``S a12 S a21``, so the operator is positive definite exactly when the
+        coupled Jacobian is a nonsingular M-matrix.  Curvature <= 0 or a
+        missed tolerance within the budget raises NumericsError.  Each step
+        makes two Poisson solves, with identical data on both halves kept
+        bit-for-bit equal.
+        """
+        w, n = self._weights, self.size
+        s12, s21 = np.sqrt(c12 / w), np.sqrt(c21 / w)
+        g1, g2 = self.solve(r1 / w), self.solve(r2 / w)
+        ww = np.concatenate([w, w])
+        z = np.zeros(2 * n)
+        r = np.concatenate([s21 * g1, s12 * g2])
+        p = r.copy()
+        rr = ww @ (r * r)
+        target = _CG_RTOL * _CG_RTOL * rr
+        steps = 0
+        while not rr <= target:
+            if steps == _CG_MAX_ITER:
+                raise NumericsError("coupled conjugate gradients missed the tolerance")
+            steps += 1
+            q = p - np.concatenate(
+                [s21 * self.solve(s12 * p[n:]), s12 * self.solve(s21 * p[:n])])
+            curvature = ww @ (p * q)
+            if not curvature > 0:
+                raise NumericsError("coupled linearized system not positive definite")
+            alpha = rr / curvature
+            z += alpha * p
+            r -= alpha * q
+            rr, rr_old = ww @ (r * r), rr
+            p = r + (rr / rr_old) * p
+        return g1 + self.solve(s12 * z[n:]), g2 + self.solve(s21 * z[:n])
 
     def __getstate__(self):
         state = self.__dict__.copy()

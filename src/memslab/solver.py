@@ -23,12 +23,13 @@ fast diagonalization through dense sine-mode matrices, whose rounding has no
 fixed sign, so there the order is a tested property rather than a proved
 one: the tests require every iterate to be node-wise >= the previous one,
 with no slack, on 32^2 and 64^2 squares at 0.5, 0.99 and 0.999 of lam*
-(converging) and at 1.001 and 1.05 of lam* (touching).
+(converging) and at 1.001 and 1.05 of lam* (touching), and on the 32^2
+square at 40 fixed draws from [0.5, 0.999] and [1.001, 1.1] of lam*.
 
-Near the critical curve the Picard contraction factor tends to 1.  Where
-the operator is tridiagonal (radial meshes) the minimal solve then tries a
-certified Newton step: after 5 straight Picard steps whose increment ratio
-exceeds 0.5, it solves ``J d = r`` at the current iterate x.  J is the
+Near the critical curve the Picard contraction factor tends to 1.  The
+minimal solve then tries a certified Newton step: after 5 straight Picard
+steps whose increment ratio exceeds 0.5, it solves ``J d = r`` at the
+current iterate x.  J is the
 coupled linearization, a Z-matrix, and r the weighted residual, which is
 >= 0 up to rounding because x = T(previous) with previous <= x.  The step
 is kept only if
@@ -42,12 +43,18 @@ is kept only if
 
 A refused step is discarded and ends Newton for that solve.  The iterates
 stay monotone even in floating point: x + d >= x since d >= 0, and
-y = T(x + d) >= T(x) >= x since T is monotone.  The coupled system is
-solved in the unknowns (d_u + d_v) / 2 and (d_u - d_v) / 2, so identical
+y = T(x + d) >= T(x) >= x since T is monotone.  On radial meshes the
+coupled system is one banded solve in the unknowns (d_u + d_v) / 2 and
+(d_u - d_v) / 2.  On rectangles it is conjugate gradients on fast
+diagonalization solves: rescaled by the square roots of the couplings, the
+system is self-adjoint with eigenvalues 1 +- sigma, and sigma_max^2 is the
+spectral radius of K(0) in ``stability``, so it is positive definite exactly
+when J is a nonsingular M-matrix.  A CG step of curvature <= 0, or a
+tolerance missed within the step budget, refuses the Newton step like a
+singular J (``DirichletLaplacian.solve_coupled``).  On either kind identical
 data still gives bit-for-bit equal fields.  Convergence needs the same
 increment and residual contract, and nonexistence verdicts still come only
-from Picard steps (touch or divergence).  Rectangles keep pure Picard:
-their coupled solve would need a sparse LU per step.
+from Picard steps (touch or divergence).
 """
 
 from __future__ import annotations
@@ -121,7 +128,7 @@ class SolveOutcome:
     final_residual: tuple[float, float] | None = None
     reason: NonexistenceReason | None = None
     last_increment: float | None = None
-    newton_steps: int = 0         # accepted Newton steps (radial meshes only)
+    newton_steps: int = 0         # accepted Newton steps
 
     @property
     def converged(self) -> bool:
@@ -185,7 +192,7 @@ def _newton_step(mesh: Mesh, fu, gv, u, v, cfg: SolveConfig):
             2.0 * w * src_u / den_u, 2.0 * w * src_v / den_v,
             w * src_u - k @ u, w * src_v - k @ v,
         )
-    except NumericsError:   # singular J: no certificate
+    except NumericsError:   # singular or indefinite J: no certificate
         return None
     if not (np.all(d_u >= 0) and np.all(d_v >= 0)):
         return None
@@ -215,7 +222,7 @@ def _iterate(
     fu = lam * f.values
     gv = mu * g.values
     u, v = u0, v0
-    newton = watch_touch and op.tridiagonal
+    newton = watch_touch
     inc_prev = np.inf
     growth_streak = slow_streak = newton_steps = 0
     for it in range(1, cfg.max_iter + 1):
@@ -296,7 +303,7 @@ def minimal_solve(
     TOUCHED_ONE nonexistence verdict; exhausting the budget with a
     still-shrinking increment is INCONCLUSIVE.
 
-    Near the critical curve on radial meshes, certified Newton steps may
+    Near the critical curve, certified Newton steps may
     replace the iterate a Picard step starts from (see the module notes);
     ``newton_steps`` counts them and ``iterations`` still counts loop steps.
 

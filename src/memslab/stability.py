@@ -38,7 +38,7 @@ from scipy.sparse.linalg import splu  # noqa: F401
 
 from .artifacts import write_node_table
 from .exceptions import ConvergenceError, NumericsError, PreconditionError
-from .mesh import Mesh, principal_eigenpair
+from .mesh import Mesh
 from .profiles import CONSTANT, Profile
 from .solver import DELTA_FLOOR, StatePair, check_parameters
 
@@ -51,6 +51,7 @@ _POWER_RTOL = 1e-13        # Perron residual of K(nu), relative to rho
 _POWER_MAX = 5_000         # applications of K per eigen solve
 _SECANT_MAX = 100          # evaluations of rho per eigen solve
 _ROOT_TOL = 1e-13          # root tolerance in nu, relative to 1 + |nu|
+_PSI_GAP = 1e-3            # inverse-iteration shift below mu1, relative to mu1
 
 
 @dataclass(frozen=True)
@@ -137,6 +138,28 @@ def _principal_block_eigen(
     raise ConvergenceError("secant on rho(K(nu)) = 1 did not converge")
 
 
+def _dirichlet_eigenvector(mesh: Mesh) -> tuple[np.ndarray, int]:
+    """The positive Dirichlet eigenvector psi (sup 1) and the solve count.
+
+    Inverse iteration with the shift mu1 (1 - 1e-3), mu1 from
+    ``lowest_eigenvalue``: with the shift that close, the rounding of each
+    solve lands along psi and the iterate settles to a few ulps, where an
+    ``A psi - mu1 psi`` residual test stalls at eps ||A|| on fine meshes.
+    """
+    op = mesh.operator
+    solve = op.shifted_solver(op.lowest_eigenvalue * (1.0 - _PSI_GAP))
+    if solve is None:
+        raise NumericsError("shifted Dirichlet operator not positive definite")
+    x = np.ones(op.size)
+    for it in range(1, _POWER_MAX + 1):
+        y = solve(x)
+        y /= y.max()
+        if np.max(np.abs(y - x)) <= _POWER_RTOL:
+            return y, it
+        x = y
+    raise ConvergenceError("inverse iteration for the Dirichlet eigenvector stalled")
+
+
 def _weakly_coupled_eigen(
     mesh: Mesh, a12: np.ndarray, a21: np.ndarray
 ) -> tuple[float, np.ndarray, np.ndarray, int]:
@@ -150,16 +173,16 @@ def _weakly_coupled_eigen(
     c = sqrt(max a21 / max a12) and k = <psi, (a / max a) psi> / <psi, psi>
     in the quadrature inner product; the residual is of order b.
     """
-    pair = principal_eigenpair(mesh.operator, mesh)
-    psi = pair.vector
+    mu1 = mesh.operator.lowest_eigenvalue
+    psi, iterations = _dirichlet_eigenvector(mesh)
     if not a12.any():   # lam = mu = 0: exactly diag(A, A)
-        return pair.value, psi, psi, pair.iterations
+        return mu1, psi, psi, iterations
     mass = mesh.weights * psi * psi
     root12, root21 = math.sqrt(a12.max()), math.sqrt(a21.max())
     k12 = mass @ (a12 / a12.max()) / mass.sum()
     k21 = mass @ (a21 / a21.max()) / mass.sum()
-    nu = pair.value - root12 * root21 * math.sqrt(k12 * k21)
-    return nu, psi, root21 / root12 * math.sqrt(k21 / k12) * psi, pair.iterations
+    nu = mu1 - root12 * root21 * math.sqrt(k12 * k21)
+    return nu, psi, root21 / root12 * math.sqrt(k21 / k12) * psi, iterations
 
 
 def linearized_eigen(

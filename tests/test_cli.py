@@ -158,6 +158,18 @@ class TestOtherCommands:
         data = json.loads((out / "bounds.json").read_text())
         assert data["mu1"] == pytest.approx(5.783185962946784, rel=1e-6)  # j01^2
 
+    def test_eigen_uncoupled_fine_disk(self, tmp_path):
+        # the Dirichlet power iteration cannot meet its residual contract here
+        fine = {"kind": "radial", "dimension": 2, "radius": 1.0, "nodes": 16384}
+        code, out = run(
+            tmp_path, "eigen",
+            {"domain": fine, "f": ONES, "g": ONES, "lambda": 0.0, "mu": 0.0},
+        )
+        assert code == 0
+        data = json.loads((out / "eigen_summary.json").read_text())
+        mu1 = build_radial(2, 1.0, 16384).operator.lowest_eigenvalue
+        assert data["nu1"] == pytest.approx(mu1, rel=1e-10)
+
     def test_eigen(self, tmp_path):
         code, out = run(
             tmp_path, "eigen",

@@ -234,11 +234,28 @@ class TestCoupledSolve:
         d1, d2 = disk256.operator.solve_coupled(c, c.copy(), r, r.copy())
         np.testing.assert_array_equal(d1, d2)
 
-    def test_rectangle_refused(self, square64):
-        zero = np.zeros(square64.n_nodes)
-        assert not square64.operator.tridiagonal
+    def test_rectangle_matches_sparse_solve(self, rng):
+        mesh = build_rect(2.0, 0.5, 16, 40)
+        op, w = mesh.operator, mesh.weights
+        # a = c / w below mu1 / 2, so rho(K(0)) < 1/4; the indicator of the
+        # left half zeroes a12 on the right half
+        bound = 0.5 * op.lowest_eigenvalue
+        left = np.repeat(np.arange(16) < 8, 40)
+        c12 = w * left * rng.uniform(0.0, bound, op.size)
+        c21 = w * rng.uniform(0.0, bound, op.size)
+        r1, r2 = rng.uniform(-1.0, 1.0, (2, op.size))
+        k = op.symmetric_form
+        jac = sp.bmat([[k, -sp.diags(c12)], [-sp.diags(c21), k]], format="csc")
+        expected = spsolve(jac, np.concatenate([r1, r2]))
+        d = np.concatenate(op.solve_coupled(c12, c21, r1, r2))
+        assert np.max(np.abs(d - expected)) <= 1e-10 * np.max(np.abs(expected))
+
+    def test_rectangle_past_fold_raises(self):
+        # a12 = a21 = 1.2 mu1: rho(K(0)) = 1.44, J is not an M-matrix
+        mesh = build_rect(2.0, 0.5, 16, 40)
+        c = 1.2 * mesh.operator.lowest_eigenvalue * mesh.weights
         with pytest.raises(NumericsError):
-            square64.operator.solve_coupled(zero, zero, zero, zero)
+            mesh.operator.solve_coupled(c, c, mesh.weights, mesh.weights)
 
 
 class TestEigenpair:

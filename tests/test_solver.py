@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import jn_zeros
 
 from memslab import PreconditionError, build_radial, build_rect
@@ -222,13 +224,29 @@ class TestNewtonFinish:
         assert verdicts == {Verdict.CONVERGED, Verdict.NONEXISTENCE_SUSPECTED}
         assert newton_used > 0
 
-    def test_rectangle_stays_picard(self):
+    def test_rectangle_takes_newton(self):
         square = build_rect(1.0, 1.0, 24, 24)
         one = constant_profile(square, 1.0)
         out = minimal_solve(square, one, one, 2.6, 2.6)  # lam* ~ 2.68 here
         assert out.converged
-        assert out.iterations > 50   # a slow tail, where a radial mesh takes Newton
-        assert out.newton_steps == 0
+        assert out.newton_steps > 0
+        assert out.iterations < 60   # pure Picard takes 60 loop steps here
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(t=st.one_of(st.floats(0.5, 0.999), st.floats(1.001, 1.1)))
+    def test_rectangle_verdict_matches_side(self, t):
+        # rectangle Newton steps solve J d = r by CG: on either side of lam*
+        # the verdict is still the side t is on, and every iterate still
+        # increases node-wise with no slack
+        square = build_rect(1.0, 1.0, 32, 32)
+        one = constant_profile(square, 1.0)
+        lam = t * SQUARE_LAM_STAR[32]
+        out = minimal_solve(square, one, one, lam, lam, on_step=monotone_watch(square))
+        if t < 1.0:
+            assert out.converged
+            assert max(residual(square, one, one, lam, lam, out.state)) <= 1e-6 * 2 * lam
+        else:
+            assert out.verdict is Verdict.NONEXISTENCE_SUSPECTED
 
 
 class TestExplicitSupersolutions:

@@ -98,9 +98,12 @@ class TestLinearizedEigen:
         # diag(A, A): the pair is the Dirichlet one, not an arbitrary vector
         # of the two-dimensional eigenspace
         res = linearized_eigen(disk, one, one, 0.0, 0.0, zero_state)
-        assert res.nu1 == mu1
+        assert res.nu1 == disk.operator.lowest_eigenvalue
+        assert res.nu1 == pytest.approx(mu1, rel=1e-10)
+        assert np.array_equal(res.phi1, res.phi2)
+        # the power-iteration vector carries an error of about 1e-9 here
         psi1 = principal_eigenpair(disk.operator, disk).vector
-        assert np.array_equal(res.phi1, psi1) and np.array_equal(res.phi2, psi1)
+        np.testing.assert_allclose(res.phi1, psi1, rtol=0.0, atol=1e-8)
 
     @pytest.mark.parametrize("lam, mu", [
         (1e-15, 1e-15), (1e-30, 0.5), (0.5, 1e-30), (1e-8, 1e-8), (1e-7, 1e-7),

@@ -30,6 +30,7 @@ from memslab.cli import main  # noqa: E402
 DISK = {"kind": "radial", "dimension": 2, "radius": 1.0, "nodes": 64}
 BALL3 = {"kind": "radial", "dimension": 3, "radius": 1.5, "nodes": 48}
 SQUARE = {"kind": "rect", "lx": 1.0, "ly": 1.0, "nx": 16, "ny": 16}
+SQUARE32 = {"kind": "rect", "lx": 1.0, "ly": 1.0, "nx": 32, "ny": 32}
 # unequal sides and node counts: an axis or ordering mistake changes its bytes
 WIDE = {"kind": "rect", "lx": 2.0, "ly": 0.5, "nx": 16, "ny": 40}
 ONES = {"kind": "constant", "value": 1.0}
@@ -53,6 +54,9 @@ RUNS = (
     # near lam*(1) ~ 0.7896: the minimal solve takes certified Newton steps
     ("solve-disk-near-critical", "solve",
      {"domain": DISK, "f": ONES, "g": ONES, "lambda": 0.78, "mu": 0.78}),
+    # 0.999 lam*(1), lam*(1) ~ 2.682186: the coupled CG Newton steps on a rectangle
+    ("solve-square-near-critical", "solve",
+     {"domain": SQUARE32, "f": ONES, "g": ONES, "lambda": 2.6795, "mu": 2.6795}),
     ("eigen-disk", "eigen",
      {"domain": DISK, "f": ONES, "g": ONES, "lambda": 0.4, "mu": 0.6}),
     # uncoupled: the Dirichlet pair (mu1, psi, psi)
