@@ -361,6 +361,11 @@ def main(argv=None) -> int:
                         help="multiply configured node counts by this factor")
     try:
         args = parser.parse_args(argv)
+        if not 0 < args.resolution_scale < math.inf:
+            raise _ConfigProblems([{
+                "field": "--resolution-scale",
+                "message": f"must be finite and positive, got {args.resolution_scale!r}",
+            }])
         try:
             config = json.loads(Path(args.config).read_text())
             if not isinstance(config, dict):

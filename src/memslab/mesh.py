@@ -13,9 +13,11 @@ A Poisson solve is a tridiagonal LDL^T substitution on radial meshes (LAPACK
 diagonalization on rectangles: the operator there is the Kronecker sum of
 two 1-D operators whose eigenvectors are closed-form sine modes, so a solve
 is four dense matrix products with the mode matrices (Lynch, Rice & Thomas,
-Numer. Math. 6, 1964).  The coupled linearized solve of the Newton finish is
-a banded LU on radial meshes and conjugate gradients (Hestenes & Stiefel,
-J. Res. NBS 49, 1952) on fast-diagonalization solves on rectangles.
+Numer. Math. 6, 1964).  Both are ``DirichletLaplacian.shifted_solver``, the
+one place that dispatches on mesh kind.  The coupled linearized solve of the
+Newton finish is conjugate gradients (Hestenes & Stiefel, J. Res. NBS 49,
+1952) on these Poisson solves, on either kind: a median of 5-8 steps per
+coupled solve on radial meshes and about 9 on rectangles.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import LinAlgError, cholesky_banded, eigvalsh_tridiagonal
-from scipy.linalg.lapack import dgbsv, dpttrs
+from scipy.linalg.lapack import dpttrs
 # unused: perfbench/tracer.py LAYERS looks it up, and --trace 1 fails without it
 from scipy.sparse.linalg import splu  # noqa: F401
 
@@ -56,28 +58,26 @@ class DirichletLaplacian:
     and tridiagonal (radial) or 5-point (rectangle).  The action of the
     operator itself is ``A u = (K u) / w``.
 
-    A tridiagonal ``K`` is solved as ``K u = w * rhs`` by LDL^T substitution
-    (``dpttrs``) with factors converted from a banded Cholesky factor,
-    cached on first use and dropped when pickling, so meshes can travel to
-    worker processes.  Otherwise ``modes = (qx, qy, eig)`` must diagonalize
-    ``A`` on an ``nx x ny`` grid: ``A = Qx Lx Qx^T (+) Qy Ly Qy^T`` with
-    orthonormal ``qx``, ``qy`` and ``eig[kx, ky] = Lx[kx] + Ly[ky]``, so
-    ``A^-1 r = Qx ((Qx^T R Qy) / eig) Qy^T`` with ``R`` the right-hand
-    side reshaped to ``(nx, ny)``.  ``shifted_solver`` solves with
-    ``A - nu`` the same way on either kind.  ``solve_coupled`` solves the
-    two-field linearized systems of the minimal-solution iteration: one
-    O(n) banded solve when ``K`` is tridiagonal, conjugate gradients on
-    Poisson solves otherwise.
+    ``shifted_solver`` is the one place that solves with the operator, and
+    ``solve`` is its unshifted solver, cached on first use and dropped when
+    pickling, so meshes can travel to worker processes.  A tridiagonal ``K``
+    is solved as ``K u = w * rhs`` by LDL^T substitution (``dpttrs``) with
+    factors converted from a banded Cholesky factor.  Otherwise
+    ``modes = (qx, qy, eig)`` must diagonalize ``A`` on an ``nx x ny`` grid:
+    ``A = Qx Lx Qx^T (+) Qy Ly Qy^T`` with orthonormal ``qx``, ``qy`` and
+    ``eig[kx, ky] = Lx[kx] + Ly[ky]``, so ``A^-1 r = Qx ((Qx^T R Qy) / eig)
+    Qy^T`` with ``R`` the right-hand side reshaped to ``(nx, ny)``.
+    ``solve_coupled`` solves the two-field linearized systems of the
+    minimal-solution iteration by conjugate gradients on ``solve``, the same
+    way on either kind.
     """
 
     def __init__(self, sym: sp.spmatrix, weights: np.ndarray, modes=None):
         self._sym = sym.tocsr()
         self._weights = weights
-        self._ldl = None          # LDL^T factors (d, e) of K, radial case
         self._modes = modes       # (qx, qy, eig), rectangle case
+        self._solver = None       # shifted_solver(0.0), built on first use
         self._lowest = None       # mu1, computed on first use
-        if modes is not None:
-            self._inv_eig = 1.0 / modes[2]
         self._tridiagonal = self._is_tridiagonal(sym)
         if self._tridiagonal:
             self._diag, self._off = self._sym.diagonal(), self._sym.diagonal(1)
@@ -124,19 +124,11 @@ class DirichletLaplacian:
         u = cholesky_banded(ab, lower=False)
         return u[1] ** 2, u[0, 1:] / u[1, :-1]
 
-    def _modal_solve(self, rhs: np.ndarray, inv_eig: np.ndarray) -> np.ndarray:
-        qx, qy, _ = self._modes
-        r = rhs.reshape(inv_eig.shape)
-        return (qx @ ((qx.T @ r @ qy) * inv_eig) @ qy.T).ravel()
-
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve A u = rhs (equivalently K u = w * rhs)."""
-        if not self._tridiagonal:
-            return self._modal_solve(rhs, self._inv_eig)
-        if self._ldl is None:
-            self._ldl = self._ldl_factors(self._diag)
-        # callers reject non-finite data; dpttrs makes no finiteness scan
-        return dpttrs(*self._ldl, self._weights * rhs, overwrite_b=True)[0]
+        if self._solver is None:
+            self._solver = self.shifted_solver(0.0)
+        return self._solver(rhs)
 
     @property
     def lowest_eigenvalue(self) -> float:
@@ -161,77 +153,49 @@ class DirichletLaplacian:
         positive definite (nu at or above mu1, to rounding).
 
         One factorization per shift: the LDL^T factors of ``K - nu W`` on
-        radial meshes, substituted by ``dpttrs`` as in ``solve``; on
-        rectangles ``1 / (eig - nu)`` replaces the inverse eigenvalues of
-        ``solve``.  Its solves are not Poisson solves and do not go through
-        ``solve``.
+        radial meshes, substituted by ``dpttrs``; on rectangles the inverse
+        eigenvalues ``1 / (eig - nu)`` of the modal solve.  ``solve`` caches
+        the solver at ``nu = 0``; it holds only its arrays, not the operator,
+        so the cache makes no reference cycle.
         """
         if not self._tridiagonal:
-            if not nu < self._modes[2][0, 0]:
+            qx, qy, eig = self._modes
+            if not nu < eig[0, 0]:
                 return None
-            inv_eig = 1.0 / (self._modes[2] - nu)
-            return lambda rhs: self._modal_solve(rhs, inv_eig)
+            inv_eig = 1.0 / (eig - nu)
+
+            def modal(rhs):
+                r = rhs.reshape(inv_eig.shape)
+                return (qx @ ((qx.T @ r @ qy) * inv_eig) @ qy.T).ravel()
+
+            return modal
         try:
             d, e = self._ldl_factors(self._diag - nu * self._weights)
         except LinAlgError:
             return None
-        return lambda rhs: dpttrs(d, e, self._weights * rhs, overwrite_b=True)[0]
+        w = self._weights
+        # callers reject non-finite data; dpttrs makes no finiteness scan
+        return lambda rhs: dpttrs(d, e, w * rhs, overwrite_b=True)[0]
 
     def solve_coupled(
         self, c12: np.ndarray, c21: np.ndarray, r1: np.ndarray, r2: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Solve ``K d1 - c12 d2 = r1``, ``K d2 - c21 d1 = r2``.
+        """Solve ``K d1 - c12 d2 = r1``, ``K d2 - c21 d1 = r2`` by conjugate
+        gradients on Poisson solves.
 
         ``c12`` and ``c21`` are nonnegative node-wise couplings in the
-        weighted form.  With ``c12 == c21`` and ``r1 == r2`` the two returned
-        fields are bit-for-bit equal on either mesh kind.  NumericsError
-        means no solution was certified: a singular banded system, or on
-        rectangles a Jacobian that is not a nonsingular M-matrix
-        (``_coupled_cg``).
-
-        For tridiagonal K the unknowns are ``s = (d1 + d2) / 2`` and
-        ``t = (d1 - d2) / 2``, interleaved as ``(s_i, t_i)``, which gives a
-        bandwidth-2 system with diagonal blocks ``K - p`` and ``K + p``
-        (``p = (c12 + c21) / 2``) and coupling ``+-q``
-        (``q = (c12 - c21) / 2``), solved by ``dgbsv``; with symmetric data
-        the ``t`` rows decouple exactly, so ``t == 0``.
-        """
-        if not self._tridiagonal:
-            return self._coupled_cg(c12, c21, r1, r2)
-        off2 = np.repeat(self._off, 2)
-        p = 0.5 * (c12 + c21)
-        q = 0.5 * (c12 - c21)
-        # LAPACK band storage a[i, j] -> ab[4 + i - j, j]; rows 0-1 hold fill-in
-        ab = np.zeros((7, 2 * self.size))
-        ab[2, 2:] = off2               # s_i <- s_{i+1}, t_i <- t_{i+1}
-        ab[3, 1::2] = q                # s_i <- t_i
-        ab[4, 0::2] = self._diag - p   # s_i <- s_i
-        ab[4, 1::2] = self._diag + p   # t_i <- t_i
-        ab[5, 0::2] = -q               # t_i <- s_i
-        ab[6, :-2] = off2              # s_i <- s_{i-1}, t_i <- t_{i-1}
-        rhs = np.empty(2 * self.size)
-        rhs[0::2] = 0.5 * (r1 + r2)
-        rhs[1::2] = 0.5 * (r1 - r2)
-        *_, st, info = dgbsv(2, 2, ab, rhs, overwrite_ab=True, overwrite_b=True)
-        if info != 0:
-            raise NumericsError(f"coupled linearized system singular (info={info})")
-        s, t = st[0::2], st[1::2]
-        return s + t, s - t
-
-    def _coupled_cg(self, c12, c21, r1, r2) -> tuple[np.ndarray, np.ndarray]:
-        """``solve_coupled`` by conjugate gradients on Poisson solves.
-
-        With ``a = c / w`` and ``S = A^-1`` the system reads
+        weighted form.  With ``a = c / w`` and ``S = A^-1`` the system reads
         ``d1 = g1 + S a12 d2``, ``d2 = g2 + S a21 d1`` with ``g = S (r / w)``.
         In ``z = (sqrt(a21) d1, sqrt(a12) d2)`` it becomes
         ``(I - [[0, G], [G^T, 0]]) z = (sqrt(a21) g1, sqrt(a12) g2)`` with
         ``G = sqrt(a21) S sqrt(a12)``, self-adjoint in the w-product with
         eigenvalues ``1 +- sigma``; ``sigma_max^2`` is the spectral radius of
         ``S a12 S a21``, so the operator is positive definite exactly when the
-        coupled Jacobian is a nonsingular M-matrix.  Curvature <= 0 or a
-        missed tolerance within the budget raises NumericsError.  Each step
-        makes two Poisson solves, with identical data on both halves kept
-        bit-for-bit equal.
+        coupled Jacobian is a nonsingular M-matrix.  NumericsError means no
+        solution was certified: a step of curvature <= 0, or a tolerance
+        missed within the step budget.  Each step makes two Poisson solves;
+        with ``c12 == c21`` and ``r1 == r2`` both halves see identical data,
+        so the two returned fields are bit-for-bit equal.
         """
         w, n = self._weights, self.size
         s12, s21 = np.sqrt(c12 / w), np.sqrt(c21 / w)
@@ -261,7 +225,7 @@ class DirichletLaplacian:
 
     def __getstate__(self):
         state = self.__dict__.copy()
-        state["_ldl"] = None
+        state["_solver"] = None
         return state
 
 

@@ -29,8 +29,8 @@ class Profile:
 
     ``kind`` is one of "constant", "power", "tabulated"; ``param`` carries the
     constant value or the power exponent.  ``scale`` records a normalization
-    factor that was divided out to keep values <= 1 (power profiles on balls
-    of radius > 1).
+    factor that was divided out to keep values <= 1: ``R^alpha`` for power
+    profiles on balls of radius R > 1, else 1.
     """
 
     values: np.ndarray
@@ -43,7 +43,7 @@ class Profile:
         if self.kind == CONSTANT:
             return float(self.param)
         if self.kind == POWER:
-            return 1.0  # (r/R)^alpha peaks at the boundary
+            return 1.0  # bounds r^alpha (R <= 1) and (r/R)^alpha (R > 1)
         return float(self.values.max())
 
     def inf(self) -> float:
@@ -77,10 +77,12 @@ def constant_profile(mesh: Mesh, c: float) -> Profile:
 
 
 def power_profile(mesh: Mesh, alpha: float) -> Profile:
-    """Radial power profile (r/R)^alpha, alpha >= 0.
+    """Radial power profile, alpha >= 0: ``r^alpha`` on balls of radius
+    R <= 1, and ``(r/R)^alpha`` on balls of radius R > 1.
 
-    On balls of radius R > 1 the raw power r^alpha exceeds 1, so the profile
-    is normalized by R^alpha and the factor recorded in ``scale``.
+    Only R > 1 is normalized: there the raw power r^alpha exceeds 1, so it is
+    divided by R^alpha and ``scale = R^alpha`` is recorded.  For R <= 1 the
+    values are the raw power, at most R^alpha <= 1, and ``scale`` is 1.
     """
     if mesh.kind != RADIAL:
         raise ConfigurationError("power profiles require a radial mesh")

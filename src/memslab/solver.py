@@ -43,16 +43,16 @@ is kept only if
 
 A refused step is discarded and ends Newton for that solve.  The iterates
 stay monotone even in floating point: x + d >= x since d >= 0, and
-y = T(x + d) >= T(x) >= x since T is monotone.  On radial meshes the
-coupled system is one banded solve in the unknowns (d_u + d_v) / 2 and
-(d_u - d_v) / 2.  On rectangles it is conjugate gradients on fast
-diagonalization solves: rescaled by the square roots of the couplings, the
-system is self-adjoint with eigenvalues 1 +- sigma, and sigma_max^2 is the
-spectral radius of K(0) in ``stability``, so it is positive definite exactly
-when J is a nonsingular M-matrix.  A CG step of curvature <= 0, or a
-tolerance missed within the step budget, refuses the Newton step like a
-singular J (``DirichletLaplacian.solve_coupled``).  On either kind identical
-data still gives bit-for-bit equal fields.  Convergence needs the same
+y = T(x + d) >= T(x) >= x since T is monotone.  On either mesh kind the
+coupled system is solved by conjugate gradients on Poisson solves
+(``DirichletLaplacian.solve_coupled``): rescaled by the square roots of the
+couplings, the system is self-adjoint with eigenvalues 1 +- sigma, and
+sigma_max^2 is the spectral radius of K(0) in ``stability``, so it is
+positive definite exactly when J is a nonsingular M-matrix.  A CG step of
+curvature <= 0, or a tolerance missed within the step budget, refuses the
+Newton step.  CG works in the w-norm, so the tiny origin weights of a
+high-dimensional ball do not spoil d; identical data still gives
+bit-for-bit equal fields.  Convergence needs the same
 increment and residual contract, and nonexistence verdicts still come only
 from Picard steps (touch or divergence).
 """

@@ -280,6 +280,17 @@ class TestInputErrors:
         assert exc.value.code == 0
         capsys.readouterr()
 
+    @pytest.mark.parametrize("command", ["solve", "check"])
+    @pytest.mark.parametrize("scale", ["nan", "inf", "0", "-1"])
+    def test_bad_resolution_scale_exit_four(self, tmp_path, capsys, command, scale):
+        code, _ = run(tmp_path, command,
+                      {"domain": DISK, "f": ONES, "g": ONES, "lambda": 0.5, "mu": 0.5,
+                       "criteria": ["singular-identity"]},
+                      extra=["--resolution-scale", scale])
+        assert code == 4
+        err = json.loads(capsys.readouterr().err)
+        assert [v["field"] for v in err["violations"]] == ["--resolution-scale"]
+
 
 class TestCheck:
     def test_single_cheap_criterion(self, tmp_path, capsys):

@@ -211,6 +211,14 @@ class TestRadialSolve:
         assert np.all(op.solve(b + delta) >= op.solve(b))
 
 
+COUPLED_MESHES = ["disk256", "rect16x40"]
+
+
+@pytest.fixture(scope="module")
+def rect16x40():
+    return build_rect(2.0, 0.5, 16, 40)
+
+
 class TestCoupledSolve:
     @staticmethod
     def dense(op, c12, c21, r1, r2):
@@ -228,11 +236,32 @@ class TestCoupledSolve:
         np.testing.assert_allclose(d1, e1, rtol=1e-10, atol=1e-12)
         np.testing.assert_allclose(d2, e2, rtol=1e-10, atol=1e-12)
 
-    def test_symmetric_data_bitwise(self, disk256, rng):
-        c = rng.uniform(0.0, 0.01, disk256.n_nodes)
-        r = rng.uniform(0.0, 1.0, disk256.n_nodes)
-        d1, d2 = disk256.operator.solve_coupled(c, c.copy(), r, r.copy())
+    @pytest.mark.parametrize("name", COUPLED_MESHES)
+    def test_symmetric_data_bitwise(self, request, name, rng):
+        mesh = request.getfixturevalue(name)
+        c = rng.uniform(0.0, 0.01, mesh.n_nodes)
+        r = rng.uniform(0.0, 1.0, mesh.n_nodes)
+        d1, d2 = mesh.operator.solve_coupled(c, c.copy(), r, r.copy())
         np.testing.assert_array_equal(d1, d2)
+
+    def test_newton_step_nonnegative_on_ball_n8(self):
+        # K's diagonal spans 1.4e-17 to 5.0e4 (origin weight 3.4e-24); at the
+        # 12th Picard iterate, lam = mu = 4.0 < lam* = 4.444, J is a
+        # nonsingular M-matrix and r >= 0, so d >= 0 node-wise
+        mesh = build_radial(8, 1.0, 512)
+        op, w = mesh.operator, mesh.weights
+        u = np.zeros(mesh.n_nodes)
+        for _ in range(12):
+            u = op.solve(4.0 / (1.0 - u) ** 2)
+        src = 4.0 / (1.0 - u) ** 2
+        c, r = 2.0 * w * src / (1.0 - u), w * src - op.symmetric_form @ u
+        assert np.all(r >= 0)
+        d1, d2 = op.solve_coupled(c, c, r, r)
+        np.testing.assert_array_equal(d1, d2)
+        assert np.all(d1 >= 0)
+        # the weighted residual of A d1 - (c / w) d2 = r / w
+        res = op.apply(d1) - (c / w) * d2 - r / w
+        assert np.max(np.abs(res)) <= 1e-8 * np.max(np.abs(r / w))
 
     def test_rectangle_matches_sparse_solve(self, rng):
         mesh = build_rect(2.0, 0.5, 16, 40)
@@ -250,9 +279,10 @@ class TestCoupledSolve:
         d = np.concatenate(op.solve_coupled(c12, c21, r1, r2))
         assert np.max(np.abs(d - expected)) <= 1e-10 * np.max(np.abs(expected))
 
-    def test_rectangle_past_fold_raises(self):
+    @pytest.mark.parametrize("name", COUPLED_MESHES)
+    def test_past_fold_raises(self, request, name):
         # a12 = a21 = 1.2 mu1: rho(K(0)) = 1.44, J is not an M-matrix
-        mesh = build_rect(2.0, 0.5, 16, 40)
+        mesh = request.getfixturevalue(name)
         c = 1.2 * mesh.operator.lowest_eigenvalue * mesh.weights
         with pytest.raises(NumericsError):
             mesh.operator.solve_coupled(c, c, mesh.weights, mesh.weights)

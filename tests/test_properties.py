@@ -1,5 +1,6 @@
 """Property tests: every float parameter is either accepted or rejected with
-a documented input error, never a numerical failure.
+a documented input error, never a numerical failure; and the minimal
+solution increases with the parameter along a ray.
 
 Hypothesis draws from all floats, NaN and the infinities included, mixed
 with the range where solves converge so that the eigen solve and whole rays
@@ -9,13 +10,15 @@ test.  The mesh is small, the examples few and fixed
 (derandomized), and everything runs in-process.
 """
 
+import functools
 import math
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from memslab import ConfigurationError, PreconditionError, build_radial
+from memslab import ConfigurationError, PreconditionError, build_radial, build_rect
 from memslab.curve import CurveConfig, extremal_on_ray
 from memslab.profiles import constant_profile
 from memslab.solver import (
@@ -98,3 +101,41 @@ def test_ray_accepts_or_rejects(theta):
         assert not 0 < theta < math.inf
         return
     assert 0 < ray.lam_star < math.inf
+
+
+MONOTONE_MESHES = {
+    "disk64": build_radial(2, 1.0, 64),
+    "square16": build_rect(1.0, 1.0, 16, 16),
+}
+_FRACTION_GAP = 1e-4   # far above the solver's truncation error of u
+
+
+@functools.cache
+def _feasible_end(name):
+    """The feasible end of the theta = 1 bracket: a probe converged there."""
+    mesh = MONOTONE_MESHES[name]
+    one = constant_profile(mesh, 1.0)
+    ray = extremal_on_ray(mesh, one, one, 1.0)
+    return ray.lam_star * (1.0 - 0.5 * ray.bracket_width)
+
+
+@st.composite
+def _fraction_pairs(draw):
+    t2 = draw(st.floats(_FRACTION_GAP, 0.999))
+    return draw(st.floats(0.0, t2 - _FRACTION_GAP)), t2
+
+
+@pytest.mark.parametrize("name", MONOTONE_MESHES)
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(pair=_fraction_pairs())
+@example(pair=(0.99, 0.999))
+def test_minimal_solution_increases_with_lambda(name, pair):
+    # t1 < t2 on the ray mu = lam gives u1 <= u2 and v1 <= v2 node-wise, with
+    # no slack; from 0.9 of lam* on, the solve ends in CG Newton steps
+    mesh, lam_star = MONOTONE_MESHES[name], _feasible_end(name)
+    one = constant_profile(mesh, 1.0)
+    low, high = (minimal_solve(mesh, one, one, t * lam_star, t * lam_star) for t in pair)
+    assert low.converged and high.converged
+    assert np.all(high.state.u >= low.state.u)
+    assert np.all(high.state.v >= low.state.v)
+    assert high.newton_steps > 0 or pair[1] < 0.9

@@ -224,6 +224,16 @@ class TestNewtonFinish:
         assert verdicts == {Verdict.CONVERGED, Verdict.NONEXISTENCE_SUSPECTED}
         assert newton_used > 0
 
+    def test_ball_n8_takes_newton(self):
+        # lam* = 4.444 on this ball; its origin weight is 3.4e-24, and the
+        # CG Newton system keeps d >= 0 there, so the finish is not refused
+        ball = build_radial(8, 1.0, 512)
+        one = constant_profile(ball, 1.0)
+        out = minimal_solve(ball, one, one, 4.3, 4.3, on_step=monotone_watch(ball))
+        assert out.converged
+        assert out.newton_steps > 0
+        assert out.iterations < 40   # pure Picard takes 40 loop steps here
+
     def test_rectangle_takes_newton(self):
         square = build_rect(1.0, 1.0, 24, 24)
         one = constant_profile(square, 1.0)
