@@ -56,6 +56,7 @@ class CriterionResult:
 
 
 def _scaled(n: int, scale: float) -> int:
+    """Node count n at resolution ``scale``, at least the mesh minimum 16."""
     return max(16, int(round(n * scale)))
 
 

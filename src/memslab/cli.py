@@ -24,6 +24,7 @@ import sys
 from pathlib import Path
 
 from . import acceptance
+from .acceptance import _scaled
 from .artifacts import fingerprint, write_csv, write_json
 from .curve import (
     CurveConfig,
@@ -58,10 +59,6 @@ class _ConfigProblems(Exception):
     def __init__(self, problems):
         super().__init__("; ".join(p["message"] for p in problems))
         self.problems = problems
-
-
-def _scaled(count: int, scale: float) -> int:
-    return max(16, int(round(count * scale)))
 
 
 def _is_object(spec, field: str, problems: list) -> bool:

@@ -14,10 +14,12 @@ diagonalization on rectangles: the operator there is the Kronecker sum of
 two 1-D operators whose eigenvectors are closed-form sine modes, so a solve
 is four dense matrix products with the mode matrices (Lynch, Rice & Thomas,
 Numer. Math. 6, 1964).  Both are ``DirichletLaplacian.shifted_solver``, the
-one place that dispatches on mesh kind.  The coupled linearized solve of the
-Newton finish is conjugate gradients (Hestenes & Stiefel, J. Res. NBS 49,
-1952) on these Poisson solves, on either kind: a median of 5-8 steps per
-coupled solve on radial meshes and about 9 on rectangles.
+one place that dispatches on mesh kind.  Solves and ``apply`` also take a
+``(2, n)`` stack of two fields, each row bit for bit as a single field.  The
+coupled linearized solve of the Newton finish is conjugate gradients
+(Hestenes & Stiefel, J. Res. NBS 49, 1952) on two-field solves, on either
+kind: a median of 5-8 steps per coupled solve on radial meshes and about 9
+on rectangles.
 """
 
 from __future__ import annotations
@@ -68,8 +70,8 @@ class DirichletLaplacian:
     ``eig[kx, ky] = Lx[kx] + Ly[ky]``, so ``A^-1 r = Qx ((Qx^T R Qy) / eig)
     Qy^T`` with ``R`` the right-hand side reshaped to ``(nx, ny)``.
     ``solve_coupled`` solves the two-field linearized systems of the
-    minimal-solution iteration by conjugate gradients on ``solve``, the same
-    way on either kind.
+    minimal-solution iteration by conjugate gradients on two-field solves,
+    the same way on either kind.
     """
 
     def __init__(self, sym: sp.spmatrix, weights: np.ndarray, modes=None):
@@ -102,7 +104,8 @@ class DirichletLaplacian:
         return sp.diags(1.0 / self._weights) @ self._sym
 
     def apply(self, u: np.ndarray) -> np.ndarray:
-        return (self._sym @ u) / self._weights
+        """A u; u may be a ``(2, n)`` stack."""
+        return (self._sym @ u.T).T / self._weights
 
     def dirichlet_energy(self, phi: np.ndarray) -> float:
         """Discrete integral of |grad phi|^2 via summation by parts."""
@@ -125,7 +128,7 @@ class DirichletLaplacian:
         return u[1] ** 2, u[0, 1:] / u[1, :-1]
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve A u = rhs (equivalently K u = w * rhs)."""
+        """Solve A u = rhs (K u = w * rhs); rhs may be a ``(2, n)`` stack."""
         if self._solver is None:
             self._solver = self.shifted_solver(0.0)
         return self._solver(rhs)
@@ -154,7 +157,9 @@ class DirichletLaplacian:
 
         One factorization per shift: the LDL^T factors of ``K - nu W`` on
         radial meshes, substituted by ``dpttrs``; on rectangles the inverse
-        eigenvalues ``1 / (eig - nu)`` of the modal solve.  ``solve`` caches
+        eigenvalues ``1 / (eig - nu)`` of the modal solve.  A ``(2, n)`` stack
+        is two columns of one ``dpttrs`` call, or a ``(2, nx, ny)`` stack of
+        mode products, each row bit for bit its single solve.  ``solve`` caches
         the solver at ``nu = 0``; it holds only its arrays, not the operator,
         so the cache makes no reference cycle.
         """
@@ -165,8 +170,8 @@ class DirichletLaplacian:
             inv_eig = 1.0 / (eig - nu)
 
             def modal(rhs):
-                r = rhs.reshape(inv_eig.shape)
-                return (qx @ ((qx.T @ r @ qy) * inv_eig) @ qy.T).ravel()
+                r = rhs.reshape(rhs.shape[:-1] + inv_eig.shape)
+                return (qx @ ((qx.T @ r @ qy) * inv_eig) @ qy.T).reshape(rhs.shape)
 
             return modal
         try:
@@ -175,53 +180,50 @@ class DirichletLaplacian:
             return None
         w = self._weights
         # callers reject non-finite data; dpttrs makes no finiteness scan
-        return lambda rhs: dpttrs(d, e, w * rhs, overwrite_b=True)[0]
+        return lambda rhs: dpttrs(d, e, (w * rhs).T, overwrite_b=True)[0].T
 
-    def solve_coupled(
-        self, c12: np.ndarray, c21: np.ndarray, r1: np.ndarray, r2: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Solve ``K d1 - c12 d2 = r1``, ``K d2 - c21 d1 = r2`` by conjugate
-        gradients on Poisson solves.
+    def solve_coupled(self, a: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """Solve ``A d1 - a12 d2 = r1``, ``A d2 - a21 d1 = r2`` by conjugate
+        gradients on two-field solves.
 
-        ``c12`` and ``c21`` are nonnegative node-wise couplings in the
-        weighted form.  With ``a = c / w`` and ``S = A^-1`` the system reads
-        ``d1 = g1 + S a12 d2``, ``d2 = g2 + S a21 d1`` with ``g = S (r / w)``.
-        In ``z = (sqrt(a21) d1, sqrt(a12) d2)`` it becomes
+        ``a = (a12, a21)`` are nonnegative node-wise couplings and
+        ``r = (r1, r2)`` the right-hand sides, both ``(2, n)`` stacks, and so
+        is the returned ``d = (d1, d2)``.  With ``S = A^-1`` the system reads
+        ``d1 = g1 + S a12 d2``, ``d2 = g2 + S a21 d1`` with ``g = S r``.  In
+        ``z = (sqrt(a21) d1, sqrt(a12) d2)`` it becomes
         ``(I - [[0, G], [G^T, 0]]) z = (sqrt(a21) g1, sqrt(a12) g2)`` with
         ``G = sqrt(a21) S sqrt(a12)``, self-adjoint in the w-product with
         eigenvalues ``1 +- sigma``; ``sigma_max^2`` is the spectral radius of
         ``S a12 S a21``, so the operator is positive definite exactly when the
         coupled Jacobian is a nonsingular M-matrix.  NumericsError means no
         solution was certified: a step of curvature <= 0, or a tolerance
-        missed within the step budget.  Each step makes two Poisson solves;
-        with ``c12 == c21`` and ``r1 == r2`` both halves see identical data,
-        so the two returned fields are bit-for-bit equal.
+        missed within the step budget.  Each step makes one two-field solve;
+        with equal rows in ``a`` and in ``r`` both rows see identical data,
+        so ``d1`` and ``d2`` are bit-for-bit equal.
         """
-        w, n = self._weights, self.size
-        s12, s21 = np.sqrt(c12 / w), np.sqrt(c21 / w)
-        g1, g2 = self.solve(r1 / w), self.solve(r2 / w)
-        ww = np.concatenate([w, w])
-        z = np.zeros(2 * n)
-        r = np.concatenate([s21 * g1, s12 * g2])
-        p = r.copy()
-        rr = ww @ (r * r)
+        w = self._weights
+        s = np.sqrt(a)                  # (sqrt a12, sqrt a21)
+        g = self.solve(r)
+        z = np.zeros_like(g)
+        res = s[::-1] * g
+        p = res.copy()
+        rr = ((res * res) @ w).sum()
         target = _CG_RTOL * _CG_RTOL * rr
         steps = 0
         while not rr <= target:
             if steps == _CG_MAX_ITER:
                 raise NumericsError("coupled conjugate gradients missed the tolerance")
             steps += 1
-            q = p - np.concatenate(
-                [s21 * self.solve(s12 * p[n:]), s12 * self.solve(s21 * p[:n])])
-            curvature = ww @ (p * q)
+            q = p - s[::-1] * self.solve(s * p[::-1])
+            curvature = ((p * q) @ w).sum()
             if not curvature > 0:
                 raise NumericsError("coupled linearized system not positive definite")
             alpha = rr / curvature
             z += alpha * p
-            r -= alpha * q
-            rr, rr_old = ww @ (r * r), rr
-            p = r + (rr / rr_old) * p
-        return g1 + self.solve(s12 * z[n:]), g2 + self.solve(s21 * z[:n])
+            res -= alpha * q
+            rr, rr_old = ((res * res) @ w).sum(), rr
+            p = res + (rr / rr_old) * p
+        return g + self.solve(s * z[::-1])
 
     def __getstate__(self):
         state = self.__dict__.copy()

@@ -30,20 +30,22 @@ class Profile:
     ``kind`` is one of "constant", "power", "tabulated"; ``param`` carries the
     constant value or the power exponent.  ``scale`` records a normalization
     factor that was divided out to keep values <= 1: ``R^alpha`` for power
-    profiles on balls of radius R > 1, else 1.
+    profiles on balls of radius R > 1, else 1.  ``supremum`` is the
+    continuum supremum of a power profile, ``min(1, R)^alpha``.
     """
 
     values: np.ndarray
     kind: str
     param: float | None = None
     scale: float = 1.0
+    supremum: float | None = None
 
     def sup(self) -> float:
         """Supremum over the continuum domain (exact for known descriptors)."""
         if self.kind == CONSTANT:
             return float(self.param)
         if self.kind == POWER:
-            return 1.0  # bounds r^alpha (R <= 1) and (r/R)^alpha (R > 1)
+            return self.supremum
         return float(self.values.max())
 
     def inf(self) -> float:
@@ -93,7 +95,8 @@ def power_profile(mesh: Mesh, alpha: float) -> Profile:
     if alpha == 0:
         values = np.ones(mesh.n_nodes)
     values.flags.writeable = False
-    return Profile(values=values, kind=POWER, param=float(alpha), scale=float(scale))
+    return Profile(values=values, kind=POWER, param=float(alpha), scale=float(scale),
+                   supremum=float(min(1.0, mesh.radius) ** alpha))
 
 
 def tabulated_profile(mesh: Mesh, values: np.ndarray) -> Profile:

@@ -10,10 +10,12 @@ a decreasing variant started from a discrete super-solution pair gives an
 upper companion.  Escaping iterates (an iterate entering the touch band
 just below 1) are reported as suspected nonexistence, never as a crash.
 
-Both fields are updated from the previous iterate (Jacobi style), so with
-identical data the two components stay bit-for-bit equal.  On radial meshes
-the update map is order-preserving even in floating point: the right-hand
-sides are monotone node-wise, and the Poisson solve is an LDL^T substitution
+The pair is one ``(2, n)`` stack x = (u, v).  A Picard step updates both
+fields from the previous iterate (Jacobi style) by one two-field solve,
+each row exactly as a single field, so with identical data the two
+components stay bit-for-bit equal.  On radial meshes the update map is
+order-preserving even in floating point: the right-hand sides are monotone
+node-wise, and the Poisson solve is an LDL^T substitution
 (``dpttrs``) with d > 0 and, since the M-matrix has negative off-diagonals,
 subdiagonal e <= 0.  Its forward step b_i - e_{i-1} b_{i-1}, the division by
 d_i and the back step b_i / d_i - e_i x_{i+1} are each nondecreasing in their
@@ -29,10 +31,10 @@ square at 40 fixed draws from [0.5, 0.999] and [1.001, 1.1] of lam*.
 Near the critical curve the Picard contraction factor tends to 1.  The
 minimal solve then tries a certified Newton step: after 5 straight Picard
 steps whose increment ratio exceeds 0.5, it solves ``J d = r`` at the
-current iterate x.  J is the
-coupled linearization, a Z-matrix, and r the weighted residual, which is
->= 0 up to rounding because x = T(previous) with previous <= x.  The step
-is kept only if
+current iterate x.  J is the coupled linearization, a Z-matrix with the
+couplings of ``coupling_weights``, and r the residual, which is >= 0 up to
+rounding because x = T(previous) with previous <= x.  The step is kept
+only if
 
 * d >= 0 node-wise: with r >= 0 this certifies J as a nonsingular M-matrix,
   and for the convex sources monotone Newton then stays below the minimal
@@ -44,17 +46,17 @@ is kept only if
 A refused step is discarded and ends Newton for that solve.  The iterates
 stay monotone even in floating point: x + d >= x since d >= 0, and
 y = T(x + d) >= T(x) >= x since T is monotone.  On either mesh kind the
-coupled system is solved by conjugate gradients on Poisson solves
-(``DirichletLaplacian.solve_coupled``): rescaled by the square roots of the
-couplings, the system is self-adjoint with eigenvalues 1 +- sigma, and
-sigma_max^2 is the spectral radius of K(0) in ``stability``, so it is
-positive definite exactly when J is a nonsingular M-matrix.  A CG step of
-curvature <= 0, or a tolerance missed within the step budget, refuses the
-Newton step.  CG works in the w-norm, so the tiny origin weights of a
-high-dimensional ball do not spoil d; identical data still gives
-bit-for-bit equal fields.  Convergence needs the same
-increment and residual contract, and nonexistence verdicts still come only
-from Picard steps (touch or divergence).
+coupled system is solved in operator form by conjugate gradients on
+two-field Poisson solves (``DirichletLaplacian.solve_coupled``): rescaled
+by the square roots of the couplings, the system is self-adjoint with
+eigenvalues 1 +- sigma, and sigma_max^2 is the spectral radius of K(0) in
+``stability``, so it is positive definite exactly when J is a nonsingular
+M-matrix.  A CG step of curvature <= 0, or a tolerance missed within the
+step budget, refuses the Newton step.  CG works in the w-norm, so the tiny
+origin weights of a high-dimensional ball do not spoil d; identical data
+still gives bit-for-bit equal fields.  Convergence needs the same increment
+and residual contract, and nonexistence verdicts still come only from
+Picard steps (touch or divergence).
 """
 
 from __future__ import annotations
@@ -81,7 +83,11 @@ _SLOW_RATIO = 0.5             # a Picard step is slow if its increment ratio exc
 
 @dataclass(frozen=True)
 class SolveConfig:
-    """Iteration budget and thresholds for the monotone solver."""
+    """Iteration budget and thresholds for the monotone solver.
+
+    ``tol_sup`` bounds the last Picard increment, not the error: without a
+    Newton finish the error near lam* is about ``increment / (1 - q)``, with
+    q -> 1 the contraction factor of the Picard map."""
 
     tol_sup: float = 1e-10
     max_iter: int = 10_000
@@ -152,58 +158,61 @@ def _source(coeff: np.ndarray, other: np.ndarray) -> np.ndarray:
     return coeff / (d * d)
 
 
+def coupling_weights(coeff, x) -> np.ndarray:
+    """Off-diagonal weights ``(a12, a21) = 2 coeff / (1 - (v, u))^3`` of the
+    linearization at ``x = (u, v)``, with ``coeff = (lam f, mu g)``.  Each
+    pair is a ``(2, n)`` stack or a tuple of two fields."""
+    d = _clamped_denominator(np.asarray(x)[::-1])
+    return 2.0 * np.asarray(coeff) / d**3
+
+
+def _coefficients(f: Profile, g: Profile, lam: float, mu: float) -> np.ndarray:
+    return np.stack([lam * f.values, mu * g.values])
+
+
+def _defect(op, coeff: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``A x - (lam f / (1 - v)^2, mu g / (1 - u)^2)`` at ``x = (u, v)``."""
+    return op.apply(x) - _source(coeff, x[::-1])
+
+
 def residual(
     mesh: Mesh, f: Profile, g: Profile, lam: float, mu: float, state: StatePair
 ) -> tuple[float, float]:
     """Sup-norm defects of the two equations at the given state."""
-    op = mesh.operator
-    ru = op.apply(state.u) - _source(lam * f.values, state.v)
-    rv = op.apply(state.v) - _source(mu * g.values, state.u)
-    return float(np.max(np.abs(ru))), float(np.max(np.abs(rv)))
+    x = np.stack([state.u, state.v])
+    defect = _defect(mesh.operator, _coefficients(f, g, lam, mu), x)
+    return tuple(float(m) for m in np.max(np.abs(defect), axis=1))
 
 
-def _picard(op, fu, gv, u, v) -> tuple[np.ndarray, np.ndarray]:
-    """One Jacobi-style Picard step: two Poisson solves with frozen sources.
+def _picard(op, coeff: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """One Jacobi-style Picard step: one two-field solve with frozen sources.
 
     A parameter so large that a solve overflows gives +inf entries, which
     the touch test reads as touching; only NaN signals a failed clamp.
     """
-    u_new = op.solve(_source(fu, v))
-    v_new = op.solve(_source(gv, u))
-    if np.isnan(u_new).any() or np.isnan(v_new).any():
+    y = op.solve(_source(coeff, x[::-1]))
+    if np.isnan(y).any():
         raise NumericsError("NaN iterate; floor clamp failed")
-    return u_new, v_new
+    return y
 
 
-def _sup_gap(a, b, c, d) -> float:
-    return float(max(np.max(np.abs(a - b)), np.max(np.abs(c - d))))
-
-
-def _newton_step(mesh: Mesh, fu, gv, u, v, cfg: SolveConfig):
-    """Certified Newton step from the Picard iterate (u, v); see the module
-    notes.  Returns (z_u, z_v, y_u, y_v) with z = (u, v) + d and y = T(z),
-    or None if one of the checks refuses the step."""
-    op, w = mesh.operator, mesh.weights
-    den_u, den_v = _clamped_denominator(v), _clamped_denominator(u)
-    src_u, src_v = _source(fu, v), _source(gv, u)
-    k = op.symmetric_form
+def _newton_step(op, coeff: np.ndarray, x: np.ndarray, cfg: SolveConfig):
+    """Certified Newton step from the Picard iterate x = (u, v); see the
+    module notes.  Returns (z, y) with z = x + d and y = T(z), or None if
+    one of the checks refuses the step."""
     try:
-        d_u, d_v = op.solve_coupled(
-            2.0 * w * src_u / den_u, 2.0 * w * src_v / den_v,
-            w * src_u - k @ u, w * src_v - k @ v,
-        )
+        d = op.solve_coupled(coupling_weights(coeff, x), -_defect(op, coeff, x))
     except NumericsError:   # singular or indefinite J: no certificate
         return None
-    if not (np.all(d_u >= 0) and np.all(d_v >= 0)):
+    if not np.all(d >= 0):
         return None
-    z_u, z_v = u + d_u, v + d_v
-    if not max(z_u.max(), z_v.max()) < 1.0 - cfg.touch_threshold:
+    z = x + d
+    if not z.max() < 1.0 - cfg.touch_threshold:
         return None
-    y_u, y_v = _picard(op, fu, gv, z_u, z_v)
-    below = np.any(y_u < z_u) or np.any(y_v < z_v)
-    if below and _sup_gap(y_u, z_u, y_v, z_v) > cfg.tol_sup:
+    y = _picard(op, coeff, z)
+    if np.any(y < z) and np.max(np.abs(y - z)) > cfg.tol_sup:
         return None
-    return z_u, z_v, y_u, y_v
+    return z, y
 
 
 def _iterate(
@@ -213,34 +222,30 @@ def _iterate(
     lam: float,
     mu: float,
     cfg: SolveConfig,
-    u0: np.ndarray,
-    v0: np.ndarray,
+    x: np.ndarray,
     watch_touch: bool,
     on_step=None,
 ) -> SolveOutcome:
     op = mesh.operator
-    fu = lam * f.values
-    gv = mu * g.values
-    u, v = u0, v0
+    coeff = _coefficients(f, g, lam, mu)
     newton = watch_touch
     inc_prev = np.inf
     growth_streak = slow_streak = newton_steps = 0
     for it in range(1, cfg.max_iter + 1):
         step = None
         if newton and slow_streak >= _NEWTON_AFTER:
-            step = _newton_step(mesh, fu, gv, u, v, cfg)
+            step = _newton_step(op, coeff, x, cfg)
             newton = step is not None   # one refused step ends Newton here
             slow_streak = 0
         if step is None:
-            u_new, v_new = _picard(op, fu, gv, u, v)
+            y = _picard(op, coeff, x)
         else:
-            u, v, u_new, v_new = step
+            x, y = step
             newton_steps += 1
         if on_step is not None:
-            on_step(it, u_new, v_new)
-        inc = _sup_gap(u_new, u, v_new, v)
-        top = max(u_new.max(), v_new.max())
-        if watch_touch and 1.0 - top < cfg.touch_threshold:
+            on_step(it, y[0], y[1])
+        inc = float(np.max(np.abs(y - x)))
+        if watch_touch and 1.0 - y.max() < cfg.touch_threshold:
             return SolveOutcome(
                 verdict=Verdict.NONEXISTENCE_SUSPECTED,
                 reason=NonexistenceReason.TOUCHED_ONE,
@@ -248,9 +253,9 @@ def _iterate(
                 last_increment=inc if math.isfinite(inc) else None,  # overflowed
                 newton_steps=newton_steps,
             )
-        u, v = u_new, v_new
+        x = y
         if inc <= cfg.tol_sup:
-            state = StatePair(u=u, v=v)
+            state = StatePair(u=x[0], v=x[1])
             res = residual(mesh, f, g, lam, mu, state)
             if max(res) <= max(_RESIDUAL_RTOL * (lam + mu), _RESIDUAL_FLOOR):
                 return SolveOutcome(
@@ -265,7 +270,7 @@ def _iterate(
         if watch_touch:
             growth_streak = growth_streak + 1 if inc > inc_prev else 0
             if growth_streak >= _DIVERGENCE_WINDOW:
-                res = residual(mesh, f, g, lam, mu, StatePair(u=u, v=v))
+                res = residual(mesh, f, g, lam, mu, StatePair(u=x[0], v=x[1]))
                 if max(res) > 1e3 * (1.0 + lam + mu):
                     return SolveOutcome(
                         verdict=Verdict.NONEXISTENCE_SUSPECTED,
@@ -294,9 +299,10 @@ def minimal_solve(
 ) -> SolveOutcome:
     """Minimal solution by the increasing Picard iteration from (0, 0).
 
-    Each step solves two Poisson problems with the sources frozen at the
+    Each step is one two-field Poisson solve with the sources frozen at the
     previous iterate.  Convergence requires the sup-norm increment to fall
-    below ``cfg.tol_sup`` and the equation residuals to meet the contract
+    below ``cfg.tol_sup`` (a bound on the last increment, not on the error:
+    see ``SolveConfig``) and the equation residuals to meet the contract
     ``1e-6 * (lam + mu)``, floored at the smallest normal float so that
     subnormal parameters cannot make it unreachable.  An iterate whose
     maximum enters the band ``[1 - touch_threshold, inf)`` yields a
@@ -313,10 +319,8 @@ def minimal_solve(
     check_parameters(lam, mu)
     if f.values.shape != (mesh.n_nodes,) or g.values.shape != (mesh.n_nodes,):
         raise PreconditionError("profiles must live on the given mesh")
-    zero = np.zeros(mesh.n_nodes)
-    return _iterate(
-        mesh, f, g, lam, mu, cfg, zero, zero, watch_touch=True, on_step=on_step
-    )
+    return _iterate(mesh, f, g, lam, mu, cfg, np.zeros((2, mesh.n_nodes)),
+                    watch_touch=True, on_step=on_step)
 
 
 def supersolution_descend(
@@ -337,25 +341,22 @@ def supersolution_descend(
     one.
     """
     check_parameters(lam, mu)
-    op = mesh.operator
-    for name, arr in (("U", big_u), ("V", big_v)):
+    x = np.stack([big_u, big_v])
+    for name, arr in zip("UV", x):
         bad = np.where((arr < 0) | (arr > 1.0 - DELTA_FLOOR))[0]
         if bad.size:
             raise PreconditionError(
                 f"{name} leaves [0, 1 - 1e-10] first at node {bad[0]}"
             )
-    defect_u = op.apply(big_u) - _source(lam * f.values, big_v)
-    defect_v = op.apply(big_v) - _source(mu * g.values, big_u)
-    for name, defect in (("first", defect_u), ("second", defect_v)):
+    defects = _defect(mesh.operator, _coefficients(f, g, lam, mu), x)
+    for name, defect in zip(("first", "second"), defects):
         bad = np.where(defect < -_SUPERSOLUTION_SLACK)[0]
         if bad.size:
             raise PreconditionError(
                 f"not a super-solution: {name} equation defect "
                 f"{defect[bad[0]]:.3e} at node {bad[0]}"
             )
-    return _iterate(
-        mesh, f, g, lam, mu, cfg, big_u.copy(), big_v.copy(), watch_touch=False
-    )
+    return _iterate(mesh, f, g, lam, mu, cfg, x, watch_touch=False)
 
 
 def explicit_supersolution(

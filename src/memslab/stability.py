@@ -1,7 +1,7 @@
 """Principal eigenvalue of the coupled linearization and stability tests.
 
 Linearizing the system at a state (u, v) couples the two equations through
-the off-diagonal weights
+the off-diagonal weights of ``solver.coupling_weights``
 
     a12 = 2 * lam * f / (1 - v)^3,    a21 = 2 * mu * g / (1 - u)^3,
 
@@ -40,7 +40,7 @@ from .artifacts import write_node_table
 from .exceptions import ConvergenceError, NumericsError, PreconditionError
 from .mesh import Mesh
 from .profiles import CONSTANT, Profile
-from .solver import DELTA_FLOOR, StatePair, check_parameters
+from .solver import StatePair, check_parameters, coupling_weights
 
 _CLASSIFY_EPS = 1e-6
 _EIG_RESIDUAL_RTOL = 1e-7  # block residual target, relative to 1 + |nu1|
@@ -62,15 +62,6 @@ class EigenResult:
     phi1: np.ndarray
     phi2: np.ndarray
     iterations: int
-
-
-def coupling_weights(
-    f: Profile, g: Profile, lam: float, mu: float, state: StatePair
-) -> tuple[np.ndarray, np.ndarray]:
-    """Off-diagonal linearization weights a12, a21 at the given state."""
-    dv = np.maximum(1.0 - state.v, DELTA_FLOOR)
-    du = np.maximum(1.0 - state.u, DELTA_FLOOR)
-    return 2.0 * lam * f.values / dv**3, 2.0 * mu * g.values / du**3
 
 
 def _principal_block_eigen(
@@ -214,7 +205,7 @@ def linearized_eigen(
             "exactly one of lam, mu is zero: the linearization is triangular "
             "and has no positive eigenpair"
         )
-    a12, a21 = coupling_weights(f, g, lam, mu, state)
+    a12, a21 = coupling_weights((lam * f.values, mu * g.values), (state.u, state.v))
     if math.sqrt(a12.max()) * math.sqrt(a21.max()) <= _WEAK_COUPLING:
         nu, phi1, phi2, iters = _weakly_coupled_eigen(mesh, a12, a21)
     else:
@@ -272,15 +263,14 @@ def stability_inequality_gap(
     """Dirichlet energy of phi minus its weighted mass at the state.
 
     For constant profiles the coupled linearization admits the comparison
-    weight ``2 sqrt(lam mu f g) (1-u)^{-3/2} (1-v)^{-3/2}``; at any stable
-    state the returned gap is nonnegative for every boundary-vanishing
-    field, up to 1e-8 * ||phi||^2.
+    weight ``2 sqrt(lam mu f g) (1-u)^{-3/2} (1-v)^{-3/2}``, which is
+    ``sqrt(a12 a21)``; at any stable state the returned gap is nonnegative
+    for every boundary-vanishing field, up to 1e-8 * ||phi||^2.
     """
     if f.kind != CONSTANT or g.kind != CONSTANT:
         raise PreconditionError("the inequality check requires constant profiles")
-    du = np.maximum(1.0 - state.u, DELTA_FLOOR)
-    dv = np.maximum(1.0 - state.v, DELTA_FLOOR)
-    weight = 2.0 * np.sqrt(lam * mu * f.param * g.param) * du**-1.5 * dv**-1.5
+    a12, a21 = coupling_weights((lam * f.values, mu * g.values), (state.u, state.v))
+    weight = np.sqrt(a12 * a21)
     energy = mesh.operator.dirichlet_energy(phi)
     mass = float(np.dot(mesh.weights, weight * phi * phi))
     return energy - mass

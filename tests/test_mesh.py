@@ -219,73 +219,90 @@ def rect16x40():
     return build_rect(2.0, 0.5, 16, 40)
 
 
+@pytest.fixture(scope="module")
+def ball8():
+    return build_radial(8, 1.0, 512)
+
+
+class TestStackedSolve:
+    """A ``(2, n)`` stack is solved and applied row by row, bit for bit."""
+
+    @pytest.mark.parametrize("name", ["disk256", "rect16x40", "ball8"])
+    def test_rows_equal_single_field_calls(self, request, name, rng):
+        op = request.getfixturevalue(name).operator
+        stack = rng.uniform(0.0, 1.0, (2, op.size))
+        shifted = op.shifted_solver(0.5 * op.lowest_eigenvalue)
+        for call in (op.solve, shifted, op.apply):
+            out = call(stack)
+            assert out.shape == stack.shape
+            for row, field in zip(out, stack):
+                np.testing.assert_array_equal(row, call(field))
+
+
 class TestCoupledSolve:
     @staticmethod
-    def dense(op, c12, c21, r1, r2):
-        k = op.symmetric_form.toarray()
-        jac = np.block([[k, -np.diag(c12)], [-np.diag(c21), k]])
-        d = np.linalg.solve(jac, np.concatenate([r1, r2]))
-        return d[: op.size], d[op.size:]
+    def dense(op, a, r):
+        amat = op.matrix.toarray()
+        jac = np.block([[amat, -np.diag(a[0])], [-np.diag(a[1]), amat]])
+        return np.linalg.solve(jac, r.ravel()).reshape(2, op.size)
 
     def test_matches_dense_solve(self, rng):
-        op = build_radial(2, 1.0, 40).operator
-        c12, c21 = rng.uniform(0.0, 0.02, (2, op.size))
-        r1, r2 = rng.uniform(-1.0, 1.0, (2, op.size))
-        d1, d2 = op.solve_coupled(c12, c21, r1, r2)
-        e1, e2 = self.dense(op, c12, c21, r1, r2)
-        np.testing.assert_allclose(d1, e1, rtol=1e-10, atol=1e-12)
-        np.testing.assert_allclose(d2, e2, rtol=1e-10, atol=1e-12)
+        mesh = build_radial(2, 1.0, 40)
+        op, w = mesh.operator, mesh.weights
+        a = rng.uniform(0.0, 0.02, (2, op.size)) / w
+        r = rng.uniform(-1.0, 1.0, (2, op.size)) / w
+        np.testing.assert_allclose(op.solve_coupled(a, r), self.dense(op, a, r),
+                                   rtol=1e-10, atol=1e-12)
 
     @pytest.mark.parametrize("name", COUPLED_MESHES)
     def test_symmetric_data_bitwise(self, request, name, rng):
         mesh = request.getfixturevalue(name)
         c = rng.uniform(0.0, 0.01, mesh.n_nodes)
         r = rng.uniform(0.0, 1.0, mesh.n_nodes)
-        d1, d2 = mesh.operator.solve_coupled(c, c.copy(), r, r.copy())
+        w = mesh.weights
+        d1, d2 = mesh.operator.solve_coupled(np.stack([c, c]) / w, np.stack([r, r]) / w)
         np.testing.assert_array_equal(d1, d2)
 
-    def test_newton_step_nonnegative_on_ball_n8(self):
+    def test_newton_step_nonnegative_on_ball_n8(self, ball8):
         # K's diagonal spans 1.4e-17 to 5.0e4 (origin weight 3.4e-24); at the
         # 12th Picard iterate, lam = mu = 4.0 < lam* = 4.444, J is a
         # nonsingular M-matrix and r >= 0, so d >= 0 node-wise
-        mesh = build_radial(8, 1.0, 512)
-        op, w = mesh.operator, mesh.weights
-        u = np.zeros(mesh.n_nodes)
+        op = ball8.operator
+        u = np.zeros(ball8.n_nodes)
         for _ in range(12):
             u = op.solve(4.0 / (1.0 - u) ** 2)
         src = 4.0 / (1.0 - u) ** 2
-        c, r = 2.0 * w * src / (1.0 - u), w * src - op.symmetric_form @ u
+        a, r = np.stack([2.0 * src / (1.0 - u)] * 2), np.stack([src - op.apply(u)] * 2)
         assert np.all(r >= 0)
-        d1, d2 = op.solve_coupled(c, c, r, r)
+        d1, d2 = op.solve_coupled(a, r)
         np.testing.assert_array_equal(d1, d2)
         assert np.all(d1 >= 0)
-        # the weighted residual of A d1 - (c / w) d2 = r / w
-        res = op.apply(d1) - (c / w) * d2 - r / w
-        assert np.max(np.abs(res)) <= 1e-8 * np.max(np.abs(r / w))
+        res = op.apply(d1) - a[0] * d2 - r[0]
+        assert np.max(np.abs(res)) <= 1e-8 * np.max(np.abs(r[0]))
 
     def test_rectangle_matches_sparse_solve(self, rng):
         mesh = build_rect(2.0, 0.5, 16, 40)
-        op, w = mesh.operator, mesh.weights
-        # a = c / w below mu1 / 2, so rho(K(0)) < 1/4; the indicator of the
-        # left half zeroes a12 on the right half
+        op = mesh.operator
+        # a below mu1 / 2, so rho(K(0)) < 1/4; the indicator of the left half
+        # zeroes a12 on the right half
         bound = 0.5 * op.lowest_eigenvalue
         left = np.repeat(np.arange(16) < 8, 40)
-        c12 = w * left * rng.uniform(0.0, bound, op.size)
-        c21 = w * rng.uniform(0.0, bound, op.size)
-        r1, r2 = rng.uniform(-1.0, 1.0, (2, op.size))
-        k = op.symmetric_form
-        jac = sp.bmat([[k, -sp.diags(c12)], [-sp.diags(c21), k]], format="csc")
-        expected = spsolve(jac, np.concatenate([r1, r2]))
-        d = np.concatenate(op.solve_coupled(c12, c21, r1, r2))
+        a = np.stack([left * rng.uniform(0.0, bound, op.size),
+                      rng.uniform(0.0, bound, op.size)])
+        r = rng.uniform(-1.0, 1.0, (2, op.size)) / mesh.weights
+        amat = op.matrix
+        jac = sp.bmat([[amat, -sp.diags(a[0])], [-sp.diags(a[1]), amat]], format="csc")
+        expected = spsolve(jac, r.ravel())
+        d = op.solve_coupled(a, r).ravel()
         assert np.max(np.abs(d - expected)) <= 1e-10 * np.max(np.abs(expected))
 
     @pytest.mark.parametrize("name", COUPLED_MESHES)
     def test_past_fold_raises(self, request, name):
         # a12 = a21 = 1.2 mu1: rho(K(0)) = 1.44, J is not an M-matrix
         mesh = request.getfixturevalue(name)
-        c = 1.2 * mesh.operator.lowest_eigenvalue * mesh.weights
+        a = np.full((2, mesh.n_nodes), 1.2 * mesh.operator.lowest_eigenvalue)
         with pytest.raises(NumericsError):
-            mesh.operator.solve_coupled(c, c, mesh.weights, mesh.weights)
+            mesh.operator.solve_coupled(a, np.ones((2, mesh.n_nodes)))
 
 
 class TestEigenpair:

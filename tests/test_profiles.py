@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from memslab import ConfigurationError, HypothesisError, build_radial, build_rect, integrate
+from memslab.curve import bound_report, lower_bound, lower_bound_power
 from memslab.profiles import (
     constant_profile,
     load_tabulated,
@@ -59,6 +60,19 @@ class TestPower:
     def test_requires_radial(self, square64):
         with pytest.raises(ConfigurationError):
             power_profile(square64, 1.0)
+
+    def test_small_ball_sup_is_r_to_alpha(self):
+        # on R = 0.5 the profile is the raw r^2, whose supremum is R^2; the
+        # lower box a_f = c_N (omega / |B|)^(2/N) / sup f grows 4x with it and
+        # stays inside the certified power box
+        mesh = build_radial(2, 0.5, 64)
+        p = power_profile(mesh, 2.0)
+        assert p.sup() == 0.25
+        assert p.values.max() <= p.sup()
+        a_f = bound_report(mesh, p, p).a_f
+        a_unit, _ = lower_bound(1.0, 1.0, mesh.volume, 2)   # with sup f = 1
+        assert a_f == pytest.approx(4.0 * a_unit, rel=1e-15)
+        assert a_f < lower_bound_power(2.0, 2.0, 0.5, 2)[0]
 
 
 class TestTabulated:

@@ -1,6 +1,7 @@
 """Property tests: every float parameter is either accepted or rejected with
-a documented input error, never a numerical failure; and the minimal
-solution increases with the parameter along a ray.
+a documented input error, never a numerical failure; the minimal solution
+increases with the parameter along a ray; and the decreasing rearrangement
+of a profile on a rectangle is equimeasurable with it.
 
 Hypothesis draws from all floats, NaN and the infinities included, mixed
 with the range where solves converge so that the eigen solve and whole rays
@@ -15,12 +16,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from memslab import ConfigurationError, PreconditionError, build_radial, build_rect
+from memslab import ConfigurationError, PreconditionError, build_radial, build_rect, integrate
 from memslab.curve import CurveConfig, extremal_on_ray
-from memslab.profiles import constant_profile
+from memslab.profiles import constant_profile, symmetrize, tabulated_profile
 from memslab.solver import (
     SolveConfig,
     explicit_supersolution,
@@ -139,3 +140,47 @@ def test_minimal_solution_increases_with_lambda(name, pair):
     assert np.all(high.state.u >= low.state.u)
     assert np.all(high.state.v >= low.state.v)
     assert high.newton_steps > 0 or pair[1] < 0.9
+
+
+@st.composite
+def _rect_profiles(draw):
+    """A small rectangle and a tabulated profile on it: a few drawn values
+    (so that plateaus of equal values occur) scattered over the cells, or
+    uniform noise below a drawn maximum."""
+    nx, ny = draw(st.integers(16, 20)), draw(st.integers(16, 20))
+    rect = build_rect(draw(st.floats(0.5, 2.0)), draw(st.floats(0.5, 2.0)), nx, ny)
+    palette = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6))
+    assume(max(palette) > 0)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        values = rng.choice(palette, rect.n_nodes)
+        assume(values.any())
+    else:
+        values = rng.uniform(0.0, max(palette), rect.n_nodes)
+    return rect, tabulated_profile(rect, values), palette
+
+
+# margin for the rounding of the shell averages, about eps * integral / w0
+# (under 1e-11 here, w0 the origin shell's measure); a level set at a value
+# the profile takes on a plateau is only defined up to this margin
+ROUNDING = 1e-10
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(case=_rect_profiles(), levels=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
+def test_symmetrize_is_equimeasurable(case, levels):
+    rect, p, palette = case
+    disk = build_radial(2, rect.equal_measure_radius, 64)
+    star = symmetrize(p, rect, disk)
+    two_cells = 2.0 * max(rect.weights.max(), disk.weights.max())
+
+    def measure_above(mesh, values, t):
+        return mesh.weights[values > t].sum()
+
+    for t in levels + palette:
+        m_out = measure_above(disk, star.values, t)
+        assert measure_above(rect, p.values, t + ROUNDING) - two_cells <= m_out
+        assert m_out <= measure_above(rect, p.values, t - ROUNDING) + two_cells
+    assert integrate(disk, star.values) == pytest.approx(
+        integrate(rect, p.values), rel=1e-10)
+    assert np.all(np.diff(star.values) <= ROUNDING)

@@ -8,11 +8,10 @@ from scipy.sparse.linalg import eigsh
 
 from memslab import PreconditionError, build_radial, build_rect, principal_eigenpair
 from memslab.profiles import constant_profile, power_profile, tabulated_profile
-from memslab.solver import StatePair, minimal_solve
+from memslab.solver import StatePair, coupling_weights, minimal_solve
 from memslab.stability import (
     EigenResult,
     classify,
-    coupling_weights,
     eigen_ratio_check,
     linearized_eigen,
     stability_inequality_gap,
@@ -160,7 +159,8 @@ class TestLinearizedEigen:
     def test_block_residual_contract(self, disk, one):
         out = minimal_solve(disk, one, one, 0.5, 0.3)
         res = linearized_eigen(disk, one, one, 0.5, 0.3, out.state)
-        a12, a21 = coupling_weights(one, one, 0.5, 0.3, out.state)
+        a12, a21 = coupling_weights(
+            (0.5 * one.values, 0.3 * one.values), (out.state.u, out.state.v))
         op = disk.operator
         r1 = op.apply(res.phi1) - a12 * res.phi2 - res.nu1 * res.phi1
         r2 = op.apply(res.phi2) - a21 * res.phi1 - res.nu1 * res.phi2
@@ -171,7 +171,8 @@ class TestLinearizedEigen:
         # symmetric data: block eigenvalue equals the scalar linearized one
         out = minimal_solve(disk, one, one, 0.5, 0.5)
         res = linearized_eigen(disk, one, one, 0.5, 0.5, out.state)
-        weight, _ = coupling_weights(one, one, 0.5, 0.5, out.state)
+        weight, _ = coupling_weights(
+            (0.5 * one.values, 0.5 * one.values), (out.state.u, out.state.v))
         nu_scalar = scalar_linearized_eigenvalue(disk, weight)
         assert res.nu1 == pytest.approx(nu_scalar, abs=1e-8)
 
@@ -186,7 +187,8 @@ class TestLinearizedEigen:
         out = minimal_solve(mesh, f, g, lam, mu)
         assert out.converged
         res = linearized_eigen(mesh, f, g, lam, mu, out.state)
-        a12, a21 = coupling_weights(f, g, lam, mu, out.state)
+        a12, a21 = coupling_weights(
+            (lam * f.values, mu * g.values), (out.state.u, out.state.v))
         assert res.nu1 == pytest.approx(
             dense_block_eigenvalue(mesh, a12, a21), rel=1e-10)
         # Collatz-Wielandt: for any positive pair, the node-wise ratios
