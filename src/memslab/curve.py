@@ -13,6 +13,7 @@ so every sample carries its final bracket width and the certificates used.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -24,7 +25,7 @@ from .mesh import Mesh, unit_ball_volume
 # unused: perfbench/tracer.py LAYERS looks it up, and --trace 1 fails without it
 from .mesh import principal_eigenpair  # noqa: F401
 from .profiles import Profile, symmetrize
-from .solver import SolveConfig, Verdict, minimal_solve
+from .solver import NonexistenceReason, SolveConfig, Verdict, minimal_solve
 
 _MAX_DOUBLINGS = 60
 _BUDGET_ESCALATIONS = 2   # retries at 4x, 16x, ... the base budget
@@ -151,6 +152,8 @@ class RaySample:
     iterations_total: int
     unresolved_probes: int = 0
     newton_steps: int = 0
+    unstable_probes: int = 0      # infeasible by the unstable-subsolution certificate
+    touched_probes: int = 0       # infeasible by touching the band below 1
     # no probe showed the infeasible end infeasible: the probe that ended the
     # upward expansion was unresolved, and no bisection probe was infeasible
     upper_unverified: bool = False
@@ -164,11 +167,14 @@ class CurveTrace:
 
 
 class _RayOracle:
-    """Feasibility probe with budget escalation.
+    """Feasibility probe with budget escalation and warm starts.
 
     An inconclusive verdict is retried with a 4x larger budget; a probe
     still unresolved after all escalations reports None so the bisection
-    can stop without mis-shrinking the bracket on that side.
+    can stop without mis-shrinking the bracket on that side.  The oracle
+    keeps the converged state of its largest feasible lam: that state lies
+    below the minimal solution of every larger lam on the ray, so a probe
+    there starts from it (``minimal_solve``'s ``start``).
     """
 
     def __init__(self, mesh, f, g, theta, cfg: CurveConfig):
@@ -176,17 +182,24 @@ class _RayOracle:
         self.iterations = 0
         self.newton_steps = 0
         self.unresolved = 0
+        self.reasons = Counter()
+        self.feasible = (-math.inf, None)   # (largest feasible lam, its state)
 
     def probe(self, lam: float) -> bool | None:
+        best, state = self.feasible
+        start = (state.u, state.v) if state is not None and lam > best else None
         for budget in probe_budgets(self.cfg.solve):
             out = minimal_solve(
-                self.mesh, self.f, self.g, lam, self.theta * lam, budget
+                self.mesh, self.f, self.g, lam, self.theta * lam, budget, start=start
             )
             self.iterations += out.iterations
             self.newton_steps += out.newton_steps
             if out.verdict is Verdict.CONVERGED:
+                if lam > best:
+                    self.feasible = (lam, out.state)
                 return True
             if out.verdict is Verdict.NONEXISTENCE_SUSPECTED:
+                self.reasons[out.reason] += 1
                 return False
         self.unresolved += 1
         return None
@@ -265,6 +278,8 @@ def extremal_on_ray(
         iterations_total=oracle.iterations,
         unresolved_probes=oracle.unresolved,
         newton_steps=oracle.newton_steps,
+        unstable_probes=oracle.reasons[NonexistenceReason.UNSTABLE_SUBSOLUTION],
+        touched_probes=oracle.reasons[NonexistenceReason.TOUCHED_ONE],
         upper_unverified=upper_unverified,
     )
 
@@ -330,17 +345,20 @@ def compare_symmetrized(
 def write_trace_csv(path, trace: CurveTrace, fingerprint: str = "") -> None:
     """Columns: theta, lambda_star, mu_star, bracket_width, lower_cert,
     upper_cert, solver_iters_total, unresolved_probes, newton_steps,
-    upper_unverified.  The last three are integers (the flag as 0 or 1), so
-    every cell but an absent upper_cert parses as a float."""
+    unstable_probes, touched_probes, upper_unverified.  The last five are
+    integers (the flag as 0 or 1), so every cell but an absent upper_cert
+    parses as a float."""
     f_fp, g_fp = trace.profile_fingerprints
     write_csv(
         path,
         ["theta", "lambda_star", "mu_star", "bracket_width",
          "lower_cert", "upper_cert", "solver_iters_total",
-         "unresolved_probes", "newton_steps", "upper_unverified"],
+         "unresolved_probes", "newton_steps", "unstable_probes",
+         "touched_probes", "upper_unverified"],
         ((s.theta, s.lam_star, s.mu_star, s.bracket_width, s.lower_cert,
           s.upper_cert, s.iterations_total, s.unresolved_probes,
-          s.newton_steps, int(s.upper_unverified)) for s in trace.samples),
+          s.newton_steps, s.unstable_probes, s.touched_probes,
+          int(s.upper_unverified)) for s in trace.samples),
         fingerprint,
         comments=[f"mesh: {trace.mesh_fingerprint} profiles: {f_fp},{g_fp}"],
     )

@@ -23,3 +23,8 @@ class UnboundedRayError(RuntimeError):
 
 class NumericsError(RuntimeError):
     """Internal numerical failure (non-finite values, solver breakdown)."""
+
+
+class IndefiniteError(NumericsError):
+    """A linear system that should be positive definite showed a direction
+    of nonpositive curvature."""

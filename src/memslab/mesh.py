@@ -35,7 +35,7 @@ from scipy.linalg.lapack import dpttrs
 from scipy.sparse.linalg import splu  # noqa: F401
 
 from .artifacts import fingerprint
-from .exceptions import ConfigurationError, ConvergenceError, NumericsError
+from .exceptions import ConfigurationError, ConvergenceError, IndefiniteError, NumericsError
 
 RADIAL = "radial"
 RECT = "rect"
@@ -196,10 +196,11 @@ class DirichletLaplacian:
         eigenvalues ``1 +- sigma``; ``sigma_max^2`` is the spectral radius of
         ``S a12 S a21``, so the operator is positive definite exactly when the
         coupled Jacobian is a nonsingular M-matrix.  NumericsError means no
-        solution was certified: a step of curvature <= 0, or a tolerance
-        missed within the step budget.  Each step makes one two-field solve;
-        with equal rows in ``a`` and in ``r`` both rows see identical data,
-        so ``d1`` and ``d2`` are bit-for-bit equal.
+        solution was certified: IndefiniteError for a step of curvature <= 0
+        (``rho(S a12 S a21) >= 1`` up to rounding), NumericsError itself for
+        a tolerance missed within the step budget.  Each step makes one
+        two-field solve; with equal rows in ``a`` and in ``r`` both rows see
+        identical data, so ``d1`` and ``d2`` are bit-for-bit equal.
         """
         w = self._weights
         s = np.sqrt(a)                  # (sqrt a12, sqrt a21)
@@ -217,7 +218,7 @@ class DirichletLaplacian:
             q = p - s[::-1] * self.solve(s * p[::-1])
             curvature = ((p * q) @ w).sum()
             if not curvature > 0:
-                raise NumericsError("coupled linearized system not positive definite")
+                raise IndefiniteError("coupled linearized system not positive definite")
             alpha = rr / curvature
             z += alpha * p
             res -= alpha * q

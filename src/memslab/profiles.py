@@ -133,8 +133,10 @@ def symmetrize(profile: Profile, source: Mesh, target: Mesh) -> Profile:
     Sorts the source quadrature cells by value (descending, ties broken by
     node index), accumulates their measure, and averages the resulting step
     function of measure over the target's radial shells.  The output is
-    exactly non-increasing in radius, preserves the integral to rounding,
-    and is equimeasurable with the input up to cell granularity.
+    exactly non-increasing in radius, takes a value the input holds on a
+    plateau exactly on every shell inside that plateau, preserves the
+    integral to rounding, and is equimeasurable with the input up to cell
+    granularity.
     """
     if target.kind != RADIAL:
         raise ConfigurationError("rearrangement target must be a radial mesh")
@@ -167,8 +169,13 @@ def symmetrize(profile: Profile, source: Mesh, target: Mesh) -> Profile:
     edges[n] = target.radius
     m_edges = np.minimum(ball * edges**target.dimension, cum[-1])
 
-    shell_integral = np.diff(np.interp(m_edges, cum, cum_integral))
-    out = shell_integral / target.weights
-    out = np.clip(out, 0.0, 1.0)
+    out = np.diff(np.interp(m_edges, cum, cum_integral)) / np.diff(m_edges)
+    # each shell average lies between the values of the sorted cells the
+    # shell overlaps; clamping to them undoes the rounding, so a shell
+    # inside a plateau gets the plateau value exactly, and an outer shell
+    # (later cells, smaller values) never exceeds an inner one
+    first = np.minimum(np.searchsorted(cum, m_edges[:-1], side="right"), sv.size) - 1
+    last = np.searchsorted(cum, m_edges[1:], side="left") - 1
+    out = np.clip(out, sv[last], sv[first])
     out.flags.writeable = False
     return Profile(values=out, kind=TABULATED)

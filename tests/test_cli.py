@@ -38,7 +38,7 @@ class TestSolve:
         )
         assert code == 2
         summary = json.loads((out / "solve_summary.json").read_text())
-        assert summary["reason"] == "touched-one"
+        assert summary["reason"] == "unstable-subsolution"
 
     def test_budget_exhaustion_exit_three(self, tmp_path):
         code, _ = run(

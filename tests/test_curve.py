@@ -225,7 +225,8 @@ class TestSerialization:
         header = lines[2].split(",")
         assert header == ["theta", "lambda_star", "mu_star", "bracket_width",
                           "lower_cert", "upper_cert", "solver_iters_total",
-                          "unresolved_probes", "newton_steps", "upper_unverified"]
+                          "unresolved_probes", "newton_steps", "unstable_probes",
+                          "touched_probes", "upper_unverified"]
         assert len(lines) == 3 + 2
 
     def test_trace_csv_without_upper_cert(self, tmp_path):
@@ -235,7 +236,7 @@ class TestSerialization:
         write_trace_csv(path, CurveTrace((ray,), "m", ("f", "g")))
         lines = path.read_text().splitlines()
         assert lines[0] == "# mesh: m profiles: f,g"
-        assert lines[2] == "1.0,1.5,1.5,0.001,0.5,,7,0,0,0"
+        assert lines[2] == "1.0,1.5,1.5,0.001,0.5,,7,0,0,0,0,0"
 
     def test_bounds_json(self, disk, one, tmp_path):
         import json
@@ -250,26 +251,29 @@ class TestSerialization:
 
 class TestBudgetHonesty:
     def test_unresolved_probes_keep_bracket(self):
-        # starve the oracle: unresolved probes must widen, never mis-shrink
+        # starve the oracle: unresolved probes must widen, never mis-shrink.
+        # At theta = 3 a budget of 2 (escalated to 8, 32) resolves the first
+        # five probes; the sixth, mid-bisection, needs more than 32 steps
         mesh = build_radial(2, 1.0, 64)
         one = constant_profile(mesh, 1.0)
         from memslab.solver import SolveConfig
 
-        cfg = CurveConfig(rtol=1e-4, solve=SolveConfig(max_iter=15))
-        s = extremal_on_ray(mesh, one, one, 1.0, cfg)
+        cfg = CurveConfig(rtol=1e-4, solve=SolveConfig(max_iter=2))
+        s = extremal_on_ray(mesh, one, one, 3.0, cfg)
         assert s.unresolved_probes >= 1
         assert s.bracket_width > cfg.rtol
         assert s.lam_star > s.lower_cert * 0.99
 
     def test_unresolved_expansion_marks_upper_unverified(self):
         # at theta = 0.145 lam* lies 0.04% below twice the upper corner, so
-        # the expansion probe there needs 41 steps to touch; a budget of
-        # 2 (escalated to 8, 32) resolves the lower and corner probes only
+        # the expansion probe there needs 27 steps to certify nonexistence; a
+        # budget of 1 (escalated to 4, 16) resolves the lower and corner
+        # probes (10 and 12 steps) only
         mesh = build_radial(2, 1.0, 64)
         one = constant_profile(mesh, 1.0)
         from memslab.solver import SolveConfig
 
-        starved = CurveConfig(rtol=1e-3, solve=SolveConfig(max_iter=2))
+        starved = CurveConfig(rtol=1e-3, solve=SolveConfig(max_iter=1))
         s = extremal_on_ray(mesh, one, one, 0.145, starved)
         assert s.upper_unverified
         assert s.unresolved_probes >= 1

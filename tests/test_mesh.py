@@ -11,7 +11,6 @@ from scipy.special import jn_zeros
 
 from memslab import (
     ConfigurationError,
-    NumericsError,
     build_radial,
     build_rect,
     integrate,
@@ -19,6 +18,7 @@ from memslab import (
     solve_poisson,
     unit_ball_volume,
 )
+from memslab.exceptions import IndefiniteError
 
 
 class TestQuadrature:
@@ -298,10 +298,11 @@ class TestCoupledSolve:
 
     @pytest.mark.parametrize("name", COUPLED_MESHES)
     def test_past_fold_raises(self, request, name):
-        # a12 = a21 = 1.2 mu1: rho(K(0)) = 1.44, J is not an M-matrix
+        # a12 = a21 = 1.2 mu1: rho(K(0)) = 1.44, J is not an M-matrix; the
+        # solver's nonexistence test runs on exactly this error
         mesh = request.getfixturevalue(name)
         a = np.full((2, mesh.n_nodes), 1.2 * mesh.operator.lowest_eigenvalue)
-        with pytest.raises(NumericsError):
+        with pytest.raises(IndefiniteError):
             mesh.operator.solve_coupled(a, np.ones((2, mesh.n_nodes)))
 
 

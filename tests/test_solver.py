@@ -23,6 +23,10 @@ from memslab.solver import (
 GOLDEN_DISK_SUP_U_HALF = 0.1619976976289698
 # lam*(1) of the unit square with f = g = 1 on n x n cells, bisected to 1e-6
 SQUARE_LAM_STAR = {32: 2.682186, 64: 2.684353}
+# lam*(1) of the 1024-node unit disk with f = g = 1, bisected to 1e-10
+DISK1024_LAM_STAR = 0.7892289676346309
+# lam*(0.3) of the 4096-node unit disk with f = g = 1, bisected to 1e-3
+DISK_LAM_STAR_03 = 1.3366087081835367
 
 
 def monotone_watch(mesh):
@@ -56,7 +60,19 @@ class TestMinimalSolve:
         assert 0.9 > 4.0 * float(jn_zeros(0, 1)[0] ** 2) / 27.0
         out = minimal_solve(disk256, ones_disk, ones_disk, 0.9, 0.9)
         assert out.verdict is Verdict.NONEXISTENCE_SUSPECTED
+        assert out.reason is NonexistenceReason.UNSTABLE_SUBSOLUTION
+
+    def test_far_above_critical_touches(self):
+        # 1.28 lam*(0.3) on the 4096-node disk: an iterate enters the touch
+        # band at loop step 5, before the first Newton try, so touch is the
+        # witness
+        disk = build_radial(2, 1.0, 4096)
+        one = constant_profile(disk, 1.0)
+        lam = 1.28 * DISK_LAM_STAR_03
+        out = minimal_solve(disk, one, one, lam, 0.3 * lam)
+        assert out.verdict is Verdict.NONEXISTENCE_SUSPECTED
         assert out.reason is NonexistenceReason.TOUCHED_ONE
+        assert out.iterations == 5 and out.newton_steps == 0
 
     def test_converged_contract(self, disk256, ones_disk):
         lam, mu = 0.55, 0.3
@@ -96,7 +112,7 @@ class TestMinimalSolve:
         out = minimal_solve(square, one, one, lam, lam, on_step=monotone_watch(square))
         assert out.verdict is verdict
         if verdict is Verdict.NONEXISTENCE_SUSPECTED:
-            assert out.reason is NonexistenceReason.TOUCHED_ONE
+            assert out.reason is NonexistenceReason.UNSTABLE_SUBSOLUTION
 
     def test_symmetric_reduction_bitwise(self, disk256, ones_disk):
         seen = []
@@ -257,6 +273,61 @@ class TestNewtonFinish:
             assert max(residual(square, one, one, lam, lam, out.state)) <= 1e-6 * 2 * lam
         else:
             assert out.verdict is Verdict.NONEXISTENCE_SUSPECTED
+
+
+class TestNonexistenceCertificate:
+    def test_fires_long_before_touch(self):
+        # lam*(1 + 1e-6) on the 1024-node disk: the Picard loop alone
+        # crawls through the fold's bottleneck for 1418 loop steps before
+        # it touches; the Collatz-Wielandt test at the refused Newton step
+        # ends the probe at loop step 49
+        mesh = build_radial(2, 1.0, 1024)
+        one = constant_profile(mesh, 1.0)
+        lam = DISK1024_LAM_STAR * (1.0 + 1e-6)
+        out = minimal_solve(mesh, one, one, lam, lam)
+        assert out.verdict is Verdict.NONEXISTENCE_SUSPECTED
+        assert out.reason is NonexistenceReason.UNSTABLE_SUBSOLUTION
+        assert out.iterations <= 0.1 * 1418
+        below = minimal_solve(mesh, one, one, lam / (1.0 + 2e-6), lam / (1.0 + 2e-6))
+        assert below.converged
+
+
+class TestWarmStart:
+    def test_matches_cold_solve(self, disk256, ones_disk):
+        # the converged state at 0.99 lam on the ray lies below the minimal
+        # solution at lam, so the solve from it meets the same contract and
+        # lands on the same state
+        lam, theta = 0.78, 0.8
+        low = minimal_solve(disk256, ones_disk, ones_disk, 0.99 * lam, 0.99 * theta * lam)
+        cold = minimal_solve(disk256, ones_disk, ones_disk, lam, theta * lam)
+        warm = minimal_solve(disk256, ones_disk, ones_disk, lam, theta * lam,
+                             start=(low.state.u, low.state.v))
+        assert cold.converged and warm.converged
+        contract = 1e-6 * (1.0 + theta) * lam
+        assert max(warm.final_residual) <= contract
+        assert np.max(np.abs(warm.state.u - cold.state.u)) <= 1e-9
+        assert np.max(np.abs(warm.state.v - cold.state.v)) <= 1e-9
+
+    @pytest.mark.parametrize("mesh_name", ["disk256", "square64"])
+    def test_non_subsolution_start_falls_back(self, request, mesh_name):
+        # the minimal solution at a larger lam is a strict super-solution at
+        # lam: the first step sees T(start) < start and restarts from (0, 0),
+        # so the solve repeats the cold one bit for bit
+        mesh = request.getfixturevalue(mesh_name)
+        one = constant_profile(mesh, 1.0)
+        lam = 0.4 * mesh.operator.lowest_eigenvalue / 8.0
+        high = minimal_solve(mesh, one, one, 1.5 * lam, 1.5 * lam)
+        cold = minimal_solve(mesh, one, one, lam, lam)
+        warm = minimal_solve(mesh, one, one, lam, lam, start=(high.state.u, high.state.v))
+        assert high.converged and cold.converged and warm.converged
+        assert warm.iterations == cold.iterations
+        np.testing.assert_array_equal(warm.state.u, cold.state.u)
+        np.testing.assert_array_equal(warm.state.v, cold.state.v)
+
+    def test_start_must_live_on_the_mesh(self, disk256, ones_disk):
+        with pytest.raises(PreconditionError):
+            minimal_solve(disk256, ones_disk, ones_disk, 0.5, 0.5,
+                          start=(np.zeros(3), np.zeros(3)))
 
 
 class TestExplicitSupersolutions:

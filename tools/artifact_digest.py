@@ -49,8 +49,12 @@ RUNS = (
      {"domain": SQUARE, "f": ONES, "g": ONES, "lambda": 0.5, "mu": 0.5}),
     ("solve-rect-wide", "solve",
      {"domain": WIDE, "f": ONES, "g": HALF, "lambda": 2.0, "mu": 1.5}),
+    # above lam*(1) ~ 0.7896: the nonexistence certificate ends the solve
     ("solve-disk-touch", "solve",
      {"domain": DISK, "f": ONES, "g": ONES, "lambda": 0.9, "mu": 0.9}),
+    # far above lam*(1): an iterate touches 1 before the first Newton try
+    ("solve-disk-far", "solve",
+     {"domain": DISK, "f": ONES, "g": ONES, "lambda": 1.35, "mu": 1.35}),
     # near lam*(1) ~ 0.7896: the minimal solve takes certified Newton steps
     ("solve-disk-near-critical", "solve",
      {"domain": DISK, "f": ONES, "g": ONES, "lambda": 0.78, "mu": 0.78}),
