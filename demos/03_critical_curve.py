@@ -4,12 +4,19 @@
 Every ray mu = theta * lam crosses the curve once; bisection with the
 monotone solver as feasibility oracle locates the crossing, bracketed by
 the analytic certificates: a dimension-constant lower box and an
-eigenvalue upper bound.  The curve is non-increasing along the grid and
-symmetric under swapping the two components.
+eigenvalue upper bound.  Rays are independent, so the curve is one
+extremal_on_ray call per theta.  The curve is non-increasing along the grid
+and symmetric under swapping the two components.
 """
 
 from memslab import build_radial
-from memslab.curve import CurveConfig, bound_report, trace_curve, write_trace_csv
+from memslab.curve import (
+    CurveConfig,
+    CurveTrace,
+    bound_report,
+    extremal_on_ray,
+    write_trace_csv,
+)
 from memslab.profiles import constant_profile
 
 disk = build_radial(2, 1.0, 512)
@@ -21,7 +28,9 @@ print(f"eigenvalue upper bound:  {report.upper_f:.4f}")
 print()
 
 grid = [0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 4.0]
-trace = trace_curve(disk, one, one, grid, CurveConfig())
+rays = [extremal_on_ray(disk, one, one, theta, CurveConfig()) for theta in grid]
+trace = CurveTrace(tuple(rays), disk.fingerprint(),
+                   (one.fingerprint(), one.fingerprint()))
 
 print(f"{'theta':>6}  {'lam*':>8}  {'mu*':>8}  {'bracket':>9}  {'solves':>7}")
 for s in trace.samples:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -28,7 +27,7 @@ from .profiles import Profile, symmetrize
 from .solver import NonexistenceReason, SolveConfig, Verdict, minimal_solve
 
 _MAX_DOUBLINGS = 60
-_BUDGET_ESCALATIONS = 2   # retries at 4x, 16x, ... the base budget
+_PROBE_BUDGET_FACTOR = 16   # a probe's loop-step budget, in units of max_iter
 
 
 def dimension_constant(dimension: int) -> float:
@@ -135,10 +134,9 @@ class CurveConfig:
             raise ConfigurationError(f"rtol must lie in (0, 1), got {self.rtol!r}")
 
 
-def probe_budgets(solve: SolveConfig) -> list[SolveConfig]:
-    """The budgets a feasibility probe tries in turn: 1x, 4x, 16x the base."""
-    return [replace(solve, max_iter=solve.max_iter * 4**k)
-            for k in range(_BUDGET_ESCALATIONS + 1)]
+def probe_budget(solve: SolveConfig) -> SolveConfig:
+    """The budget of one feasibility probe: 16x the base ``max_iter``."""
+    return replace(solve, max_iter=solve.max_iter * _PROBE_BUDGET_FACTOR)
 
 
 @dataclass(frozen=True)
@@ -167,18 +165,19 @@ class CurveTrace:
 
 
 class _RayOracle:
-    """Feasibility probe with budget escalation and warm starts.
+    """Feasibility probe with warm starts: one ``minimal_solve`` per probe.
 
-    An inconclusive verdict is retried with a 4x larger budget; a probe
-    still unresolved after all escalations reports None so the bisection
-    can stop without mis-shrinking the bracket on that side.  The oracle
-    keeps the converged state of its largest feasible lam: that state lies
-    below the minimal solution of every larger lam on the ray, so a probe
-    there starts from it (``minimal_solve``'s ``start``).
+    Each probe runs once at ``probe_budget``, 16x the configured
+    ``max_iter``; a probe still inconclusive there reports None so the
+    bisection can stop without mis-shrinking the bracket on that side.  The
+    oracle keeps the converged state of its largest feasible lam: that state
+    lies below the minimal solution of every larger lam on the ray, so a
+    probe there starts from it (``minimal_solve``'s ``start``).
     """
 
     def __init__(self, mesh, f, g, theta, cfg: CurveConfig):
-        self.mesh, self.f, self.g, self.theta, self.cfg = mesh, f, g, theta, cfg
+        self.mesh, self.f, self.g, self.theta = mesh, f, g, theta
+        self.budget = probe_budget(cfg.solve)
         self.iterations = 0
         self.newton_steps = 0
         self.unresolved = 0
@@ -188,19 +187,18 @@ class _RayOracle:
     def probe(self, lam: float) -> bool | None:
         best, state = self.feasible
         start = (state.u, state.v) if state is not None and lam > best else None
-        for budget in probe_budgets(self.cfg.solve):
-            out = minimal_solve(
-                self.mesh, self.f, self.g, lam, self.theta * lam, budget, start=start
-            )
-            self.iterations += out.iterations
-            self.newton_steps += out.newton_steps
-            if out.verdict is Verdict.CONVERGED:
-                if lam > best:
-                    self.feasible = (lam, out.state)
-                return True
-            if out.verdict is Verdict.NONEXISTENCE_SUSPECTED:
-                self.reasons[out.reason] += 1
-                return False
+        out = minimal_solve(
+            self.mesh, self.f, self.g, lam, self.theta * lam, self.budget, start=start
+        )
+        self.iterations += out.iterations
+        self.newton_steps += out.newton_steps
+        if out.verdict is Verdict.CONVERGED:
+            if lam > best:
+                self.feasible = (lam, out.state)
+            return True
+        if out.verdict is Verdict.NONEXISTENCE_SUSPECTED:
+            self.reasons[out.reason] += 1
+            return False
         self.unresolved += 1
         return None
 
@@ -281,43 +279,6 @@ def extremal_on_ray(
         unstable_probes=oracle.reasons[NonexistenceReason.UNSTABLE_SUBSOLUTION],
         touched_probes=oracle.reasons[NonexistenceReason.TOUCHED_ONE],
         upper_unverified=upper_unverified,
-    )
-
-
-def _ray_task(args):
-    mesh, f, g, theta, cfg = args
-    return extremal_on_ray(mesh, f, g, theta, cfg)
-
-
-def trace_curve(
-    mesh: Mesh,
-    f: Profile,
-    g: Profile,
-    theta_grid,
-    cfg: CurveConfig = CurveConfig(),
-    workers: int = 1,
-) -> CurveTrace:
-    """Sample the critical curve over a strictly increasing theta grid.
-
-    Rays are independent; with workers > 1 they run in that many worker
-    processes.  Output order follows the grid regardless of scheduling.
-    """
-    thetas = [float(t) for t in theta_grid]
-    if any(not 0 < t < math.inf for t in thetas):
-        raise ConfigurationError("all theta values must be finite and positive")
-    if any(b <= a for a, b in zip(thetas, thetas[1:])):
-        raise ConfigurationError("theta grid must be strictly increasing")
-
-    tasks = [(mesh, f, g, t, cfg) for t in thetas]
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            samples = list(pool.map(_ray_task, tasks))
-    else:
-        samples = [_ray_task(t) for t in tasks]
-    return CurveTrace(
-        samples=tuple(samples),
-        mesh_fingerprint=mesh.fingerprint(),
-        profile_fingerprints=(f.fingerprint(), g.fingerprint()),
     )
 
 

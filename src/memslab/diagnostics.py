@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .artifacts import write_csv
-from .curve import CurveConfig, extremal_on_ray, probe_budgets
+from .curve import CurveConfig, extremal_on_ray, probe_budget
 from .exceptions import ConvergenceError, PreconditionError
 from .mesh import Mesh, build_radial, integrate
 from .profiles import Profile
@@ -93,12 +93,12 @@ def approach_extremal(
     # stay pessimistic: sweep below the certified-feasible end of the bracket
     lam_star = ray.lam_star * (1.0 - 0.5 * ray.bracket_width)
 
-    big_budget = probe_budgets(cfg.solve)[-1]
+    budget = probe_budget(cfg.solve)
     samples = []
     for t in fr:
         lam = t * lam_star
         mu = theta * lam
-        out = minimal_solve(mesh, f, g, lam, mu, big_budget)
+        out = minimal_solve(mesh, f, g, lam, mu, budget)
         if out.verdict is not Verdict.CONVERGED:
             if t < 0.99:
                 raise ConvergenceError(

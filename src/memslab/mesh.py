@@ -61,14 +61,15 @@ class DirichletLaplacian:
     operator itself is ``A u = (K u) / w``.
 
     ``shifted_solver`` is the one place that solves with the operator, and
-    ``solve`` is its unshifted solver, cached on first use and dropped when
-    pickling, so meshes can travel to worker processes.  A tridiagonal ``K``
-    is solved as ``K u = w * rhs`` by LDL^T substitution (``dpttrs``) with
-    factors converted from a banded Cholesky factor.  Otherwise
-    ``modes = (qx, qy, eig)`` must diagonalize ``A`` on an ``nx x ny`` grid:
-    ``A = Qx Lx Qx^T (+) Qy Ly Qy^T`` with orthonormal ``qx``, ``qy`` and
-    ``eig[kx, ky] = Lx[kx] + Ly[ky]``, so ``A^-1 r = Qx ((Qx^T R Qy) / eig)
-    Qy^T`` with ``R`` the right-hand side reshaped to ``(nx, ny)``.
+    ``solve`` is its unshifted solver, cached on first use.  The kind comes
+    from construction: without ``modes`` (radial meshes) ``K`` must be
+    tridiagonal and is solved as ``K u = w * rhs`` by LDL^T substitution
+    (``dpttrs``) with factors converted from a banded Cholesky factor.
+    Otherwise ``modes = (qx, qy, eig)`` must diagonalize ``A`` on an
+    ``nx x ny`` grid: ``A = Qx Lx Qx^T (+) Qy Ly Qy^T`` with orthonormal
+    ``qx``, ``qy`` and ``eig[kx, ky] = Lx[kx] + Ly[ky]``, so
+    ``A^-1 r = Qx ((Qx^T R Qy) / eig) Qy^T`` with ``R`` the right-hand side
+    reshaped to ``(nx, ny)``.
     ``solve_coupled`` solves the two-field linearized systems of the
     minimal-solution iteration by conjugate gradients on two-field solves,
     the same way on either kind.
@@ -80,14 +81,8 @@ class DirichletLaplacian:
         self._modes = modes       # (qx, qy, eig), rectangle case
         self._solver = None       # shifted_solver(0.0), built on first use
         self._lowest = None       # mu1, computed on first use
-        self._tridiagonal = self._is_tridiagonal(sym)
-        if self._tridiagonal:
+        if modes is None:
             self._diag, self._off = self._sym.diagonal(), self._sym.diagonal(1)
-
-    @staticmethod
-    def _is_tridiagonal(m: sp.spmatrix) -> bool:
-        coo = m.tocoo()
-        return bool(np.all(np.abs(coo.row - coo.col) <= 1))
 
     @property
     def size(self) -> int:
@@ -142,7 +137,7 @@ class DirichletLaplacian:
         Neither makes a Poisson solve.
         """
         if self._lowest is None:
-            if self._tridiagonal:
+            if self._modes is None:
                 root = np.sqrt(self._weights)
                 self._lowest = float(eigvalsh_tridiagonal(
                     self._diag / self._weights, self._off / (root[:-1] * root[1:]),
@@ -163,7 +158,7 @@ class DirichletLaplacian:
         the solver at ``nu = 0``; it holds only its arrays, not the operator,
         so the cache makes no reference cycle.
         """
-        if not self._tridiagonal:
+        if self._modes is not None:
             qx, qy, eig = self._modes
             if not nu < eig[0, 0]:
                 return None
@@ -225,11 +220,6 @@ class DirichletLaplacian:
             rr, rr_old = ((res * res) @ w).sum(), rr
             p = res + (rr / rr_old) * p
         return g + self.solve(s * z[::-1])
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state["_solver"] = None
-        return state
 
 
 @dataclass

@@ -10,6 +10,7 @@ output is radially non-increasing and equimeasurable with the input.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,7 +64,7 @@ class Profile:
 
 
 def _validate(values: np.ndarray, weights: np.ndarray) -> None:
-    if np.any(values < 0) or np.any(values > 1):
+    if not np.all((values >= 0) & (values <= 1)):   # NaN fails both tests
         raise HypothesisError("profile values must lie in [0, 1]")
     if float(weights[values > 0].sum()) <= 0:
         raise HypothesisError("profile must be positive on a set of positive measure")
@@ -88,12 +89,13 @@ def power_profile(mesh: Mesh, alpha: float) -> Profile:
     """
     if mesh.kind != RADIAL:
         raise ConfigurationError("power profiles require a radial mesh")
-    if alpha < 0:
-        raise HypothesisError(f"power exponent must be >= 0, got {alpha!r}")
+    if not 0 <= alpha < math.inf:
+        raise HypothesisError(f"power exponent must be finite and >= 0, got {alpha!r}")
     scale = mesh.radius**alpha if mesh.radius > 1 else 1.0
     values = (mesh.radii / (mesh.radius if mesh.radius > 1 else 1.0)) ** alpha
     if alpha == 0:
         values = np.ones(mesh.n_nodes)
+    _validate(values, mesh.weights)
     values.flags.writeable = False
     return Profile(values=values, kind=POWER, param=float(alpha), scale=float(scale),
                    supremum=float(min(1.0, mesh.radius) ** alpha))

@@ -9,6 +9,8 @@ from memslab.profiles import power_profile, symmetrize
 
 DISK = {"kind": "radial", "dimension": 2, "radius": 1.0, "nodes": 64}
 ONES = {"kind": "constant", "value": 1.0}
+# a tabulated profile on DISK with one NaN cell, written by the test using it
+NAN_CELL = {"kind": "tabulated", "path": "nan_cell.csv"}
 
 
 def run(tmp_path, command, config, extra=()):
@@ -125,12 +127,15 @@ class TestCurve:
         assert float(record["lower_cert"]) <= float(record["lambda_star"])
 
     def test_bad_grid_exit_four(self, tmp_path, capsys):
-        code, _ = run(
-            tmp_path, "curve",
-            {"domain": DISK, "f": ONES, "g": ONES, "theta_grid": [-1.0, 1.0]},
-        )
-        assert code == 4
-        capsys.readouterr()
+        # negative, decreasing and infinite entries: one violation each
+        for grid in ([-1.0, 1.0], [1.0, 0.5], [1.0, math.inf]):
+            code, _ = run(
+                tmp_path, "curve",
+                {"domain": DISK, "f": ONES, "g": ONES, "theta_grid": grid},
+            )
+            assert code == 4
+            err = json.loads(capsys.readouterr().err)
+            assert [v["field"] for v in err["violations"]] == ["theta_grid"]
 
     def test_nan_grid_exit_four(self, tmp_path, capsys):
         code, out = run(
@@ -257,9 +262,21 @@ class TestInputErrors:
         ("curve", {"theta_grid": [0.5, 10**400]}, "theta_grid"),
         # approach_extremal checks fractions; the message names the field
         ("extremal", {"theta": 1.0, "fractions": [0.5, 10**400]}, "config"),
+        # non-finite profile data: one NaN cell, a NaN or infinite exponent
+        *((command, {**params, "f": f}, "f")
+          for f in (NAN_CELL, {"kind": "power", "alpha": math.nan},
+                    {"kind": "power", "alpha": math.inf})
+          for command, params in (("solve", {"lambda": 0.5, "mu": 0.5}),
+                                  ("curve", {"theta_grid": [1.0]}),
+                                  ("bounds", {}))),
     ])
-    def test_exit_four_with_one_violation(self, tmp_path, capsys, command, config,
-                                          field):
+    def test_exit_four_with_one_violation(self, tmp_path, capsys, monkeypatch,
+                                          command, config, field):
+        monkeypatch.chdir(tmp_path)   # NAN_CELL is a path relative to the run
+        values = ["0.5"] * DISK["nodes"]
+        values[7] = "nan"
+        (tmp_path / NAN_CELL["path"]).write_text(
+            "".join(f"{i},{v}\n" for i, v in enumerate(values)))
         code, _ = run(tmp_path, command, {"domain": DISK, "f": ONES, "g": ONES,
                                           **config})
         assert code == 4

@@ -16,12 +16,12 @@ from memslab.curve import (
     extremal_on_ray,
     lower_bound,
     lower_bound_power,
-    trace_curve,
     upper_bound,
     write_bounds_json,
     write_trace_csv,
 )
 from memslab.profiles import constant_profile, power_profile, tabulated_profile
+from memslab.solver import SolveConfig
 
 # frozen from a 4096-node radial run (tools/make_goldens.py)
 GOLDEN_DISK_LAM_STAR = 0.7892086977942018
@@ -142,44 +142,19 @@ class TestExtremalOnRay:
 
 
 class TestTraceCurve:
-    def test_single_ray_matches(self, disk, one):
-        trace = trace_curve(disk, one, one, [1.0], FAST)
-        direct = extremal_on_ray(disk, one, one, 1.0, FAST)
-        assert trace.samples[0].lam_star == direct.lam_star
-
     def test_monotone_and_symmetric(self, disk, one):
         grid = [0.25, 0.5, 1.0, 2.0, 4.0]
-        trace = trace_curve(disk, one, one, grid, FAST)
-        lams = [s.lam_star for s in trace.samples]
-        slack = 2.0 * max(s.bracket_width for s in trace.samples)
+        rays = [extremal_on_ray(disk, one, one, theta, FAST) for theta in grid]
+        lams = [s.lam_star for s in rays]
+        slack = 2.0 * max(s.bracket_width for s in rays)
         assert all(b <= a * (1.0 + slack) for a, b in zip(lams, lams[1:]))
         # swap symmetry of the two components: mu*(theta) = lam*(1/theta)
-        assert trace.samples[-1].mu_star == pytest.approx(
-            trace.samples[0].lam_star, rel=slack
-        )
-
-    def test_grid_validation(self, disk, one):
-        with pytest.raises(ConfigurationError):
-            trace_curve(disk, one, one, [1.0, 0.5], FAST)
-        with pytest.raises(ConfigurationError):
-            trace_curve(disk, one, one, [-1.0, 0.5], FAST)
-        for grid in ([math.nan], [1.0, math.inf]):
-            with pytest.raises(ConfigurationError):
-                trace_curve(disk, one, one, grid, FAST)
+        assert rays[-1].mu_star == pytest.approx(rays[0].lam_star, rel=slack)
 
     @pytest.mark.parametrize("rtol", [0.0, -1e-3, 1.0, math.nan])
     def test_config_rejects_bad_rtol(self, rtol):
         with pytest.raises(ConfigurationError):
             CurveConfig(rtol=rtol)
-
-    def test_parallel_matches_serial(self, one):
-        mesh = build_radial(2, 1.0, 64)
-        p = constant_profile(mesh, 1.0)
-        grid = [0.5, 1.0, 2.0]
-        serial = trace_curve(mesh, p, p, grid, CurveConfig(rtol=2e-3))
-        parallel = trace_curve(mesh, p, p, grid, CurveConfig(rtol=2e-3), workers=3)
-        for a, b in zip(serial.samples, parallel.samples):
-            assert a.lam_star == b.lam_star
 
 
 class TestCompareSymmetrized:
@@ -217,7 +192,9 @@ class TestCompareSymmetrized:
 
 class TestSerialization:
     def test_trace_csv(self, disk, one, tmp_path):
-        trace = trace_curve(disk, one, one, [0.5, 1.0], FAST)
+        rays = [extremal_on_ray(disk, one, one, theta, FAST) for theta in (0.5, 1.0)]
+        trace = CurveTrace(tuple(rays), disk.fingerprint(),
+                           (one.fingerprint(), one.fingerprint()))
         path = tmp_path / "curve.csv"
         write_trace_csv(path, trace, fingerprint="f00d")
         lines = path.read_text().splitlines()
@@ -252,27 +229,42 @@ class TestSerialization:
 class TestBudgetHonesty:
     def test_unresolved_probes_keep_bracket(self):
         # starve the oracle: unresolved probes must widen, never mis-shrink.
-        # At theta = 3 a budget of 2 (escalated to 8, 32) resolves the first
-        # five probes; the sixth, mid-bisection, needs more than 32 steps
+        # At theta = 3 a budget of 2 (a probe gets 32 steps) resolves the
+        # first five probes; the sixth, mid-bisection, needs more than 32
         mesh = build_radial(2, 1.0, 64)
         one = constant_profile(mesh, 1.0)
-        from memslab.solver import SolveConfig
-
         cfg = CurveConfig(rtol=1e-4, solve=SolveConfig(max_iter=2))
         s = extremal_on_ray(mesh, one, one, 3.0, cfg)
         assert s.unresolved_probes >= 1
         assert s.bracket_width > cfg.rtol
         assert s.lam_star > s.lower_cert * 0.99
 
+    def test_one_solve_per_probe(self, monkeypatch):
+        # the starved ray above has an unresolved probe: it is not retried
+        import memslab.curve as curve_mod
+
+        mesh = build_radial(2, 1.0, 64)
+        one = constant_profile(mesh, 1.0)
+        lams = []
+        real = curve_mod.minimal_solve
+
+        def recording(mesh, f, g, lam, *args, **kwargs):
+            lams.append(lam)
+            return real(mesh, f, g, lam, *args, **kwargs)
+
+        monkeypatch.setattr(curve_mod, "minimal_solve", recording)
+        cfg = CurveConfig(rtol=1e-4, solve=SolveConfig(max_iter=2))
+        s = extremal_on_ray(mesh, one, one, 3.0, cfg)
+        assert s.unresolved_probes >= 1
+        assert all(a != b for a, b in zip(lams, lams[1:]))
+
     def test_unresolved_expansion_marks_upper_unverified(self):
         # at theta = 0.145 lam* lies 0.04% below twice the upper corner, so
         # the expansion probe there needs 27 steps to certify nonexistence; a
-        # budget of 1 (escalated to 4, 16) resolves the lower and corner
+        # budget of 1 (a probe gets 16 steps) resolves the lower and corner
         # probes (10 and 12 steps) only
         mesh = build_radial(2, 1.0, 64)
         one = constant_profile(mesh, 1.0)
-        from memslab.solver import SolveConfig
-
         starved = CurveConfig(rtol=1e-3, solve=SolveConfig(max_iter=1))
         s = extremal_on_ray(mesh, one, one, 0.145, starved)
         assert s.upper_unverified

@@ -1,5 +1,4 @@
 import math
-import pickle
 
 import numpy as np
 import pytest
@@ -158,8 +157,6 @@ class TestPoisson:
         direct = spsolve(op.matrix.tocsc(), rhs)
         assert np.max(np.abs(u - direct)) <= 1e-12 * np.max(np.abs(direct))
         np.testing.assert_array_equal(solve_poisson(op, rhs), u)
-        # worker processes get the operator by pickle
-        np.testing.assert_array_equal(pickle.loads(pickle.dumps(op)).solve(rhs), u)
 
     def test_rect_manufactured_solution(self, square64):
         gx, gy = np.meshgrid(square64.xs, square64.ys, indexing="ij")
@@ -190,12 +187,6 @@ class TestRadialSolve:
         u = op.shifted_solver(nu)(rhs)
         assert np.max(np.abs(u - direct)) <= 1e-10 * np.max(np.abs(direct))
         assert op.shifted_solver(op.lowest_eigenvalue * (1.0 + 1e-9)) is None
-
-    def test_pickled_operator_solves_bitwise(self, disk256, rng):
-        op = disk256.operator
-        rhs = rng.uniform(-1.0, 1.0, op.size)
-        u = op.solve(rhs)   # caches the factors, which pickling drops
-        np.testing.assert_array_equal(pickle.loads(pickle.dumps(op)).solve(rhs), u)
 
     # increments near rounding, as between late Picard iterates: a solver
     # whose rounding has no fixed sign (a dense modal solve, say) fails here

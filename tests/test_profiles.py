@@ -51,6 +51,12 @@ class TestPower:
         with pytest.raises(HypothesisError):
             power_profile(disk256, -1.0)
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, 1e6])
+    def test_non_finite_or_vanishing_rejected(self, disk256, alpha):
+        # 1e6 is finite, but r^alpha underflows to 0 at every node
+        with pytest.raises(HypothesisError):
+            power_profile(disk256, alpha)
+
     def test_large_ball_rescaled(self):
         mesh = build_radial(2, 2.0, 64)
         p = power_profile(mesh, 2.0)
@@ -81,6 +87,10 @@ class TestTabulated:
             tabulated_profile(disk256, np.full(disk256.n_nodes, 1.5))
         with pytest.raises(HypothesisError):
             tabulated_profile(disk256, np.zeros(disk256.n_nodes))
+        one_nan = np.full(disk256.n_nodes, 0.5)
+        one_nan[7] = math.nan
+        with pytest.raises(HypothesisError, match="lie in"):
+            tabulated_profile(disk256, one_nan)
 
     def test_csv_roundtrip(self, disk256, tmp_path):
         values = 0.5 + 0.25 * np.cos(disk256.radii)

@@ -77,6 +77,10 @@ RUNS = (
       "curve": CURVE}),
     ("curve-disk-power", "curve",
      {"domain": DISK, "f": ONES, "g": POWER, "theta_grid": [1.0], "curve": CURVE}),
+    # a starved budget (32 loop steps a probe): unresolved probes end rays
+    ("curve-disk-starved", "curve",
+     {"domain": DISK, "f": ONES, "g": ONES, "theta_grid": [0.145, 1.0, 3.0],
+      "solver": {"max_iter": 2}, "curve": {"rtol": 1e-4}}),
     ("bounds-disk", "bounds", {"domain": DISK, "f": ONES, "g": HALF}),
     ("bounds-square", "bounds", {"domain": SQUARE, "f": INDICATOR, "g": HALF}),
     ("symmetrize-square", "symmetrize",
