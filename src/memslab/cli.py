@@ -30,6 +30,7 @@ from .curve import (
     CurveConfig,
     CurveTrace,
     bound_report,
+    check_theta_grid,
     extremal_on_ray,
     write_bounds_json,
     write_trace_csv,
@@ -220,15 +221,10 @@ def cmd_curve(config: dict, args, out: Path, fp: str) -> int:
     problems = []
     cfg = _curve_config(config, problems)
     grid = config["theta_grid"]
-    if not isinstance(grid, list) or not grid:
-        problems.append({"field": "theta_grid", "message": "must be a non-empty list"})
-    # an int beyond float range fails the comparison instead of raising
-    elif any(not isinstance(t, (int, float)) or not 0 < t <= sys.float_info.max
-             for t in grid):
-        problems.append({"field": "theta_grid",
-                         "message": "entries must be finite and positive"})
-    elif any(b <= a for a, b in zip(grid, grid[1:])):
-        problems.append({"field": "theta_grid", "message": "must be strictly increasing"})
+    try:
+        check_theta_grid(grid)
+    except ConfigurationError as exc:
+        problems.append({"field": "theta_grid", "message": str(exc)})
     if problems:
         raise _ConfigProblems(problems)
 

@@ -13,6 +13,7 @@ so every sample carries its final bracket width and the certificates used.
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass, replace
 
@@ -201,6 +202,19 @@ class _RayOracle:
             return False
         self.unresolved += 1
         return None
+
+
+def check_theta_grid(grid) -> None:
+    """Reject a ray grid that is empty, has an entry that is not a finite
+    positive number, or is not strictly increasing."""
+    if not isinstance(grid, list) or not grid:
+        raise ConfigurationError("must be a non-empty list")
+    # an int beyond float range fails the comparison instead of raising
+    if any(not isinstance(t, (int, float)) or not 0 < t <= sys.float_info.max
+           for t in grid):
+        raise ConfigurationError("entries must be finite and positive")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ConfigurationError("must be strictly increasing")
 
 
 def extremal_on_ray(

@@ -11,6 +11,7 @@ from memslab.curve import (
     CurveTrace,
     RaySample,
     bound_report,
+    check_theta_grid,
     compare_symmetrized,
     dimension_constant,
     extremal_on_ray,
@@ -150,6 +151,16 @@ class TestTraceCurve:
         assert all(b <= a * (1.0 + slack) for a, b in zip(lams, lams[1:]))
         # swap symmetry of the two components: mu*(theta) = lam*(1/theta)
         assert rays[-1].mu_star == pytest.approx(rays[0].lam_star, rel=slack)
+
+    def test_grid_validation(self):
+        check_theta_grid([0.5, 1, 2.0])
+        with pytest.raises(ConfigurationError):
+            check_theta_grid([1.0, 0.5])
+        with pytest.raises(ConfigurationError):
+            check_theta_grid([-1.0, 0.5])
+        for grid in ([math.nan], [1.0, math.inf], [], [1.0, "2"], [10**400]):
+            with pytest.raises(ConfigurationError):
+                check_theta_grid(grid)
 
     @pytest.mark.parametrize("rtol", [0.0, -1e-3, 1.0, math.nan])
     def test_config_rejects_bad_rtol(self, rtol):
