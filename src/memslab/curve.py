@@ -151,6 +151,7 @@ class RaySample:
     iterations_total: int
     unresolved_probes: int = 0
     newton_steps: int = 0
+    supersolution_probes: int = 0  # feasible by the super-solution certificate
     unstable_probes: int = 0      # infeasible by the unstable-subsolution certificate
     touched_probes: int = 0       # infeasible by touching the band below 1
     # no probe showed the infeasible end infeasible: the probe that ended the
@@ -170,10 +171,14 @@ class _RayOracle:
 
     Each probe runs once at ``probe_budget``, 16x the configured
     ``max_iter``; a probe still inconclusive there reports None so the
-    bisection can stop without mis-shrinking the bracket on that side.  The
-    oracle keeps the converged state of its largest feasible lam: that state
-    lies below the minimal solution of every larger lam on the ray, so a
-    probe there starts from it (``minimal_solve``'s ``start``).
+    bisection can stop without mis-shrinking the bracket on that side.  A
+    probe asks for the super-solution certificate (``certify_feasible``), so
+    it is feasible as soon as the Picard loop exhibits a discrete
+    super-solution below the touch band (Verdict.FEASIBLE), or when it
+    converges.  Either way the state returned is a Picard iterate, a
+    sub-solution lying below the minimal solution of every larger lam on the
+    ray; the oracle keeps the one of its largest feasible lam, and a probe
+    there starts from it (``minimal_solve``'s ``start``).
     """
 
     def __init__(self, mesh, f, g, theta, cfg: CurveConfig):
@@ -182,6 +187,7 @@ class _RayOracle:
         self.iterations = 0
         self.newton_steps = 0
         self.unresolved = 0
+        self.certified = 0      # feasible by the super-solution certificate
         self.reasons = Counter()
         self.feasible = (-math.inf, None)   # (largest feasible lam, its state)
 
@@ -189,11 +195,13 @@ class _RayOracle:
         best, state = self.feasible
         start = (state.u, state.v) if state is not None and lam > best else None
         out = minimal_solve(
-            self.mesh, self.f, self.g, lam, self.theta * lam, self.budget, start=start
+            self.mesh, self.f, self.g, lam, self.theta * lam, self.budget, start=start,
+            certify_feasible=True,
         )
         self.iterations += out.iterations
         self.newton_steps += out.newton_steps
-        if out.verdict is Verdict.CONVERGED:
+        if out.verdict in (Verdict.CONVERGED, Verdict.FEASIBLE):
+            self.certified += out.verdict is Verdict.FEASIBLE
             if lam > best:
                 self.feasible = (lam, out.state)
             return True
@@ -290,6 +298,7 @@ def extremal_on_ray(
         iterations_total=oracle.iterations,
         unresolved_probes=oracle.unresolved,
         newton_steps=oracle.newton_steps,
+        supersolution_probes=oracle.certified,
         unstable_probes=oracle.reasons[NonexistenceReason.UNSTABLE_SUBSOLUTION],
         touched_probes=oracle.reasons[NonexistenceReason.TOUCHED_ONE],
         upper_unverified=upper_unverified,
@@ -320,20 +329,20 @@ def compare_symmetrized(
 def write_trace_csv(path, trace: CurveTrace, fingerprint: str = "") -> None:
     """Columns: theta, lambda_star, mu_star, bracket_width, lower_cert,
     upper_cert, solver_iters_total, unresolved_probes, newton_steps,
-    unstable_probes, touched_probes, upper_unverified.  The last five are
-    integers (the flag as 0 or 1), so every cell but an absent upper_cert
-    parses as a float."""
+    supersolution_probes, unstable_probes, touched_probes, upper_unverified.
+    The last seven are integers (the flag as 0 or 1), so every cell but an
+    absent upper_cert parses as a float."""
     f_fp, g_fp = trace.profile_fingerprints
     write_csv(
         path,
         ["theta", "lambda_star", "mu_star", "bracket_width",
          "lower_cert", "upper_cert", "solver_iters_total",
-         "unresolved_probes", "newton_steps", "unstable_probes",
-         "touched_probes", "upper_unverified"],
+         "unresolved_probes", "newton_steps", "supersolution_probes",
+         "unstable_probes", "touched_probes", "upper_unverified"],
         ((s.theta, s.lam_star, s.mu_star, s.bracket_width, s.lower_cert,
           s.upper_cert, s.iterations_total, s.unresolved_probes,
-          s.newton_steps, s.unstable_probes, s.touched_probes,
-          int(s.upper_unverified)) for s in trace.samples),
+          s.newton_steps, s.supersolution_probes, s.unstable_probes,
+          s.touched_probes, int(s.upper_unverified)) for s in trace.samples),
         fingerprint,
         comments=[f"mesh: {trace.mesh_fingerprint} profiles: {f_fp},{g_fp}"],
     )

@@ -91,7 +91,12 @@ def power_profile(mesh: Mesh, alpha: float) -> Profile:
         raise ConfigurationError("power profiles require a radial mesh")
     if not 0 <= alpha < math.inf:
         raise HypothesisError(f"power exponent must be finite and >= 0, got {alpha!r}")
-    scale = mesh.radius**alpha if mesh.radius > 1 else 1.0
+    try:
+        scale = mesh.radius**alpha if mesh.radius > 1 else 1.0
+    except OverflowError:
+        raise HypothesisError(
+            f"power exponent {alpha!r} too large: R^alpha overflows for R = {mesh.radius!r}"
+        ) from None
     values = (mesh.radii / (mesh.radius if mesh.radius > 1 else 1.0)) ** alpha
     if alpha == 0:
         values = np.ones(mesh.n_nodes)

@@ -269,6 +269,9 @@ class TestInputErrors:
           for command, params in (("solve", {"lambda": 0.5, "mu": 0.5}),
                                   ("curve", {"theta_grid": [1.0]}),
                                   ("bounds", {}))),
+        # a finite exponent whose normalization R^alpha overflows
+        ("bounds", {"domain": {**DISK, "radius": 2.0},
+                    "f": {"kind": "power", "alpha": 1100.0}}, "f"),
     ])
     def test_exit_four_with_one_violation(self, tmp_path, capsys, monkeypatch,
                                           command, config, field):

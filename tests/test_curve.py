@@ -213,9 +213,12 @@ class TestSerialization:
         header = lines[2].split(",")
         assert header == ["theta", "lambda_star", "mu_star", "bracket_width",
                           "lower_cert", "upper_cert", "solver_iters_total",
-                          "unresolved_probes", "newton_steps", "unstable_probes",
-                          "touched_probes", "upper_unverified"]
+                          "unresolved_probes", "newton_steps", "supersolution_probes",
+                          "unstable_probes", "touched_probes", "upper_unverified"]
         assert len(lines) == 3 + 2
+        # the integer columns, and at least one probe ended by the certificate
+        rows = [dict(zip(header, line.split(","))) for line in lines[3:]]
+        assert all(int(r["supersolution_probes"]) >= 1 for r in rows)
 
     def test_trace_csv_without_upper_cert(self, tmp_path):
         ray = RaySample(theta=1.0, lam_star=1.5, mu_star=1.5, bracket_width=1e-3,
@@ -224,7 +227,7 @@ class TestSerialization:
         write_trace_csv(path, CurveTrace((ray,), "m", ("f", "g")))
         lines = path.read_text().splitlines()
         assert lines[0] == "# mesh: m profiles: f,g"
-        assert lines[2] == "1.0,1.5,1.5,0.001,0.5,,7,0,0,0,0,0"
+        assert lines[2] == "1.0,1.5,1.5,0.001,0.5,,7,0,0,0,0,0,0"
 
     def test_bounds_json(self, disk, one, tmp_path):
         import json
@@ -241,10 +244,12 @@ class TestBudgetHonesty:
     def test_unresolved_probes_keep_bracket(self):
         # starve the oracle: unresolved probes must widen, never mis-shrink.
         # At theta = 3 a budget of 2 (a probe gets 32 steps) resolves the
-        # first five probes; the sixth, mid-bisection, needs more than 32
+        # first 19 probes, most feasible ones by the super-solution
+        # certificate; the 20th, mid-bisection at a bracket width of about
+        # 1e-5, needs more than 32
         mesh = build_radial(2, 1.0, 64)
         one = constant_profile(mesh, 1.0)
-        cfg = CurveConfig(rtol=1e-4, solve=SolveConfig(max_iter=2))
+        cfg = CurveConfig(rtol=1e-6, solve=SolveConfig(max_iter=2))
         s = extremal_on_ray(mesh, one, one, 3.0, cfg)
         assert s.unresolved_probes >= 1
         assert s.bracket_width > cfg.rtol
@@ -264,7 +269,7 @@ class TestBudgetHonesty:
             return real(mesh, f, g, lam, *args, **kwargs)
 
         monkeypatch.setattr(curve_mod, "minimal_solve", recording)
-        cfg = CurveConfig(rtol=1e-4, solve=SolveConfig(max_iter=2))
+        cfg = CurveConfig(rtol=1e-6, solve=SolveConfig(max_iter=2))
         s = extremal_on_ray(mesh, one, one, 3.0, cfg)
         assert s.unresolved_probes >= 1
         assert all(a != b for a, b in zip(lams, lams[1:]))

@@ -57,6 +57,11 @@ class TestPower:
         with pytest.raises(HypothesisError):
             power_profile(disk256, alpha)
 
+    def test_scale_overflow_rejected(self):
+        # R^alpha, the recorded scale, overflows though every value is finite
+        with pytest.raises(HypothesisError):
+            power_profile(build_radial(2, 2.0, 32), 1100.0)
+
     def test_large_ball_rescaled(self):
         mesh = build_radial(2, 2.0, 64)
         p = power_profile(mesh, 2.0)

@@ -1,8 +1,9 @@
 """Property tests: every float parameter is either accepted or rejected with
 a documented input error, never a numerical failure; the minimal solution
 increases with the parameter along a ray; no probe below lam* ends by the
-nonexistence certificate; and the decreasing rearrangement of a profile on
-a rectangle is equimeasurable with it.
+nonexistence certificate, and none above it by the feasibility certificate;
+and the decreasing rearrangement of a profile on a rectangle is
+equimeasurable with it.
 
 Hypothesis draws from all floats, NaN and the infinities included, mixed
 with the range where solves converge so that the eigen solve and whole rays
@@ -25,6 +26,7 @@ from memslab.curve import CurveConfig, extremal_on_ray
 from memslab.profiles import constant_profile, symmetrize, tabulated_profile
 from memslab.solver import (
     SolveConfig,
+    Verdict,
     explicit_supersolution,
     minimal_solve,
     supersolution_descend,
@@ -166,6 +168,32 @@ def test_no_certificate_below_lambda_star(name, theta, t):
     warm = minimal_solve(mesh, one, one, lam, theta * lam,
                          start=(low.state.u, low.state.v))
     assert low.converged and cold.converged and warm.converged
+
+
+@pytest.mark.parametrize("name", CERTIFICATE_MESHES)
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(theta=st.floats(0.2, 5.0), t=st.floats(1.0001, 1.3), s=st.floats(0.5, 0.9999))
+@example(theta=1.0, t=1.0001, s=0.9999)
+def test_supersolution_certificate_only_below_lambda_star(name, theta, t, s):
+    # the bracket's infeasible end b is a probe shown infeasible, so no
+    # probe at t b may end by the super-solution certificate; below the
+    # feasible end a, a probe the certificate ends must converge when it is
+    # solved without it, cold or warm-started from the state at s a / 2
+    mesh = CERTIFICATE_MESHES[name]
+    one = constant_profile(mesh, 1.0)
+    ray = extremal_on_ray(mesh, one, one, theta, CurveConfig(rtol=1e-5))
+    above = t * ray.lam_star * (1.0 + 0.5 * ray.bracket_width)
+    out = minimal_solve(mesh, one, one, above, theta * above, certify_feasible=True)
+    assert out.verdict is Verdict.NONEXISTENCE_SUSPECTED
+    lam = s * ray.lam_star * (1.0 - 0.5 * ray.bracket_width)
+    low = minimal_solve(mesh, one, one, 0.5 * lam, 0.5 * theta * lam)
+    for start in (None, (low.state.u, low.state.v)):
+        out = minimal_solve(mesh, one, one, lam, theta * lam, start=start,
+                            certify_feasible=True)
+        if out.verdict is Verdict.FEASIBLE:
+            assert minimal_solve(mesh, one, one, lam, theta * lam, start=start).converged
+        else:
+            assert out.converged
 
 
 @st.composite

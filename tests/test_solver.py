@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.linalg import spsolve
 from scipy.special import jn_zeros
 
 from memslab import PreconditionError, build_radial, build_rect
-from memslab.profiles import constant_profile
+from memslab.profiles import constant_profile, tabulated_profile
 from memslab.solver import (
     DELTA_FLOOR,
     NonexistenceReason,
@@ -25,6 +26,8 @@ GOLDEN_DISK_SUP_U_HALF = 0.1619976976289698
 SQUARE_LAM_STAR = {32: 2.682186, 64: 2.684353}
 # lam*(1) of the 1024-node unit disk with f = g = 1, bisected to 1e-10
 DISK1024_LAM_STAR = 0.7892289676346309
+# lam*(1) of the 4096-node unit disk with f = g = 1, to ten digits
+DISK4096_LAM_STAR = 0.7892292496
 # lam*(0.3) of the 4096-node unit disk with f = g = 1, bisected to 1e-3
 DISK_LAM_STAR_03 = 1.3366087081835367
 
@@ -290,6 +293,59 @@ class TestNonexistenceCertificate:
         assert out.iterations <= 0.1 * 1418
         below = minimal_solve(mesh, one, one, lam / (1.0 + 2e-6), lam / (1.0 + 2e-6))
         assert below.converged
+
+
+def _indicator_square():
+    """The 32^2 square with f the indicator of its left half (so f = 0 on
+    half the nodes) and g = 1."""
+    square = build_rect(1.0, 1.0, 32, 32)
+    left = np.repeat((np.arange(32) + 0.5) / 32 < 0.5, 32).astype(float)
+    return square, tabulated_profile(square, left), constant_profile(square, 1.0)
+
+
+class TestFeasibilityCertificate:
+    def test_ends_feasible_probe_early(self):
+        # 0.5 lam*(1) on the 4096-node disk: a plain solve converges in 14
+        # loop steps; the super-solution test passes at loop step 3
+        disk = build_radial(2, 1.0, 4096)
+        one = constant_profile(disk, 1.0)
+        lam = 0.5 * DISK4096_LAM_STAR
+        plain = minimal_solve(disk, one, one, lam, lam)
+        out = minimal_solve(disk, one, one, lam, lam, certify_feasible=True)
+        assert plain.converged and plain.iterations == 14
+        assert plain.supersolution is None
+        assert out.verdict is Verdict.FEASIBLE
+        assert out.iterations <= 5
+
+    @pytest.mark.parametrize("case", ["disk4096", "indicator-square32"])
+    def test_witness_is_a_supersolution(self, case):
+        # checked apart from the package's solves: A^-1 by a sparse LU on the
+        # operator matrix.  On the indicator square the certificate fires
+        # although the defect of the witness vanishes, up to rounding, at
+        # the nodes where f = 0
+        if case == "disk4096":
+            mesh = build_radial(2, 1.0, 4096)
+            f = g = constant_profile(mesh, 1.0)
+            lam = 0.5 * DISK4096_LAM_STAR
+        else:
+            mesh, f, g = _indicator_square()
+            lam = 3.0
+            assert np.any(f.values == 0)
+        out = minimal_solve(mesh, f, g, lam, lam, certify_feasible=True)
+        assert out.verdict is Verdict.FEASIBLE
+        big_u, big_v = out.supersolution.u, out.supersolution.v
+        assert min(big_u.min(), big_v.min()) >= 0
+        assert max(big_u.max(), big_v.max()) < 1.0 - SolveConfig().touch_threshold
+        a = mesh.operator.matrix.tocsc()
+        t_u = spsolve(a, lam * f.values / (1.0 - big_v) ** 2)
+        t_v = spsolve(a, lam * g.values / (1.0 - big_u) ** 2)
+        assert np.all(t_u <= big_u) and np.all(t_v <= big_v)
+        # the state is a Picard iterate: below the minimal solution, which
+        # lies below the witness
+        plain = minimal_solve(mesh, f, g, lam, lam)
+        assert plain.converged
+        assert np.all(out.state.u <= plain.state.u) and np.all(plain.state.u <= big_u)
+        assert np.all(out.state.v <= plain.state.v) and np.all(plain.state.v <= big_v)
 
 
 class TestWarmStart:
