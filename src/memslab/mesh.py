@@ -14,8 +14,11 @@ diagonalization on rectangles: the operator there is the Kronecker sum of
 two 1-D operators whose eigenvectors are closed-form sine modes, so a solve
 is four dense matrix products with the mode matrices (Lynch, Rice & Thomas,
 Numer. Math. 6, 1964).  Both are ``DirichletLaplacian.shifted_solver``, the
-one place that dispatches on mesh kind.  Solves and ``apply`` also take a
-``(2, n)`` stack of two fields, each row bit for bit as a single field.  The
+one place that dispatches on mesh kind.  The operator is stored as numpy
+bands and applied with array slices, so rectangle runs never import scipy;
+the radial LAPACK routines are imported on first use.  Solves and ``apply``
+also take a ``(2, n)`` stack of two fields, each row bit for bit as a single
+field.  The
 coupled linearized solve of the Newton finish is conjugate gradients
 (Hestenes & Stiefel, J. Res. NBS 49, 1952) on two-field solves, on either
 kind: a median of 5-8 steps per coupled solve on radial meshes and about 9
@@ -28,11 +31,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg import LinAlgError, cholesky_banded, eigvalsh_tridiagonal
-from scipy.linalg.lapack import dpttrs
-# unused: perfbench/tracer.py LAYERS looks it up, and --trace 1 fails without it
-from scipy.sparse.linalg import splu  # noqa: F401
+from numpy.linalg import LinAlgError   # the class scipy.linalg raises
 
 from .artifacts import fingerprint
 from .exceptions import ConfigurationError, ConvergenceError, IndefiniteError, NumericsError
@@ -47,6 +46,21 @@ _CG_RTOL = 1e-12            # coupled CG residual target, relative, in the w-nor
 _CG_MAX_ITER = 200          # CG steps per coupled solve
 
 
+# perfbench/tracer.py LAYERS wraps this module attribute as mesh.factorize;
+# the radial factorization calls it through the module.  scipy is imported on
+# the first call.
+def cholesky_banded(ab: np.ndarray, lower: bool = False) -> np.ndarray:
+    from scipy.linalg import cholesky_banded as factor
+    return factor(ab, lower=lower)
+
+
+# unused: perfbench/tracer.py LAYERS wraps this module attribute as
+# mesh.factorize, and --trace 1 fails without it
+def splu(a, **options):
+    from scipy.sparse.linalg import splu as factor
+    return factor(a, **options)
+
+
 def unit_ball_volume(dimension: int) -> float:
     """Volume of the unit ball in R^dimension."""
     return math.pi ** (dimension / 2.0) / math.gamma(dimension / 2.0 + 1.0)
@@ -57,8 +71,11 @@ class DirichletLaplacian:
 
     Internally stored through its symmetric form ``K = W @ A`` where ``W`` is
     the diagonal of quadrature weights: ``K`` is symmetric positive definite
-    and tridiagonal (radial) or 5-point (rectangle).  The action of the
-    operator itself is ``A u = (K u) / w``.
+    and tridiagonal (radial) or 5-point (rectangle).  ``K`` is kept as numpy
+    bands: the diagonal and ``(offset, values)`` pairs for the symmetric
+    off-diagonals, offset 1 on radial meshes and offsets 1 and ny on
+    rectangles (zero across row ends).  The action of the operator itself is
+    ``A u = (K u) / w``.
 
     ``shifted_solver`` is the one place that solves with the operator, and
     ``solve`` is its unshifted solver, cached on first use.  The kind comes
@@ -75,36 +92,61 @@ class DirichletLaplacian:
     the same way on either kind.
     """
 
-    def __init__(self, sym: sp.spmatrix, weights: np.ndarray, modes=None):
-        self._sym = sym.tocsr()
+    def __init__(self, diag: np.ndarray, bands, weights: np.ndarray, modes=None):
+        self._diag = diag
+        self._bands = bands       # ((offset, values), ...), offsets ascending
         self._weights = weights
         self._modes = modes       # (qx, qy, eig), rectangle case
         self._solver = None       # shifted_solver(0.0), built on first use
         self._lowest = None       # mu1, computed on first use
-        if modes is None:
-            self._diag, self._off = self._sym.diagonal(), self._sym.diagonal(1)
 
     @property
     def size(self) -> int:
-        return self._sym.shape[0]
+        return self._diag.size
 
     @property
-    def symmetric_form(self) -> sp.csr_matrix:
-        """K = W A, the quadratic form of the Dirichlet energy."""
-        return self._sym
+    def symmetric_form(self):
+        """K = W A as a scipy.sparse CSR matrix, assembled on each access."""
+        import scipy.sparse as sp
+        offsets = [k for k, _ in self._bands]
+        values = [c for _, c in self._bands]
+        return sp.diags(values[::-1] + [self._diag] + values,
+                        [-k for k in offsets[::-1]] + [0] + offsets, format="csr")
 
     @property
-    def matrix(self) -> sp.csr_matrix:
-        """The operator A itself, acting on interior node values."""
-        return sp.diags(1.0 / self._weights) @ self._sym
+    def matrix(self):
+        """The operator A itself as a scipy.sparse matrix, assembled on each
+        access."""
+        import scipy.sparse as sp
+        return sp.diags(1.0 / self._weights) @ self.symmetric_form
+
+    @property
+    def norm_inf(self) -> float:
+        """||A||_inf, the largest absolute row sum of A."""
+        rows = np.abs(self._diag)
+        for k, c in self._bands:
+            rows[:-k] += np.abs(c)
+            rows[k:] += np.abs(c)
+        return float(np.max(rows / self._weights))
+
+    def _apply_k(self, u: np.ndarray) -> np.ndarray:
+        """K u; each row sums its terms in ascending column order, as a CSR
+        product would."""
+        out = np.zeros(np.shape(u))
+        for k, c in reversed(self._bands):
+            out[..., k:] += c * u[..., :-k]
+        out += self._diag * u
+        for k, c in self._bands:
+            out[..., :-k] += c * u[..., k:]
+        return out
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         """A u; u may be a ``(2, n)`` stack."""
-        return (self._sym @ u.T).T / self._weights
+        return self._apply_k(u) / self._weights
 
     def dirichlet_energy(self, phi: np.ndarray) -> float:
         """Discrete integral of |grad phi|^2 via summation by parts."""
-        return float(phi @ (self._sym @ phi))
+        return float(phi @ self._apply_k(phi))
 
     def _ldl_factors(self, diag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(d, e)`` with ``tridiag(off, diag, off) = L D L^T`` for ``dpttrs``.
@@ -116,9 +158,10 @@ class DirichletLaplacian:
         (not ``dpttrf``) keeps the one call that perfbench times as
         ``mesh.factorize``.
         """
+        (_, off), = self._bands
         ab = np.zeros((2, self.size))
         ab[1] = diag
-        ab[0, 1:] = self._off
+        ab[0, 1:] = off
         u = cholesky_banded(ab, lower=False)
         return u[1] ** 2, u[0, 1:] / u[1, :-1]
 
@@ -138,9 +181,11 @@ class DirichletLaplacian:
         """
         if self._lowest is None:
             if self._modes is None:
+                from scipy.linalg import eigvalsh_tridiagonal
+                (_, off), = self._bands
                 root = np.sqrt(self._weights)
                 self._lowest = float(eigvalsh_tridiagonal(
-                    self._diag / self._weights, self._off / (root[:-1] * root[1:]),
+                    self._diag / self._weights, off / (root[:-1] * root[1:]),
                     select="i", select_range=(0, 0))[0])
             else:
                 self._lowest = float(self._modes[2][0, 0])
@@ -173,6 +218,7 @@ class DirichletLaplacian:
             d, e = self._ldl_factors(self._diag - nu * self._weights)
         except LinAlgError:
             return None
+        from scipy.linalg.lapack import dpttrs
         w = self._weights
         # callers reject non-finite data; dpttrs makes no finiteness scan
         return lambda rhs: dpttrs(d, e, (w * rhs).T, overwrite_b=True)[0].T
@@ -327,9 +373,8 @@ def build_radial(dimension: int, radius: float, nodes: int) -> Mesh:
     diag[1:] += s_int / h
     diag[n - 1] += s_bdy / (h / 2.0)
     off = -s_int / h
-    sym = sp.diags([off, diag, off], offsets=[-1, 0, 1], format="csr")
 
-    op = DirichletLaplacian(sym, w)
+    op = DirichletLaplacian(diag, ((1, off),), w)
     mesh = Mesh(
         kind=RADIAL,
         weights=w,
@@ -389,20 +434,30 @@ def build_rect(lx: float, ly: float, nx: int, ny: int) -> Mesh:
     xs = (np.arange(nx) + 0.5) * hx
     ys = (np.arange(ny) + 0.5) * hy
 
-    def line(n: int, h: float) -> sp.csr_matrix:
+    def line(n: int, h: float) -> tuple[np.ndarray, float]:
+        """Diagonal and off-diagonal of the 1-D operator, times 1/h^2 (not
+        divided by h^2: the tests' scipy.sparse oracle rounds that way)."""
         d = np.full(n, 2.0)
         d[0] = d[-1] = 3.0  # half-cell Dirichlet closure
-        return sp.diags([-np.ones(n - 1), d, -np.ones(n - 1)], [-1, 0, 1]) / h**2
+        scale = 1.0 / h**2
+        return d * scale, -scale
 
-    a = sp.kronsum(line(ny, hy), line(nx, hx), format="csr")  # index ix*ny + iy
-    w = np.full(nx * ny, hx * hy)
-    sym = (a * (hx * hy)).tocsr()
+    # K = hx hy (Lx (+) Ly), node ix*ny + iy: y neighbours at offset 1 (none
+    # across row ends), x neighbours at offset ny
+    area = hx * hy
+    (dx, cx), (dy, cy) = line(nx, hx), line(ny, hy)
+    diag = ((dx[:, None] + dy[None, :]) * area).ravel()
+    y_band = np.full((nx, ny), cy * area)
+    y_band[:, -1] = 0.0
+    y_band = y_band.ravel()[:-1]
+    x_band = np.full(nx * ny - ny, cx * area)
+    w = np.full(nx * ny, area)
 
     qx, eig_x = sine_modes(nx, hx)
     qy, eig_y = sine_modes(ny, hy)
     eig = eig_x[:, None] + eig_y[None, :]
 
-    op = DirichletLaplacian(sym, w, modes=(qx, qy, eig))
+    op = DirichletLaplacian(diag, ((1, y_band), (ny, x_band)), w, modes=(qx, qy, eig))
     mesh = Mesh(
         kind=RECT,
         weights=w,
@@ -441,7 +496,7 @@ def solve_poisson(op: DirichletLaplacian, rhs: np.ndarray) -> np.ndarray:
         raise NumericsError("right-hand side contains non-finite entries")
     u = op.solve(rhs)
     res = np.max(np.abs(op.apply(u) - rhs), initial=0.0)
-    scale = abs(op.matrix).sum(axis=1).max() * np.max(np.abs(u), initial=0.0)
+    scale = op.norm_inf * np.max(np.abs(u), initial=0.0)
     if not res <= _POISSON_RTOL * (scale + np.max(np.abs(rhs), initial=0.0)):
         raise NumericsError(f"Poisson solve residual {res:.3e} out of contract")
     return u
@@ -470,7 +525,7 @@ def principal_eigenpair(op: DirichletLaplacian, mesh: Mesh) -> EigenPair:
     for it in range(1, _EIG_MAX_ITER + 1):
         y = op.solve(x)
         y /= y.max()
-        mu_new = float((y @ (op.symmetric_form @ y)) / (w @ (y * y)))
+        mu_new = op.dirichlet_energy(y) / float(w @ (y * y))
         x = y
         if abs(mu_new - mu) <= 1e-12 * abs(mu_new):
             res = np.max(np.abs(op.apply(x) - mu_new * x))

@@ -42,14 +42,17 @@ only if
 * d >= 0 node-wise: with r >= 0 this certifies J as a nonsingular M-matrix,
   and for the convex sources monotone Newton then stays below the minimal
   solution (Ortega & Rheinboldt 1970, 13.3);
-* x + d stays out of the touch band;
 * the Picard step y = T(x + d) does not go below x + d, or already meets
   ``tol_sup``.
 
-A refused step is discarded and ends Newton for that solve.  The iterates
-stay monotone even in floating point: x + d >= x since d >= 0, and
-y = T(x + d) >= T(x) >= x since T is monotone.  On either mesh kind the
-coupled system is solved in operator form by conjugate gradients on
+A refused step is discarded and ends Newton for that solve.  An x + d
+that passes the first check but enters the touch band is a touch witness,
+like a Picard iterate there: it lies below every solution (up to the CG
+tolerance), so the solve ends as TOUCHED_ONE on it, where refusing the step
+would leave the Picard loop to crawl through the fold's bottleneck to the
+band.  The iterates stay monotone even in floating point: x + d >= x since
+d >= 0, and y = T(x + d) >= T(x) >= x since T is monotone.  On either mesh
+kind the coupled system is solved in operator form by conjugate gradients on
 two-field Poisson solves (``DirichletLaplacian.solve_coupled``): rescaled
 by the square roots of the couplings, the system is self-adjoint with
 eigenvalues 1 +- sigma, and sigma_max^2 is the spectral radius of K(0) in
@@ -259,8 +262,10 @@ def _picard(op, coeff: np.ndarray, x: np.ndarray) -> np.ndarray:
 def _newton_step(op, coeff: np.ndarray, x: np.ndarray, cfg: SolveConfig):
     """Certified Newton step from the Picard iterate x = (u, v); see the
     module notes.  Returns (z, y) with z = x + d and y = T(z), or None if
-    one of the checks refuses the step.  IndefiniteError from the coupled
-    solve passes through: it means rho(K(0)) >= 1 up to rounding."""
+    one of the checks refuses the step.  A z in the touch band is returned
+    as (x, z): it lies below every solution, so the loop's touch test ends
+    the solve on it.  IndefiniteError from the coupled solve passes through:
+    it means rho(K(0)) >= 1 up to rounding."""
     try:
         d = op.solve_coupled(coupling_weights(coeff, x), -_defect(op, coeff, x))
     except IndefiniteError:
@@ -271,7 +276,7 @@ def _newton_step(op, coeff: np.ndarray, x: np.ndarray, cfg: SolveConfig):
         return None
     z = x + d
     if not z.max() < 1.0 - cfg.touch_threshold:
-        return None
+        return x, z
     y = _picard(op, coeff, z)
     if np.any(y < z) and np.max(np.abs(y - z)) > cfg.tol_sup:
         return None
@@ -424,8 +429,8 @@ def minimal_solve(
     see ``SolveConfig``) and the equation residuals to meet the contract
     ``1e-6 * (lam + mu)``, floored at the smallest normal float so that
     subnormal parameters cannot make it unreachable.  Exhausting the budget
-    is INCONCLUSIVE.  Two witnesses give a nonexistence verdict: an iterate
-    whose maximum enters the band ``[1 - touch_threshold, inf)``
+    is INCONCLUSIVE.  Two witnesses give a nonexistence verdict: a Picard or
+    Newton iterate whose maximum enters the band ``[1 - touch_threshold, inf)``
     (TOUCHED_ONE), and an iterate at which the Newton step is refused for
     curvature <= 0 and a Collatz-Wielandt test proves the linearization
     unstable (UNSTABLE_SUBSOLUTION; see the module notes).
@@ -447,8 +452,9 @@ def minimal_solve(
     (with the same profiles): the first step checks ``T(start) >= start``
     node-wise and, if that fails, restarts from (0, 0).
 
-    ``on_step(it, u, v)`` is invoked with every fresh Picard iterate, mainly
-    for trace instrumentation in tests.
+    ``on_step(it, u, v)`` is invoked with every fresh Picard iterate, and
+    with a Newton iterate that enters the touch band, mainly for trace
+    instrumentation in tests.
     """
     check_parameters(lam, mu)
     if f.values.shape != (mesh.n_nodes,) or g.values.shape != (mesh.n_nodes,):

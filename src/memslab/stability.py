@@ -33,8 +33,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-# unused: perfbench/tracer.py LAYERS looks it up, and --trace 1 fails without it
-from scipy.sparse.linalg import splu  # noqa: F401
 
 from .artifacts import write_node_table
 from .exceptions import ConvergenceError, NumericsError, PreconditionError
@@ -52,6 +50,14 @@ _POWER_MAX = 5_000         # applications of K per eigen solve
 _SECANT_MAX = 100          # evaluations of rho per eigen solve
 _ROOT_TOL = 1e-13          # root tolerance in nu, relative to 1 + |nu|
 _PSI_GAP = 1e-3            # inverse-iteration shift below mu1, relative to mu1
+
+
+# unused: perfbench/tracer.py LAYERS wraps this module attribute as
+# stability.factorize, and --trace 1 fails without it; scipy is imported
+# only when it is called
+def splu(a, **options):
+    from scipy.sparse.linalg import splu as factor
+    return factor(a, **options)
 
 
 @dataclass(frozen=True)

@@ -400,3 +400,42 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert (tmp_path / "o" / "bounds.json").exists()
+
+
+SQUARE16 = {"kind": "rect", "lx": 1.0, "ly": 1.0, "nx": 16, "ny": 16}
+# runs one command in a fresh interpreter, then prints its exit code and the
+# scipy subpackages it loaded
+FOOTPRINT = """
+import sys
+from memslab.cli import main
+code = main(sys.argv[1:])
+print(code, *(m for m in ("scipy.linalg", "scipy.sparse") if m in sys.modules))
+"""
+
+
+@pytest.mark.parametrize("command,domain,allowed", [
+    ("extremal", SQUARE16, set()),      # rectangles need no LAPACK
+    ("solve", DISK, {"scipy.linalg"}),  # radial solves load it on first use
+], ids=["extremal-square", "solve-disk"])
+def test_import_footprint(tmp_path, command, domain, allowed):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import memslab
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"domain": domain, "f": ONES, "g": ONES, "theta": 1.0,
+                               "fractions": [0.5, 0.9], "lambda": 0.5, "mu": 0.5}))
+    src = str(Path(memslab.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", FOOTPRINT, command,
+         "--config", str(cfg), "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    code, *loaded = proc.stdout.split()
+    assert code == "0", proc.stderr
+    assert set(loaded) <= allowed

@@ -141,6 +141,18 @@ class TestExtremalOnRay:
             with pytest.raises(ConfigurationError):
                 extremal_on_ray(disk, one, one, theta, FAST)
 
+    def test_newton_step_into_touch_band_ends_probe(self):
+        # the probe at lam = 0.5947174, warm-started from a certified feasible
+        # iterate, makes a Newton step to max z = 1.14; z lies below every
+        # solution, so it is a touch witness.  Refusing the step instead left
+        # the probe 284 Picard steps to crawl to the band (366 for the ray).
+        ball = build_radial(1, 1.0, 512)
+        one = constant_profile(ball, 1.0)
+        s = extremal_on_ray(ball, one, one, 0.3)
+        assert s.iterations_total <= 150
+        assert s.touched_probes == 2
+        assert s.lam_star == pytest.approx(0.5945389616220049, rel=1e-12)
+
 
 class TestTraceCurve:
     def test_monotone_and_symmetric(self, disk, one):

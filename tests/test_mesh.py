@@ -202,6 +202,74 @@ class TestRadialSolve:
         assert np.all(op.solve(b + delta) >= op.solve(b))
 
 
+def oracle_symmetric_form(mesh):
+    """K = W A assembled with scipy.sparse, as the package did before it kept
+    numpy bands: ``sp.diags`` of the finite-volume fluxes on radial meshes,
+    and on rectangles the ``sp.kronsum`` of the two 1-D operators times the
+    cell area."""
+    if mesh.kind == "radial":
+        n, dim, radius, h = mesh.n_nodes, mesh.dimension, mesh.radius, mesh.spacing
+        edges = np.empty(n + 1)
+        edges[0] = 0.0
+        edges[1:] = (np.arange(1, n + 1) - 0.5) * h
+        edges[n] = radius
+        area = dim * unit_ball_volume(dim)
+        s_int = area * edges[1:n] ** (dim - 1)
+        diag = np.zeros(n)
+        diag[: n - 1] += s_int / h
+        diag[1:] += s_int / h
+        diag[n - 1] += area * radius ** (dim - 1) / (h / 2.0)
+        off = -s_int / h
+        return sp.diags([off, diag, off], offsets=[-1, 0, 1], format="csr")
+
+    def line(n, h):
+        d = np.full(n, 2.0)
+        d[0] = d[-1] = 3.0
+        return sp.diags([-np.ones(n - 1), d, -np.ones(n - 1)], [-1, 0, 1]) / h**2
+
+    a = sp.kronsum(line(mesh.ny, mesh.hy), line(mesh.nx, mesh.hx), format="csr")
+    return (a * (mesh.hx * mesh.hy)).tocsr()
+
+
+BAND_MESHES = {
+    "disk256": lambda: build_radial(2, 1.0, 256),
+    "ball1": lambda: build_radial(1, 1.0, 512),
+    "ball3": lambda: build_radial(3, 1.0, 512),
+    "ball8": lambda: build_radial(8, 1.0, 512),
+    "square64": lambda: build_rect(1.0, 1.0, 64, 64),
+    "rect16x40": lambda: build_rect(2.0, 0.5, 16, 40),
+}
+
+
+class TestBands:
+    """The numpy bands of K against the scipy.sparse assembly."""
+
+    @pytest.mark.parametrize("name", BAND_MESHES)
+    def test_bands_match_sparse_assembly_bitwise(self, name):
+        mesh = BAND_MESHES[name]()
+        op, oracle = mesh.operator, oracle_symmetric_form(mesh)
+        np.testing.assert_array_equal(op._diag, oracle.diagonal())
+        offsets = [k for k, _ in op._bands]
+        assert offsets == ([1] if mesh.kind == "radial" else [1, mesh.ny])
+        for k, values in op._bands:
+            np.testing.assert_array_equal(values, oracle.diagonal(k))
+        # no entry of the oracle lies off the stored bands
+        assert (op.symmetric_form != oracle).nnz == 0
+
+    @pytest.mark.parametrize("name", BAND_MESHES)
+    def test_apply_matches_csr_product(self, name, rng):
+        mesh = BAND_MESHES[name]()
+        oracle = oracle_symmetric_form(mesh)
+        u = rng.uniform(-1.0, 1.0, (2, mesh.n_nodes))
+        expected = (oracle @ u.T).T / mesh.weights
+        row_scale = (abs(oracle) @ np.abs(u).T).T / mesh.weights
+        assert np.all(np.abs(mesh.operator.apply(u) - expected) <= 1e-15 * row_scale)
+        energy = u[0] @ (oracle @ u[0])
+        assert mesh.operator.dirichlet_energy(u[0]) == pytest.approx(energy, rel=1e-14)
+        norm = abs(oracle.multiply(1.0 / mesh.weights[:, None])).sum(axis=1).max()
+        assert mesh.operator.norm_inf == pytest.approx(norm, rel=1e-15)
+
+
 COUPLED_MESHES = ["disk256", "rect16x40"]
 
 

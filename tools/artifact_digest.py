@@ -29,6 +29,7 @@ from memslab.cli import main  # noqa: E402
 
 DISK = {"kind": "radial", "dimension": 2, "radius": 1.0, "nodes": 64}
 BALL3 = {"kind": "radial", "dimension": 3, "radius": 1.5, "nodes": 48}
+INTERVAL = {"kind": "radial", "dimension": 1, "radius": 1.0, "nodes": 512}
 SQUARE = {"kind": "rect", "lx": 1.0, "ly": 1.0, "nx": 16, "ny": 16}
 SQUARE32 = {"kind": "rect", "lx": 1.0, "ly": 1.0, "nx": 32, "ny": 32}
 # unequal sides and node counts: an axis or ordering mistake changes its bytes
@@ -81,6 +82,9 @@ RUNS = (
     ("curve-disk-starved", "curve",
      {"domain": DISK, "f": ONES, "g": ONES, "theta_grid": [0.145, 1.0, 3.0],
       "solver": {"max_iter": 2}, "curve": {"rtol": 1e-4}}),
+    # a warm-started probe whose Newton step enters the touch band
+    ("curve-interval-touch", "curve",
+     {"domain": INTERVAL, "f": ONES, "g": ONES, "theta_grid": [0.3]}),
     ("bounds-disk", "bounds", {"domain": DISK, "f": ONES, "g": HALF}),
     ("bounds-square", "bounds", {"domain": SQUARE, "f": INDICATOR, "g": HALF}),
     ("symmetrize-square", "symmetrize",
