@@ -23,7 +23,7 @@ from .curve import (
     lower_bound_power,
 )
 from .diagnostics import singular_residual
-from .mesh import build_radial, build_rect, principal_eigenpair, solve_poisson
+from .mesh import build_radial, build_rect, solve_poisson
 from .profiles import constant_profile, power_profile, tabulated_profile
 from .solver import SolveConfig, StatePair, minimal_solve
 from .stability import classify, eigen_ratio_check, linearized_eigen, stability_inequality_gap
@@ -330,7 +330,7 @@ def infrastructure(scale):
          2.0 * np.pi**2),
     ]
     for label, mesh, exact in targets:
-        mu1 = principal_eigenpair(mesh.operator, mesh).value
+        mu1 = mesh.operator.lowest_eigenvalue
         rel = abs(mu1 - exact) / exact
         ok &= rel <= 0.005
         details.append(f"{label} mu1 rel err {rel:.2e}")

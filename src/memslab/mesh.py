@@ -40,7 +40,10 @@ RADIAL = "radial"
 RECT = "rect"
 
 _POISSON_RTOL = 1e-10       # linear-solve backward-error contract, sup-norm
-_EIG_RESIDUAL_RTOL = 1e-8   # sup-norm eigen residual contract relative to mu1
+_EIG_RESIDUAL_RTOL = 1e-8   # sup-norm eigen residual contract relative to mu1 ...
+_EIG_ROUNDING = 8           # ... plus this many eps * ||A||_inf
+_EIG_SHIFT_GAP = 1e-3       # inverse-iteration shift below mu1, relative to mu1
+_EIG_STEP_TOL = 1e-13       # sup-norm change of the sup-1 iterate that ends it
 _EIG_MAX_ITER = 10_000
 _CG_RTOL = 1e-12            # coupled CG residual target, relative, in the w-norm
 _CG_MAX_ITER = 200          # CG steps per coupled solve
@@ -103,22 +106,6 @@ class DirichletLaplacian:
     @property
     def size(self) -> int:
         return self._diag.size
-
-    @property
-    def symmetric_form(self):
-        """K = W A as a scipy.sparse CSR matrix, assembled on each access."""
-        import scipy.sparse as sp
-        offsets = [k for k, _ in self._bands]
-        values = [c for _, c in self._bands]
-        return sp.diags(values[::-1] + [self._diag] + values,
-                        [-k for k in offsets[::-1]] + [0] + offsets, format="csr")
-
-    @property
-    def matrix(self):
-        """The operator A itself as a scipy.sparse matrix, assembled on each
-        access."""
-        import scipy.sparse as sp
-        return sp.diags(1.0 / self._weights) @ self.symmetric_form
 
     @property
     def norm_inf(self) -> float:
@@ -511,32 +498,37 @@ class EigenPair:
     iterations: int
 
 
-def principal_eigenpair(op: DirichletLaplacian, mesh: Mesh) -> EigenPair:
-    """Smallest eigenvalue of -Laplace via inverse power iteration.
+def principal_eigenpair(op: DirichletLaplacian) -> EigenPair:
+    """Principal Dirichlet eigenpair: mu1 from ``lowest_eigenvalue`` and the
+    positive eigenfunction psi, normalized to sup = 1.
 
-    The iteration is deterministic (all-ones start).  The returned
-    eigenfunction is strictly positive in the interior and normalized to
-    sup = 1; the sup-norm residual satisfies
-    ``||A psi - mu1 psi||_inf <= 1e-8 * mu1``.
+    psi comes from inverse iteration with the shift mu1 (1 - 1e-3) from the
+    all-ones start, normalized to sup 1 at every step, until the iterate
+    changes by at most 1e-13 in the sup norm.  With the shift that close,
+    the rounding of each solve lands along psi and the iterate settles to a
+    few ulps within a handful of steps, where a test on the residual
+    ``A psi - mu1 psi`` would stall at eps ||A|| on fine meshes.  The
+    residual meets ``||A psi - mu1 psi||_inf <= 1e-8 mu1 + 8 eps ||A||_inf``,
+    the backward-error scale of ``solve_poisson``.
     """
-    w = mesh.weights
+    mu1 = op.lowest_eigenvalue
+    solve = op.shifted_solver(mu1 * (1.0 - _EIG_SHIFT_GAP))
+    if solve is None:
+        raise NumericsError("shifted Dirichlet operator not positive definite")
     x = np.ones(op.size)
-    mu = 0.0
     for it in range(1, _EIG_MAX_ITER + 1):
-        y = op.solve(x)
+        y = solve(x)
         y /= y.max()
-        mu_new = op.dirichlet_energy(y) / float(w @ (y * y))
+        if np.max(np.abs(y - x)) <= _EIG_STEP_TOL:
+            break
         x = y
-        if abs(mu_new - mu) <= 1e-12 * abs(mu_new):
-            res = np.max(np.abs(op.apply(x) - mu_new * x))
-            if res <= _EIG_RESIDUAL_RTOL * mu_new:
-                mu = mu_new
-                break
-        mu = mu_new
     else:
-        raise ConvergenceError("principal eigenpair iteration stagnated")
-    if not np.all(x > 0):
+        raise ConvergenceError("inverse iteration for the Dirichlet eigenvector stalled")
+    if not np.all(y > 0):
         raise NumericsError("principal eigenfunction not positive in the interior")
-    x = x / x.max()
-    x.flags.writeable = False
-    return EigenPair(value=mu, vector=x, iterations=it)
+    res = np.max(np.abs(op.apply(y) - mu1 * y))
+    eps = np.finfo(float).eps
+    if not res <= _EIG_RESIDUAL_RTOL * mu1 + _EIG_ROUNDING * eps * op.norm_inf:
+        raise NumericsError(f"Dirichlet eigen residual {res:.3e} out of contract")
+    y.flags.writeable = False
+    return EigenPair(value=mu1, vector=y, iterations=it)

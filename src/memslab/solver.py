@@ -6,12 +6,11 @@ The system couples two deflection fields through singular sources:
 
 with zero boundary values and both fields confined below 1.  The minimal
 solution is the increasing limit of Picard iterates started from (0, 0),
-or from any start below it with T(start) >= start; a decreasing variant
-started from a discrete super-solution pair gives an upper companion.
-Nonexistence is reported as a suspected verdict, never as a crash, with
-one of two witnesses: an iterate entering the touch band just below 1, or
-an unstable sub-solution (below).  On request, existence is certified
-before convergence by a discrete super-solution (last section).
+or from any start below it with T(start) >= start.  Nonexistence is
+reported as a suspected verdict, never as a crash, with one of two
+witnesses: an iterate entering the touch band just below 1, or an unstable
+sub-solution (below).  On request, existence is certified before
+convergence by a discrete super-solution (last section).
 
 The pair is one ``(2, n)`` stack x = (u, v).  A Picard step updates both
 fields from the previous iterate (Jacobi style) by one two-field solve,
@@ -127,13 +126,12 @@ import numpy as np
 
 from .artifacts import write_node_table
 from .exceptions import IndefiniteError, NumericsError, PreconditionError
-from .mesh import RADIAL, Mesh
+from .mesh import Mesh
 from .profiles import Profile
 
 DELTA_FLOOR = 1e-10           # floor for (1 - u) in denominators
 _RESIDUAL_RTOL = 1e-6         # converged residual <= rtol * (lam + mu)
 _RESIDUAL_FLOOR = np.finfo(float).tiny   # ... or below this, where that underflows
-_SUPERSOLUTION_SLACK = 1e-8   # allowed signed defect when checking a super-solution
 _NEWTON_AFTER = 5             # straight slow Picard steps before a Newton step is tried
 _SLOW_RATIO = 0.5             # a Picard step is slow if its increment ratio exceeds this
 _PERRON_STEPS = 8             # applications of K(0) in the Collatz-Wielandt test
@@ -322,14 +320,13 @@ def _iterate(
     mu: float,
     cfg: SolveConfig,
     x: np.ndarray,
-    watch_touch: bool,
     on_step=None,
     warm: bool = False,
     certify: bool = False,
 ) -> SolveOutcome:
     op = mesh.operator
     coeff = _coefficients(f, g, lam, mu)
-    newton = watch_touch
+    newton = True
     inc_prev = two_prev = np.inf
     slow_streak = newton_steps = 0
     prev = back = None          # x = T(prev) after every loop step; back before prev
@@ -363,7 +360,7 @@ def _iterate(
         if on_step is not None:
             on_step(it, y[0], y[1])
         inc = float(np.max(np.abs(y - x)))
-        if watch_touch and 1.0 - y.max() < cfg.touch_threshold:
+        if 1.0 - y.max() < cfg.touch_threshold:
             return SolveOutcome(
                 verdict=Verdict.NONEXISTENCE_SUSPECTED,
                 reason=NonexistenceReason.TOUCHED_ONE,
@@ -465,70 +462,8 @@ def minimal_solve(
         x = np.stack(start)
         if x.shape != (2, mesh.n_nodes):
             raise PreconditionError("start must be a pair of fields on the given mesh")
-    return _iterate(mesh, f, g, lam, mu, cfg, x, watch_touch=True, on_step=on_step,
+    return _iterate(mesh, f, g, lam, mu, cfg, x, on_step=on_step,
                     warm=start is not None, certify=certify_feasible)
-
-
-def supersolution_descend(
-    mesh: Mesh,
-    f: Profile,
-    g: Profile,
-    lam: float,
-    mu: float,
-    big_u: np.ndarray,
-    big_v: np.ndarray,
-    cfg: SolveConfig = SolveConfig(),
-) -> SolveOutcome:
-    """Decreasing iteration from a discrete super-solution pair.
-
-    The pair must satisfy the defect inequalities node-wise (up to a 1e-8
-    slack) and stay within [0, 1 - 1e-10]; otherwise the first offending
-    node is reported.  The limit is a solution sitting above the minimal
-    one.
-    """
-    check_parameters(lam, mu)
-    x = np.stack([big_u, big_v])
-    for name, arr in zip("UV", x):
-        bad = np.where((arr < 0) | (arr > 1.0 - DELTA_FLOOR))[0]
-        if bad.size:
-            raise PreconditionError(
-                f"{name} leaves [0, 1 - 1e-10] first at node {bad[0]}"
-            )
-    defects = _defect(mesh.operator, _coefficients(f, g, lam, mu), x)
-    for name, defect in zip(("first", "second"), defects):
-        bad = np.where(defect < -_SUPERSOLUTION_SLACK)[0]
-        if bad.size:
-            raise PreconditionError(
-                f"not a super-solution: {name} equation defect "
-                f"{defect[bad[0]]:.3e} at node {bad[0]}"
-            )
-    return _iterate(mesh, f, g, lam, mu, cfg, x, watch_touch=False)
-
-
-def explicit_supersolution(
-    mesh: Mesh, kind: str, alpha: float | None = None
-) -> np.ndarray:
-    """Classical radial super-solution shapes sampled at the nodes.
-
-    kind = "quadratic":        (1 - (r/R)^2) / 3
-    kind = "cusp":             1 - (r/R)^(2/3), clamped to 1 - 1e-10 at r = 0
-                               (the clamp makes the node-wise super-solution
-                               check fail at the origin; the cusp is mainly
-                               useful away from it)
-    kind = "power_quadratic":  (1 - (r/R)^(2+alpha)) / 3
-    """
-    if mesh.kind != RADIAL:
-        raise PreconditionError("explicit super-solutions are radial")
-    s = mesh.radii / mesh.radius
-    if kind == "quadratic":
-        return (1.0 - s**2) / 3.0
-    if kind == "cusp":
-        return np.minimum(1.0 - s ** (2.0 / 3.0), 1.0 - DELTA_FLOOR)
-    if kind == "power_quadratic":
-        if alpha is None or alpha < 0:
-            raise PreconditionError("power_quadratic needs alpha >= 0")
-        return (1.0 - s ** (2.0 + alpha)) / 3.0
-    raise PreconditionError(f"unknown super-solution kind {kind!r}")
 
 
 def write_solution_csv(path, mesh: Mesh, state: StatePair, fingerprint: str = "") -> None:

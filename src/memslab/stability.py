@@ -36,7 +36,7 @@ import numpy as np
 
 from .artifacts import write_node_table
 from .exceptions import ConvergenceError, NumericsError, PreconditionError
-from .mesh import Mesh
+from .mesh import Mesh, principal_eigenpair
 from .profiles import CONSTANT, Profile
 from .solver import StatePair, check_parameters, coupling_weights
 
@@ -49,7 +49,6 @@ _POWER_RTOL = 1e-13        # Perron residual of K(nu), relative to rho
 _POWER_MAX = 5_000         # applications of K per eigen solve
 _SECANT_MAX = 100          # evaluations of rho per eigen solve
 _ROOT_TOL = 1e-13          # root tolerance in nu, relative to 1 + |nu|
-_PSI_GAP = 1e-3            # inverse-iteration shift below mu1, relative to mu1
 
 
 # unused: perfbench/tracer.py LAYERS wraps this module attribute as
@@ -135,28 +134,6 @@ def _principal_block_eigen(
     raise ConvergenceError("secant on rho(K(nu)) = 1 did not converge")
 
 
-def _dirichlet_eigenvector(mesh: Mesh) -> tuple[np.ndarray, int]:
-    """The positive Dirichlet eigenvector psi (sup 1) and the solve count.
-
-    Inverse iteration with the shift mu1 (1 - 1e-3), mu1 from
-    ``lowest_eigenvalue``: with the shift that close, the rounding of each
-    solve lands along psi and the iterate settles to a few ulps, where an
-    ``A psi - mu1 psi`` residual test stalls at eps ||A|| on fine meshes.
-    """
-    op = mesh.operator
-    solve = op.shifted_solver(op.lowest_eigenvalue * (1.0 - _PSI_GAP))
-    if solve is None:
-        raise NumericsError("shifted Dirichlet operator not positive definite")
-    x = np.ones(op.size)
-    for it in range(1, _POWER_MAX + 1):
-        y = solve(x)
-        y /= y.max()
-        if np.max(np.abs(y - x)) <= _POWER_RTOL:
-            return y, it
-        x = y
-    raise ConvergenceError("inverse iteration for the Dirichlet eigenvector stalled")
-
-
 def _weakly_coupled_eigen(
     mesh: Mesh, a12: np.ndarray, a21: np.ndarray
 ) -> tuple[float, np.ndarray, np.ndarray, int]:
@@ -165,21 +142,22 @@ def _weakly_coupled_eigen(
     At b = 0 the block is diag(A, A), with principal eigenspace
     span{(psi, 0), (0, psi)}.  For small b its two eigenvalues differ by
     about 2b, and the gap mu1 - nu1 of about b is lost in the rounding of
-    the shifted solves next to mu1.  First-order perturbation on the eigenspace gives
-    nu1 = mu1 - b sqrt(k12 k21) and phi2 = c sqrt(k21 / k12) psi, with
-    c = sqrt(max a21 / max a12) and k = <psi, (a / max a) psi> / <psi, psi>
-    in the quadrature inner product; the residual is of order b.
+    the shifted solves next to mu1.  First-order perturbation on the
+    eigenspace gives nu1 = mu1 - b sqrt(k12 k21) and
+    phi2 = c sqrt(k21 / k12) psi, with c = sqrt(max a21 / max a12) and
+    k = <psi, (a / max a) psi> / <psi, psi> in the quadrature inner product;
+    the residual is of order b.  (mu1, psi) is ``mesh.principal_eigenpair``.
     """
-    mu1 = mesh.operator.lowest_eigenvalue
-    psi, iterations = _dirichlet_eigenvector(mesh)
+    pair = principal_eigenpair(mesh.operator)
+    mu1, psi = pair.value, pair.vector
     if not a12.any():   # lam = mu = 0: exactly diag(A, A)
-        return mu1, psi, psi, iterations
+        return mu1, psi, psi, pair.iterations
     mass = mesh.weights * psi * psi
     root12, root21 = math.sqrt(a12.max()), math.sqrt(a21.max())
     k12 = mass @ (a12 / a12.max()) / mass.sum()
     k21 = mass @ (a21 / a21.max()) / mass.sum()
     nu = mu1 - root12 * root21 * math.sqrt(k12 * k21)
-    return nu, psi, root21 / root12 * math.sqrt(k21 / k12) * psi, iterations
+    return nu, psi, root21 / root12 * math.sqrt(k21 / k12) * psi, pair.iterations
 
 
 def linearized_eigen(

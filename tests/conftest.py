@@ -1,8 +1,43 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from memslab import build_radial, build_rect
+from memslab import build_radial, build_rect, unit_ball_volume
 from memslab.profiles import constant_profile
+
+
+def oracle_symmetric_form(mesh):
+    """K = W A assembled with scipy.sparse, apart from the package's numpy
+    bands: ``sp.diags`` of the finite-volume fluxes on radial meshes, and on
+    rectangles the ``sp.kronsum`` of the two 1-D operators times the cell
+    area."""
+    if mesh.kind == "radial":
+        n, dim, radius, h = mesh.n_nodes, mesh.dimension, mesh.radius, mesh.spacing
+        edges = np.empty(n + 1)
+        edges[0] = 0.0
+        edges[1:] = (np.arange(1, n + 1) - 0.5) * h
+        edges[n] = radius
+        area = dim * unit_ball_volume(dim)
+        s_int = area * edges[1:n] ** (dim - 1)
+        diag = np.zeros(n)
+        diag[: n - 1] += s_int / h
+        diag[1:] += s_int / h
+        diag[n - 1] += area * radius ** (dim - 1) / (h / 2.0)
+        off = -s_int / h
+        return sp.diags([off, diag, off], offsets=[-1, 0, 1], format="csr")
+
+    def line(n, h):
+        d = np.full(n, 2.0)
+        d[0] = d[-1] = 3.0
+        return sp.diags([-np.ones(n - 1), d, -np.ones(n - 1)], [-1, 0, 1]) / h**2
+
+    a = sp.kronsum(line(mesh.ny, mesh.hy), line(mesh.nx, mesh.hx), format="csr")
+    return (a * (mesh.hx * mesh.hy)).tocsr()
+
+
+def oracle_matrix(mesh):
+    """The operator A = W^-1 K of ``oracle_symmetric_form`` as a CSR matrix."""
+    return (sp.diags(1.0 / mesh.weights) @ oracle_symmetric_form(mesh)).tocsr()
 
 
 @pytest.fixture(scope="session")

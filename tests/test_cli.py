@@ -413,11 +413,12 @@ print(code, *(m for m in ("scipy.linalg", "scipy.sparse") if m in sys.modules))
 """
 
 
-@pytest.mark.parametrize("command,domain,allowed", [
-    ("extremal", SQUARE16, set()),      # rectangles need no LAPACK
-    ("solve", DISK, {"scipy.linalg"}),  # radial solves load it on first use
-], ids=["extremal-square", "solve-disk"])
-def test_import_footprint(tmp_path, command, domain, allowed):
+@pytest.mark.parametrize("command,domain,param,allowed", [
+    ("extremal", SQUARE16, 0.5, set()),      # rectangles need no LAPACK
+    ("solve", DISK, 0.5, {"scipy.linalg"}),  # radial solves load it on first use
+    ("eigen", DISK, 0.0, {"scipy.linalg"}),  # the Dirichlet eigenpair, uncoupled
+], ids=["extremal-square", "solve-disk", "eigen-disk"])
+def test_import_footprint(tmp_path, command, domain, param, allowed):
     import os
     import subprocess
     import sys
@@ -427,7 +428,7 @@ def test_import_footprint(tmp_path, command, domain, allowed):
 
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"domain": domain, "f": ONES, "g": ONES, "theta": 1.0,
-                               "fractions": [0.5, 0.9], "lambda": 0.5, "mu": 0.5}))
+                               "fractions": [0.5, 0.9], "lambda": param, "mu": param}))
     src = str(Path(memslab.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))

@@ -94,7 +94,11 @@ class TestBoundArithmetic:
     def test_report_mu1_matches_power_iteration(self, disk, kind):
         mesh = disk if kind == "disk" else build_rect(2.0, 0.5, 16, 40)
         one = constant_profile(mesh, 1.0)
-        expected = principal_eigenpair(mesh.operator, mesh).value
+        # mu1 comes from LAPACK bisection (radial) or the sine modes
+        # (rectangles); the Rayleigh quotient of the inverse-iteration psi is
+        # computed apart from both
+        psi = principal_eigenpair(mesh.operator).vector
+        expected = mesh.operator.dirichlet_energy(psi) / (mesh.weights @ (psi * psi))
         assert bound_report(mesh, one, one).mu1 == pytest.approx(expected, rel=1e-8)
 
     def test_report_power_profile_has_no_upper(self, disk):

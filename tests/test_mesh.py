@@ -19,6 +19,8 @@ from memslab import (
 )
 from memslab.exceptions import IndefiniteError
 
+from conftest import oracle_matrix, oracle_symmetric_form
+
 
 class TestQuadrature:
     @pytest.mark.parametrize(
@@ -54,7 +56,7 @@ class TestQuadrature:
 
     def test_integrate_eigenfunction_closed_form(self, interval256):
         # int_{-1}^{1} cos(pi x / 2) dx = 4 / pi
-        pair = principal_eigenpair(interval256.operator, interval256)
+        pair = principal_eigenpair(interval256.operator)
         assert integrate(interval256, pair.vector) == pytest.approx(
             4.0 / math.pi, rel=1e-3
         )
@@ -78,14 +80,25 @@ class TestValidation:
             build_rect(*args)
 
 
-class TestOperator:
-    def test_rect_matrix_exactly_symmetric(self, square64):
-        a = square64.operator.matrix
-        assert abs(a - a.T).max() == 0.0
+def assert_self_adjoint(mesh, rng):
+    """<A u, v>_w = <u, A v>_w through ``apply`` on random fields, to
+    rounding: 1e-13 of ||A||_inf ||u||_inf <|v|, 1>_w bounds the terms."""
+    op, w = mesh.operator, mesh.weights
+    for _ in range(5):
+        u, v = rng.uniform(-1.0, 1.0, (2, mesh.n_nodes))
+        lhs, rhs = w @ (op.apply(u) * v), w @ (u * op.apply(v))
+        scale = op.norm_inf * np.abs(u).max() * (w @ np.abs(v))
+        assert abs(lhs - rhs) <= 1e-13 * scale
 
-    def test_radial_symmetric_in_quadrature_inner_product(self, disk256):
-        k = disk256.operator.symmetric_form
-        assert abs(k - k.T).max() == 0.0
+
+class TestOperator:
+    def test_rect_matrix_exactly_symmetric(self, square64, rng):
+        assert_self_adjoint(square64, rng)
+        assert_self_adjoint(build_rect(2.0, 0.5, 16, 40), rng)
+
+    def test_radial_symmetric_in_quadrature_inner_product(self, disk256, rng):
+        assert_self_adjoint(disk256, rng)
+        assert_self_adjoint(build_radial(8, 1.0, 512), rng)
 
     def test_action_on_ones(self, disk256):
         # zero in the deep interior, nonnegative near the boundary
@@ -97,10 +110,11 @@ class TestOperator:
         # first row must be the one-sided limit 2N (u0 - u1) / h^2
         for dim in (1, 2, 3, 8):
             mesh = build_radial(dim, 1.0, 32)
-            a = mesh.operator.matrix.tocsr()
+            # a[0, j] is the first entry of A e_j
+            a00, a01 = mesh.operator.apply(np.eye(2, mesh.n_nodes))[:, 0]
             h = mesh.spacing
-            assert a[0, 0] == pytest.approx(2.0 * dim / h**2, rel=1e-12)
-            assert a[0, 1] == pytest.approx(-2.0 * dim / h**2, rel=1e-12)
+            assert a00 == pytest.approx(2.0 * dim / h**2, rel=1e-12)
+            assert a01 == pytest.approx(-2.0 * dim / h**2, rel=1e-12)
 
     def test_inverse_positivity(self, disk256, rng):
         # (-Lap)^(-1) maps nonnegative nonzero fields to strictly positive ones
@@ -112,7 +126,7 @@ class TestOperator:
             assert np.all(u > 0)
 
     def test_positive_definite(self, disk256):
-        assert principal_eigenpair(disk256.operator, disk256).value > 0
+        assert principal_eigenpair(disk256.operator).value > 0
 
 
 class TestPoisson:
@@ -127,7 +141,7 @@ class TestPoisson:
         assert err < 5e-5  # O(h^2) at n = 256
 
     def test_eigen_relation(self, disk256):
-        pair = principal_eigenpair(disk256.operator, disk256)
+        pair = principal_eigenpair(disk256.operator)
         u = solve_poisson(disk256.operator, pair.value * pair.vector)
         assert np.max(np.abs(u - pair.vector)) < 1e-7
 
@@ -154,7 +168,7 @@ class TestPoisson:
         op = rect.operator
         rhs = rng.uniform(-1.0, 1.0, rect.n_nodes)
         u = op.solve(rhs)
-        direct = spsolve(op.matrix.tocsc(), rhs)
+        direct = spsolve(oracle_matrix(rect).tocsc(), rhs)
         assert np.max(np.abs(u - direct)) <= 1e-12 * np.max(np.abs(direct))
         np.testing.assert_array_equal(solve_poisson(op, rhs), u)
 
@@ -173,17 +187,19 @@ ORDER_MESHES = [build_radial(dim, 1.0, n)
 class TestRadialSolve:
     @pytest.mark.parametrize("dim", [1, 2, 3, 8])
     def test_matches_direct_solve(self, dim, rng):
-        op = build_radial(dim, 1.0, 257).operator
+        mesh = build_radial(dim, 1.0, 257)
+        op = mesh.operator
         rhs = rng.uniform(-1.0, 1.0, op.size)
-        direct = spsolve(op.matrix.tocsc(), rhs)
+        direct = spsolve(oracle_matrix(mesh).tocsc(), rhs)
         assert np.max(np.abs(op.solve(rhs) - direct)) <= 1e-10 * np.max(np.abs(direct))
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 8])
     def test_shifted_solver(self, dim, rng):
-        op = build_radial(dim, 1.0, 257).operator
+        mesh = build_radial(dim, 1.0, 257)
+        op = mesh.operator
         nu = 0.5 * op.lowest_eigenvalue
         rhs = rng.uniform(-1.0, 1.0, op.size)
-        direct = spsolve((op.matrix - nu * sp.identity(op.size)).tocsc(), rhs)
+        direct = spsolve((oracle_matrix(mesh) - nu * sp.identity(op.size)).tocsc(), rhs)
         u = op.shifted_solver(nu)(rhs)
         assert np.max(np.abs(u - direct)) <= 1e-10 * np.max(np.abs(direct))
         assert op.shifted_solver(op.lowest_eigenvalue * (1.0 + 1e-9)) is None
@@ -200,35 +216,6 @@ class TestRadialSolve:
         delta = rng.uniform(0.0, 1.0, op.size) * 10.0**exponent
         delta[rng.integers(0, sparsity, op.size) != 0] = 0.0
         assert np.all(op.solve(b + delta) >= op.solve(b))
-
-
-def oracle_symmetric_form(mesh):
-    """K = W A assembled with scipy.sparse, as the package did before it kept
-    numpy bands: ``sp.diags`` of the finite-volume fluxes on radial meshes,
-    and on rectangles the ``sp.kronsum`` of the two 1-D operators times the
-    cell area."""
-    if mesh.kind == "radial":
-        n, dim, radius, h = mesh.n_nodes, mesh.dimension, mesh.radius, mesh.spacing
-        edges = np.empty(n + 1)
-        edges[0] = 0.0
-        edges[1:] = (np.arange(1, n + 1) - 0.5) * h
-        edges[n] = radius
-        area = dim * unit_ball_volume(dim)
-        s_int = area * edges[1:n] ** (dim - 1)
-        diag = np.zeros(n)
-        diag[: n - 1] += s_int / h
-        diag[1:] += s_int / h
-        diag[n - 1] += area * radius ** (dim - 1) / (h / 2.0)
-        off = -s_int / h
-        return sp.diags([off, diag, off], offsets=[-1, 0, 1], format="csr")
-
-    def line(n, h):
-        d = np.full(n, 2.0)
-        d[0] = d[-1] = 3.0
-        return sp.diags([-np.ones(n - 1), d, -np.ones(n - 1)], [-1, 0, 1]) / h**2
-
-    a = sp.kronsum(line(mesh.ny, mesh.hy), line(mesh.nx, mesh.hx), format="csr")
-    return (a * (mesh.hx * mesh.hy)).tocsr()
 
 
 BAND_MESHES = {
@@ -253,8 +240,12 @@ class TestBands:
         assert offsets == ([1] if mesh.kind == "radial" else [1, mesh.ny])
         for k, values in op._bands:
             np.testing.assert_array_equal(values, oracle.diagonal(k))
-        # no entry of the oracle lies off the stored bands
-        assert (op.symmetric_form != oracle).nnz == 0
+            np.testing.assert_array_equal(values, oracle.diagonal(-k))
+        # no entry of the oracle lies off the stored bands: the bands hold
+        # all of its nonzeros
+        on_bands = np.count_nonzero(op._diag) + 2 * sum(
+            np.count_nonzero(values) for _, values in op._bands)
+        assert oracle.count_nonzero() == on_bands
 
     @pytest.mark.parametrize("name", BAND_MESHES)
     def test_apply_matches_csr_product(self, name, rng):
@@ -300,17 +291,17 @@ class TestStackedSolve:
 
 class TestCoupledSolve:
     @staticmethod
-    def dense(op, a, r):
-        amat = op.matrix.toarray()
+    def dense(mesh, a, r):
+        amat = oracle_matrix(mesh).toarray()
         jac = np.block([[amat, -np.diag(a[0])], [-np.diag(a[1]), amat]])
-        return np.linalg.solve(jac, r.ravel()).reshape(2, op.size)
+        return np.linalg.solve(jac, r.ravel()).reshape(2, mesh.n_nodes)
 
     def test_matches_dense_solve(self, rng):
         mesh = build_radial(2, 1.0, 40)
         op, w = mesh.operator, mesh.weights
         a = rng.uniform(0.0, 0.02, (2, op.size)) / w
         r = rng.uniform(-1.0, 1.0, (2, op.size)) / w
-        np.testing.assert_allclose(op.solve_coupled(a, r), self.dense(op, a, r),
+        np.testing.assert_allclose(op.solve_coupled(a, r), self.dense(mesh, a, r),
                                    rtol=1e-10, atol=1e-12)
 
     @pytest.mark.parametrize("name", COUPLED_MESHES)
@@ -349,7 +340,7 @@ class TestCoupledSolve:
         a = np.stack([left * rng.uniform(0.0, bound, op.size),
                       rng.uniform(0.0, bound, op.size)])
         r = rng.uniform(-1.0, 1.0, (2, op.size)) / mesh.weights
-        amat = op.matrix
+        amat = oracle_matrix(mesh)
         jac = sp.bmat([[amat, -sp.diags(a[0])], [-sp.diags(a[1]), amat]], format="csc")
         expected = spsolve(jac, r.ravel())
         d = op.solve_coupled(a, r).ravel()
@@ -367,23 +358,36 @@ class TestCoupledSolve:
 
 class TestEigenpair:
     def test_interval(self, interval256):
-        pair = principal_eigenpair(interval256.operator, interval256)
+        pair = principal_eigenpair(interval256.operator)
         assert pair.value == pytest.approx(math.pi**2 / 4.0, rel=0.005)
 
     def test_disk(self, disk256):
-        pair = principal_eigenpair(disk256.operator, disk256)
+        pair = principal_eigenpair(disk256.operator)
         assert pair.value == pytest.approx(float(jn_zeros(0, 1)[0] ** 2), rel=0.005)
 
     def test_square(self, square64):
-        pair = principal_eigenpair(square64.operator, square64)
+        pair = principal_eigenpair(square64.operator)
         assert pair.value == pytest.approx(2.0 * math.pi**2, rel=0.005)
 
     def test_normalization_positivity_residual(self, disk256):
-        pair = principal_eigenpair(disk256.operator, disk256)
+        pair = principal_eigenpair(disk256.operator)
         assert pair.vector.max() == 1.0
         assert np.all(pair.vector > 0)
         res = disk256.operator.apply(pair.vector) - pair.value * pair.vector
         assert np.max(np.abs(res)) <= 1e-8 * pair.value
+
+    def test_fine_disk(self):
+        # ||A||_inf is about 2e9 here, so eps ||A||_inf exceeds 1e-8 mu1 and
+        # a residual bound of 1e-8 mu1 alone is out of reach
+        disk = build_radial(2, 1.0, 16384)
+        op = disk.operator
+        pair = principal_eigenpair(op)
+        assert pair.iterations <= 8
+        assert pair.value == op.lowest_eigenvalue
+        assert pair.vector.max() == 1.0
+        assert np.all(pair.vector > 0)
+        res = np.max(np.abs(op.apply(pair.vector) - pair.value * pair.vector))
+        assert res <= 1e-8 * pair.value + 8 * np.finfo(float).eps * op.norm_inf
 
 
 def test_equal_measure_radius():

@@ -24,13 +24,7 @@ from hypothesis import strategies as st
 from memslab import ConfigurationError, PreconditionError, build_radial, build_rect, integrate
 from memslab.curve import CurveConfig, extremal_on_ray
 from memslab.profiles import constant_profile, symmetrize, tabulated_profile
-from memslab.solver import (
-    SolveConfig,
-    Verdict,
-    explicit_supersolution,
-    minimal_solve,
-    supersolution_descend,
-)
+from memslab.solver import SolveConfig, Verdict, minimal_solve
 from memslab.stability import linearized_eigen
 
 DISK = build_radial(2, 1.0, 32)
@@ -77,18 +71,6 @@ def test_subnormal_parameters_converge():
     out = minimal_solve(DISK, ONE, ONE, 5e-324, 5e-324)
     assert out.converged
     assert out.iterations <= 3
-
-
-@FEW
-@given(lam=PARAMETER, mu=PARAMETER)
-@example(lam=0.1, mu=math.nan)
-def test_supersolution_descend_accepts_or_rejects(lam, mu):
-    w = explicit_supersolution(DISK, "quadratic")
-    try:
-        supersolution_descend(DISK, ONE, ONE, lam, mu, w, w, BUDGET)
-    except PreconditionError:
-        return
-    assert _finite_nonnegative(lam, mu)
 
 
 @FEW

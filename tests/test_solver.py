@@ -13,12 +13,12 @@ from memslab.solver import (
     SolveConfig,
     StatePair,
     Verdict,
-    explicit_supersolution,
     minimal_solve,
     residual,
-    supersolution_descend,
     write_solution_csv,
 )
+
+from conftest import oracle_matrix
 
 # frozen from a 4096-node radial run (tools/make_goldens.py)
 GOLDEN_DISK_SUP_U_HALF = 0.1619976976289698
@@ -320,7 +320,7 @@ class TestFeasibilityCertificate:
     @pytest.mark.parametrize("case", ["disk4096", "indicator-square32"])
     def test_witness_is_a_supersolution(self, case):
         # checked apart from the package's solves: A^-1 by a sparse LU on the
-        # operator matrix.  On the indicator square the certificate fires
+        # independently assembled operator matrix.  On the indicator square the certificate fires
         # although the defect of the witness vanishes, up to rounding, at
         # the nodes where f = 0
         if case == "disk4096":
@@ -336,7 +336,7 @@ class TestFeasibilityCertificate:
         big_u, big_v = out.supersolution.u, out.supersolution.v
         assert min(big_u.min(), big_v.min()) >= 0
         assert max(big_u.max(), big_v.max()) < 1.0 - SolveConfig().touch_threshold
-        a = mesh.operator.matrix.tocsc()
+        a = oracle_matrix(mesh).tocsc()
         t_u = spsolve(a, lam * f.values / (1.0 - big_v) ** 2)
         t_v = spsolve(a, lam * g.values / (1.0 - big_u) ** 2)
         assert np.all(t_u <= big_u) and np.all(t_v <= big_v)
@@ -386,73 +386,23 @@ class TestWarmStart:
                           start=(np.zeros(3), np.zeros(3)))
 
 
-class TestExplicitSupersolutions:
-    def test_quadratic_at_origin(self, disk256):
-        w = explicit_supersolution(disk256, "quadratic")
-        assert w[0] == pytest.approx(1.0 / 3.0)
-
-    def test_cusp_boundary_and_clamp(self, disk256):
-        w = explicit_supersolution(disk256, "cusp")
-        assert w[0] == 1.0 - DELTA_FLOOR
-        r_last = disk256.radii[-1] / disk256.radius
-        assert w[-1] == pytest.approx(1.0 - r_last ** (2.0 / 3.0), abs=1e-12)
-
-    def test_power_quadratic_at_origin(self, disk256):
-        w = explicit_supersolution(disk256, "power_quadratic", alpha=2.0)
-        assert w[0] == pytest.approx(1.0 / 3.0)
-
-    def test_unknown_kind(self, disk256):
-        with pytest.raises(PreconditionError):
-            explicit_supersolution(disk256, "cubic")
-
-
 class TestSupersolutionDescend:
+    """The quadratic shape (1 - (r/R)^2) / 3 is a discrete super-solution at
+    lam = mu = 8N/27, the constant of the box ``curve.lower_bound`` certifies
+    on the unit ball for N <= 2."""
+
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_quadratic_signed_defect(self, dim):
         # -Lap w = 2N/3 >= (8N/27)/(1-w)^2 node-wise, equality at the origin
         mesh = build_radial(dim, 1.0, 256)
         one = constant_profile(mesh, 1.0)
         lam = 8.0 * dim / 27.0
-        w = explicit_supersolution(mesh, "quadratic")
+        w = (1.0 - (mesh.radii / mesh.radius) ** 2) / 3.0
         state = StatePair(u=w, v=w)
         defect = mesh.operator.apply(w) - lam / (1.0 - w) ** 2
         assert np.min(defect) >= -1e-8
         res = residual(mesh, one, one, lam, lam, state)
         assert max(res) < np.max(np.abs(mesh.operator.apply(w)))  # sanity
-
-    def test_descend_bounds_minimal(self, disk256, ones_disk):
-        lam = 8.0 * 2 / 27.0
-        w = explicit_supersolution(disk256, "quadratic")
-        down = supersolution_descend(disk256, ones_disk, ones_disk, lam, lam, w, w)
-        assert down.converged
-        up = minimal_solve(disk256, ones_disk, ones_disk, lam, lam)
-        assert np.all(up.state.u <= down.state.u + 1e-8)
-        assert np.all(down.state.u <= w + 1e-12)
-
-    def test_fixed_point_in_one_iteration(self, disk256, ones_disk):
-        lam = 0.5
-        minimal = minimal_solve(disk256, ones_disk, ones_disk, lam, lam)
-        again = supersolution_descend(
-            disk256, ones_disk, ones_disk, lam, lam,
-            minimal.state.u.copy(), minimal.state.v.copy(),
-        )
-        assert again.converged
-        assert again.iterations == 1
-
-    def test_rejects_non_supersolution(self, disk256, ones_disk):
-        w = explicit_supersolution(disk256, "quadratic")
-        lam_too_big = 2.0  # far above 16/27
-        with pytest.raises(PreconditionError, match="node"):
-            supersolution_descend(
-                disk256, ones_disk, ones_disk, lam_too_big, lam_too_big, w, w
-            )
-
-    def test_rejects_out_of_range_fields(self, disk256, ones_disk):
-        w = explicit_supersolution(disk256, "quadratic")
-        bad = w.copy()
-        bad[5] = 1.0
-        with pytest.raises(PreconditionError, match="node 5"):
-            supersolution_descend(disk256, ones_disk, ones_disk, 0.1, 0.1, bad, w)
 
 
 class TestResidual:
