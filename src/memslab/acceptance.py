@@ -23,7 +23,7 @@ from .curve import (
     lower_bound_power,
 )
 from .diagnostics import singular_residual
-from .mesh import build_radial, build_rect, solve_poisson
+from .mesh import build_radial, build_rect, principal_eigenpair, solve_poisson
 from .profiles import constant_profile, power_profile, tabulated_profile
 from .solver import SolveConfig, StatePair, minimal_solve
 from .stability import classify, eigen_ratio_check, linearized_eigen, stability_inequality_gap
@@ -101,7 +101,7 @@ def bound_sandwich(scale):
     """Critical parameter between the analytic certificates, matching the golden."""
     n = _scaled(1024, scale)
     mesh = build_radial(2, 1.0, n)
-    mu1 = mesh.operator.lowest_eigenvalue
+    mu1 = principal_eigenpair(mesh.operator).value
     sample = _disk_ray(n, 1.0)
     lo = 16.0 / 27.0 - 0.003
     hi = 4.0 * mu1 / 27.0 + 0.003
@@ -250,7 +250,7 @@ def stability(scale):
     ratio_gap = eigen_ratio_check(eig, lam, mu)
 
     # zero-state analytic eigenvalue
-    mu1 = mesh.operator.lowest_eigenvalue
+    mu1 = principal_eigenpair(mesh.operator).value
     zero = StatePair(u=np.zeros(mesh.n_nodes), v=np.zeros(mesh.n_nodes))
     t = 0.4
     eig0 = linearized_eigen(mesh, one, one, t, t, zero)
@@ -330,7 +330,7 @@ def infrastructure(scale):
          2.0 * np.pi**2),
     ]
     for label, mesh, exact in targets:
-        mu1 = mesh.operator.lowest_eigenvalue
+        mu1 = principal_eigenpair(mesh.operator).value
         rel = abs(mu1 - exact) / exact
         ok &= rel <= 0.005
         details.append(f"{label} mu1 rel err {rel:.2e}")

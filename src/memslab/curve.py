@@ -21,9 +21,7 @@ import numpy as np
 
 from .artifacts import write_csv, write_json
 from .exceptions import ConfigurationError, ConvergenceError, UnboundedRayError
-from .mesh import Mesh, unit_ball_volume
-# unused: perfbench/tracer.py LAYERS looks it up, and --trace 1 fails without it
-from .mesh import principal_eigenpair  # noqa: F401
+from .mesh import Mesh, principal_eigenpair, unit_ball_volume
 from .profiles import Profile, symmetrize
 from .solver import NonexistenceReason, SolveConfig, Verdict, minimal_solve
 
@@ -104,7 +102,7 @@ def bound_report(mesh: Mesh, f: Profile, g: Profile) -> BoundReport:
     """Evaluate every applicable bound for the given configuration."""
     dim = mesh.dimension
     a_f, a_g = lower_bound(f.sup(), g.sup(), mesh.volume, dim)
-    mu1 = mesh.operator.lowest_eigenvalue
+    mu1 = principal_eigenpair(mesh.operator).value
     uf, ug = upper_bound(mu1, f.inf(), g.inf())
     return BoundReport(
         a_f=a_f,

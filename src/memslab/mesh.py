@@ -14,11 +14,13 @@ diagonalization on rectangles: the operator there is the Kronecker sum of
 two 1-D operators whose eigenvectors are closed-form sine modes, so a solve
 is four dense matrix products with the mode matrices (Lynch, Rice & Thomas,
 Numer. Math. 6, 1964).  Both are ``DirichletLaplacian.shifted_solver``, the
-one place that dispatches on mesh kind.  The operator is stored as numpy
-bands and applied with array slices, so rectangle runs never import scipy;
-the radial LAPACK routines are imported on first use.  Solves and ``apply``
-also take a ``(2, n)`` stack of two fields, each row bit for bit as a single
-field.  The
+one solver that dispatches on mesh kind; ``principal_eigenpair``, the one
+Dirichlet eigen routine, is the other dispatch: closed forms on rectangles,
+inverse iteration with the cached solver on radial meshes.  The operator is
+stored as numpy bands and applied with array slices, so rectangle runs
+never import scipy; the two radial LAPACK routines, ``cholesky_banded`` and
+``dpttrs``, are imported on first use.  Solves and ``apply`` also take a
+``(2, n)`` stack of two fields, each row bit for bit as a single field.  The
 coupled linearized solve of the Newton finish is conjugate gradients
 (Hestenes & Stiefel, J. Res. NBS 49, 1952) on two-field solves, on either
 kind: a median of 5-8 steps per coupled solve on radial meshes and about 9
@@ -42,8 +44,7 @@ RECT = "rect"
 _POISSON_RTOL = 1e-10       # linear-solve backward-error contract, sup-norm
 _EIG_RESIDUAL_RTOL = 1e-8   # sup-norm eigen residual contract relative to mu1 ...
 _EIG_ROUNDING = 8           # ... plus this many eps * ||A||_inf
-_EIG_SHIFT_GAP = 1e-3       # inverse-iteration shift below mu1, relative to mu1
-_EIG_STEP_TOL = 1e-13       # sup-norm change of the sup-1 iterate that ends it
+_EIG_RTOL = 1e-13           # relative width of the mu1 enclosure that ends it
 _EIG_MAX_ITER = 10_000
 _CG_RTOL = 1e-12            # coupled CG residual target, relative, in the w-norm
 _CG_MAX_ITER = 200          # CG steps per coupled solve
@@ -101,7 +102,7 @@ class DirichletLaplacian:
         self._weights = weights
         self._modes = modes       # (qx, qy, eig), rectangle case
         self._solver = None       # shifted_solver(0.0), built on first use
-        self._lowest = None       # mu1, computed on first use
+        self._eigenpair = None    # principal_eigenpair, computed on first use
 
     @property
     def size(self) -> int:
@@ -157,26 +158,6 @@ class DirichletLaplacian:
         if self._solver is None:
             self._solver = self.shifted_solver(0.0)
         return self._solver(rhs)
-
-    @property
-    def lowest_eigenvalue(self) -> float:
-        """mu1, the smallest eigenvalue of A.
-
-        ``eig[0, 0]`` on rectangles; on radial meshes LAPACK bisection on
-        the symmetric tridiagonal ``W^-1/2 K W^-1/2``, which is similar to A.
-        Neither makes a Poisson solve.
-        """
-        if self._lowest is None:
-            if self._modes is None:
-                from scipy.linalg import eigvalsh_tridiagonal
-                (_, off), = self._bands
-                root = np.sqrt(self._weights)
-                self._lowest = float(eigvalsh_tridiagonal(
-                    self._diag / self._weights, off / (root[:-1] * root[1:]),
-                    select="i", select_range=(0, 0))[0])
-            else:
-                self._lowest = float(self._modes[2][0, 0])
-        return self._lowest
 
     def shifted_solver(self, nu: float):
         """Solver ``rhs -> (A - nu)^-1 rhs``, or None when A - nu is not
@@ -491,7 +472,8 @@ def solve_poisson(op: DirichletLaplacian, rhs: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EigenPair:
-    """Principal Dirichlet eigenvalue and positive eigenfunction (sup = 1)."""
+    """Principal Dirichlet eigenvalue and positive eigenfunction (sup = 1);
+    ``iterations`` counts the solves that made it, 0 for a closed form."""
 
     value: float
     vector: np.ndarray
@@ -499,31 +481,38 @@ class EigenPair:
 
 
 def principal_eigenpair(op: DirichletLaplacian) -> EigenPair:
-    """Principal Dirichlet eigenpair: mu1 from ``lowest_eigenvalue`` and the
-    positive eigenfunction psi, normalized to sup = 1.
+    """Principal Dirichlet eigenpair: mu1 and the positive eigenfunction psi,
+    normalized to sup = 1; computed once per operator and cached on it.
 
-    psi comes from inverse iteration with the shift mu1 (1 - 1e-3) from the
-    all-ones start, normalized to sup 1 at every step, until the iterate
-    changes by at most 1e-13 in the sup norm.  With the shift that close,
-    the rounding of each solve lands along psi and the iterate settles to a
-    few ulps within a handful of steps, where a test on the residual
-    ``A psi - mu1 psi`` would stall at eps ||A|| on fine meshes.  The
-    residual meets ``||A psi - mu1 psi||_inf <= 1e-8 mu1 + 8 eps ||A||_inf``,
-    the backward-error scale of ``solve_poisson``.
+    On rectangles both are closed forms: ``eig[0, 0]`` and the product of
+    the first sine modes, with ``iterations = 0``.  On radial meshes they
+    come from inverse iteration with the cached solver ``op.solve`` from the
+    all-ones start.  Since A^-1 is positive, each step ``y = A^-1 x`` with
+    ``x > 0`` encloses mu1 in ``[min x/y, max x/y]`` (Collatz-Wielandt); the
+    iteration stops once that interval's relative width is at most 1e-13
+    and returns its upper end as mu1, so ``4 mu1 / 27`` errs upward, and
+    ``y / max y`` as psi.  The residual meets
+    ``||A psi - mu1 psi||_inf <= 1e-8 mu1 + 8 eps ||A||_inf``, the
+    backward-error scale of ``solve_poisson``.
     """
-    mu1 = op.lowest_eigenvalue
-    solve = op.shifted_solver(mu1 * (1.0 - _EIG_SHIFT_GAP))
-    if solve is None:
-        raise NumericsError("shifted Dirichlet operator not positive definite")
-    x = np.ones(op.size)
-    for it in range(1, _EIG_MAX_ITER + 1):
-        y = solve(x)
-        y /= y.max()
-        if np.max(np.abs(y - x)) <= _EIG_STEP_TOL:
-            break
-        x = y
+    if op._eigenpair is not None:
+        return op._eigenpair
+    if op._modes is None:
+        x = np.ones(op.size)
+        for it in range(1, _EIG_MAX_ITER + 1):
+            y = op.solve(x)
+            ratio = x / y
+            mu1 = float(ratio.max())
+            if mu1 - ratio.min() <= _EIG_RTOL * mu1:
+                break
+            x = y / y.max()
+        else:
+            raise ConvergenceError("inverse iteration for the Dirichlet eigenpair stalled")
     else:
-        raise ConvergenceError("inverse iteration for the Dirichlet eigenvector stalled")
+        qx, qy, eig = op._modes
+        mu1, it = float(eig[0, 0]), 0
+        y = np.outer(qx[:, 0], qy[:, 0]).ravel()
+    y /= y.max()
     if not np.all(y > 0):
         raise NumericsError("principal eigenfunction not positive in the interior")
     res = np.max(np.abs(op.apply(y) - mu1 * y))
@@ -531,4 +520,5 @@ def principal_eigenpair(op: DirichletLaplacian) -> EigenPair:
     if not res <= _EIG_RESIDUAL_RTOL * mu1 + _EIG_ROUNDING * eps * op.norm_inf:
         raise NumericsError(f"Dirichlet eigen residual {res:.3e} out of contract")
     y.flags.writeable = False
-    return EigenPair(value=mu1, vector=y, iterations=it)
+    op._eigenpair = EigenPair(value=mu1, vector=y, iterations=it)
+    return op._eigenpair

@@ -159,8 +159,8 @@ class SolveConfig:
             )
         if not self.tol_sup > 0:
             raise PreconditionError("tol_sup must be positive")
-        if not self.touch_threshold > self.tol_sup:
-            raise PreconditionError("touch_threshold must exceed tol_sup")
+        if not self.tol_sup < self.touch_threshold < 1.0:
+            raise PreconditionError("touch_threshold must exceed tol_sup and lie below 1")
 
 
 @dataclass(frozen=True)

@@ -74,7 +74,7 @@ def _principal_block_eigen(
 ) -> tuple[float, np.ndarray, np.ndarray, int]:
     """nu1 as the root of rho(K(nu)) = 1; the count is of K applications."""
     op, w = mesh.operator, mesh.weights
-    mu1 = op.lowest_eigenvalue
+    mu1 = principal_eigenpair(op).value
     left = w * a21       # K is self-adjoint in <x, y> = sum(left * x * y)
     x = np.ones(a12.size)
     applications = 0
@@ -146,7 +146,8 @@ def _weakly_coupled_eigen(
     eigenspace gives nu1 = mu1 - b sqrt(k12 k21) and
     phi2 = c sqrt(k21 / k12) psi, with c = sqrt(max a21 / max a12) and
     k = <psi, (a / max a) psi> / <psi, psi> in the quadrature inner product;
-    the residual is of order b.  (mu1, psi) is ``mesh.principal_eigenpair``.
+    the residual is of order b.  (mu1, psi) is ``mesh.principal_eigenpair``,
+    cached on the operator; its ``iterations`` are the count returned.
     """
     pair = principal_eigenpair(mesh.operator)
     mu1, psi = pair.value, pair.vector

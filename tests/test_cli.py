@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from memslab import build_radial
+from memslab import build_radial, principal_eigenpair
 from memslab.cli import main
 from memslab.profiles import power_profile, symmetrize
 
@@ -164,7 +164,7 @@ class TestOtherCommands:
         assert data["mu1"] == pytest.approx(5.783185962946784, rel=1e-6)  # j01^2
 
     def test_eigen_uncoupled_fine_disk(self, tmp_path):
-        # the Dirichlet power iteration cannot meet its residual contract here
+        # eps ||A||_inf exceeds 1e-8 mu1 here; nu1 is the cached Dirichlet mu1
         fine = {"kind": "radial", "dimension": 2, "radius": 1.0, "nodes": 16384}
         code, out = run(
             tmp_path, "eigen",
@@ -172,8 +172,8 @@ class TestOtherCommands:
         )
         assert code == 0
         data = json.loads((out / "eigen_summary.json").read_text())
-        mu1 = build_radial(2, 1.0, 16384).operator.lowest_eigenvalue
-        assert data["nu1"] == pytest.approx(mu1, rel=1e-10)
+        mu1 = principal_eigenpair(build_radial(2, 1.0, 16384).operator).value
+        assert data["nu1"] == mu1
 
     def test_eigen(self, tmp_path):
         code, out = run(
@@ -272,6 +272,9 @@ class TestInputErrors:
         # a finite exponent whose normalization R^alpha overflows
         ("bounds", {"domain": {**DISK, "radius": 2.0},
                     "f": {"kind": "power", "alpha": 1100.0}}, "f"),
+        # a touch band reaching 0: every solve would touch at its first step
+        ("solve", {"lambda": 0.1, "mu": 0.1, "solver": {"touch_threshold": 1.0}},
+         "solver"),
     ])
     def test_exit_four_with_one_violation(self, tmp_path, capsys, monkeypatch,
                                           command, config, field):

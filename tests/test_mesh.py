@@ -18,6 +18,7 @@ from memslab import (
     unit_ball_volume,
 )
 from memslab.exceptions import IndefiniteError
+from memslab.mesh import sine_modes
 
 from conftest import oracle_matrix, oracle_symmetric_form
 
@@ -197,12 +198,12 @@ class TestRadialSolve:
     def test_shifted_solver(self, dim, rng):
         mesh = build_radial(dim, 1.0, 257)
         op = mesh.operator
-        nu = 0.5 * op.lowest_eigenvalue
+        nu = 0.5 * principal_eigenpair(op).value
         rhs = rng.uniform(-1.0, 1.0, op.size)
         direct = spsolve((oracle_matrix(mesh) - nu * sp.identity(op.size)).tocsc(), rhs)
         u = op.shifted_solver(nu)(rhs)
         assert np.max(np.abs(u - direct)) <= 1e-10 * np.max(np.abs(direct))
-        assert op.shifted_solver(op.lowest_eigenvalue * (1.0 + 1e-9)) is None
+        assert op.shifted_solver(principal_eigenpair(op).value * (1.0 + 1e-9)) is None
 
     # increments near rounding, as between late Picard iterates: a solver
     # whose rounding has no fixed sign (a dense modal solve, say) fails here
@@ -281,7 +282,7 @@ class TestStackedSolve:
     def test_rows_equal_single_field_calls(self, request, name, rng):
         op = request.getfixturevalue(name).operator
         stack = rng.uniform(0.0, 1.0, (2, op.size))
-        shifted = op.shifted_solver(0.5 * op.lowest_eigenvalue)
+        shifted = op.shifted_solver(0.5 * principal_eigenpair(op).value)
         for call in (op.solve, shifted, op.apply):
             out = call(stack)
             assert out.shape == stack.shape
@@ -335,7 +336,7 @@ class TestCoupledSolve:
         op = mesh.operator
         # a below mu1 / 2, so rho(K(0)) < 1/4; the indicator of the left half
         # zeroes a12 on the right half
-        bound = 0.5 * op.lowest_eigenvalue
+        bound = 0.5 * principal_eigenpair(op).value
         left = np.repeat(np.arange(16) < 8, 40)
         a = np.stack([left * rng.uniform(0.0, bound, op.size),
                       rng.uniform(0.0, bound, op.size)])
@@ -351,7 +352,7 @@ class TestCoupledSolve:
         # a12 = a21 = 1.2 mu1: rho(K(0)) = 1.44, J is not an M-matrix; the
         # solver's nonexistence test runs on exactly this error
         mesh = request.getfixturevalue(name)
-        a = np.full((2, mesh.n_nodes), 1.2 * mesh.operator.lowest_eigenvalue)
+        a = np.full((2, mesh.n_nodes), 1.2 * principal_eigenpair(mesh.operator).value)
         with pytest.raises(IndefiniteError):
             mesh.operator.solve_coupled(a, np.ones((2, mesh.n_nodes)))
 
@@ -382,10 +383,33 @@ class TestEigenpair:
         disk = build_radial(2, 1.0, 16384)
         op = disk.operator
         pair = principal_eigenpair(op)
-        assert pair.iterations <= 8
-        assert pair.value == op.lowest_eigenvalue
+        assert pair.iterations <= 25
         assert pair.vector.max() == 1.0
         assert np.all(pair.vector > 0)
+        res = np.max(np.abs(op.apply(pair.vector) - pair.value * pair.vector))
+        assert res <= 1e-8 * pair.value + 8 * np.finfo(float).eps * op.norm_inf
+
+    @pytest.mark.parametrize("dim,nodes", [(2, 4096), (2, 16384), (1, 512), (3, 512),
+                                           (8, 512), (10, 512)])
+    def test_value_in_oracle_enclosure(self, dim, nodes):
+        # one step of inverse iteration with an independent sparse solve:
+        # A^-1 is positive, so mu1 lies in [min psi/y, max psi/y]
+        mesh = build_radial(dim, 1.0, nodes)
+        pair = principal_eigenpair(mesh.operator)
+        ratio = pair.vector / spsolve(oracle_matrix(mesh).tocsc(), pair.vector)
+        slack = 5e-10 * pair.value
+        assert ratio.min() - slack <= pair.value <= ratio.max() + slack
+
+    def test_rectangle_closed_form(self):
+        # mu2 / mu1 is about 1.0008 here, out of reach of plain iteration
+        mesh = build_rect(10.0, 0.1, 16, 16)
+        op = mesh.operator
+        pair = principal_eigenpair(op)
+        (qx, ex), (qy, ey) = sine_modes(16, mesh.hx), sine_modes(16, mesh.hy)
+        assert pair.value == ex[0] + ey[0]
+        assert pair.iterations == 0
+        psi = np.outer(qx[:, 0] / qx[:, 0].max(), qy[:, 0] / qy[:, 0].max()).ravel()
+        assert np.max(np.abs(pair.vector - psi)) <= 1e-15
         res = np.max(np.abs(op.apply(pair.vector) - pair.value * pair.vector))
         assert res <= 1e-8 * pair.value + 8 * np.finfo(float).eps * op.norm_inf
 

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy.sparse.linalg import spsolve
 from scipy.special import jn_zeros
 
-from memslab import PreconditionError, build_radial, build_rect
+from memslab import PreconditionError, build_radial, build_rect, principal_eigenpair
 from memslab.profiles import constant_profile, tabulated_profile
 from memslab.solver import (
     DELTA_FLOOR,
@@ -371,7 +371,7 @@ class TestWarmStart:
         # so the solve repeats the cold one bit for bit
         mesh = request.getfixturevalue(mesh_name)
         one = constant_profile(mesh, 1.0)
-        lam = 0.4 * mesh.operator.lowest_eigenvalue / 8.0
+        lam = 0.4 * principal_eigenpair(mesh.operator).value / 8.0
         high = minimal_solve(mesh, one, one, 1.5 * lam, 1.5 * lam)
         cold = minimal_solve(mesh, one, one, lam, lam)
         warm = minimal_solve(mesh, one, one, lam, lam, start=(high.state.u, high.state.v))
@@ -438,6 +438,9 @@ class TestSolveConfig:
             SolveConfig(tol_sup=0.0)
         with pytest.raises(PreconditionError):
             SolveConfig(tol_sup=1e-3, touch_threshold=1e-6)
+        for touch in (1.0, 1.5, float("inf")):
+            with pytest.raises(PreconditionError):
+                SolveConfig(touch_threshold=touch)
 
     @pytest.mark.parametrize("max_iter", [0, -3, 2.5])
     def test_max_iter_must_be_positive_integer(self, max_iter):

@@ -73,6 +73,9 @@ RUNS = (
      {"domain": SQUARE, "f": INDICATOR, "g": ONES, "lambda": 0.8, "mu": 0.5}),
     ("eigen-rect-wide", "eigen",
      {"domain": WIDE, "f": ONES, "g": HALF, "lambda": 2.0, "mu": 1.5}),
+    # uncoupled: the closed-form rectangle pair (mu1, psi, psi)
+    ("eigen-rect-wide-uncoupled", "eigen",
+     {"domain": WIDE, "f": ONES, "g": ONES, "lambda": 0.0, "mu": 0.0}),
     ("curve-disk", "curve",
      {"domain": DISK, "f": ONES, "g": ONES, "theta_grid": [0.5, 1.0, 2.0],
       "curve": CURVE}),
