@@ -8,19 +8,21 @@ eliminated.  The finite-volume form keeps the operator an M-matrix (discrete
 maximum principle) in every dimension and makes it symmetric in the
 quadrature inner product.
 
-A Poisson solve is a tridiagonal LDL^T substitution on radial meshes (LAPACK
-``dpttrs`` with the factors of a banded Cholesky factorization) and a fast
-diagonalization on rectangles: the operator there is the Kronecker sum of
-two 1-D operators whose eigenvectors are closed-form sine modes, so a solve
-is four dense matrix products with the mode matrices (Lynch, Rice & Thomas,
-Numer. Math. 6, 1964).  Both are ``DirichletLaplacian.shifted_solver``, the
+A Poisson solve is a flux balance on radial meshes, two running sums and a
+scaling with no factorization, and a fast diagonalization on rectangles:
+the operator there is the Kronecker sum of two 1-D operators whose
+eigenvectors are closed-form sine modes, so a solve is four dense matrix
+products with the mode matrices (Lynch, Rice & Thomas, Numer. Math. 6,
+1964).  Both are ``DirichletLaplacian.shifted_solver``, the
 one solver that dispatches on mesh kind; ``principal_eigenpair``, the one
 Dirichlet eigen routine, is the other dispatch: closed forms on rectangles,
 inverse iteration with the cached solver on radial meshes.  The operator is
-stored as numpy bands and applied with array slices, so rectangle runs
-never import scipy; the two radial LAPACK routines, ``cholesky_banded`` and
-``dpttrs``, are imported on first use.  Solves and ``apply`` also take a
-``(2, n)`` stack of two fields, each row bit for bit as a single field.  The
+stored as numpy bands and applied with array slices, so Poisson solves,
+eigenpairs and Newton steps import no scipy on either kind.  Only shifted
+radial solves (nu != 0, used by ``stability``) need LAPACK: an LDL^T
+substitution (``dpttrs``) with the factors of a banded Cholesky
+factorization, both imported on first use.  Solves and ``apply`` also take
+a ``(2, n)`` stack of two fields, each row bit for bit as a single field.  The
 coupled linearized solve of the Newton finish is conjugate gradients
 (Hestenes & Stiefel, J. Res. NBS 49, 1952) on two-field solves, on either
 kind: a median of 5-8 steps per coupled solve on radial meshes and about 9
@@ -51,8 +53,8 @@ _CG_MAX_ITER = 200          # CG steps per coupled solve
 
 
 # perfbench/tracer.py LAYERS wraps this module attribute as mesh.factorize;
-# the radial factorization calls it through the module.  scipy is imported on
-# the first call.
+# the shifted radial factorization calls it through the module.  scipy is
+# imported on the first call.
 def cholesky_banded(ab: np.ndarray, lower: bool = False) -> np.ndarray:
     from scipy.linalg import cholesky_banded as factor
     return factor(ab, lower=lower)
@@ -83,9 +85,13 @@ class DirichletLaplacian:
 
     ``shifted_solver`` is the one place that solves with the operator, and
     ``solve`` is its unshifted solver, cached on first use.  The kind comes
-    from construction: without ``modes`` (radial meshes) ``K`` must be
-    tridiagonal and is solved as ``K u = w * rhs`` by LDL^T substitution
-    (``dpttrs``) with factors converted from a banded Cholesky factor.
+    from construction: without ``modes`` (radial meshes) ``K`` must be a
+    tridiagonal flux balance, ``K u = w * rhs`` row by row reading
+    ``c_i (u_i - u_{i+1}) - c_{i-1} (u_{i-1} - u_i) = w_i rhs_i`` with
+    conductances ``c_i = -off_i > 0``, ``c_{n-1} = diag_{n-1} + off_{n-2}``
+    to the boundary, ``c_{-1} = 0`` and ``u_n = 0``.  It is solved by two
+    running sums at ``nu = 0`` and by LDL^T substitution (``dpttrs``) with
+    factors converted from a banded Cholesky factor otherwise.
     Otherwise ``modes = (qx, qy, eig)`` must diagonalize ``A`` on an
     ``nx x ny`` grid: ``A = Qx Lx Qx^T (+) Qy Ly Qy^T`` with orthonormal
     ``qx``, ``qy`` and ``eig[kx, ky] = Lx[kx] + Ly[ky]``, so
@@ -142,9 +148,9 @@ class DirichletLaplacian:
         Raises LinAlgError when the matrix is not positive definite.  The
         upper bidiagonal Cholesky factor U gives ``D = diag(U_ii^2)`` and the
         unit lower bidiagonal ``L = U^T D^-1/2`` with subdiagonal
-        ``e_i = U_{i,i+1} / U_ii``.  Factorizing through ``cholesky_banded``
-        (not ``dpttrf``) keeps the one call that perfbench times as
-        ``mesh.factorize``.
+        ``e_i = U_{i,i+1} / U_ii``.  Only shifted solves (nu != 0) factorize;
+        doing it through ``cholesky_banded`` (not ``dpttrf``) keeps the one
+        call that perfbench times as ``mesh.factorize``.
         """
         (_, off), = self._bands
         ab = np.zeros((2, self.size))
@@ -163,13 +169,16 @@ class DirichletLaplacian:
         """Solver ``rhs -> (A - nu)^-1 rhs``, or None when A - nu is not
         positive definite (nu at or above mu1, to rounding).
 
-        One factorization per shift: the LDL^T factors of ``K - nu W`` on
-        radial meshes, substituted by ``dpttrs``; on rectangles the inverse
-        eigenvalues ``1 / (eig - nu)`` of the modal solve.  A ``(2, n)`` stack
-        is two columns of one ``dpttrs`` call, or a ``(2, nx, ny)`` stack of
-        mode products, each row bit for bit its single solve.  ``solve`` caches
-        the solver at ``nu = 0``; it holds only its arrays, not the operator,
-        so the cache makes no reference cycle.
+        On rectangles the inverse eigenvalues ``1 / (eig - nu)`` of the modal
+        solve.  On radial meshes at ``nu = 0`` the flux balance: summing rows
+        0..i of ``K u = w * rhs`` leaves ``c_i (u_i - u_{i+1})`` equal to the
+        running sum of ``w * rhs``, so u is the running sum from the boundary
+        of those sums divided by c; at ``nu != 0`` one factorization, the
+        LDL^T factors of ``K - nu W``, substituted by ``dpttrs``.  Each row of
+        a ``(2, n)`` or ``(2, nx, ny)`` stack comes out bit for bit as its
+        single solve, and, as with ``dpttrs``, an overflow gives +-inf with no
+        warning.  ``solve`` caches the solver at ``nu = 0``; it holds only its
+        arrays, not the operator, so the cache makes no reference cycle.
         """
         if self._modes is not None:
             qx, qy, eig = self._modes
@@ -182,12 +191,28 @@ class DirichletLaplacian:
                 return (qx @ ((qx.T @ r @ qy) * inv_eig) @ qy.T).reshape(rhs.shape)
 
             return modal
+        w = self._weights
+        if nu == 0.0:
+            (_, off), = self._bands
+            inv_c = 1.0 / np.append(-off, self._diag[-1] + off[-1])
+
+            def flux(rhs):
+                # each step is nondecreasing in its inputs (the solver notes'
+                # order proof); callers read an overflow to +inf as a touch
+                with np.errstate(over="ignore"):
+                    q = w * rhs
+                    np.add.accumulate(q, axis=-1, out=q)
+                    q *= inv_c
+                    tail = q[..., ::-1]
+                    np.add.accumulate(tail, axis=-1, out=tail)
+                return q
+
+            return flux
         try:
             d, e = self._ldl_factors(self._diag - nu * self._weights)
         except LinAlgError:
             return None
         from scipy.linalg.lapack import dpttrs
-        w = self._weights
         # callers reject non-finite data; dpttrs makes no finiteness scan
         return lambda rhs: dpttrs(d, e, (w * rhs).T, overwrite_b=True)[0].T
 
@@ -490,8 +515,12 @@ def principal_eigenpair(op: DirichletLaplacian) -> EigenPair:
     all-ones start.  Since A^-1 is positive, each step ``y = A^-1 x`` with
     ``x > 0`` encloses mu1 in ``[min x/y, max x/y]`` (Collatz-Wielandt); the
     iteration stops once that interval's relative width is at most 1e-13
-    and returns its upper end as mu1, so ``4 mu1 / 27`` errs upward, and
-    ``y / max y`` as psi.  The residual meets
+    and returns its upper end as mu1 and ``y / max y`` as psi.  The
+    enclosure is of the rounded solves, so mu1 is not a certified upper
+    bound: against a long-double enclosure around the same psi it lies
+    within about 1e-11 relative of the true value, on either side
+    (5.4e-12 below on the 16384-node disk, 7e-13 above on the 4096-node
+    one).  The residual meets
     ``||A psi - mu1 psi||_inf <= 1e-8 mu1 + 8 eps ||A||_inf``, the
     backward-error scale of ``solve_poisson``.
     """

@@ -17,12 +17,11 @@ fields from the previous iterate (Jacobi style) by one two-field solve,
 each row exactly as a single field, so with identical data the two
 components stay bit-for-bit equal.  On radial meshes the update map is
 order-preserving even in floating point: the right-hand sides are monotone
-node-wise, and the Poisson solve is an LDL^T substitution
-(``dpttrs``) with d > 0 and, since the M-matrix has negative off-diagonals,
-subdiagonal e <= 0.  Its forward step b_i - e_{i-1} b_{i-1}, the division by
-d_i and the back step b_i / d_i - e_i x_{i+1} are each nondecreasing in their
-inputs, and correct rounding (also a fused multiply-add) keeps them so; the
-tests check solve(b + delta) >= solve(b) with no slack.  Rectangles solve by
+node-wise, and the Poisson solve is a flux balance made of four steps, the
+product with the weights w > 0, a running sum, the product with the
+inverse conductances 1/c > 0 and a running sum from the boundary.  Each is
+nondecreasing in its inputs, and correct rounding keeps it so; the tests
+check solve(b + delta) >= solve(b) with no slack.  Rectangles solve by
 fast diagonalization through dense sine-mode matrices, whose rounding has no
 fixed sign, so there the order is a tested property rather than a proved
 one: the tests require every iterate to be node-wise >= the previous one,

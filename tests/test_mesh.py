@@ -397,7 +397,7 @@ class TestEigenpair:
         mesh = build_radial(dim, 1.0, nodes)
         pair = principal_eigenpair(mesh.operator)
         ratio = pair.vector / spsolve(oracle_matrix(mesh).tocsc(), pair.vector)
-        slack = 5e-10 * pair.value
+        slack = 5e-11 * pair.value
         assert ratio.min() - slack <= pair.value <= ratio.max() + slack
 
     def test_rectangle_closed_form(self):
