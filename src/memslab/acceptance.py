@@ -23,7 +23,13 @@ from .curve import (
     lower_bound_power,
 )
 from .diagnostics import singular_residual
-from .mesh import build_radial, build_rect, principal_eigenpair, solve_poisson
+from .mesh import (
+    _scaled,
+    build_radial,
+    build_rect,
+    principal_eigenpair,
+    solve_poisson,
+)
 from .profiles import constant_profile, power_profile, tabulated_profile
 from .solver import SolveConfig, StatePair, minimal_solve
 from .stability import classify, eigen_ratio_check, linearized_eigen, stability_inequality_gap
@@ -52,11 +58,6 @@ class CriterionResult:
             "detail": self.detail,
             "seconds": self.seconds,
         }
-
-
-def _scaled(n: int, scale: float) -> int:
-    """Node count n at resolution ``scale``, at least the mesh minimum 16."""
-    return max(16, int(round(n * scale)))
 
 
 @lru_cache(maxsize=None)

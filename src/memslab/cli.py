@@ -23,8 +23,6 @@ import math
 import sys
 from pathlib import Path
 
-from . import acceptance
-from .acceptance import _scaled
 from .artifacts import fingerprint, write_csv, write_json
 from .curve import (
     CurveConfig,
@@ -37,7 +35,7 @@ from .curve import (
 )
 from .diagnostics import approach_extremal, write_approach_csv
 from .exceptions import ConfigurationError, HypothesisError, PreconditionError
-from .mesh import Mesh, build_radial, build_rect
+from .mesh import Mesh, _scaled, build_radial, build_rect
 from .profiles import (
     Profile,
     constant_profile,
@@ -299,6 +297,8 @@ def cmd_extremal(config: dict, args, out: Path, fp: str) -> int:
 
 
 def cmd_check(config: dict, args, out: Path, fp: str) -> int:
+    from . import acceptance   # imported here: no other command needs it
+
     names = config.get("criteria")
     registry = acceptance.registry()
     if names is None:

@@ -27,6 +27,12 @@ coupled linearized solve of the Newton finish is conjugate gradients
 (Hestenes & Stiefel, J. Res. NBS 49, 1952) on two-field solves, on either
 kind: a median of 5-8 steps per coupled solve on radial meshes and about 9
 on rectangles.
+
+The hot loop of the minimal-solution iteration allocates little: ``solve``
+and ``apply`` write into a caller's ``out=`` array, and the CG vectors of
+``solve_coupled`` live in one workspace cached on the operator.  A burst of
+64 KB temporaries freed at the top of the heap makes glibc give its pages
+back, and the next burst faults them in again.
 """
 
 from __future__ import annotations
@@ -67,6 +73,11 @@ def splu(a, **options):
     return factor(a, **options)
 
 
+def _scaled(n: int, scale: float) -> int:
+    """Node count n at resolution ``scale``, at least the mesh minimum 16."""
+    return max(16, int(round(n * scale)))
+
+
 def unit_ball_volume(dimension: int) -> float:
     """Volume of the unit ball in R^dimension."""
     return math.pi ** (dimension / 2.0) / math.gamma(dimension / 2.0 + 1.0)
@@ -99,7 +110,9 @@ class DirichletLaplacian:
     reshaped to ``(nx, ny)``.
     ``solve_coupled`` solves the two-field linearized systems of the
     minimal-solution iteration by conjugate gradients on two-field solves,
-    the same way on either kind.
+    the same way on either kind.  Its vectors live in ``_work``, a workspace
+    cached on the operator beside ``_solver`` and ``_eigenpair``; so an
+    operator is not safe to use from two threads at once.
     """
 
     def __init__(self, diag: np.ndarray, bands, weights: np.ndarray, modes=None):
@@ -109,6 +122,7 @@ class DirichletLaplacian:
         self._modes = modes       # (qx, qy, eig), rectangle case
         self._solver = None       # shifted_solver(0.0), built on first use
         self._eigenpair = None    # principal_eigenpair, computed on first use
+        self._work = None         # solve_coupled's (7, 2, n) workspace
 
     @property
     def size(self) -> int:
@@ -123,20 +137,24 @@ class DirichletLaplacian:
             rows[k:] += np.abs(c)
         return float(np.max(rows / self._weights))
 
-    def _apply_k(self, u: np.ndarray) -> np.ndarray:
-        """K u; each row sums its terms in ascending column order, as a CSR
-        product would."""
-        out = np.zeros(np.shape(u))
+    def _apply_k(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """K u, written into ``out`` (not u) if given; each row sums its terms
+        in ascending column order, as a CSR product would."""
+        out = np.empty(np.shape(u)) if out is None else out
+        out.fill(0.0)
+        term = np.empty_like(out)
         for k, c in reversed(self._bands):
-            out[..., k:] += c * u[..., :-k]
-        out += self._diag * u
+            out[..., k:] += np.multiply(c, u[..., :-k], out=term[..., k:])
+        out += np.multiply(self._diag, u, out=term)
         for k, c in self._bands:
-            out[..., :-k] += c * u[..., k:]
+            out[..., :-k] += np.multiply(c, u[..., k:], out=term[..., :-k])
         return out
 
-    def apply(self, u: np.ndarray) -> np.ndarray:
-        """A u; u may be a ``(2, n)`` stack."""
-        return self._apply_k(u) / self._weights
+    def apply(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """A u, written into ``out`` (not u) if given; u may be a ``(2, n)``
+        stack."""
+        out = self._apply_k(u, out)
+        return np.divide(out, self._weights, out=out)
 
     def dirichlet_energy(self, phi: np.ndarray) -> float:
         """Discrete integral of |grad phi|^2 via summation by parts."""
@@ -159,11 +177,15 @@ class DirichletLaplacian:
         u = cholesky_banded(ab, lower=False)
         return u[1] ** 2, u[0, 1:] / u[1, :-1]
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve A u = rhs (K u = w * rhs); rhs may be a ``(2, n)`` stack."""
+    def solve(self, rhs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Solve A u = rhs (K u = w * rhs); rhs may be a ``(2, n)`` stack.
+
+        With ``out`` (a C-contiguous array of rhs's shape, possibly rhs
+        itself) the solution is written there and ``out`` is returned, bit
+        for bit the array a call without it returns."""
         if self._solver is None:
             self._solver = self.shifted_solver(0.0)
-        return self._solver(rhs)
+        return self._solver(rhs, out)
 
     def shifted_solver(self, nu: float):
         """Solver ``rhs -> (A - nu)^-1 rhs``, or None when A - nu is not
@@ -178,7 +200,9 @@ class DirichletLaplacian:
         a ``(2, n)`` or ``(2, nx, ny)`` stack comes out bit for bit as its
         single solve, and, as with ``dpttrs``, an overflow gives +-inf with no
         warning.  ``solve`` caches the solver at ``nu = 0``; it holds only its
-        arrays, not the operator, so the cache makes no reference cycle.
+        arrays, not the operator, so the cache makes no reference cycle.  The
+        solvers without LAPACK (rectangles, and radial meshes at ``nu = 0``)
+        take the optional ``out`` of ``solve``.
         """
         if self._modes is not None:
             qx, qy, eig = self._modes
@@ -186,9 +210,13 @@ class DirichletLaplacian:
                 return None
             inv_eig = 1.0 / (eig - nu)
 
-            def modal(rhs):
+            def modal(rhs, out=None):
                 r = rhs.reshape(rhs.shape[:-1] + inv_eig.shape)
-                return (qx @ ((qx.T @ r @ qy) * inv_eig) @ qy.T).reshape(rhs.shape)
+                u = qx @ ((qx.T @ r @ qy) * inv_eig)
+                if out is None:
+                    return (u @ qy.T).reshape(rhs.shape)
+                np.matmul(u, qy.T, out=out.reshape(r.shape))
+                return out
 
             return modal
         w = self._weights
@@ -196,11 +224,11 @@ class DirichletLaplacian:
             (_, off), = self._bands
             inv_c = 1.0 / np.append(-off, self._diag[-1] + off[-1])
 
-            def flux(rhs):
+            def flux(rhs, out=None):
                 # each step is nondecreasing in its inputs (the solver notes'
                 # order proof); callers read an overflow to +inf as a touch
                 with np.errstate(over="ignore"):
-                    q = w * rhs
+                    q = np.multiply(w, rhs, out=out)
                     np.add.accumulate(q, axis=-1, out=q)
                     q *= inv_c
                     tail = q[..., ::-1]
@@ -235,30 +263,46 @@ class DirichletLaplacian:
         a tolerance missed within the step budget.  Each step makes one
         two-field solve; with equal rows in ``a`` and in ``r`` both rows see
         identical data, so ``d1`` and ``d2`` are bit-for-bit equal.
+
+        The vectors ``s, g, z, res, p, q`` and a scratch ``t`` are the rows
+        of ``_work``, one ``(7, 2, n)`` array allocated on the first call
+        and again only when the shape of ``r`` changes.  Every call starts
+        them afresh, also after a call that raised, and each update is an
+        in-place ufunc that rounds as the plain expression does
+        (``p *= beta; p += res`` for ``res + beta * p``).  The workspace is
+        per operator and not reentrant; no memslab code calls this from two
+        threads.  The returned ``d`` is a fresh array, never a view of it.
         """
         w = self._weights
-        s = np.sqrt(a)                  # (sqrt a12, sqrt a21)
-        g = self.solve(r)
-        z = np.zeros_like(g)
-        res = s[::-1] * g
-        p = res.copy()
-        rr = ((res * res) @ w).sum()
+        if self._work is None or self._work.shape[1:] != r.shape:
+            self._work = np.empty((7,) + r.shape)
+        s, g, z, res, p, q, t = self._work   # t: scratch
+        np.sqrt(a, out=s)                    # (sqrt a12, sqrt a21)
+        self.solve(r, out=g)
+        z.fill(0.0)
+        np.multiply(s[::-1], g, out=res)
+        p[...] = res
+        rr = (np.multiply(res, res, out=t) @ w).sum()
         target = _CG_RTOL * _CG_RTOL * rr
         steps = 0
         while not rr <= target:
             if steps == _CG_MAX_ITER:
                 raise NumericsError("coupled conjugate gradients missed the tolerance")
             steps += 1
-            q = p - s[::-1] * self.solve(s * p[::-1])
-            curvature = ((p * q) @ w).sum()
+            self.solve(np.multiply(s, p[::-1], out=t), out=t)
+            np.subtract(p, np.multiply(s[::-1], t, out=t), out=q)
+            curvature = (np.multiply(p, q, out=t) @ w).sum()
             if not curvature > 0:
                 raise IndefiniteError("coupled linearized system not positive definite")
             alpha = rr / curvature
-            z += alpha * p
-            res -= alpha * q
-            rr, rr_old = ((res * res) @ w).sum(), rr
-            p = res + (rr / rr_old) * p
-        return g + self.solve(s * z[::-1])
+            z += np.multiply(alpha, p, out=t)
+            res -= np.multiply(alpha, q, out=t)
+            rr, rr_old = (np.multiply(res, res, out=t) @ w).sum(), rr
+            p *= rr / rr_old
+            p += res
+        d = self.solve(np.multiply(s, z[::-1], out=t))
+        d += g
+        return d
 
 
 @dataclass

@@ -209,13 +209,17 @@ def check_parameters(lam: float, mu: float) -> None:
         )
 
 
-def _clamped_denominator(w: np.ndarray) -> np.ndarray:
-    return np.maximum(1.0 - w, DELTA_FLOOR)
+def _clamped_denominator(w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    d = np.subtract(1.0, w, out=out)
+    return np.maximum(d, DELTA_FLOOR, out=d)
 
 
-def _source(coeff: np.ndarray, other: np.ndarray) -> np.ndarray:
-    d = _clamped_denominator(other)
-    return coeff / (d * d)
+def _source(coeff: np.ndarray, other: np.ndarray,
+            out: np.ndarray | None = None) -> np.ndarray:
+    """``coeff / max(1 - other, DELTA_FLOOR)^2``, written into ``out`` if given."""
+    d = _clamped_denominator(other, out)
+    np.multiply(d, d, out=d)
+    return np.divide(coeff, d, out=d)
 
 
 def coupling_weights(coeff, x) -> np.ndarray:
@@ -223,16 +227,20 @@ def coupling_weights(coeff, x) -> np.ndarray:
     linearization at ``x = (u, v)``, with ``coeff = (lam f, mu g)``.  Each
     pair is a ``(2, n)`` stack or a tuple of two fields."""
     d = _clamped_denominator(np.asarray(x)[::-1])
-    return 2.0 * np.asarray(coeff) / d**3
+    np.power(d, 3, out=d)
+    return np.divide(2.0 * np.asarray(coeff), d, out=d)
 
 
 def _coefficients(f: Profile, g: Profile, lam: float, mu: float) -> np.ndarray:
     return np.stack([lam * f.values, mu * g.values])
 
 
-def _defect(op, coeff: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``A x - (lam f / (1 - v)^2, mu g / (1 - u)^2)`` at ``x = (u, v)``."""
-    return op.apply(x) - _source(coeff, x[::-1])
+def _defect(op, coeff: np.ndarray, x: np.ndarray,
+            scratch: np.ndarray | None = None) -> np.ndarray:
+    """``A x - (lam f / (1 - v)^2, mu g / (1 - u)^2)`` at ``x = (u, v)``;
+    A x is formed in ``scratch`` if given."""
+    source = _source(coeff, x[::-1])
+    return np.subtract(op.apply(x, out=scratch), source, out=source)
 
 
 def residual(
@@ -244,71 +252,88 @@ def residual(
     return tuple(float(m) for m in np.max(np.abs(defect), axis=1))
 
 
-def _picard(op, coeff: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """One Jacobi-style Picard step: one two-field solve with frozen sources.
+def _picard(op, coeff: np.ndarray, x: np.ndarray,
+            out: np.ndarray | None = None) -> np.ndarray:
+    """One Jacobi-style Picard step: one two-field solve with frozen sources,
+    written into ``out`` (a fresh array if None), which must not be x.
 
     A parameter so large that a solve overflows gives +inf entries, which
-    the touch test reads as touching; only NaN signals a failed clamp.
+    the touch test reads as touching; only NaN signals a failed clamp (max
+    propagates NaN).
     """
-    y = op.solve(_source(coeff, x[::-1]))
-    if np.isnan(y).any():
+    y = _source(coeff, x[::-1], out)
+    op.solve(y, out=y)
+    if np.isnan(y.max()):
         raise NumericsError("NaN iterate; floor clamp failed")
     return y
 
 
-def _newton_step(op, coeff: np.ndarray, x: np.ndarray, cfg: SolveConfig):
+def _newton_step(op, coeff: np.ndarray, x: np.ndarray, cfg: SolveConfig,
+                 scratch: np.ndarray):
     """Certified Newton step from the Picard iterate x = (u, v); see the
     module notes.  Returns (z, y) with z = x + d and y = T(z), or None if
     one of the checks refuses the step.  A z in the touch band is returned
     as (x, z): it lies below every solution, so the loop's touch test ends
     the solve on it.  IndefiniteError from the coupled solve passes through:
-    it means rho(K(0)) >= 1 up to rounding."""
+    it means rho(K(0)) >= 1 up to rounding.  ``scratch`` is a ``(2, n)``
+    buffer the step may overwrite."""
+    r = _defect(op, coeff, x, scratch)
     try:
-        d = op.solve_coupled(coupling_weights(coeff, x), -_defect(op, coeff, x))
+        d = op.solve_coupled(coupling_weights(coeff, x), np.negative(r, out=r))
     except IndefiniteError:
         raise
     except NumericsError:   # CG missed its tolerance: no certificate
         return None
-    if not np.all(d >= 0):
+    if not d.min() >= 0:    # NaN fails too
         return None
-    z = x + d
+    z = np.add(x, d, out=d)
     if not z.max() < 1.0 - cfg.touch_threshold:
         return x, z
-    y = _picard(op, coeff, z)
-    if np.any(y < z) and np.max(np.abs(y - z)) > cfg.tol_sup:
+    y = _picard(op, coeff, z, r)
+    # y - z < 0 exactly where y < z: a difference of floats is 0 only if they are equal
+    diff = np.subtract(y, z, out=scratch)
+    if diff.min() < 0 and np.abs(diff, out=diff).max() > cfg.tol_sup:
         return None
     return z, y
 
 
-def _unstable_subsolution(op, coeff: np.ndarray, x: np.ndarray, prev: np.ndarray) -> bool:
+def _unstable_subsolution(op, coeff: np.ndarray, x: np.ndarray, prev: np.ndarray,
+                          scratch: np.ndarray) -> bool:
     """Collatz-Wielandt certificate that no solution exists; see the module
     notes.  x = T(prev) is a Picard iterate; True if its residual
     ``F(x) - A x = F(x) - F(prev)`` (F the source map) is >= 0 and not 0,
     and some positive z, started from x[1], gives
     ``min(K z / z) >= 1 + _PERRON_MARGIN`` with ``K = S a12 S a21`` at x,
-    ``S = A^-1``."""
-    r = _source(coeff, x[::-1]) - _source(coeff, prev[::-1])
-    if not (np.all(r >= 0) and np.any(r > 0)):
+    ``S = A^-1``.  ``scratch`` is a ``(2, n)`` buffer it may overwrite.
+    The sign tests read min and max, which propagate NaN."""
+    r = _source(coeff, x[::-1])
+    r -= _source(coeff, prev[::-1], scratch)
+    if not (r.min() >= 0 and r.max() > 0):
         return False
     a12, a21 = coupling_weights(coeff, x)
+    kz, spare = r           # r is spent: its rows hold K z and the next z
     z = x[1]
     for _ in range(_PERRON_STEPS):
-        if not (np.all(z > 0) and np.all(np.isfinite(z))):
+        if not (z.min() > 0 and z.max() < math.inf):
             return False
-        kz = op.solve(a12 * op.solve(a21 * z))
-        if np.min(kz / z) >= 1.0 + _PERRON_MARGIN:
+        op.solve(np.multiply(a21, z, out=kz), out=kz)
+        op.solve(np.multiply(a12, kz, out=kz), out=kz)
+        if np.divide(kz, z, out=spare).min() >= 1.0 + _PERRON_MARGIN:
             return True
-        z = kz / kz.max()
+        z = np.divide(kz, kz.max(), out=spare)
     return False
 
 
-def _supersolution(op, coeff: np.ndarray, x_hat: np.ndarray, cfg: SolveConfig) -> bool:
+def _supersolution(op, coeff: np.ndarray, x_hat: np.ndarray, cfg: SolveConfig,
+                   scratch: np.ndarray) -> bool:
     """True if x_hat is a certified discrete super-solution below the touch
     band: ``0 <= x_hat``, ``max x_hat < 1 - touch_threshold`` and
-    ``T(x_hat) <= (1 - _SUPER_MARGIN) x_hat`` node-wise; see the module notes."""
-    if not (np.all(x_hat >= 0) and x_hat.max() < 1.0 - cfg.touch_threshold):
+    ``T(x_hat) <= (1 - _SUPER_MARGIN) x_hat`` node-wise; see the module
+    notes.  T(x_hat) is solved into ``scratch``."""
+    if not (x_hat.min() >= 0 and x_hat.max() < 1.0 - cfg.touch_threshold):
         return False
-    return bool(np.all(_picard(op, coeff, x_hat) <= (1.0 - _SUPER_MARGIN) * x_hat))
+    y = _picard(op, coeff, x_hat, scratch)
+    return bool(np.all(y <= (1.0 - _SUPER_MARGIN) * x_hat))
 
 
 def _iterate(
@@ -330,13 +355,15 @@ def _iterate(
     slow_streak = newton_steps = 0
     prev = back = None          # x = T(prev) after every loop step; back before prev
     next_test, gap = 3, 1       # super-solution test schedule; see the module notes
+    scratch = np.empty_like(x)  # increments and the tests' transients
+    spare = []                  # buffers of former iterates, for the next ones
     for it in range(1, cfg.max_iter + 1):
         step = None
         if newton and slow_streak >= _NEWTON_AFTER:
             try:
-                step = _newton_step(op, coeff, x, cfg)
+                step = _newton_step(op, coeff, x, cfg, scratch)
             except IndefiniteError:
-                if _unstable_subsolution(op, coeff, x, prev):
+                if _unstable_subsolution(op, coeff, x, prev, scratch):
                     return SolveOutcome(
                         verdict=Verdict.NONEXISTENCE_SUSPECTED,
                         reason=NonexistenceReason.UNSTABLE_SUBSOLUTION,
@@ -347,10 +374,10 @@ def _iterate(
             newton = step is not None   # one refused step ends Newton here
             slow_streak = 0
         if step is None:
-            y = _picard(op, coeff, x)
+            y = _picard(op, coeff, x, spare.pop() if spare else None)
             if warm and np.any(y < x):  # the start is not a sub-solution
                 x = np.zeros_like(x)
-                y = _picard(op, coeff, x)
+                y = _picard(op, coeff, x, y)
             warm = False
         else:
             x, y = step
@@ -358,7 +385,7 @@ def _iterate(
             next_test, gap = it + 2, 1
         if on_step is not None:
             on_step(it, y[0], y[1])
-        inc = float(np.max(np.abs(y - x)))
+        inc = float(np.abs(np.subtract(y, x, out=scratch), out=scratch).max())
         if 1.0 - y.max() < cfg.touch_threshold:
             return SolveOutcome(
                 verdict=Verdict.NONEXISTENCE_SUSPECTED,
@@ -367,6 +394,8 @@ def _iterate(
                 last_increment=inc if math.isfinite(inc) else None,  # overflowed
                 newton_steps=newton_steps,
             )
+        if back is not None:
+            spare.append(back)
         back, prev, x = prev, x, y
         if inc <= cfg.tol_sup:
             state = StatePair(u=x[0], v=x[1])
@@ -382,11 +411,13 @@ def _iterate(
                 )
             # increment converged but residual not yet in contract: keep going
         if certify and back is not None:
-            two = float(np.max(np.abs(x - back)))
+            two = float(np.abs(np.subtract(x, back, out=scratch), out=scratch).max())
             if it >= next_test:
                 q = min(two / two_prev, _SUPER_Q_CAP) if two < two_prev else _SUPER_Q_CAP
-                x_hat = x + (2.0 * q / (1.0 - q) + 0.5) * (x - back)
-                if _supersolution(op, coeff, x_hat, cfg):
+                x_hat = np.subtract(x, back, out=spare.pop() if spare else None)
+                x_hat *= 2.0 * q / (1.0 - q) + 0.5
+                x_hat += x
+                if _supersolution(op, coeff, x_hat, cfg, scratch):
                     return SolveOutcome(
                         verdict=Verdict.FEASIBLE,
                         iterations=it,
@@ -395,6 +426,7 @@ def _iterate(
                         newton_steps=newton_steps,
                         supersolution=StatePair(u=x_hat[0], v=x_hat[1]),
                     )
+                spare.append(x_hat)
                 next_test, gap = it + gap, 2 * gap
             two_prev = two
         slow_streak = slow_streak + 1 if inc > _SLOW_RATIO * inc_prev else 0
@@ -450,7 +482,9 @@ def minimal_solve(
 
     ``on_step(it, u, v)`` is invoked with every fresh Picard iterate, and
     with a Newton iterate that enters the touch band, mainly for trace
-    instrumentation in tests.
+    instrumentation in tests.  The loop reuses the buffers of former
+    iterates, so ``u`` and ``v`` are overwritten a few steps later: a
+    callback that keeps them must copy them.
     """
     check_parameters(lam, mu)
     if f.values.shape != (mesh.n_nodes,) or g.values.shape != (mesh.n_nodes,):

@@ -17,7 +17,8 @@ from memslab import (
     solve_poisson,
     unit_ball_volume,
 )
-from memslab.exceptions import IndefiniteError
+from memslab import mesh as mesh_module
+from memslab.exceptions import IndefiniteError, NumericsError
 from memslab.mesh import sine_modes
 
 from conftest import oracle_matrix, oracle_symmetric_form
@@ -271,6 +272,11 @@ def rect16x40():
 
 
 @pytest.fixture(scope="module")
+def square32():
+    return build_rect(1.0, 1.0, 32, 32)
+
+
+@pytest.fixture(scope="module")
 def ball8():
     return build_radial(8, 1.0, 512)
 
@@ -288,6 +294,31 @@ class TestStackedSolve:
             assert out.shape == stack.shape
             for row, field in zip(out, stack):
                 np.testing.assert_array_equal(row, call(field))
+
+    @pytest.mark.parametrize("name", ["disk256", "rect16x40", "ball8"])
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_out_equals_fresh_result(self, request, name, stacked, rng):
+        op = request.getfixturevalue(name).operator
+        rhs = rng.uniform(-1.0, 1.0, (2, op.size) if stacked else op.size)
+        for call in (op.solve, op.apply):
+            expected = call(rhs)
+            out = np.full_like(rhs, np.nan)   # stale contents must not leak in
+            assert call(rhs, out=out) is out
+            np.testing.assert_array_equal(out, expected)
+        expected = op.solve(rhs)
+        assert op.solve(rhs, out=rhs) is rhs
+        np.testing.assert_array_equal(rhs, expected)
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_radial_overflow_gives_inf_quietly(self, disk256, stacked):
+        # pyproject turns every RuntimeWarning into an error, so a warning
+        # from the overflowing running sums fails this test
+        op = disk256.operator
+        rhs = np.full((2, op.size) if stacked else op.size, 1e308)
+        assert np.all(op.solve(rhs) == np.inf)
+        out = np.empty_like(rhs)
+        assert np.all(op.solve(rhs, out=out) == np.inf)
+        assert np.all(op.solve(rhs, out=rhs) == np.inf)
 
 
 class TestCoupledSolve:
@@ -346,6 +377,36 @@ class TestCoupledSolve:
         expected = spsolve(jac, r.ravel())
         d = op.solve_coupled(a, r).ravel()
         assert np.max(np.abs(d - expected)) <= 1e-10 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("name", ["disk256", "square32"])
+    def test_workspace_keeps_no_state(self, request, name, rng, monkeypatch):
+        # the CG buffers are cached on the operator: a call's d must depend
+        # on its own data only, also after calls that raised mid-iteration
+        mesh = request.getfixturevalue(name)
+        op, w = mesh.operator, mesh.weights
+        mu1 = principal_eigenpair(op).value
+        shape = (2, op.size)
+        a, r = rng.uniform(0.0, 0.4 * mu1, shape), rng.uniform(-1.0, 1.0, shape) / w
+        a2, r2 = rng.uniform(0.0, 0.2 * mu1, shape), rng.uniform(0.0, 1.0, shape) / w
+        first = op.solve_coupled(a, r)
+
+        def same_again():
+            d = op.solve_coupled(a, r)
+            np.testing.assert_array_equal(d, first)
+            assert not np.shares_memory(d, op._work)
+
+        op.solve_coupled(a2, r2)
+        same_again()
+        # past the fold; with this r the curvature turns negative at CG step
+        # 3 on both meshes, after z, res and p were updated
+        with pytest.raises(IndefiniteError):
+            op.solve_coupled(np.full_like(a, 1.01 * mu1), r)
+        same_again()
+        monkeypatch.setattr(mesh_module, "_CG_MAX_ITER", 1)
+        with pytest.raises(NumericsError, match="missed the tolerance"):
+            op.solve_coupled(a2, r2)
+        monkeypatch.undo()
+        same_again()
 
     @pytest.mark.parametrize("name", COUPLED_MESHES)
     def test_past_fold_raises(self, request, name):

@@ -34,13 +34,14 @@ DISK_LAM_STAR_03 = 1.3366087081835367
 
 def monotone_watch(mesh):
     """on_step callback asserting that every iterate is node-wise >= the
-    previous one, exactly (no rounding slack)."""
+    previous one, exactly (no rounding slack).  It keeps copies: the solver
+    reuses the arrays it hands to on_step for later iterates."""
     prev = {"u": np.zeros(mesh.n_nodes), "v": np.zeros(mesh.n_nodes)}
 
     def watch(it, u, v):
         assert np.all(u >= prev["u"])
         assert np.all(v >= prev["v"])
-        prev["u"], prev["v"] = u, v
+        prev["u"], prev["v"] = u.copy(), v.copy()
 
     return watch
 

@@ -1,0 +1,67 @@
+#!/usr/bin/env python3
+"""Time the frozen rays of the disk-sweep benchmark in-process, pass by pass.
+
+    python3 tools/ray_probe.py [--passes K]
+
+Builds the 4,096-node unit disk with f = g = 1, runs ``extremal_on_ray`` on
+the 8 frozen theta of ``perfbench/workloads.py`` once as a warm-up, then K
+more passes (3 by default).  For each pass it prints the wall seconds, the
+minor page faults the process took (the ``ru_minflt`` delta of
+``resource.getrusage``) and the sha256 of the pass's ``RaySample`` reprs:
+
+    pass <k>  wall_s=<seconds>  minflt=<faults>  rays=<sha256>
+
+Run it on two checkouts and compare: the hash shows whether every ray came
+out bit for bit the same, the fault counts show how much the hot loop makes
+the allocator hand pages back and fault them in again.
+
+memslab is imported from the ``src/`` next to this script.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import resource
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[var] = "1"   # before numpy loads, as perfbench/run.py does
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+from memslab.curve import extremal_on_ray  # noqa: E402
+from memslab.mesh import build_radial  # noqa: E402
+from memslab.profiles import constant_profile  # noqa: E402
+from workloads import DISK, DISK_THETAS  # noqa: E402
+
+
+def run_pass(mesh, one) -> tuple[float, int, str]:
+    """Wall seconds, minor faults and RaySample digest of one pass."""
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    start = time.perf_counter()
+    rays = [extremal_on_ray(mesh, one, one, theta) for theta in DISK_THETAS]
+    wall = time.perf_counter() - start
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+    digest = hashlib.sha256("\n".join(map(repr, rays)).encode()).hexdigest()
+    return wall, faults, digest
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--passes", type=int, default=3)
+    args = parser.parse_args(argv)
+    mesh = build_radial(DISK["dimension"], DISK["radius"], DISK["nodes"])
+    one = constant_profile(mesh, 1.0)
+    for k in range(args.passes + 1):
+        wall, faults, digest = run_pass(mesh, one)
+        label = "warm-up" if k == 0 else f"pass {k}"
+        print(f"{label}  wall_s={wall:.4f}  minflt={faults}  rays={digest}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
