@@ -34,8 +34,8 @@ from .profiles import constant_profile, power_profile, tabulated_profile
 from .solver import SolveConfig, StatePair, minimal_solve
 from .stability import classify, eigen_ratio_check, linearized_eigen, stability_inequality_gap
 
-GOLDEN_DISK_SUP_U_HALF = 0.1619976976289698   # 4096-node oracle, lam = mu = 0.5
 GOLDEN_DISK_LAM_STAR = 0.7892086977942018     # 4096-node oracle, theta = 1
+_J01_SQUARED = 5.783185962946783   # j_{0,1}^2, the unit disk's mu1
 
 _SEED = 20240311
 
@@ -319,14 +319,12 @@ def power_weight_bound(scale):
 @_criterion
 def infrastructure(scale):
     """Dirichlet eigenvalues against closed forms; Poisson second order."""
-    from scipy.special import jn_zeros
-
     details = []
     ok = True
 
     targets = [
         ("interval", build_radial(1, 1.0, _scaled(256, scale)), np.pi**2 / 4.0),
-        ("disk", build_radial(2, 1.0, _scaled(256, scale)), float(jn_zeros(0, 1)[0] ** 2)),
+        ("disk", build_radial(2, 1.0, _scaled(256, scale)), _J01_SQUARED),
         ("square", build_rect(1.0, 1.0, _scaled(64, scale), _scaled(64, scale)),
          2.0 * np.pi**2),
     ]

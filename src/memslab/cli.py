@@ -89,7 +89,7 @@ def _build_mesh(spec: dict, scale: float, problems: list, field: str) -> Mesh | 
         problems.append(
             {"field": field, "message": f"unknown domain kind {kind!r}"}
         )
-    except (KeyError, TypeError, ValueError, OverflowError, ConfigurationError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         problems.append({"field": field, "message": str(exc)})
     return None
 
@@ -108,23 +108,20 @@ def _build_profile(
         if kind == "tabulated":
             return load_tabulated(mesh, spec["path"])
         problems.append({"field": field, "message": f"unknown profile kind {kind!r}"})
-    except (KeyError, TypeError, ValueError, OverflowError, OSError,
-            ConfigurationError, HypothesisError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, OSError) as exc:
         problems.append({"field": field, "message": str(exc)})
     return None
 
 
+# the config dataclasses own the defaults: only the keys a config gives are passed
 def _solve_config(config: dict, problems: list) -> SolveConfig:
     spec = config.get("solver", {})
     if not _is_object(spec, "solver", problems):
         return SolveConfig()
+    casts = {"tol_sup": float, "max_iter": int, "touch_threshold": float}
     try:
-        return SolveConfig(
-            tol_sup=float(spec.get("tol_sup", 1e-10)),
-            max_iter=int(spec.get("max_iter", 10_000)),
-            touch_threshold=float(spec.get("touch_threshold", 1e-6)),
-        )
-    except (TypeError, ValueError, OverflowError, PreconditionError) as exc:
+        return SolveConfig(**{k: cast(spec[k]) for k, cast in casts.items() if k in spec})
+    except (TypeError, ValueError, OverflowError) as exc:
         problems.append({"field": "solver", "message": str(exc)})
         return SolveConfig()
 
@@ -134,10 +131,8 @@ def _curve_config(config: dict, problems: list) -> CurveConfig:
     if not _is_object(spec, "curve", problems):
         spec = {}
     try:
-        return CurveConfig(
-            rtol=float(spec.get("rtol", 1e-3)),
-            solve=_solve_config(config, problems),
-        )
+        rtol = {"rtol": float(spec["rtol"])} if "rtol" in spec else {}
+        return CurveConfig(**rtol, solve=_solve_config(config, problems))
     except (TypeError, ValueError, OverflowError) as exc:
         problems.append({"field": "curve", "message": str(exc)})
         return CurveConfig()

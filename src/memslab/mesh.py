@@ -192,7 +192,10 @@ class DirichletLaplacian:
         positive definite (nu at or above mu1, to rounding).
 
         On rectangles the inverse eigenvalues ``1 / (eig - nu)`` of the modal
-        solve.  On radial meshes at ``nu = 0`` the flux balance: summing rows
+        solve; a right-hand side large enough for a partial sum of its mode
+        products to overflow is solved divided by a power of two and the
+        solution multiplied back, which is exact.  On radial meshes at
+        ``nu = 0`` the flux balance: summing rows
         0..i of ``K u = w * rhs`` leaves ``c_i (u_i - u_{i+1})`` equal to the
         running sum of ``w * rhs``, so u is the running sum from the boundary
         of those sums divided by c; at ``nu != 0`` one factorization, the
@@ -200,7 +203,9 @@ class DirichletLaplacian:
         a ``(2, n)`` or ``(2, nx, ny)`` stack comes out bit for bit as its
         single solve, and, as with ``dpttrs``, an overflow gives +-inf with no
         warning.  ``solve`` caches the solver at ``nu = 0``; it holds only its
-        arrays, not the operator, so the cache makes no reference cycle.  The
+        arrays, not the operator nor itself (no recursion), so neither the
+        cache nor the solver at each shift of ``stability`` makes a
+        reference cycle that would keep its arrays until a collection.  The
         solvers without LAPACK (rectangles, and radial meshes at ``nu = 0``)
         take the optional ``out`` of ``solve``.
         """
@@ -209,13 +214,28 @@ class DirichletLaplacian:
             if not nu < eig[0, 0]:
                 return None
             inv_eig = 1.0 / (eig - nu)
+            # the mode matrices are orthonormal, so each product grows a sup
+            # norm at most by the square root of its side: no partial sum
+            # below exceeds nx ny max(1, max inv_eig) max|rhs|, which stays
+            # under half the largest float while max|rhs| <= safe
+            bound = np.finfo(float).max / (eig.size * max(1.0, inv_eig.max()))
+            safe = 2.0 ** (math.frexp(bound)[1] - 2)
 
             def modal(rhs, out=None):
+                top = max(rhs.max(), -rhs.min())
+                scaled = safe < top < math.inf   # NaN is not
+                if scaled:   # solve rhs / 2^e, then multiply back: exact
+                    scale = 2.0 ** math.frexp(top / safe)[1]
+                    rhs = rhs / scale
                 r = rhs.reshape(rhs.shape[:-1] + inv_eig.shape)
                 u = qx @ ((qx.T @ r @ qy) * inv_eig)
                 if out is None:
-                    return (u @ qy.T).reshape(rhs.shape)
-                np.matmul(u, qy.T, out=out.reshape(r.shape))
+                    out = (u @ qy.T).reshape(rhs.shape)
+                else:
+                    np.matmul(u, qy.T, out=out.reshape(r.shape))
+                if scaled:   # an overflow of the solution gives +-inf, quietly
+                    with np.errstate(over="ignore"):
+                        out *= scale
                 return out
 
             return modal
@@ -310,8 +330,9 @@ class Mesh:
     """Discretized domain with quadrature and the Dirichlet Laplacian.
 
     Fields are 1D arrays over interior nodes.  For radial meshes node i sits
-    at radius ``radii[i]``; for rectangles node (ix, iy) is flattened to
-    index ``ix * ny + iy`` at the cell center ``(xs[ix], ys[iy])``.
+    at radius ``radii[i]`` in the cell from ``edges[i]`` to ``edges[i + 1]``
+    (the one copy of the cell edges); for rectangles node (ix, iy) is
+    flattened to index ``ix * ny + iy`` at the cell center ``(xs[ix], ys[iy])``.
     """
 
     kind: str
@@ -322,6 +343,7 @@ class Mesh:
     # radial fields
     radius: float | None = None
     radii: np.ndarray | None = None
+    edges: np.ndarray | None = None
     spacing: float | None = None
     # rectangle fields
     lx: float | None = None
@@ -420,10 +442,11 @@ def build_radial(dimension: int, radius: float, nodes: int) -> Mesh:
         dimension=N,
         radius=R,
         radii=r,
+        edges=edges,
         spacing=h,
     )
-    w.flags.writeable = False
-    r.flags.writeable = False
+    for arr in (w, r, edges):
+        arr.flags.writeable = False
     return mesh
 
 

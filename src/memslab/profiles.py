@@ -168,13 +168,7 @@ def symmetrize(profile: Profile, source: Mesh, target: Mesh) -> Profile:
 
     # measure of the centered ball through each target cell edge
     ball = unit_ball_volume(target.dimension)
-    n = target.n_nodes
-    h = target.spacing
-    edges = np.empty(n + 1)
-    edges[0] = 0.0
-    edges[1:] = (np.arange(1, n + 1) - 0.5) * h
-    edges[n] = target.radius
-    m_edges = np.minimum(ball * edges**target.dimension, cum[-1])
+    m_edges = np.minimum(ball * target.edges**target.dimension, cum[-1])
 
     out = np.diff(np.interp(m_edges, cum, cum_integral)) / np.diff(m_edges)
     # each shell average lies between the values of the sorted cells the

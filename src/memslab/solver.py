@@ -192,7 +192,7 @@ class SolveOutcome:
     state: StatePair | None = None
     final_residual: tuple[float, float] | None = None
     reason: NonexistenceReason | None = None
-    last_increment: float | None = None
+    last_increment: float | None = None   # sup norm of the last step; None if it overflowed
     newton_steps: int = 0         # accepted Newton steps
     supersolution: StatePair | None = None   # FEASIBLE: the witness x_hat
 
@@ -243,13 +243,18 @@ def _defect(op, coeff: np.ndarray, x: np.ndarray,
     return np.subtract(op.apply(x, out=scratch), source, out=source)
 
 
+def _residual(op, coeff: np.ndarray, x: np.ndarray,
+              scratch: np.ndarray | None = None) -> tuple[float, float]:
+    """Sup-norm defects of the two equations at ``x = (u, v)``."""
+    return tuple(float(m) for m in np.max(np.abs(_defect(op, coeff, x, scratch)), axis=1))
+
+
 def residual(
     mesh: Mesh, f: Profile, g: Profile, lam: float, mu: float, state: StatePair
 ) -> tuple[float, float]:
     """Sup-norm defects of the two equations at the given state."""
     x = np.stack([state.u, state.v])
-    defect = _defect(mesh.operator, _coefficients(f, g, lam, mu), x)
-    return tuple(float(m) for m in np.max(np.abs(defect), axis=1))
+    return _residual(mesh.operator, _coefficients(f, g, lam, mu), x)
 
 
 def _picard(op, coeff: np.ndarray, x: np.ndarray,
@@ -336,107 +341,6 @@ def _supersolution(op, coeff: np.ndarray, x_hat: np.ndarray, cfg: SolveConfig,
     return bool(np.all(y <= (1.0 - _SUPER_MARGIN) * x_hat))
 
 
-def _iterate(
-    mesh: Mesh,
-    f: Profile,
-    g: Profile,
-    lam: float,
-    mu: float,
-    cfg: SolveConfig,
-    x: np.ndarray,
-    on_step=None,
-    warm: bool = False,
-    certify: bool = False,
-) -> SolveOutcome:
-    op = mesh.operator
-    coeff = _coefficients(f, g, lam, mu)
-    newton = True
-    inc_prev = two_prev = np.inf
-    slow_streak = newton_steps = 0
-    prev = back = None          # x = T(prev) after every loop step; back before prev
-    next_test, gap = 3, 1       # super-solution test schedule; see the module notes
-    scratch = np.empty_like(x)  # increments and the tests' transients
-    spare = []                  # buffers of former iterates, for the next ones
-    for it in range(1, cfg.max_iter + 1):
-        step = None
-        if newton and slow_streak >= _NEWTON_AFTER:
-            try:
-                step = _newton_step(op, coeff, x, cfg, scratch)
-            except IndefiniteError:
-                if _unstable_subsolution(op, coeff, x, prev, scratch):
-                    return SolveOutcome(
-                        verdict=Verdict.NONEXISTENCE_SUSPECTED,
-                        reason=NonexistenceReason.UNSTABLE_SUBSOLUTION,
-                        iterations=it,
-                        last_increment=inc,
-                        newton_steps=newton_steps,
-                    )
-            newton = step is not None   # one refused step ends Newton here
-            slow_streak = 0
-        if step is None:
-            y = _picard(op, coeff, x, spare.pop() if spare else None)
-            if warm and np.any(y < x):  # the start is not a sub-solution
-                x = np.zeros_like(x)
-                y = _picard(op, coeff, x, y)
-            warm = False
-        else:
-            x, y = step
-            newton_steps += 1
-            next_test, gap = it + 2, 1
-        if on_step is not None:
-            on_step(it, y[0], y[1])
-        inc = float(np.abs(np.subtract(y, x, out=scratch), out=scratch).max())
-        if 1.0 - y.max() < cfg.touch_threshold:
-            return SolveOutcome(
-                verdict=Verdict.NONEXISTENCE_SUSPECTED,
-                reason=NonexistenceReason.TOUCHED_ONE,
-                iterations=it,
-                last_increment=inc if math.isfinite(inc) else None,  # overflowed
-                newton_steps=newton_steps,
-            )
-        if back is not None:
-            spare.append(back)
-        back, prev, x = prev, x, y
-        if inc <= cfg.tol_sup:
-            state = StatePair(u=x[0], v=x[1])
-            res = residual(mesh, f, g, lam, mu, state)
-            if max(res) <= max(_RESIDUAL_RTOL * (lam + mu), _RESIDUAL_FLOOR):
-                return SolveOutcome(
-                    verdict=Verdict.CONVERGED,
-                    iterations=it,
-                    state=state,
-                    final_residual=res,
-                    last_increment=inc,
-                    newton_steps=newton_steps,
-                )
-            # increment converged but residual not yet in contract: keep going
-        if certify and back is not None:
-            two = float(np.abs(np.subtract(x, back, out=scratch), out=scratch).max())
-            if it >= next_test:
-                q = min(two / two_prev, _SUPER_Q_CAP) if two < two_prev else _SUPER_Q_CAP
-                x_hat = np.subtract(x, back, out=spare.pop() if spare else None)
-                x_hat *= 2.0 * q / (1.0 - q) + 0.5
-                x_hat += x
-                if _supersolution(op, coeff, x_hat, cfg, scratch):
-                    return SolveOutcome(
-                        verdict=Verdict.FEASIBLE,
-                        iterations=it,
-                        state=StatePair(u=x[0], v=x[1]),
-                        last_increment=inc,
-                        newton_steps=newton_steps,
-                        supersolution=StatePair(u=x_hat[0], v=x_hat[1]),
-                    )
-                spare.append(x_hat)
-                next_test, gap = it + gap, 2 * gap
-            two_prev = two
-        slow_streak = slow_streak + 1 if inc > _SLOW_RATIO * inc_prev else 0
-        inc_prev = inc
-    return SolveOutcome(
-        verdict=Verdict.INCONCLUSIVE, iterations=cfg.max_iter, last_increment=inc,
-        newton_steps=newton_steps,
-    )
-
-
 def minimal_solve(
     mesh: Mesh,
     f: Profile,
@@ -495,8 +399,73 @@ def minimal_solve(
         x = np.stack(start)
         if x.shape != (2, mesh.n_nodes):
             raise PreconditionError("start must be a pair of fields on the given mesh")
-    return _iterate(mesh, f, g, lam, mu, cfg, x, on_step=on_step,
-                    warm=start is not None, certify=certify_feasible)
+    op = mesh.operator
+    coeff = _coefficients(f, g, lam, mu)
+    newton = True
+    inc_prev = two_prev = np.inf
+    slow_streak = newton_steps = 0
+    prev = back = None          # x = T(prev) after every loop step; back before prev
+    next_test, gap = 3, 1       # super-solution test schedule; see the module notes
+    scratch = np.empty_like(x)  # increments and the tests' transients
+    spare = []                  # buffers of former iterates, for the next ones
+    verdict, fields = Verdict.INCONCLUSIVE, {}   # unless an exit below breaks the loop
+    for it in range(1, cfg.max_iter + 1):
+        step = None
+        if newton and slow_streak >= _NEWTON_AFTER:
+            try:
+                step = _newton_step(op, coeff, x, cfg, scratch)
+            except IndefiniteError:
+                if _unstable_subsolution(op, coeff, x, prev, scratch):
+                    verdict = Verdict.NONEXISTENCE_SUSPECTED
+                    fields = {"reason": NonexistenceReason.UNSTABLE_SUBSOLUTION}
+                    break
+            newton = step is not None   # one refused step ends Newton here
+            slow_streak = 0
+        if step is None:
+            y = _picard(op, coeff, x, spare.pop() if spare else None)
+            if it == 1 and start is not None and np.any(y < x):  # not a sub-solution
+                x = np.zeros_like(x)
+                y = _picard(op, coeff, x, y)
+        else:
+            x, y = step
+            newton_steps += 1
+            next_test, gap = it + 2, 1
+        if on_step is not None:
+            on_step(it, y[0], y[1])
+        inc = float(np.abs(np.subtract(y, x, out=scratch), out=scratch).max())
+        if 1.0 - y.max() < cfg.touch_threshold:
+            verdict = Verdict.NONEXISTENCE_SUSPECTED
+            fields = {"reason": NonexistenceReason.TOUCHED_ONE}
+            break
+        if back is not None:
+            spare.append(back)
+        back, prev, x = prev, x, y
+        if inc <= cfg.tol_sup:
+            res = _residual(op, coeff, x, scratch)
+            if max(res) <= max(_RESIDUAL_RTOL * (lam + mu), _RESIDUAL_FLOOR):
+                verdict = Verdict.CONVERGED
+                fields = {"state": StatePair(u=x[0], v=x[1]), "final_residual": res}
+                break
+            # increment converged but residual not yet in contract: keep going
+        if certify_feasible and back is not None:
+            two = float(np.abs(np.subtract(x, back, out=scratch), out=scratch).max())
+            if it >= next_test:
+                q = min(two / two_prev, _SUPER_Q_CAP) if two < two_prev else _SUPER_Q_CAP
+                x_hat = np.subtract(x, back, out=spare.pop() if spare else None)
+                x_hat *= 2.0 * q / (1.0 - q) + 0.5
+                x_hat += x
+                if _supersolution(op, coeff, x_hat, cfg, scratch):
+                    verdict = Verdict.FEASIBLE
+                    fields = {"state": StatePair(u=x[0], v=x[1]),
+                              "supersolution": StatePair(u=x_hat[0], v=x_hat[1])}
+                    break
+                spare.append(x_hat)
+                next_test, gap = it + gap, 2 * gap
+            two_prev = two
+        slow_streak = slow_streak + 1 if inc > _SLOW_RATIO * inc_prev else 0
+        inc_prev = inc
+    return SolveOutcome(verdict=verdict, iterations=it, newton_steps=newton_steps,
+                        last_increment=inc if math.isfinite(inc) else None, **fields)
 
 
 def write_solution_csv(path, mesh: Mesh, state: StatePair, fingerprint: str = "") -> None:

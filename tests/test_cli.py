@@ -8,6 +8,7 @@ from memslab.cli import main
 from memslab.profiles import power_profile, symmetrize
 
 DISK = {"kind": "radial", "dimension": 2, "radius": 1.0, "nodes": 64}
+SQUARE32 = {"kind": "rect", "lx": 1.0, "ly": 1.0, "nx": 32, "ny": 32}
 ONES = {"kind": "constant", "value": 1.0}
 # a tabulated profile on DISK with one NaN cell, written by the test using it
 NAN_CELL = {"kind": "tabulated", "path": "nan_cell.csv"}
@@ -51,15 +52,19 @@ class TestSolve:
         assert code == 3
 
     def test_overflowing_parameters_touch(self, tmp_path):
-        # the first solve overflows: that is touching, not a numerical failure
-        code, out = run(
-            tmp_path, "solve",
-            {"domain": DISK, "f": ONES, "g": ONES, "lambda": 1.7e308, "mu": 1.7e308},
-        )
-        assert code == 2
-        summary = json.loads((out / "solve_summary.json").read_text())
-        assert summary["reason"] == "touched-one"
-        assert summary["last_increment"] is None
+        # the first solve overflows: that is touching, not a numerical
+        # failure.  The disk's running sums overflow to inf, so the increment
+        # is reported as null; the square's modal solve scales its data by a
+        # power of two and gives the finite solution, far above 1
+        for domain in (DISK, SQUARE32):
+            code, out = run(tmp_path, "solve", {"domain": domain, "f": ONES, "g": ONES,
+                                                "lambda": 1.7e308, "mu": 1.7e308})
+            assert code == 2
+            summary = json.loads((out / "solve_summary.json").read_text())
+            assert summary["reason"] == "touched-one"
+            assert summary["iterations"] == 1
+            increment = summary["last_increment"]
+            assert increment is None if domain is DISK else increment > 1e300
 
     def test_missing_parameters_exit_four(self, tmp_path, capsys):
         code, _ = run(tmp_path, "solve", {"domain": DISK, "f": ONES, "g": ONES})
@@ -412,7 +417,8 @@ FOOTPRINT = """
 import sys
 from memslab.cli import main
 code = main(sys.argv[1:])
-print(code, *(m for m in ("scipy.linalg", "scipy.sparse") if m in sys.modules))
+print(code, *(m for m in ("scipy.linalg", "scipy.sparse", "scipy.special")
+              if m in sys.modules))
 """
 
 
@@ -422,7 +428,8 @@ print(code, *(m for m in ("scipy.linalg", "scipy.sparse") if m in sys.modules))
     ("eigen", DISK, 0.0, {"scipy.linalg"}),  # shifted radial solves load it on first use
     ("curve", DISK, 0.5, set()),
     ("bounds", DISK, 0.5, set()),
-], ids=["extremal-square", "solve-disk", "eigen-disk", "curve-disk", "bounds-disk"])
+    ("check", DISK, 0.5, {"scipy.linalg"}),  # its j01^2 is a literal, not scipy.special
+], ids=["extremal-square", "solve-disk", "eigen-disk", "curve-disk", "bounds-disk", "check"])
 def test_import_footprint(tmp_path, command, domain, param, allowed):
     import os
     import subprocess
@@ -443,6 +450,6 @@ def test_import_footprint(tmp_path, command, domain, param, allowed):
          "--config", str(cfg), "--out", str(tmp_path / "o")],
         capture_output=True, text=True, env=env, timeout=120,
     )
-    code, *loaded = proc.stdout.split()
+    code, *loaded = proc.stdout.splitlines()[-1].split()   # check prints a report first
     assert code == "0", proc.stderr
     assert set(loaded) <= allowed

@@ -5,6 +5,7 @@ import pytest
 from scipy.special import jn_zeros
 
 from memslab import ConfigurationError, build_radial, build_rect, principal_eigenpair
+from memslab.acceptance import GOLDEN_DISK_LAM_STAR
 from memslab.curve import (
     BoundReport,
     CurveConfig,
@@ -23,9 +24,6 @@ from memslab.curve import (
 )
 from memslab.profiles import constant_profile, power_profile, tabulated_profile
 from memslab.solver import SolveConfig
-
-# frozen from a 4096-node radial run (tools/make_goldens.py)
-GOLDEN_DISK_LAM_STAR = 0.7892086977942018
 
 FAST = CurveConfig(rtol=2e-3)
 

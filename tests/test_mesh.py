@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -49,6 +51,18 @@ class TestQuadrature:
         assert np.all(np.diff(mesh.radii) > 0)
         assert mesh.radii[0] == 0.0
         assert mesh.radii[-1] < mesh.radius
+
+    def test_radial_cell_edges(self):
+        # the one copy of the cells that symmetrize reads: the weights are
+        # their shell measures, bit for bit, and nothing can move them
+        mesh = build_radial(3, 2.0, 64)
+        edges = mesh.edges
+        assert edges[0] == 0.0 and edges[-1] == mesh.radius
+        assert np.all(edges[:-1] <= mesh.radii) and np.all(mesh.radii < edges[1:])
+        np.testing.assert_array_equal(
+            mesh.weights,
+            mesh_module.unit_ball_volume(3) * (edges[1:] ** 3 - edges[:-1] ** 3))
+        assert not edges.flags.writeable
 
     def test_integrate_constants(self, disk256):
         assert integrate(disk256, np.ones(disk256.n_nodes)) == pytest.approx(
@@ -319,6 +333,36 @@ class TestStackedSolve:
         out = np.empty_like(rhs)
         assert np.all(op.solve(rhs, out=out) == np.inf)
         assert np.all(op.solve(rhs, out=rhs) == np.inf)
+
+    @pytest.mark.parametrize("name", ["disk256", "square64"])
+    def test_solvers_free_without_a_collection(self, request, name):
+        # stability builds a shifted solver per secant step: one caught in a
+        # reference cycle keeps its arrays until the cyclic collector runs
+        op = request.getfixturevalue(name).operator
+        gc.disable()
+        try:
+            for nu in (0.0, 0.5 * principal_eigenpair(op).value):
+                ref = weakref.ref(op.shifted_solver(nu))
+                assert ref() is None
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_rect_overflow_scales_exactly_quietly(self, square64, stacked):
+        # the unit square's solution of 1e308 is below 1e307, but the mode
+        # products' partial sums would overflow without the power-of-two
+        # scaling; a warning would be an error here, as in the radial twin
+        op = square64.operator
+        shape = (2, op.size) if stacked else op.size
+        rhs = np.full(shape, 1e308)
+        expected = op.solve(rhs / 2.0**64) * 2.0**64
+        assert np.all(np.isfinite(expected))
+        np.testing.assert_array_equal(op.solve(rhs), expected)
+        np.testing.assert_array_equal(op.solve(rhs, out=np.empty_like(rhs)), expected)
+        np.testing.assert_array_equal(op.solve(rhs, out=rhs), expected)
+        # on a 100 x 100 square the solution itself overflows: +inf, quietly
+        wide = build_rect(100.0, 100.0, 16, 16).operator
+        assert np.all(wide.solve(np.full((2, 256) if stacked else 256, 1e308)) == np.inf)
 
 
 class TestCoupledSolve:

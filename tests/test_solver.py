@@ -175,6 +175,29 @@ class TestMinimalSolve:
         assert out.iterations == 3
         assert out.last_increment is not None
 
+    # the loop's five exits on the 256-node disk with f = g = 1, each pinned
+    # bit for bit: (lam = mu, max_iter, certify_feasible) ->
+    # (verdict, reason, iterations, newton_steps, last_increment, final_residual)
+    @pytest.mark.parametrize("lam, max_iter, certify, expected", [
+        (0.78, 10_000, False, (Verdict.CONVERGED, None, 20, 3, 4.728550884181004e-12,
+                               (3.856115426970064e-11, 3.856115426970064e-11))),
+        (0.7, 10_000, True, (Verdict.FEASIBLE, None, 3, 0, 0.02482707441475049, None)),
+        (3.0, 10_000, False, (Verdict.NONEXISTENCE_SUSPECTED,
+                              NonexistenceReason.TOUCHED_ONE, 2, 0, 4.795345680417561, None)),
+        (0.8, 10_000, False, (Verdict.NONEXISTENCE_SUSPECTED,
+                              NonexistenceReason.UNSTABLE_SUBSOLUTION, 13, 1,
+                              0.014947657694065364, None)),
+        (0.7, 3, False, (Verdict.INCONCLUSIVE, None, 3, 0, 0.02482707441475049, None)),
+    ], ids=["converged", "feasible", "touched-one", "unstable-subsolution", "inconclusive"])
+    def test_every_exit_pinned(self, disk256, ones_disk, lam, max_iter, certify, expected):
+        out = minimal_solve(disk256, ones_disk, ones_disk, lam, lam,
+                            SolveConfig(max_iter=max_iter), certify_feasible=certify)
+        assert (out.verdict, out.reason, out.iterations, out.newton_steps,
+                out.last_increment, out.final_residual) == expected
+        assert (out.state is None) is (out.verdict in (Verdict.NONEXISTENCE_SUSPECTED,
+                                                       Verdict.INCONCLUSIVE))
+        assert (out.supersolution is None) is (out.verdict is not Verdict.FEASIBLE)
+
 
 def picard_only(mesh, f, g, lam, mu, cfg=SolveConfig()):
     """Reference loop: the plain Jacobi Picard iteration, no Newton steps."""
