@@ -78,8 +78,13 @@ def _bump_fields(mesh, count: int, rng) -> list:
     return fields
 
 
+_REGISTRY = {}
+
+
 def _criterion(fn):
-    """Wrap a criterion body so failures and timing are captured."""
+    """Wrap a criterion body so failures and timing are captured, and
+    register it under its hyphenated name, in definition order."""
+    name = fn.__name__.replace("_", "-")
 
     def run(scale: float = 1.0) -> CriterionResult:
         start = time.perf_counter()
@@ -87,13 +92,14 @@ def _criterion(fn):
             passed, detail, limit = fn(scale)
         except Exception as exc:  # a crash is a failed criterion, not a crashed suite
             elapsed = time.perf_counter() - start
-            return CriterionResult(fn.__name__, False, f"raised {exc!r}", elapsed)
+            return CriterionResult(name, False, f"raised {exc!r}", elapsed)
         elapsed = time.perf_counter() - start
         if limit is not None and scale == 1.0 and elapsed > limit:
             passed, detail = False, f"{detail}; runtime {elapsed:.0f}s over {limit}s cap"
-        return CriterionResult(fn.__name__.replace("_", "-"), passed, detail, elapsed)
+        return CriterionResult(name, passed, detail, elapsed)
 
     run.__name__ = fn.__name__
+    _REGISTRY[name] = run
     return run
 
 
@@ -343,21 +349,6 @@ def infrastructure(scale):
     ok &= all(3.5 <= r <= 4.5 for r in ratios)
     details.append(f"poisson ratios {['%.2f' % r for r in ratios]}")
     return ok, "; ".join(details), None
-
-
-_REGISTRY = {
-    "bound-sandwich": bound_sandwich,
-    "symmetric-reduction": symmetric_reduction,
-    "ordering": ordering,
-    "curve-monotonicity": curve_monotonicity,
-    "scaling-domain-monotonicity": scaling_domain_monotonicity,
-    "symmetrization": symmetrization,
-    "stability": stability,
-    "stability-inequality": stability_inequality,
-    "singular-identity": singular_identity,
-    "power-weight-bound": power_weight_bound,
-    "infrastructure": infrastructure,
-}
 
 
 def registry() -> dict:

@@ -9,7 +9,8 @@ Exit codes are part of the contract:
     3  solve: inconclusive within budget
     4  invalid arguments or configuration, including inputs a library
        precondition rejects (diagnostics as JSON on stderr)
-    5  curve: at least one ray failed (partial CSV plus failure manifest)
+    5  curve: at least one ray failed (partial CSV plus failure manifest);
+       extremal: the ray or a branch solve failed (failure manifest)
 
 Identical configs produce byte-identical CSV outputs; every artifact embeds
 the config fingerprint.
@@ -34,7 +35,14 @@ from .curve import (
     write_trace_csv,
 )
 from .diagnostics import approach_extremal, write_approach_csv
-from .exceptions import ConfigurationError, HypothesisError, PreconditionError
+from .exceptions import (
+    ConfigurationError,
+    ConvergenceError,
+    HypothesisError,
+    NumericsError,
+    PreconditionError,
+    UnboundedRayError,
+)
 from .mesh import Mesh, _scaled, build_radial, build_rect
 from .profiles import (
     Profile,
@@ -68,6 +76,14 @@ def _is_object(spec, field: str, problems: list) -> bool:
     return False
 
 
+def _integer(value, name: str) -> int:
+    """An integer config field: a fractional number or a boolean is rejected
+    with a ValueError naming the field, not truncated; ``64.0`` reads as 64."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _build_mesh(spec: dict, scale: float, problems: list, field: str) -> Mesh | None:
     if not _is_object(spec, field, problems):
         return None
@@ -75,16 +91,16 @@ def _build_mesh(spec: dict, scale: float, problems: list, field: str) -> Mesh | 
         kind = spec.get("kind")
         if kind == "radial":
             return build_radial(
-                int(spec["dimension"]),
+                _integer(spec["dimension"], "dimension"),
                 float(spec["radius"]),
-                _scaled(int(spec["nodes"]), scale),
+                _scaled(_integer(spec["nodes"], "nodes"), scale),
             )
         if kind == "rect":
             return build_rect(
                 float(spec["lx"]),
                 float(spec["ly"]),
-                _scaled(int(spec["nx"]), scale),
-                _scaled(int(spec["ny"]), scale),
+                _scaled(_integer(spec["nx"], "nx"), scale),
+                _scaled(_integer(spec["ny"], "ny"), scale),
             )
         problems.append(
             {"field": field, "message": f"unknown domain kind {kind!r}"}
@@ -118,7 +134,8 @@ def _solve_config(config: dict, problems: list) -> SolveConfig:
     spec = config.get("solver", {})
     if not _is_object(spec, "solver", problems):
         return SolveConfig()
-    casts = {"tol_sup": float, "max_iter": int, "touch_threshold": float}
+    casts = {"tol_sup": float, "max_iter": lambda v: _integer(v, "max_iter"),
+             "touch_threshold": float}
     try:
         return SolveConfig(**{k: cast(spec[k]) for k, cast in casts.items() if k in spec})
     except (TypeError, ValueError, OverflowError) as exc:
@@ -263,7 +280,8 @@ def cmd_bounds(config: dict, args, out: Path, fp: str) -> int:
 def cmd_symmetrize(config: dict, args, out: Path, fp: str) -> int:
     mesh, f, g = _load_inputs(config, args)
     try:
-        nodes = _scaled(int(config.get("target_nodes", 256)), args.resolution_scale)
+        nodes = _scaled(_integer(config.get("target_nodes", 256), "target_nodes"),
+                        args.resolution_scale)
     except (TypeError, ValueError, OverflowError) as exc:
         raise _ConfigProblems([{"field": "target_nodes", "message": str(exc)}]) from exc
     ball = build_radial(mesh.dimension, mesh.equal_measure_radius, nodes)
@@ -283,7 +301,12 @@ def cmd_extremal(config: dict, args, out: Path, fp: str) -> int:
                        above=1)
     if problems:
         raise _ConfigProblems(problems)
-    record = approach_extremal(mesh, f, g, theta, config["fractions"], alpha, cfg)
+    try:
+        record = approach_extremal(mesh, f, g, theta, config["fractions"], alpha, cfg)
+    except (ConvergenceError, UnboundedRayError, NumericsError) as exc:
+        write_json(out / "extremal_failures.json",
+                   {"failures": [{"theta": theta, "error": str(exc)}]}, fp)
+        return EXIT_RAY_FAILED
     write_approach_csv(out / "approach.csv", record, fp)
     write_json(out / "extremal_summary.json",
                {"lambda_star": record.lam_star, "theta": record.theta,
@@ -294,10 +317,13 @@ def cmd_extremal(config: dict, args, out: Path, fp: str) -> int:
 def cmd_check(config: dict, args, out: Path, fp: str) -> int:
     from . import acceptance   # imported here: no other command needs it
 
-    names = config.get("criteria")
     registry = acceptance.registry()
+    names = config.get("criteria")
     if names is None:
         names = list(registry)
+    if not (isinstance(names, list) and names and all(isinstance(n, str) for n in names)):
+        raise _ConfigProblems([{"field": "criteria", "message":
+                                f"must be a non-empty list of names, got {names!r}"}])
     unknown = [n for n in names if n not in registry]
     if unknown:
         raise _ConfigProblems(

@@ -101,9 +101,9 @@ class BoundReport:
 def bound_report(mesh: Mesh, f: Profile, g: Profile) -> BoundReport:
     """Evaluate every applicable bound for the given configuration."""
     dim = mesh.dimension
-    a_f, a_g = lower_bound(f.sup(), g.sup(), mesh.volume, dim)
+    a_f, a_g = lower_bound(f.sup, g.sup, mesh.volume, dim)
     mu1 = principal_eigenpair(mesh.operator).value
-    uf, ug = upper_bound(mu1, f.inf(), g.inf())
+    uf, ug = upper_bound(mu1, f.inf, g.inf)
     return BoundReport(
         a_f=a_f,
         a_g=a_g,
@@ -111,10 +111,10 @@ def bound_report(mesh: Mesh, f: Profile, g: Profile) -> BoundReport:
         upper_f=uf,
         upper_g=ug,
         mu1=mu1,
-        sup_f=f.sup(),
-        inf_f=f.inf(),
-        sup_g=g.sup(),
-        inf_g=g.inf(),
+        sup_f=f.sup,
+        inf_f=f.inf,
+        sup_g=g.sup,
+        inf_g=g.inf,
         volume=mesh.volume,
         dimension=dim,
         equal_measure_radius=mesh.equal_measure_radius,

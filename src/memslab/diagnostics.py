@@ -74,9 +74,10 @@ def approach_extremal(
     """Sweep the minimal branch at the given fractions of the critical point.
 
     Fractions must be strictly increasing in (0, 1) and alpha must exceed
-    1; both are checked before the ray runs.  A solve that fails to
-    converge below t = 0.99 means the critical parameter was overestimated
-    and raises; at t >= 0.99 the sample is skipped instead.
+    1; both are checked before the ray runs.  A branch solve that does not
+    converge below t = 0.99 raises ConvergenceError: a nonexistence verdict
+    there means the critical parameter was overestimated, an inconclusive one
+    that the solve budget ran out.  At t >= 0.99 the sample is skipped.
     """
     if not alpha > 1:
         raise PreconditionError("alpha must exceed 1")
@@ -101,9 +102,11 @@ def approach_extremal(
         out = minimal_solve(mesh, f, g, lam, mu, budget)
         if out.verdict is not Verdict.CONVERGED:
             if t < 0.99:
+                cause = ("critical parameter likely overestimated"
+                         if out.verdict is Verdict.NONEXISTENCE_SUSPECTED
+                         else "solve budget exhausted")
                 raise ConvergenceError(
-                    f"minimal solve failed at fraction {t} ({out.verdict.value}); "
-                    "critical parameter likely overestimated"
+                    f"minimal solve failed at fraction {t} ({out.verdict.value}); {cause}"
                 )
             continue
         eig = linearized_eigen(mesh, f, g, lam, mu, out.state)

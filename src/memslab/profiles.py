@@ -19,48 +19,24 @@ from .artifacts import fingerprint
 from .exceptions import ConfigurationError, HypothesisError
 from .mesh import RADIAL, Mesh, unit_ball_volume
 
-CONSTANT = "constant"
-POWER = "power"
-TABULATED = "tabulated"
-
 
 @dataclass(frozen=True)
 class Profile:
-    """Sampled permittivity on a mesh.
-
-    ``kind`` is one of "constant", "power", "tabulated"; ``param`` carries the
-    constant value or the power exponent.  ``scale`` records a normalization
-    factor that was divided out to keep values <= 1: ``R^alpha`` for power
-    profiles on balls of radius R > 1, else 1.  ``supremum`` is the
-    continuum supremum of a power profile, ``min(1, R)^alpha``.
-    """
+    """Sampled permittivity on a mesh: the read-only node ``values`` and
+    ``sup``, their least upper bound over the continuum domain.  ``inf`` is
+    the least node value, which is exact for every constructor below: a
+    power profile's infimum sits at the origin, a node of every radial
+    mesh."""
 
     values: np.ndarray
-    kind: str
-    param: float | None = None
-    scale: float = 1.0
-    supremum: float | None = None
+    sup: float
 
-    def sup(self) -> float:
-        """Supremum over the continuum domain (exact for known descriptors)."""
-        if self.kind == CONSTANT:
-            return float(self.param)
-        if self.kind == POWER:
-            return self.supremum
-        return float(self.values.max())
-
+    @property
     def inf(self) -> float:
-        if self.kind == CONSTANT:
-            return float(self.param)
-        if self.kind == POWER:
-            return 1.0 if self.param == 0 else 0.0
         return float(self.values.min())
 
     def fingerprint(self) -> str:
-        return fingerprint(
-            f"{self.kind}:{self.param!r}:{self.scale!r}",
-            np.ascontiguousarray(self.values).tobytes(),
-        )
+        return fingerprint(repr(self.sup), np.ascontiguousarray(self.values).tobytes())
 
 
 def _validate(values: np.ndarray, weights: np.ndarray) -> None:
@@ -76,34 +52,23 @@ def constant_profile(mesh: Mesh, c: float) -> Profile:
         raise HypothesisError(f"constant profile value must be in (0, 1], got {c!r}")
     values = np.full(mesh.n_nodes, float(c))
     values.flags.writeable = False
-    return Profile(values=values, kind=CONSTANT, param=float(c))
+    return Profile(values=values, sup=float(c))
 
 
 def power_profile(mesh: Mesh, alpha: float) -> Profile:
     """Radial power profile, alpha >= 0: ``r^alpha`` on balls of radius
-    R <= 1, and ``(r/R)^alpha`` on balls of radius R > 1.
-
-    Only R > 1 is normalized: there the raw power r^alpha exceeds 1, so it is
-    divided by R^alpha and ``scale = R^alpha`` is recorded.  For R <= 1 the
-    values are the raw power, at most R^alpha <= 1, and ``scale`` is 1.
+    R <= 1, and ``(r/R)^alpha`` on balls of radius R > 1, so the values stay
+    <= 1.  ``sup`` is ``min(1, R)^alpha``, reached at r = R, past the last
+    node.
     """
     if mesh.kind != RADIAL:
         raise ConfigurationError("power profiles require a radial mesh")
     if not 0 <= alpha < math.inf:
         raise HypothesisError(f"power exponent must be finite and >= 0, got {alpha!r}")
-    try:
-        scale = mesh.radius**alpha if mesh.radius > 1 else 1.0
-    except OverflowError:
-        raise HypothesisError(
-            f"power exponent {alpha!r} too large: R^alpha overflows for R = {mesh.radius!r}"
-        ) from None
-    values = (mesh.radii / (mesh.radius if mesh.radius > 1 else 1.0)) ** alpha
-    if alpha == 0:
-        values = np.ones(mesh.n_nodes)
+    values = (mesh.radii / max(mesh.radius, 1.0)) ** alpha
     _validate(values, mesh.weights)
     values.flags.writeable = False
-    return Profile(values=values, kind=POWER, param=float(alpha), scale=float(scale),
-                   supremum=float(min(1.0, mesh.radius) ** alpha))
+    return Profile(values=values, sup=float(min(1.0, mesh.radius) ** alpha))
 
 
 def tabulated_profile(mesh: Mesh, values: np.ndarray) -> Profile:
@@ -116,7 +81,7 @@ def tabulated_profile(mesh: Mesh, values: np.ndarray) -> Profile:
     _validate(values, mesh.weights)
     values = values.copy()
     values.flags.writeable = False
-    return Profile(values=values, kind=TABULATED)
+    return Profile(values=values, sup=float(values.max()))
 
 
 def load_tabulated(mesh: Mesh, path) -> Profile:
@@ -179,4 +144,4 @@ def symmetrize(profile: Profile, source: Mesh, target: Mesh) -> Profile:
     last = np.searchsorted(cum, m_edges[1:], side="left") - 1
     out = np.clip(out, sv[last], sv[first])
     out.flags.writeable = False
-    return Profile(values=out, kind=TABULATED)
+    return Profile(values=out, sup=float(out.max()))

@@ -37,7 +37,7 @@ import numpy as np
 from .artifacts import write_node_table
 from .exceptions import ConvergenceError, NumericsError, PreconditionError
 from .mesh import Mesh, principal_eigenpair
-from .profiles import CONSTANT, Profile
+from .profiles import Profile
 from .solver import StatePair, check_parameters, coupling_weights
 
 _CLASSIFY_EPS = 1e-6
@@ -247,12 +247,12 @@ def stability_inequality_gap(
 ) -> float:
     """Dirichlet energy of phi minus its weighted mass at the state.
 
-    For constant profiles the coupled linearization admits the comparison
-    weight ``2 sqrt(lam mu f g) (1-u)^{-3/2} (1-v)^{-3/2}``, which is
-    ``sqrt(a12 a21)``; at any stable state the returned gap is nonnegative
+    For constant profiles (inf = sup) the coupled linearization admits the
+    comparison weight ``2 sqrt(lam mu f g) (1-u)^{-3/2} (1-v)^{-3/2}``, which
+    is ``sqrt(a12 a21)``; at any stable state the returned gap is nonnegative
     for every boundary-vanishing field, up to 1e-8 * ||phi||^2.
     """
-    if f.kind != CONSTANT or g.kind != CONSTANT:
+    if f.inf != f.sup or g.inf != g.sup:
         raise PreconditionError("the inequality check requires constant profiles")
     a12, a21 = coupling_weights((lam * f.values, mu * g.values), (state.u, state.v))
     weight = np.sqrt(a12 * a21)

@@ -215,6 +215,41 @@ class TestOtherCommands:
         assert len(lines) == 2 + 2
 
 
+    def test_extremal_starved_budget_exit_five(self, tmp_path, capsys):
+        # one loop step per branch solve: the solve at t = 0.9 is inconclusive
+        code, out = run(
+            tmp_path, "extremal",
+            {"domain": DISK, "theta": 1.0, "fractions": [0.5, 0.9],
+             "solver": {"max_iter": 1}},
+        )
+        assert code == 5
+        assert capsys.readouterr().err == ""
+        failures = json.loads((out / "extremal_failures.json").read_text())["failures"]
+        assert [f["theta"] for f in failures] == [1.0]
+        assert "budget" in failures[0]["error"]
+        assert not (out / "approach.csv").exists()
+
+    def test_bounds_power_profile_past_float_range(self, tmp_path):
+        # R^alpha = 2^1100 overflows a float, but the profile (r/R)^alpha
+        # lies in [0, 1], so it builds with sup 1
+        code, out = run(
+            tmp_path, "bounds",
+            {"domain": {**DISK, "radius": 2.0, "nodes": 32},
+             "f": {"kind": "power", "alpha": 1100.0}},
+        )
+        assert code == 0
+        data = json.loads((out / "bounds.json").read_text())
+        assert (data["sup_f"], data["inf_f"]) == (1.0, 0.0)
+
+    def test_integral_float_fields_accepted(self, tmp_path):
+        code, out = run(
+            tmp_path, "bounds",
+            {"domain": {**DISK, "dimension": 2.0, "nodes": 64.0}, "f": ONES, "g": ONES},
+        )
+        assert code == 0
+        data = json.loads((out / "bounds.json").read_text())
+        assert data["a_f"] == pytest.approx(16.0 / 27.0)
+
     def test_symmetrize_keeps_dimension(self, tmp_path):
         ball = {"kind": "radial", "dimension": 3, "radius": 1.5, "nodes": 48}
         code, out = run(
@@ -274,12 +309,22 @@ class TestInputErrors:
           for command, params in (("solve", {"lambda": 0.5, "mu": 0.5}),
                                   ("curve", {"theta_grid": [1.0]}),
                                   ("bounds", {}))),
-        # a finite exponent whose normalization R^alpha overflows
-        ("bounds", {"domain": {**DISK, "radius": 2.0},
-                    "f": {"kind": "power", "alpha": 1100.0}}, "f"),
+        # a power profile on a rectangle
+        ("bounds", {"domain": SQUARE32, "f": {"kind": "power", "alpha": 1.0}}, "f"),
         # a touch band reaching 0: every solve would touch at its first step
         ("solve", {"lambda": 0.1, "mu": 0.1, "solver": {"touch_threshold": 1.0}},
          "solver"),
+        # an integer field given a fraction or a boolean is rejected, not
+        # truncated
+        ("bounds", {"domain": {**DISK, "dimension": 2.5}}, "domain"),
+        ("bounds", {"domain": {**DISK, "nodes": 32.9}}, "domain"),
+        ("bounds", {"domain": {**SQUARE32, "nx": 16.5}}, "domain"),
+        ("bounds", {"domain": {**SQUARE32, "ny": True}}, "domain"),
+        ("solve", {"lambda": 0.5, "mu": 0.5, "solver": {"max_iter": 2.7}}, "solver"),
+        ("symmetrize", {"target_nodes": 16.5}, "target_nodes"),
+        # criteria must be a non-empty list of names
+        *(("check", {"criteria": c}, "criteria")
+          for c in (5, [["x"]], [], "singular-identity")),
     ])
     def test_exit_four_with_one_violation(self, tmp_path, capsys, monkeypatch,
                                           command, config, field):

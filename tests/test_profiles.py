@@ -18,7 +18,7 @@ class TestConstant:
     def test_all_ones(self, disk256):
         p = constant_profile(disk256, 1.0)
         assert np.all(p.values == 1.0)
-        assert p.sup() == p.inf() == 1.0
+        assert p.sup == p.inf == 1.0
 
     @pytest.mark.parametrize("bad", [0.0, -0.5, 1.5])
     def test_rejects_out_of_range(self, disk256, bad):
@@ -57,16 +57,20 @@ class TestPower:
         with pytest.raises(HypothesisError):
             power_profile(disk256, alpha)
 
-    def test_scale_overflow_rejected(self):
-        # R^alpha, the recorded scale, overflows though every value is finite
-        with pytest.raises(HypothesisError):
-            power_profile(build_radial(2, 2.0, 32), 1100.0)
+    def test_overflowing_normalization_builds(self):
+        # R^alpha overflows a float, but (r/R)^alpha never forms it: the
+        # values lie in [0, 1], are positive near the boundary, and sup is 1
+        mesh = build_radial(2, 2.0, 32)
+        p = power_profile(mesh, 1100.0)
+        assert p.sup == 1.0
+        assert p.inf == 0.0
+        assert 0.0 < p.values[-1] < 1.0
 
     def test_large_ball_rescaled(self):
         mesh = build_radial(2, 2.0, 64)
         p = power_profile(mesh, 2.0)
-        assert p.values.max() <= 1.0
-        assert p.scale == pytest.approx(4.0)
+        assert np.array_equal(p.values, (mesh.radii / 2.0) ** 2)
+        assert p.values.max() < p.sup == 1.0
 
     def test_requires_radial(self, square64):
         with pytest.raises(ConfigurationError):
@@ -78,8 +82,8 @@ class TestPower:
         # stays inside the certified power box
         mesh = build_radial(2, 0.5, 64)
         p = power_profile(mesh, 2.0)
-        assert p.sup() == 0.25
-        assert p.values.max() <= p.sup()
+        assert p.sup == 0.25
+        assert p.values.max() <= p.sup
         a_f = bound_report(mesh, p, p).a_f
         a_unit, _ = lower_bound(1.0, 1.0, mesh.volume, 2)   # with sup f = 1
         assert a_f == pytest.approx(4.0 * a_unit, rel=1e-15)
@@ -112,6 +116,23 @@ class TestTabulated:
         path.write_text("0,0.5\n1,0.5\n")
         with pytest.raises(ConfigurationError):
             load_tabulated(disk256, path)
+
+
+class TestFingerprint:
+    def test_same_data_same_fingerprint(self):
+        disk = build_radial(2, 1.0, 64)
+        assert (constant_profile(disk, 1.0).fingerprint()
+                == power_profile(disk, 0.0).fingerprint())
+
+    def test_sup_past_last_node_changes_fingerprint(self):
+        # the power profile's supremum R^2 is reached at r = R, past the last
+        # node; a tabulated copy of its values knows only their maximum
+        mesh = build_radial(2, 0.5, 64)
+        p = power_profile(mesh, 2.0)
+        t = tabulated_profile(mesh, p.values)
+        assert np.array_equal(t.values, p.values)
+        assert t.sup == p.values.max() < p.sup == 0.25
+        assert t.fingerprint() != p.fingerprint()
 
 
 @pytest.fixture(scope="module")

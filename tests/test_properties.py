@@ -2,8 +2,9 @@
 a documented input error, never a numerical failure; the minimal solution
 increases with the parameter along a ray; no probe below lam* ends by the
 nonexistence certificate, and none above it by the feasibility certificate;
-and the decreasing rearrangement of a profile on a rectangle is
-equimeasurable with it.
+the decreasing rearrangement of a profile on a rectangle is equimeasurable
+with it; and the CLI answers every small config with an exit code of its
+contract, never a traceback.
 
 Hypothesis draws from all floats, NaN and the infinities included, mixed
 with the range where solves converge so that the eigen solve and whole rays
@@ -14,7 +15,10 @@ test.  The mesh is small, the examples few and fixed
 """
 
 import functools
+import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +26,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from memslab import ConfigurationError, PreconditionError, build_radial, build_rect, integrate
+from memslab.cli import main
 from memslab.curve import CurveConfig, extremal_on_ray
 from memslab.profiles import constant_profile, symmetrize, tabulated_profile
 from memslab.solver import SolveConfig, Verdict, minimal_solve
@@ -216,3 +221,55 @@ def test_symmetrize_is_equimeasurable(case, levels):
     assert integrate(disk, star.values) == pytest.approx(
         integrate(rect, p.values), rel=1e-10)
     assert np.all(np.diff(star.values) <= 0)
+
+
+_CLI_COMMANDS = ("solve", "eigen", "curve", "extremal", "bounds", "symmetrize")
+_CLI_SCALE = st.floats(1e-3, 30.0)
+_CLI_CONSTANT = st.builds(lambda c: {"kind": "constant", "value": c}, st.floats(0.1, 1.0))
+_CLI_PROFILE = st.one_of(   # power profiles need a radial mesh
+    _CLI_CONSTANT, st.builds(lambda a: {"kind": "power", "alpha": a}, st.floats(0.0, 4.0)))
+_DISK64 = {"kind": "radial", "dimension": 2, "radius": 1.0, "nodes": 64}
+
+
+@st.composite
+def _cli_runs(draw):
+    """A command and a small config for it: a 16-32-node ball or a 16^2
+    rectangle, constant or power profiles, parameters across 1e-3...30 and a
+    solve budget down to one loop step."""
+    profile = _CLI_PROFILE
+    if draw(st.booleans()):
+        domain = {"kind": "radial", "dimension": draw(st.sampled_from((1, 2, 3, 8, 9))),
+                  "radius": draw(st.sampled_from((0.5, 1.0, 2.0))),
+                  "nodes": draw(st.integers(16, 32))}
+    else:
+        domain = {"kind": "rect", "lx": 1.0, "ly": draw(st.sampled_from((0.5, 1.0))),
+                  "nx": 16, "ny": 16}
+        profile = _CLI_CONSTANT
+    config = {
+        "domain": domain, "f": draw(profile), "g": draw(profile),
+        "lambda": draw(_CLI_SCALE), "mu": draw(_CLI_SCALE), "theta": draw(_CLI_SCALE),
+        "theta_grid": sorted(draw(st.lists(_CLI_SCALE, min_size=1, max_size=2,
+                                           unique=True))),
+        "fractions": [0.5, 0.9], "target_nodes": 16,
+        "solver": {"max_iter": draw(st.integers(1, 200))},
+        "curve": {"rtol": draw(st.sampled_from((1e-2, 1e-4)))},
+    }
+    return draw(st.sampled_from(_CLI_COMMANDS)), config
+
+
+@FEW
+@given(run=_cli_runs())
+@example(run=("extremal", {"domain": _DISK64, "theta": 1.0, "fractions": [0.5, 0.9],
+                           "solver": {"max_iter": 1}}))   # a starved branch solve
+@example(run=("check", {"criteria": 5}))
+@example(run=("check", {"criteria": [["x"]]}))
+@example(run=("bounds", {"domain": {**_DISK64, "dimension": 2.5}}))
+@example(run=("solve", {"domain": {**_DISK64, "nodes": 32.9}, "lambda": 0.5, "mu": 0.5,
+                        "solver": {"max_iter": 2.7}}))
+def test_cli_exits_inside_contract(run):
+    command, config = run
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(config))
+        code = main([command, "--config", str(path), "--out", str(Path(tmp) / "out")])
+    assert code in (0, 2, 3, 4, 5)

@@ -289,6 +289,13 @@ class TestStabilityInequality:
             norm2 = float(np.dot(disk.weights, phi * phi))
             assert gap >= -1e-8 * norm2
 
+    def test_accepts_tabulated_constant(self, disk, one, zero_state):
+        # constancy is read from the values, not from how the profile was built
+        flat = tabulated_profile(disk, np.ones(disk.n_nodes))
+        psi1 = principal_eigenpair(disk.operator).vector
+        gap = stability_inequality_gap(disk, flat, flat, 0.4, 0.4, zero_state, psi1)
+        assert gap == stability_inequality_gap(disk, one, one, 0.4, 0.4, zero_state, psi1)
+
     def test_requires_constant_profiles(self, disk, zero_state):
         fpow = power_profile(disk, 1.0)
         with pytest.raises(PreconditionError):
