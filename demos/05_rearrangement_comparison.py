@@ -9,8 +9,6 @@ with an indicator profile concentrated on the left half.
 
 import math
 
-import numpy as np
-
 from memslab import build_radial, build_rect, integrate
 from memslab.curve import CurveConfig, compare_symmetrized
 from memslab.profiles import constant_profile, symmetrize, tabulated_profile
@@ -27,8 +25,7 @@ print(f"  disk   lam* = {dk.lam_star:.4f}   (lower, as it must be)")
 print()
 
 print("indicator profile on the left half of the square:")
-gx, _ = np.meshgrid(square.xs, square.ys, indexing="ij")
-ind = tabulated_profile(square, (gx < 0.5).astype(float).ravel())
+ind = tabulated_profile(square, (square.coordinates["x"] < 0.5).astype(float))
 star = symmetrize(ind, square, disk)
 print(f"  mass before: {integrate(square, ind.values):.6f}"
       f"   after: {integrate(disk, star.values):.6f}")

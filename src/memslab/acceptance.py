@@ -206,8 +206,7 @@ def symmetrization(scale):
         if f_vals is None:
             f = constant_profile(rect, 1.0)
         else:
-            gx, _ = np.meshgrid(rect.xs, rect.ys, indexing="ij")
-            f = tabulated_profile(rect, (gx < 0.5).astype(float).ravel())
+            f = tabulated_profile(rect, (rect.coordinates["x"] < 0.5).astype(float))
         g = constant_profile(rect, 1.0)
         original, rearranged = compare_symmetrized(rect, f, g, disk, 1.0, cfg)
         slack = 2.0 * max(original.bracket_width, rearranged.bracket_width)

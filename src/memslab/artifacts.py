@@ -43,7 +43,7 @@ def write_csv(path, header, rows, fingerprint: str = "", comments=()) -> None:
 
 def write_node_table(path, mesh, fields: dict, fingerprint: str = "") -> None:
     """Node coordinates (``r``, or ``x, y``) followed by one column per field."""
-    columns = {**mesh.coordinate_columns(), **fields}
+    columns = {**mesh.coordinates, **fields}
     write_csv(path, list(columns), zip(*columns.values()), fingerprint)
 
 

@@ -76,10 +76,19 @@ def _is_object(spec, field: str, problems: list) -> bool:
     return False
 
 
+def _float(value, name: str) -> float:
+    """A number config field as a float: a JSON integer or float is read, a
+    boolean, a string or any other value is rejected with a ValueError naming
+    the field, not converted."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def _integer(value, name: str) -> int:
-    """An integer config field: a fractional number or a boolean is rejected
-    with a ValueError naming the field, not truncated; ``64.0`` reads as 64."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    """An integer config field: a number with a fraction is rejected like any
+    non-number, not truncated; ``64.0`` reads as 64."""
+    if not _float(value, name).is_integer():
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
 
@@ -92,13 +101,13 @@ def _build_mesh(spec: dict, scale: float, problems: list, field: str) -> Mesh | 
         if kind == "radial":
             return build_radial(
                 _integer(spec["dimension"], "dimension"),
-                float(spec["radius"]),
+                _float(spec["radius"], "radius"),
                 _scaled(_integer(spec["nodes"], "nodes"), scale),
             )
         if kind == "rect":
             return build_rect(
-                float(spec["lx"]),
-                float(spec["ly"]),
+                _float(spec["lx"], "lx"),
+                _float(spec["ly"], "ly"),
                 _scaled(_integer(spec["nx"], "nx"), scale),
                 _scaled(_integer(spec["ny"], "ny"), scale),
             )
@@ -118,9 +127,9 @@ def _build_profile(
     try:
         kind = spec.get("kind", "constant")
         if kind == "constant":
-            return constant_profile(mesh, float(spec.get("value", 1.0)))
+            return constant_profile(mesh, _float(spec.get("value", 1.0), "value"))
         if kind == "power":
-            return power_profile(mesh, float(spec["alpha"]))
+            return power_profile(mesh, _float(spec["alpha"], "alpha"))
         if kind == "tabulated":
             return load_tabulated(mesh, spec["path"])
         problems.append({"field": field, "message": f"unknown profile kind {kind!r}"})
@@ -134,10 +143,9 @@ def _solve_config(config: dict, problems: list) -> SolveConfig:
     spec = config.get("solver", {})
     if not _is_object(spec, "solver", problems):
         return SolveConfig()
-    casts = {"tol_sup": float, "max_iter": lambda v: _integer(v, "max_iter"),
-             "touch_threshold": float}
+    casts = {"tol_sup": _float, "max_iter": _integer, "touch_threshold": _float}
     try:
-        return SolveConfig(**{k: cast(spec[k]) for k, cast in casts.items() if k in spec})
+        return SolveConfig(**{k: cast(spec[k], k) for k, cast in casts.items() if k in spec})
     except (TypeError, ValueError, OverflowError) as exc:
         problems.append({"field": "solver", "message": str(exc)})
         return SolveConfig()
@@ -148,7 +156,7 @@ def _curve_config(config: dict, problems: list) -> CurveConfig:
     if not _is_object(spec, "curve", problems):
         spec = {}
     try:
-        rtol = {"rtol": float(spec["rtol"])} if "rtol" in spec else {}
+        rtol = {"rtol": _float(spec["rtol"], "rtol")} if "rtol" in spec else {}
         return CurveConfig(**rtol, solve=_solve_config(config, problems))
     except (TypeError, ValueError, OverflowError) as exc:
         problems.append({"field": "curve", "message": str(exc)})
@@ -179,8 +187,8 @@ def _load_inputs(config: dict, args, need_params=()):
 def _parameter(config: dict, key: str, problems: list, above=None) -> float:
     """``config[key]`` as a finite number >= 0 (> ``above`` if given)."""
     try:
-        value = float(config[key])
-    except (TypeError, ValueError, OverflowError):
+        value = _float(config[key], key)
+    except (ValueError, OverflowError):
         value = math.nan
     if not (math.isfinite(value) and (value >= 0 if above is None else value > above)):
         bound = "nonnegative" if above is None else f"above {above}"

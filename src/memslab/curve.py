@@ -212,12 +212,12 @@ class _RayOracle:
 
 def check_theta_grid(grid) -> None:
     """Reject a ray grid that is empty, has an entry that is not a finite
-    positive number, or is not strictly increasing."""
+    positive number (a boolean is not one), or is not strictly increasing."""
     if not isinstance(grid, list) or not grid:
         raise ConfigurationError("must be a non-empty list")
     # an int beyond float range fails the comparison instead of raising
-    if any(not isinstance(t, (int, float)) or not 0 < t <= sys.float_info.max
-           for t in grid):
+    if any(isinstance(t, bool) or not isinstance(t, (int, float))
+           or not 0 < t <= sys.float_info.max for t in grid):
         raise ConfigurationError("entries must be finite and positive")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ConfigurationError("must be strictly increasing")

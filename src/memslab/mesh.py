@@ -46,9 +46,6 @@ from numpy.linalg import LinAlgError   # the class scipy.linalg raises
 from .artifacts import fingerprint
 from .exceptions import ConfigurationError, ConvergenceError, IndefiniteError, NumericsError
 
-RADIAL = "radial"
-RECT = "rect"
-
 _POISSON_RTOL = 1e-10       # linear-solve backward-error contract, sup-norm
 _EIG_RESIDUAL_RTOL = 1e-8   # sup-norm eigen residual contract relative to mu1 ...
 _EIG_ROUNDING = 8           # ... plus this many eps * ||A||_inf
@@ -329,31 +326,25 @@ class DirichletLaplacian:
 class Mesh:
     """Discretized domain with quadrature and the Dirichlet Laplacian.
 
-    Fields are 1D arrays over interior nodes.  For radial meshes node i sits
-    at radius ``radii[i]`` in the cell from ``edges[i]`` to ``edges[i + 1]``
-    (the one copy of the cell edges); for rectangles node (ix, iy) is
-    flattened to index ``ix * ny + iy`` at the cell center ``(xs[ix], ys[iy])``.
+    Fields are 1D arrays over interior nodes.  ``coordinates`` holds the
+    read-only node coordinate columns by name: ``r`` on radial meshes, where
+    node i sits at radius ``radii[i]`` in the cell from ``edges[i]`` to
+    ``edges[i + 1]`` (the one copy of the cell edges), and ``x, y`` at the
+    cell centres on rectangles, node (ix, iy) flattened to index
+    ``ix * ny + iy``.  ``label`` names the domain and its resolution, and
+    its digest is the mesh fingerprint.  ``radius``, ``radii`` and ``edges``
+    are None on rectangles.
     """
 
-    kind: str
     weights: np.ndarray
     volume: float
     operator: DirichletLaplacian
     dimension: int
-    # radial fields
+    coordinates: dict[str, np.ndarray] = field(repr=False)
+    label: str
     radius: float | None = None
     radii: np.ndarray | None = None
     edges: np.ndarray | None = None
-    spacing: float | None = None
-    # rectangle fields
-    lx: float | None = None
-    ly: float | None = None
-    nx: int | None = None
-    ny: int | None = None
-    hx: float | None = None
-    hy: float | None = None
-    xs: np.ndarray | None = field(default=None, repr=False)
-    ys: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def n_nodes(self) -> int:
@@ -365,20 +356,8 @@ class Mesh:
         dim = self.dimension
         return (self.volume / unit_ball_volume(dim)) ** (1.0 / dim)
 
-    def coordinate_columns(self) -> dict[str, np.ndarray]:
-        """Node coordinates by name: ``r`` for radial meshes, ``x, y`` for
-        rectangles (cell centers)."""
-        if self.kind == RADIAL:
-            return {"r": self.radii}
-        gx, gy = np.meshgrid(self.xs, self.ys, indexing="ij")
-        return {"x": gx.ravel(), "y": gy.ravel()}
-
     def fingerprint(self) -> str:
-        if self.kind == RADIAL:
-            tag = f"radial:N={self.dimension}:R={self.radius!r}:n={self.n_nodes}"
-        else:
-            tag = f"rect:{self.lx!r}x{self.ly!r}:{self.nx}x{self.ny}"
-        return fingerprint(tag)
+        return fingerprint(self.label)
 
 
 def build_radial(dimension: int, radius: float, nodes: int) -> Mesh:
@@ -434,20 +413,19 @@ def build_radial(dimension: int, radius: float, nodes: int) -> Mesh:
     off = -s_int / h
 
     op = DirichletLaplacian(diag, ((1, off),), w)
-    mesh = Mesh(
-        kind=RADIAL,
+    for arr in (w, r, edges):
+        arr.flags.writeable = False
+    return Mesh(
         weights=w,
         volume=omega * R ** N,
         operator=op,
         dimension=N,
+        coordinates={"r": r},
+        label=f"radial:N={N}:R={R!r}:n={n}",
         radius=R,
         radii=r,
         edges=edges,
-        spacing=h,
     )
-    for arr in (w, r, edges):
-        arr.flags.writeable = False
-    return mesh
 
 
 def sine_modes(n: int, h: float) -> tuple[np.ndarray, np.ndarray]:
@@ -491,8 +469,9 @@ def build_rect(lx: float, ly: float, nx: int, ny: int) -> Mesh:
     nx, ny = int(nx), int(ny)
     lx, ly = float(lx), float(ly)
     hx, hy = lx / nx, ly / ny
-    xs = (np.arange(nx) + 0.5) * hx
-    ys = (np.arange(ny) + 0.5) * hy
+    gx, gy = np.meshgrid((np.arange(nx) + 0.5) * hx, (np.arange(ny) + 0.5) * hy,
+                         indexing="ij")
+    x, y = gx.ravel(), gy.ravel()   # cell centres, node ix*ny + iy
 
     def line(n: int, h: float) -> tuple[np.ndarray, float]:
         """Diagonal and off-diagonal of the 1-D operator, times 1/h^2 (not
@@ -518,24 +497,16 @@ def build_rect(lx: float, ly: float, nx: int, ny: int) -> Mesh:
     eig = eig_x[:, None] + eig_y[None, :]
 
     op = DirichletLaplacian(diag, ((1, y_band), (ny, x_band)), w, modes=(qx, qy, eig))
-    mesh = Mesh(
-        kind=RECT,
+    for arr in (w, x, y, qx, qy, eig):
+        arr.flags.writeable = False
+    return Mesh(
         weights=w,
         volume=lx * ly,
         operator=op,
         dimension=2,
-        lx=lx,
-        ly=ly,
-        nx=nx,
-        ny=ny,
-        hx=hx,
-        hy=hy,
-        xs=xs,
-        ys=ys,
+        coordinates={"x": x, "y": y},
+        label=f"rect:{lx!r}x{ly!r}:{nx}x{ny}",
     )
-    for arr in (w, xs, ys, qx, qy, eig):
-        arr.flags.writeable = False
-    return mesh
 
 
 def integrate(mesh: Mesh, values: np.ndarray) -> float:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .artifacts import fingerprint
 from .exceptions import ConfigurationError, HypothesisError
-from .mesh import RADIAL, Mesh, unit_ball_volume
+from .mesh import Mesh, unit_ball_volume
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,7 @@ def power_profile(mesh: Mesh, alpha: float) -> Profile:
     <= 1.  ``sup`` is ``min(1, R)^alpha``, reached at r = R, past the last
     node.
     """
-    if mesh.kind != RADIAL:
+    if mesh.radii is None:
         raise ConfigurationError("power profiles require a radial mesh")
     if not 0 <= alpha < math.inf:
         raise HypothesisError(f"power exponent must be finite and >= 0, got {alpha!r}")
@@ -110,7 +110,7 @@ def symmetrize(profile: Profile, source: Mesh, target: Mesh) -> Profile:
     integral to rounding, and is equimeasurable with the input up to cell
     granularity.
     """
-    if target.kind != RADIAL:
+    if target.radii is None:
         raise ConfigurationError("rearrangement target must be a radial mesh")
     if target.dimension != source.dimension:
         raise ConfigurationError(

@@ -6,13 +6,22 @@ from memslab import build_radial, build_rect, unit_ball_volume
 from memslab.profiles import constant_profile
 
 
+def rect_grid(mesh):
+    """``(nx, ny, hx, hy)`` of a rectangle, exactly, from its cell centres:
+    the first centre sits half a cell from each wall, and the first column
+    of nodes shares its x."""
+    x, y = mesh.coordinates["x"], mesh.coordinates["y"]
+    ny = int(np.count_nonzero(x == x[0]))
+    return mesh.n_nodes // ny, ny, 2.0 * x[0], 2.0 * y[0]
+
+
 def oracle_symmetric_form(mesh):
     """K = W A assembled with scipy.sparse, apart from the package's numpy
     bands: ``sp.diags`` of the finite-volume fluxes on radial meshes, and on
     rectangles the ``sp.kronsum`` of the two 1-D operators times the cell
     area."""
-    if mesh.kind == "radial":
-        n, dim, radius, h = mesh.n_nodes, mesh.dimension, mesh.radius, mesh.spacing
+    if mesh.radii is not None:
+        n, dim, radius, h = mesh.n_nodes, mesh.dimension, mesh.radius, mesh.radii[1]
         edges = np.empty(n + 1)
         edges[0] = 0.0
         edges[1:] = (np.arange(1, n + 1) - 0.5) * h
@@ -31,8 +40,9 @@ def oracle_symmetric_form(mesh):
         d[0] = d[-1] = 3.0
         return sp.diags([-np.ones(n - 1), d, -np.ones(n - 1)], [-1, 0, 1]) / h**2
 
-    a = sp.kronsum(line(mesh.ny, mesh.hy), line(mesh.nx, mesh.hx), format="csr")
-    return (a * (mesh.hx * mesh.hy)).tocsr()
+    nx, ny, hx, hy = rect_grid(mesh)
+    a = sp.kronsum(line(ny, hy), line(nx, hx), format="csr")
+    return (a * (hx * hy)).tocsr()
 
 
 def oracle_matrix(mesh):

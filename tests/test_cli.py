@@ -325,6 +325,24 @@ class TestInputErrors:
         # criteria must be a non-empty list of names
         *(("check", {"criteria": c}, "criteria")
           for c in (5, [["x"]], [], "singular-identity")),
+        # a boolean or a string where a number belongs is rejected, not
+        # converted to 1.0 or parsed
+        ("solve", {"lambda": True, "mu": 0.5}, "lambda"),
+        ("solve", {"lambda": 0.5, "mu": "0.5"}, "mu"),
+        ("extremal", {"theta": True, "fractions": [0.5]}, "theta"),
+        ("extremal", {"theta": 1.0, "fractions": [0.5], "moser_alpha": "3"},
+         "moser_alpha"),
+        ("bounds", {"domain": {**DISK, "radius": True}}, "domain"),
+        ("bounds", {"domain": {**SQUARE32, "lx": "1.0"}}, "domain"),
+        ("bounds", {"domain": {**SQUARE32, "ly": True}}, "domain"),
+        ("bounds", {"f": {"kind": "constant", "value": True}}, "f"),
+        ("bounds", {"f": {"kind": "power", "alpha": "2"}}, "f"),
+        ("solve", {"lambda": 0.5, "mu": 0.5, "solver": {"tol_sup": "1e-10"}}, "solver"),
+        ("solve", {"lambda": 0.5, "mu": 0.5, "solver": {"touch_threshold": "1e-6"}},
+         "solver"),
+        ("curve", {"theta_grid": [1.0], "curve": {"rtol": "0.01"}}, "curve"),
+        ("curve", {"theta_grid": [True]}, "theta_grid"),
+        ("bounds", {"domain": {**DISK, "nodes": "64"}}, "domain"),
     ])
     def test_exit_four_with_one_violation(self, tmp_path, capsys, monkeypatch,
                                           command, config, field):

@@ -201,8 +201,7 @@ class TestCompareSymmetrized:
     def test_indicator_profile(self):
         rect = build_rect(1.0, 1.0, 32, 32)
         disk = build_radial(2, (1.0 / math.pi) ** 0.5, 128)
-        gx, _ = np.meshgrid(rect.xs, rect.ys, indexing="ij")
-        f = tabulated_profile(rect, (gx < 0.5).astype(float).ravel())
+        f = tabulated_profile(rect, (rect.coordinates["x"] < 0.5).astype(float))
         g = constant_profile(rect, 1.0)
         s_orig, s_star = compare_symmetrized(rect, f, g, disk, 1.0, FAST)
         slack = 2.0 * max(s_orig.bracket_width, s_star.bracket_width)

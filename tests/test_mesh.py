@@ -23,7 +23,7 @@ from memslab import mesh as mesh_module
 from memslab.exceptions import IndefiniteError, NumericsError
 from memslab.mesh import sine_modes
 
-from conftest import oracle_matrix, oracle_symmetric_form
+from conftest import oracle_matrix, oracle_symmetric_form, rect_grid
 
 
 class TestQuadrature:
@@ -78,6 +78,36 @@ class TestQuadrature:
         )
 
 
+class TestMeshData:
+    """What a builder records: coordinate columns and the fingerprint label."""
+
+    def test_fingerprints_pinned(self):
+        # curve.csv records the mesh fingerprint: a refactor must not move it
+        assert build_radial(2, 1.0, 64).fingerprint() == "bf3b21eaa605caf1"
+        assert build_radial(3, 1.5, 48).fingerprint() == "9665af29e2dcc8ce"
+        assert build_rect(2.0, 0.5, 16, 40).fingerprint() == "2e2798782da46508"
+
+    def test_radial_coordinates_are_the_radii(self, disk256):
+        assert list(disk256.coordinates) == ["r"]
+        assert disk256.coordinates["r"] is disk256.radii
+
+    def test_rect_coordinates_in_node_order(self):
+        # node ix * ny + iy sits at the centre of cell (ix, iy)
+        rect = build_rect(2.0, 0.5, 16, 40)
+        assert list(rect.coordinates) == ["x", "y"]
+        assert rect.radius is rect.radii is rect.edges is None
+        ix, iy = np.divmod(np.arange(rect.n_nodes), 40)
+        np.testing.assert_array_equal(rect.coordinates["x"], (ix + 0.5) * (2.0 / 16))
+        np.testing.assert_array_equal(rect.coordinates["y"], (iy + 0.5) * (0.5 / 40))
+
+    @pytest.mark.parametrize("mesh", [build_radial(2, 1.0, 64), build_rect(2.0, 0.5, 16, 40)])
+    def test_coordinates_read_only(self, mesh):
+        for column in mesh.coordinates.values():
+            assert not column.flags.writeable
+            with pytest.raises(ValueError):
+                column[0] = 1.0
+
+
 class TestValidation:
     @pytest.mark.parametrize(
         "args",
@@ -128,7 +158,7 @@ class TestOperator:
             mesh = build_radial(dim, 1.0, 32)
             # a[0, j] is the first entry of A e_j
             a00, a01 = mesh.operator.apply(np.eye(2, mesh.n_nodes))[:, 0]
-            h = mesh.spacing
+            h = mesh.radii[1]
             assert a00 == pytest.approx(2.0 * dim / h**2, rel=1e-12)
             assert a01 == pytest.approx(-2.0 * dim / h**2, rel=1e-12)
 
@@ -189,8 +219,8 @@ class TestPoisson:
         np.testing.assert_array_equal(solve_poisson(op, rhs), u)
 
     def test_rect_manufactured_solution(self, square64):
-        gx, gy = np.meshgrid(square64.xs, square64.ys, indexing="ij")
-        exact = (np.sin(np.pi * gx) * np.sin(np.pi * gy)).ravel()
+        x, y = square64.coordinates["x"], square64.coordinates["y"]
+        exact = np.sin(np.pi * x) * np.sin(np.pi * y)
         u = solve_poisson(square64.operator, 2.0 * np.pi**2 * exact)
         assert np.max(np.abs(u - exact)) < 5e-4
 
@@ -253,7 +283,7 @@ class TestBands:
         op, oracle = mesh.operator, oracle_symmetric_form(mesh)
         np.testing.assert_array_equal(op._diag, oracle.diagonal())
         offsets = [k for k, _ in op._bands]
-        assert offsets == ([1] if mesh.kind == "radial" else [1, mesh.ny])
+        assert offsets == ([1] if mesh.radii is not None else [1, rect_grid(mesh)[1]])
         for k, values in op._bands:
             np.testing.assert_array_equal(values, oracle.diagonal(k))
             np.testing.assert_array_equal(values, oracle.diagonal(-k))
@@ -510,7 +540,8 @@ class TestEigenpair:
         mesh = build_rect(10.0, 0.1, 16, 16)
         op = mesh.operator
         pair = principal_eigenpair(op)
-        (qx, ex), (qy, ey) = sine_modes(16, mesh.hx), sine_modes(16, mesh.hy)
+        _, _, hx, hy = rect_grid(mesh)
+        (qx, ex), (qy, ey) = sine_modes(16, hx), sine_modes(16, hy)
         assert pair.value == ex[0] + ey[0]
         assert pair.iterations == 0
         psi = np.outer(qx[:, 0] / qx[:, 0].max(), qy[:, 0] / qy[:, 0].max()).ravel()

@@ -150,19 +150,19 @@ class TestSymmetrize:
 
     def test_indicator_maps_to_centered_ball(self, square_and_disk):
         rect, disk = square_and_disk
-        gx, _ = np.meshgrid(rect.xs, rect.ys, indexing="ij")
-        ind = (gx < 0.25).astype(float).ravel()  # measure 1/4
+        ind = (rect.coordinates["x"] < 0.25).astype(float)  # measure 1/4
         star = symmetrize(tabulated_profile(rect, ind), rect, disk)
         r_ball = math.sqrt(0.25 / math.pi)
-        inside = disk.radii < r_ball - disk.spacing
-        outside = disk.radii > r_ball + disk.spacing
+        h = disk.radii[1]
+        inside = disk.radii < r_ball - h
+        outside = disk.radii > r_ball + h
         np.testing.assert_allclose(star.values[inside], 1.0, atol=1e-12)
         np.testing.assert_allclose(star.values[outside], 0.0, atol=1e-12)
 
     def test_sup_and_integral_preserved(self, square_and_disk, rng):
         rect, disk = square_and_disk
-        gx, gy = np.meshgrid(rect.xs, rect.ys, indexing="ij")
-        vals = (0.5 + 0.5 * np.sin(3 * gx) * np.cos(2 * gy)).ravel()
+        x, y = rect.coordinates["x"], rect.coordinates["y"]
+        vals = 0.5 + 0.5 * np.sin(3 * x) * np.cos(2 * y)
         vals = np.clip(vals, 0.0, 1.0)
         p = tabulated_profile(rect, vals)
         star = symmetrize(p, rect, disk)
@@ -179,8 +179,8 @@ class TestSymmetrize:
 
     def test_equimeasurable(self, square_and_disk, rng):
         rect, disk = square_and_disk
-        gx, gy = np.meshgrid(rect.xs, rect.ys, indexing="ij")
-        vals = np.clip((0.5 + 0.4 * np.sin(4 * gx + gy)).ravel(), 0.0, 1.0)
+        x, y = rect.coordinates["x"], rect.coordinates["y"]
+        vals = np.clip(0.5 + 0.4 * np.sin(4 * x + y), 0.0, 1.0)
         p = tabulated_profile(rect, vals)
         star = symmetrize(p, rect, disk)
         two_cells = 2.0 * max(rect.weights.max(), disk.weights.max())
@@ -202,6 +202,11 @@ class TestSymmetrize:
         assert disk.volume == pytest.approx(ball.volume, rel=1e-12)
         with pytest.raises(ConfigurationError, match="dimension"):
             symmetrize(power_profile(ball, 2.0), ball, disk)
+
+    def test_rectangle_target_rejected(self, square_and_disk):
+        rect, _ = square_and_disk
+        with pytest.raises(ConfigurationError, match="radial"):
+            symmetrize(constant_profile(rect, 1.0), rect, rect)
 
     def test_measure_mismatch_rejected(self, square_and_disk):
         rect, _ = square_and_disk

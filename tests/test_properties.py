@@ -1,6 +1,7 @@
 """Property tests: every float parameter is either accepted or rejected with
 a documented input error, never a numerical failure; the minimal solution
-increases with the parameter along a ray; no probe below lam* ends by the
+increases with the parameter along a ray; a converged state is ordered,
+u >= v >= (mu/lam) u, when mu <= lam; no probe below lam* ends by the
 nonexistence certificate, and none above it by the feasibility certificate;
 the decreasing rearrangement of a profile on a rectangle is equimeasurable
 with it; and the CLI answers every small config with an exit code of its
@@ -27,7 +28,7 @@ from hypothesis import strategies as st
 
 from memslab import ConfigurationError, PreconditionError, build_radial, build_rect, integrate
 from memslab.cli import main
-from memslab.curve import CurveConfig, extremal_on_ray
+from memslab.curve import CurveConfig, extremal_on_ray, lower_bound
 from memslab.profiles import constant_profile, symmetrize, tabulated_profile
 from memslab.solver import SolveConfig, Verdict, minimal_solve
 from memslab.stability import linearized_eigen
@@ -130,6 +131,31 @@ def test_minimal_solution_increases_with_lambda(name, pair):
     assert np.all(high.state.u >= low.state.u)
     assert np.all(high.state.v >= low.state.v)
     assert high.newton_steps > 0 or pair[1] < 0.9
+
+
+ORDERING_MESHES = {
+    **{f"ball{dim}": build_radial(dim, 1.0, 32) for dim in (1, 2, 3, 9)},
+    "square16": build_rect(1.0, 1.0, 16, 16),
+    "rect2x0.5": build_rect(2.0, 0.5, 16, 16),
+}
+
+
+@FEW
+@given(name=st.sampled_from(sorted(ORDERING_MESHES)), s=st.floats(1e-3, 3.0),
+       t=st.floats(1e-3, 1.0))
+def test_converged_state_is_ordered(name, s, t):
+    # f = g = 1 and mu = t lam <= lam: every converged state has
+    # u >= v >= (mu / lam) u, to the bounds of acceptance.ordering.  lam runs
+    # to 3 times the certified box corner, so draws near and past lam* occur
+    mesh = ORDERING_MESHES[name]
+    one = constant_profile(mesh, 1.0)
+    lam = s * lower_bound(1.0, 1.0, mesh.volume, mesh.dimension)[0]
+    mu = t * lam
+    out = minimal_solve(mesh, one, one, lam, mu, BUDGET)
+    if out.converged:
+        u, v = out.state.u, out.state.v
+        assert np.min(u - v) >= -1e-8
+        assert np.min(v - (mu / lam) * u) >= -1e-8
 
 
 CERTIFICATE_MESHES = {

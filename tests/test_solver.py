@@ -452,8 +452,9 @@ class TestResidual:
         assert lines[0] == "x,y,u,v"
         assert len(lines) == 1 + rect.n_nodes
         rows = [[float(c) for c in line.split(",")] for line in lines[1:]]
-        assert rows[1] == [rect.hx / 2, 1.5 * rect.hy, 1.0, 2.0]
-        assert rows[rect.ny] == [1.5 * rect.hx, rect.hy / 2, 20.0, 40.0]
+        hx, hy, ny = 2.0 / 16, 1.0 / 20, 20
+        assert rows[1] == [hx / 2, 1.5 * hy, 1.0, 2.0]
+        assert rows[ny] == [1.5 * hx, hy / 2, 20.0, 40.0]
 
 
 class TestSolveConfig:
