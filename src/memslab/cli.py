@@ -10,7 +10,8 @@ Exit codes are part of the contract:
     4  invalid arguments or configuration, including inputs a library
        precondition rejects (diagnostics as JSON on stderr)
     5  curve: at least one ray failed (partial CSV plus failure manifest);
-       extremal: the ray or a branch solve failed (failure manifest)
+       extremal: the ray or a branch solve failed; eigen: the eigen solve
+       failed (both with a failure manifest)
 
 Identical configs produce byte-identical CSV outputs; every artifact embeds
 the config fingerprint.
@@ -68,12 +69,28 @@ class _ConfigProblems(Exception):
         self.problems = problems
 
 
-def _is_object(spec, field: str, problems: list) -> bool:
-    """Whether a config section is a JSON object; if not, record a violation."""
-    if isinstance(spec, dict):
-        return True
-    problems.append({"field": field, "message": f"must be a JSON object, got {spec!r}"})
-    return False
+_REQUIRED = object()
+
+
+def _read(problems: list, config: dict, key: str, read, *args, default=_REQUIRED):
+    """``read(config[key], *args)``, with ``config.get(key, default)`` in place
+    of ``config[key]`` when a default is given.  A missing key, at any depth,
+    or a value ``read`` rejects is recorded in ``problems`` as one violation
+    under ``key``, and reads as None."""
+    try:
+        return read(config[key] if default is _REQUIRED else config.get(key, default),
+                    *args)
+    except (KeyError, TypeError, ValueError, OverflowError, OSError) as exc:
+        message = (f"missing required field {exc.args[0]!r}"
+                   if isinstance(exc, KeyError) else str(exc))
+        problems.append({"field": key, "message": message})
+
+
+def _object(spec) -> dict:
+    """A config section, which must be a JSON object."""
+    if not isinstance(spec, dict):
+        raise TypeError(f"must be a JSON object, got {spec!r}")
+    return spec
 
 
 def _float(value, name: str) -> float:
@@ -93,108 +110,66 @@ def _integer(value, name: str) -> int:
     return int(value)
 
 
-def _build_mesh(spec: dict, scale: float, problems: list, field: str) -> Mesh | None:
-    if not _is_object(spec, field, problems):
-        return None
-    try:
-        kind = spec.get("kind")
-        if kind == "radial":
-            return build_radial(
-                _integer(spec["dimension"], "dimension"),
-                _float(spec["radius"], "radius"),
-                _scaled(_integer(spec["nodes"], "nodes"), scale),
-            )
-        if kind == "rect":
-            return build_rect(
-                _float(spec["lx"], "lx"),
-                _float(spec["ly"], "ly"),
-                _scaled(_integer(spec["nx"], "nx"), scale),
-                _scaled(_integer(spec["ny"], "ny"), scale),
-            )
-        problems.append(
-            {"field": field, "message": f"unknown domain kind {kind!r}"}
-        )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        problems.append({"field": field, "message": str(exc)})
-    return None
+def _nodes(value, name: str, scale: float) -> int:
+    """A node count field at resolution ``scale``."""
+    return _scaled(_integer(value, name), scale)
 
 
-def _build_profile(
-    spec: dict, mesh: Mesh, problems: list, field: str
-) -> Profile | None:
-    if not _is_object(spec, field, problems):
-        return None
-    try:
-        kind = spec.get("kind", "constant")
-        if kind == "constant":
-            return constant_profile(mesh, _float(spec.get("value", 1.0), "value"))
-        if kind == "power":
-            return power_profile(mesh, _float(spec["alpha"], "alpha"))
-        if kind == "tabulated":
-            return load_tabulated(mesh, spec["path"])
-        problems.append({"field": field, "message": f"unknown profile kind {kind!r}"})
-    except (KeyError, TypeError, ValueError, OverflowError, OSError) as exc:
-        problems.append({"field": field, "message": str(exc)})
-    return None
+def _mesh(spec, scale: float) -> Mesh:
+    kind = _object(spec).get("kind")
+    if kind == "radial":
+        return build_radial(_integer(spec["dimension"], "dimension"),
+                            _float(spec["radius"], "radius"),
+                            _nodes(spec["nodes"], "nodes", scale))
+    if kind == "rect":
+        return build_rect(_float(spec["lx"], "lx"), _float(spec["ly"], "ly"),
+                          _nodes(spec["nx"], "nx", scale), _nodes(spec["ny"], "ny", scale))
+    raise ValueError(f"unknown domain kind {kind!r}")
+
+
+def _profile(spec, mesh: Mesh) -> Profile:
+    kind = _object(spec).get("kind", "constant")
+    if kind == "constant":
+        return constant_profile(mesh, _float(spec.get("value", 1.0), "value"))
+    if kind == "power":
+        return power_profile(mesh, _float(spec["alpha"], "alpha"))
+    if kind == "tabulated":
+        if not isinstance(spec["path"], str):   # open() reads an integer as a descriptor
+            raise ValueError(f"path must be a string, got {spec['path']!r}")
+        return load_tabulated(mesh, spec["path"])
+    raise ValueError(f"unknown profile kind {kind!r}")
 
 
 # the config dataclasses own the defaults: only the keys a config gives are passed
-def _solve_config(config: dict, problems: list) -> SolveConfig:
-    spec = config.get("solver", {})
-    if not _is_object(spec, "solver", problems):
-        return SolveConfig()
+def _solve_config(spec) -> SolveConfig:
     casts = {"tol_sup": _float, "max_iter": _integer, "touch_threshold": _float}
-    try:
-        return SolveConfig(**{k: cast(spec[k], k) for k, cast in casts.items() if k in spec})
-    except (TypeError, ValueError, OverflowError) as exc:
-        problems.append({"field": "solver", "message": str(exc)})
-        return SolveConfig()
+    return SolveConfig(**{k: cast(spec[k], k) for k, cast in casts.items()
+                          if k in _object(spec)})
 
 
-def _curve_config(config: dict, problems: list) -> CurveConfig:
-    spec = config.get("curve", {})
-    if not _is_object(spec, "curve", problems):
-        spec = {}
-    try:
-        rtol = {"rtol": _float(spec["rtol"], "rtol")} if "rtol" in spec else {}
-        return CurveConfig(**rtol, solve=_solve_config(config, problems))
-    except (TypeError, ValueError, OverflowError) as exc:
-        problems.append({"field": "curve", "message": str(exc)})
-        return CurveConfig()
+def _curve_config(spec, solve: SolveConfig) -> CurveConfig:
+    rtol = {"rtol": _float(spec["rtol"], "rtol")} if "rtol" in _object(spec) else {}
+    return CurveConfig(**rtol, solve=solve)
 
 
-def _require(config: dict, keys: list, problems: list) -> None:
-    for key in keys:
-        if key not in config:
-            problems.append({"field": key, "message": f"missing required field {key!r}"})
-
-
-def _load_inputs(config: dict, args, need_params=()):
-    problems = []
-    _require(config, ["domain", *need_params], problems)
-    mesh = None
-    if "domain" in config:
-        mesh = _build_mesh(config["domain"], args.resolution_scale, problems, "domain")
-    f = g = None
-    if mesh is not None:
-        f = _build_profile(config.get("f", {}), mesh, problems, "f")
-        g = _build_profile(config.get("g", {}), mesh, problems, "g")
-    if problems:
-        raise _ConfigProblems(problems)
-    return mesh, f, g
-
-
-def _parameter(config: dict, key: str, problems: list, above=None) -> float:
-    """``config[key]`` as a finite number >= 0 (> ``above`` if given)."""
-    try:
-        value = _float(config[key], key)
-    except (ValueError, OverflowError):
-        value = math.nan
-    if not (math.isfinite(value) and (value >= 0 if above is None else value > above)):
+def _parameter(value, above=None) -> float:
+    """A finite number >= 0 (> ``above`` if given): a boolean, a string or an
+    integer beyond float range is rejected, not converted."""
+    number = (math.nan if isinstance(value, bool) or not isinstance(value, (int, float))
+              else value)
+    if not (0 <= number <= sys.float_info.max and (above is None or number > above)):
         bound = "nonnegative" if above is None else f"above {above}"
-        problems.append({"field": key, "message": f"must be finite and {bound}, "
-                         f"got {config[key]!r}"})
-    return value
+        raise ValueError(f"must be finite and {bound}, got {value!r}")
+    return float(number)
+
+
+def _inputs(problems: list, config: dict, args):
+    """The mesh and the two profiles; the profiles are read only on a mesh."""
+    mesh = _read(problems, config, "domain", _mesh, args.resolution_scale)
+    if mesh is None:
+        return None, None, None
+    return (mesh, *(_read(problems, config, key, _profile, mesh, default={})
+                    for key in ("f", "g")))
 
 
 _VERDICT_EXIT = {
@@ -206,11 +181,11 @@ _VERDICT_EXIT = {
 
 def _solve_at_parameters(config: dict, args):
     """Inputs, checked (lambda, mu) and the minimal solve of solve and eigen."""
-    mesh, f, g = _load_inputs(config, args, need_params=["lambda", "mu"])
     problems = []
-    cfg = _solve_config(config, problems)
-    lam = _parameter(config, "lambda", problems)
-    mu = _parameter(config, "mu", problems)
+    mesh, f, g = _inputs(problems, config, args)
+    cfg = _read(problems, config, "solver", _solve_config, default={})
+    lam = _read(problems, config, "lambda", _parameter)
+    mu = _read(problems, config, "mu", _parameter)
     if problems:
         raise _ConfigProblems(problems)
     return mesh, f, g, lam, mu, minimal_solve(mesh, f, g, lam, mu, cfg)
@@ -235,20 +210,17 @@ def cmd_solve(config: dict, args, out: Path, fp: str) -> int:
 
 
 def cmd_curve(config: dict, args, out: Path, fp: str) -> int:
-    mesh, f, g = _load_inputs(config, args, need_params=["theta_grid"])
     problems = []
-    cfg = _curve_config(config, problems)
-    grid = config["theta_grid"]
-    try:
-        check_theta_grid(grid)
-    except ConfigurationError as exc:
-        problems.append({"field": "theta_grid", "message": str(exc)})
+    mesh, f, g = _inputs(problems, config, args)
+    solve = _read(problems, config, "solver", _solve_config, default={})
+    cfg = _read(problems, config, "curve", _curve_config, solve, default={})
+    _read(problems, config, "theta_grid", check_theta_grid)
     if problems:
         raise _ConfigProblems(problems)
 
     write_bounds_json(out / "bounds.json", bound_report(mesh, f, g), fp)
     samples, failures = [], []
-    for theta in grid:
+    for theta in config["theta_grid"]:
         try:
             samples.append(extremal_on_ray(mesh, f, g, float(theta), cfg))
         except Exception as exc:  # per-ray failure: keep going, keep partial data
@@ -271,7 +243,12 @@ def cmd_eigen(config: dict, args, out: Path, fp: str) -> int:
         write_json(out / "eigen_summary.json",
                    {"verdict": outcome.verdict.value}, fp)
         return _VERDICT_EXIT[outcome.verdict]
-    result = linearized_eigen(mesh, f, g, lam, mu, outcome.state)
+    try:
+        result = linearized_eigen(mesh, f, g, lam, mu, outcome.state)
+    except (ConvergenceError, NumericsError) as exc:
+        write_json(out / "eigen_failures.json",
+                   {"failures": [{"lambda": lam, "mu": mu, "error": str(exc)}]}, fp)
+        return EXIT_RAY_FAILED
     write_eigen_csv(out / "eigenfunctions.csv", mesh, result, fp)
     write_json(out / "eigen_summary.json",
                {"nu1": result.nu1, "classification": classify(result),
@@ -280,18 +257,21 @@ def cmd_eigen(config: dict, args, out: Path, fp: str) -> int:
 
 
 def cmd_bounds(config: dict, args, out: Path, fp: str) -> int:
-    mesh, f, g = _load_inputs(config, args)
+    problems = []
+    mesh, f, g = _inputs(problems, config, args)
+    if problems:
+        raise _ConfigProblems(problems)
     write_bounds_json(out / "bounds.json", bound_report(mesh, f, g), fp)
     return EXIT_OK
 
 
 def cmd_symmetrize(config: dict, args, out: Path, fp: str) -> int:
-    mesh, f, g = _load_inputs(config, args)
-    try:
-        nodes = _scaled(_integer(config.get("target_nodes", 256), "target_nodes"),
-                        args.resolution_scale)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise _ConfigProblems([{"field": "target_nodes", "message": str(exc)}]) from exc
+    problems = []
+    mesh, f, g = _inputs(problems, config, args)
+    nodes = _read(problems, config, "target_nodes", _nodes, "target_nodes",
+                  args.resolution_scale, default=256)
+    if problems:
+        raise _ConfigProblems(problems)
     ball = build_radial(mesh.dimension, mesh.equal_measure_radius, nodes)
     for name, prof in (("f", f), ("g", g)):
         star = symmetrize(prof, mesh, ball)
@@ -301,16 +281,18 @@ def cmd_symmetrize(config: dict, args, out: Path, fp: str) -> int:
 
 
 def cmd_extremal(config: dict, args, out: Path, fp: str) -> int:
-    mesh, f, g = _load_inputs(config, args, need_params=["theta", "fractions"])
     problems = []
-    cfg = _curve_config(config, problems)
-    theta = _parameter(config, "theta", problems, above=0)
-    alpha = _parameter({"moser_alpha": 2.0, **config}, "moser_alpha", problems,
-                       above=1)
+    mesh, f, g = _inputs(problems, config, args)
+    solve = _read(problems, config, "solver", _solve_config, default={})
+    cfg = _read(problems, config, "curve", _curve_config, solve, default={})
+    theta = _read(problems, config, "theta", _parameter, 0)
+    # approach_extremal checks the fractions; here they only have to be given
+    fractions = _read(problems, config, "fractions", lambda value: value)
+    alpha = _read(problems, config, "moser_alpha", _parameter, 1, default=2.0)
     if problems:
         raise _ConfigProblems(problems)
     try:
-        record = approach_extremal(mesh, f, g, theta, config["fractions"], alpha, cfg)
+        record = approach_extremal(mesh, f, g, theta, fractions, alpha, cfg)
     except (ConvergenceError, UnboundedRayError, NumericsError) as exc:
         write_json(out / "extremal_failures.json",
                    {"failures": [{"theta": theta, "error": str(exc)}]}, fp)
@@ -322,22 +304,25 @@ def cmd_extremal(config: dict, args, out: Path, fp: str) -> int:
     return EXIT_OK
 
 
+def _criteria(names, registry: dict) -> list:
+    if names is None:
+        return list(registry)
+    if not (isinstance(names, list) and names and all(isinstance(n, str) for n in names)):
+        raise ValueError(f"must be a non-empty list of names, got {names!r}")
+    unknown = [n for n in names if n not in registry]
+    if unknown:
+        raise ValueError(f"unknown criterion {', '.join(map(repr, unknown))}")
+    return names
+
+
 def cmd_check(config: dict, args, out: Path, fp: str) -> int:
     from . import acceptance   # imported here: no other command needs it
 
     registry = acceptance.registry()
-    names = config.get("criteria")
-    if names is None:
-        names = list(registry)
-    if not (isinstance(names, list) and names and all(isinstance(n, str) for n in names)):
-        raise _ConfigProblems([{"field": "criteria", "message":
-                                f"must be a non-empty list of names, got {names!r}"}])
-    unknown = [n for n in names if n not in registry]
-    if unknown:
-        raise _ConfigProblems(
-            [{"field": "criteria", "message": f"unknown criterion {n!r}"}
-             for n in unknown]
-        )
+    problems = []
+    names = _read(problems, config, "criteria", _criteria, registry, default=None)
+    if problems:
+        raise _ConfigProblems(problems)
     results = []
     all_pass = True
     for name in names:

@@ -210,15 +210,18 @@ class _RayOracle:
         return None
 
 
-def check_theta_grid(grid) -> None:
-    """Reject a ray grid that is empty, has an entry that is not a finite
-    positive number (a boolean is not one), or is not strictly increasing."""
+def check_theta_grid(grid, upper: float = math.inf) -> None:
+    """Reject a grid that is empty, has an entry that is not a finite number
+    (a boolean is not one) in the open interval (0, ``upper``), or is not
+    strictly increasing."""
     if not isinstance(grid, list) or not grid:
         raise ConfigurationError("must be a non-empty list")
     # an int beyond float range fails the comparison instead of raising
     if any(isinstance(t, bool) or not isinstance(t, (int, float))
-           or not 0 < t <= sys.float_info.max for t in grid):
-        raise ConfigurationError("entries must be finite and positive")
+           or not 0 < t <= sys.float_info.max or not t < upper for t in grid):
+        raise ConfigurationError(
+            "entries must be finite and positive" if upper == math.inf
+            else f"entries must lie strictly inside (0, {upper:g})")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ConfigurationError("must be strictly increasing")
 

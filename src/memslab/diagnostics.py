@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .artifacts import write_csv
-from .curve import CurveConfig, extremal_on_ray, probe_budget
-from .exceptions import ConvergenceError, PreconditionError
+from .curve import CurveConfig, check_theta_grid, extremal_on_ray, probe_budget
+from .exceptions import ConfigurationError, ConvergenceError, PreconditionError
 from .mesh import Mesh, build_radial, integrate
 from .profiles import Profile
 from .solver import StatePair, Verdict, minimal_solve
@@ -73,22 +73,19 @@ def approach_extremal(
 ) -> ApproachRecord:
     """Sweep the minimal branch at the given fractions of the critical point.
 
-    Fractions must be strictly increasing in (0, 1) and alpha must exceed
-    1; both are checked before the ray runs.  A branch solve that does not
-    converge below t = 0.99 raises ConvergenceError: a nonexistence verdict
-    there means the critical parameter was overestimated, an inconclusive one
-    that the solve budget ran out.  At t >= 0.99 the sample is skipped.
+    Fractions must pass ``check_theta_grid`` inside (0, 1): a non-empty,
+    strictly increasing list of numbers.  They and alpha > 1 are checked
+    before the ray runs.  A branch solve that does not converge below
+    t = 0.99 raises ConvergenceError: a nonexistence verdict there means the
+    critical parameter was overestimated, an inconclusive one that the solve
+    budget ran out.  At t >= 0.99 the sample is skipped.
     """
     if not alpha > 1:
         raise PreconditionError("alpha must exceed 1")
     try:
-        fr = [float(t) for t in fractions]
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise PreconditionError(f"fractions must be a list of numbers: {exc}") from exc
-    if any(not 0.0 < t < 1.0 for t in fr):
-        raise PreconditionError("fractions must lie strictly inside (0, 1)")
-    if any(b <= a for a, b in zip(fr, fr[1:])):
-        raise PreconditionError("fractions must be strictly increasing")
+        check_theta_grid(fractions, 1.0)
+    except ConfigurationError as exc:
+        raise PreconditionError(f"fractions {exc}") from exc
 
     ray = extremal_on_ray(mesh, f, g, theta, cfg)
     # stay pessimistic: sweep below the certified-feasible end of the bracket
@@ -96,7 +93,7 @@ def approach_extremal(
 
     budget = probe_budget(cfg.solve)
     samples = []
-    for t in fr:
+    for t in fractions:
         lam = t * lam_star
         mu = theta * lam
         out = minimal_solve(mesh, f, g, lam, mu, budget)

@@ -85,12 +85,18 @@ def tabulated_profile(mesh: Mesh, values: np.ndarray) -> Profile:
 
 
 def load_tabulated(mesh: Mesh, path) -> Profile:
-    """Load a tabulated profile from CSV with columns (node index, value)."""
+    """Load a tabulated profile from CSV with columns (node index, value); a
+    row without both cells or with a repeated index is rejected."""
     raw = {}
     with open(path, newline="") as fh:
-        for row in csv.reader(fh):
+        rows = csv.reader(fh)
+        for row in rows:
             if not row or row[0].startswith("#") or row[0].strip().lower() == "index":
                 continue
+            if len(row) < 2 or int(row[0]) in raw:
+                fault = ("expected a node index and a value" if len(row) < 2
+                         else f"node {int(row[0])} given twice")
+                raise ConfigurationError(f"profile file {path} line {rows.line_num}: {fault}")
             raw[int(row[0])] = float(row[1])
     if sorted(raw) != list(range(mesh.n_nodes)):
         raise ConfigurationError(

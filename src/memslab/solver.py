@@ -386,9 +386,7 @@ def minimal_solve(
 
     ``on_step(it, u, v)`` is invoked with every fresh Picard iterate, and
     with a Newton iterate that enters the touch band, mainly for trace
-    instrumentation in tests.  The loop reuses the buffers of former
-    iterates, so ``u`` and ``v`` are overwritten a few steps later: a
-    callback that keeps them must copy them.
+    instrumentation in tests.
     """
     check_parameters(lam, mu)
     if f.values.shape != (mesh.n_nodes,) or g.values.shape != (mesh.n_nodes,):
@@ -407,7 +405,6 @@ def minimal_solve(
     prev = back = None          # x = T(prev) after every loop step; back before prev
     next_test, gap = 3, 1       # super-solution test schedule; see the module notes
     scratch = np.empty_like(x)  # increments and the tests' transients
-    spare = []                  # buffers of former iterates, for the next ones
     verdict, fields = Verdict.INCONCLUSIVE, {}   # unless an exit below breaks the loop
     for it in range(1, cfg.max_iter + 1):
         step = None
@@ -422,7 +419,7 @@ def minimal_solve(
             newton = step is not None   # one refused step ends Newton here
             slow_streak = 0
         if step is None:
-            y = _picard(op, coeff, x, spare.pop() if spare else None)
+            y = _picard(op, coeff, x)
             if it == 1 and start is not None and np.any(y < x):  # not a sub-solution
                 x = np.zeros_like(x)
                 y = _picard(op, coeff, x, y)
@@ -437,8 +434,6 @@ def minimal_solve(
             verdict = Verdict.NONEXISTENCE_SUSPECTED
             fields = {"reason": NonexistenceReason.TOUCHED_ONE}
             break
-        if back is not None:
-            spare.append(back)
         back, prev, x = prev, x, y
         if inc <= cfg.tol_sup:
             res = _residual(op, coeff, x, scratch)
@@ -451,7 +446,7 @@ def minimal_solve(
             two = float(np.abs(np.subtract(x, back, out=scratch), out=scratch).max())
             if it >= next_test:
                 q = min(two / two_prev, _SUPER_Q_CAP) if two < two_prev else _SUPER_Q_CAP
-                x_hat = np.subtract(x, back, out=spare.pop() if spare else None)
+                x_hat = np.subtract(x, back)
                 x_hat *= 2.0 * q / (1.0 - q) + 0.5
                 x_hat += x
                 if _supersolution(op, coeff, x_hat, cfg, scratch):
@@ -459,7 +454,6 @@ def minimal_solve(
                     fields = {"state": StatePair(u=x[0], v=x[1]),
                               "supersolution": StatePair(u=x_hat[0], v=x_hat[1])}
                     break
-                spare.append(x_hat)
                 next_test, gap = it + gap, 2 * gap
             two_prev = two
         slow_streak = slow_streak + 1 if inc > _SLOW_RATIO * inc_prev else 0

@@ -10,8 +10,11 @@ from memslab.profiles import power_profile, symmetrize
 DISK = {"kind": "radial", "dimension": 2, "radius": 1.0, "nodes": 64}
 SQUARE32 = {"kind": "rect", "lx": 1.0, "ly": 1.0, "nx": 32, "ny": 32}
 ONES = {"kind": "constant", "value": 1.0}
-# a tabulated profile on DISK with one NaN cell, written by the test using it
+# tabulated profiles on DISK, written by the test using them: one NaN cell,
+# a row without its value, a node index given twice
 NAN_CELL = {"kind": "tabulated", "path": "nan_cell.csv"}
+SHORT_ROW = {"kind": "tabulated", "path": "short_row.csv"}
+REPEATED_ROW = {"kind": "tabulated", "path": "repeated_row.csv"}
 
 
 def run(tmp_path, command, config, extra=()):
@@ -343,19 +346,74 @@ class TestInputErrors:
         ("curve", {"theta_grid": [1.0], "curve": {"rtol": "0.01"}}, "curve"),
         ("curve", {"theta_grid": [True]}, "theta_grid"),
         ("bounds", {"domain": {**DISK, "nodes": "64"}}, "domain"),
+        # a CSV row without its value, a node index given twice
+        ("bounds", {"f": SHORT_ROW}, "f"),
+        ("bounds", {"f": REPEATED_ROW}, "f"),
+        # fractions are checked as a theta grid is: numbers, not strings, and
+        # not an empty list
+        ("extremal", {"theta": 1.0, "fractions": ["0.5"]}, "config"),
+        ("extremal", {"theta": 1.0, "fractions": []}, "config"),
     ])
     def test_exit_four_with_one_violation(self, tmp_path, capsys, monkeypatch,
                                           command, config, field):
-        monkeypatch.chdir(tmp_path)   # NAN_CELL is a path relative to the run
-        values = ["0.5"] * DISK["nodes"]
-        values[7] = "nan"
-        (tmp_path / NAN_CELL["path"]).write_text(
-            "".join(f"{i},{v}\n" for i, v in enumerate(values)))
+        monkeypatch.chdir(tmp_path)   # the profile files are paths relative to the run
+        rows = [f"{i},0.5\n" for i in range(DISK["nodes"])]
+        for spec, lines in ((NAN_CELL, rows[:7] + ["7,nan\n"] + rows[8:]),
+                            (SHORT_ROW, rows[:1] + ["1\n"] + rows[2:]),
+                            (REPEATED_ROW, rows + ["5,0.5\n"])):
+            (tmp_path / spec["path"]).write_text("".join(lines))
         code, _ = run(tmp_path, command, {"domain": DISK, "f": ONES, "g": ONES,
                                           **config})
         assert code == 4
         err = json.loads(capsys.readouterr().err)
         assert [v["field"] for v in err["violations"]] == [field]
+
+    def test_every_violation_listed(self, tmp_path, capsys):
+        # a fault in the domain does not hide the faults of later fields
+        code, _ = run(tmp_path, "solve",
+                      {"domain": {**DISK, "nodes": 32.9}, "f": ONES, "g": ONES,
+                       "solver": {"max_iter": 0}, "lambda": -1, "mu": 0.5})
+        assert code == 4
+        err = json.loads(capsys.readouterr().err)
+        assert [v["field"] for v in err["violations"]] == ["domain", "solver", "lambda"]
+
+    def test_missing_nested_field_named(self, tmp_path, capsys):
+        domain = {k: v for k, v in DISK.items() if k != "dimension"}
+        code, _ = run(tmp_path, "bounds", {"domain": domain})
+        assert code == 4
+        err = json.loads(capsys.readouterr().err)
+        assert err["violations"] == [
+            {"field": "domain", "message": "missing required field 'dimension'"}]
+
+    # an integer or a boolean path would be opened as a file descriptor of the
+    # process (0 its stdin, 1 its stdout, 2 its stderr), so each runs in a
+    # fresh interpreter, with a valid profile on its stdin
+    @pytest.mark.parametrize("path", [0, True, 2])
+    def test_path_must_be_a_string(self, tmp_path, path):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import memslab
+
+        interval = {"kind": "radial", "dimension": 1, "radius": 1.0, "nodes": 16}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"domain": interval,
+                                   "f": {"kind": "tabulated", "path": path}}))
+        src = str(Path(memslab.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "memslab.cli", "bounds",
+             "--config", str(cfg), "--out", str(tmp_path / "o")],
+            input="".join(f"{i},0.5\n" for i in range(16)),
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 4
+        violations = json.loads(proc.stderr)["violations"]
+        assert [v["field"] for v in violations] == ["f"]
+        assert "path must be a string" in violations[0]["message"]
 
     @pytest.mark.parametrize("extra", [["--bogus"], ["--threads", "x"]])
     def test_usage_error_exit_four(self, tmp_path, capsys, extra):
@@ -456,6 +514,20 @@ class TestExitFive:
         assert len(rows) == 3 + 1  # the healthy ray is retained
         failures = json.loads((out / "curve_failures.json").read_text())
         assert failures["failures"][0]["theta"] == 2.0
+
+    def test_eigen_failure_manifest(self, tmp_path, capsys):
+        # the minimal solve converges just below the feasible end of the
+        # theta = 1 ray, but the block eigen solve misses its residual
+        # contract: a failure manifest and exit 5, not a traceback
+        ball = {"kind": "radial", "dimension": 10, "radius": 1.0, "nodes": 512}
+        lam = 5.777656722759934
+        code, out = run(tmp_path, "eigen", {"domain": ball, "lambda": lam, "mu": lam})
+        assert code == 5
+        assert capsys.readouterr().err == ""
+        failures = json.loads((out / "eigen_failures.json").read_text())["failures"]
+        assert [(f["lambda"], f["mu"]) for f in failures] == [(lam, lam)]
+        assert "residual" in failures[0]["error"]
+        assert not (out / "eigenfunctions.csv").exists()
 
 
 def test_console_entry_point(tmp_path):

@@ -176,6 +176,13 @@ class TestTraceCurve:
             with pytest.raises(ConfigurationError):
                 check_theta_grid(grid)
 
+    def test_grid_validation_upper_end(self):
+        # the fractions of approach_extremal lie in the open interval (0, 1)
+        check_theta_grid([0.25, 0.5, 0.99], 1.0)
+        for grid in ([0.5, 1.0], [1], [0.5, 10**400], ["0.5"], []):
+            with pytest.raises(ConfigurationError):
+                check_theta_grid(grid, 1.0)
+
     @pytest.mark.parametrize("rtol", [0.0, -1e-3, 1.0, math.nan])
     def test_config_rejects_bad_rtol(self, rtol):
         with pytest.raises(ConfigurationError):
@@ -342,3 +349,35 @@ class TestHigherDimensions:
         s = extremal_on_ray(mesh, one, one, 1.0, FAST)
         assert s.lam_star == pytest.approx(40.0 / 9.0, rel=2e-3)
         assert s.lam_star <= 40.0 / 9.0 + 1e-6  # approached from below
+
+    def test_certificate_refusals_pinned(self, monkeypatch):
+        # near the critical parameter of the 8-ball the solver refuses Newton
+        # steps and a Perron test fails to certify instability: the refusal
+        # branches run, and the ray still comes out bit for bit the same
+        from memslab import solver
+
+        refused, uncertified = [], []
+        newton_step, unstable = solver._newton_step, solver._unstable_subsolution
+
+        def counted_newton_step(*args):
+            step = newton_step(*args)
+            refused.append(step is None)
+            return step
+
+        def counted_unstable(*args):
+            proof = unstable(*args)
+            uncertified.append(not proof)
+            return proof
+
+        monkeypatch.setattr(solver, "_newton_step", counted_newton_step)
+        monkeypatch.setattr(solver, "_unstable_subsolution", counted_unstable)
+        mesh = build_radial(8, 1.0, 128)
+        one = constant_profile(mesh, 1.0)
+        s = extremal_on_ray(mesh, one, one, 1.0, CurveConfig(rtol=1e-6))
+        assert sum(refused) >= 1 and sum(uncertified) >= 1
+        assert s == RaySample(
+            theta=1.0, lam_star=4.443603634792183, mu_star=4.443603634792183,
+            bracket_width=8.171640039857932e-07, lower_cert=4.444444444444445,
+            upper_cert=6.029762045774499, iterations_total=633, unresolved_probes=0,
+            newton_steps=28, supersolution_probes=5, unstable_probes=2,
+            touched_probes=10, upper_unverified=False)
