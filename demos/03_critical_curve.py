@@ -3,16 +3,16 @@
 
 Every ray mu = theta * lam crosses the curve once; bisection with the
 monotone solver as feasibility oracle locates the crossing, bracketed by
-the analytic certificates: a dimension-constant lower box and an
-eigenvalue upper bound.  Rays are independent, so the curve is one
-extremal_on_ray call per theta.  The curve is non-increasing along the grid
-and symmetric under swapping the two components.
+the analytic certificates: a dimension-constant lower box and the
+eigenvalue corner, an upper bound only at theta = 1 with f = g.  Rays are
+independent, so the curve is one extremal_on_ray call per theta.  The
+curve is non-increasing along the grid and symmetric under swapping the
+two components.
 """
 
 from memslab import build_radial
 from memslab.curve import (
     CurveConfig,
-    CurveTrace,
     bound_report,
     extremal_on_ray,
     write_trace_csv,
@@ -29,15 +29,13 @@ print()
 
 grid = [0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 4.0]
 rays = [extremal_on_ray(disk, one, one, theta, CurveConfig()) for theta in grid]
-trace = CurveTrace(tuple(rays), disk.fingerprint(),
-                   (one.fingerprint(), one.fingerprint()))
 
 print(f"{'theta':>6}  {'lam*':>8}  {'mu*':>8}  {'bracket':>9}  {'solves':>7}")
-for s in trace.samples:
+for s in rays:
     print(f"{s.theta:6.2f}  {s.lam_star:8.5f}  {s.mu_star:8.5f}"
           f"  {s.bracket_width:9.2e}  {s.iterations_total:7d}")
 
-write_trace_csv("critical_curve.csv", trace)
+write_trace_csv("critical_curve.csv", rays, disk, one, one)
 print()
 print("wrote critical_curve.csv; the mu*(theta) column against lam*(theta)")
 print("is the plot-ready curve separating existence from nonexistence")

@@ -51,14 +51,6 @@ class CriterionResult:
         tag = "PASS" if self.passed else "FAIL"
         return f"{tag}  {self.name}  ({self.seconds:.1f}s)  {self.detail}"
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "detail": self.detail,
-            "seconds": self.seconds,
-        }
-
 
 @lru_cache(maxsize=None)
 def _disk_ray(n: int, theta: float, radius: float = 1.0):

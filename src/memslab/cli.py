@@ -23,12 +23,12 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .artifacts import fingerprint, write_csv, write_json
 from .curve import (
     CurveConfig,
-    CurveTrace,
     bound_report,
     check_theta_grid,
     extremal_on_ray,
@@ -225,12 +225,7 @@ def cmd_curve(config: dict, args, out: Path, fp: str) -> int:
             samples.append(extremal_on_ray(mesh, f, g, float(theta), cfg))
         except Exception as exc:  # per-ray failure: keep going, keep partial data
             failures.append({"theta": theta, "error": str(exc)})
-    trace = CurveTrace(
-        samples=tuple(samples),
-        mesh_fingerprint=mesh.fingerprint(),
-        profile_fingerprints=(f.fingerprint(), g.fingerprint()),
-    )
-    write_trace_csv(out / "curve.csv", trace, fp)
+    write_trace_csv(out / "curve.csv", samples, mesh, f, g, fp)
     if failures:
         write_json(out / "curve_failures.json", {"failures": failures}, fp)
         return EXIT_RAY_FAILED
@@ -331,7 +326,7 @@ def cmd_check(config: dict, args, out: Path, fp: str) -> int:
         all_pass &= result.passed
         print(result.line())
     write_json(out / "check_report.json",
-               {"results": [r.to_dict() for r in results]}, fp)
+               {"results": [asdict(r) for r in results]}, fp)
     return EXIT_OK if all_pass else EXIT_CHECK_FAILED
 
 

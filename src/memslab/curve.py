@@ -5,9 +5,12 @@ mu = theta * lam form a bounded interval whose supremum lam_star(theta)
 is located by bisection with the monotone solver as feasibility oracle.
 The starting bracket comes from the analytic certificates: a dimension
 constant lower box that is always feasible, and (when both profiles are
-bounded away from zero) an eigenvalue upper bound; otherwise geometric
-expansion finds the infeasible end.  Numerical feasibility is approximate,
-so every sample carries its final bracket width and the certificates used.
+bounded away from zero) the eigenvalue corner ``upper_cert``.  That corner
+certifies lam_star only for the symmetric reduction (theta = 1 with f = g),
+up to the rounding of mu1; off that case it only starts the geometric
+expansion that finds the infeasible end, and it can lie below lam_star.
+Numerical feasibility is approximate, so every sample carries its final
+bracket width and the certificates used.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 import math
 import sys
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -68,7 +71,11 @@ def lower_bound_power(
 def upper_bound(
     mu1: float, inf_f: float, inf_g: float
 ) -> tuple[float | None, float | None]:
-    """Eigenvalue upper bound 4 mu1 / (27 inf), absent where inf vanishes."""
+    """Eigenvalue corners 4 mu1 / (27 inf), absent where inf vanishes.
+
+    A certified upper bound of lam_star only for the symmetric reduction
+    (theta = 1 with f = g), up to the rounding of mu1; the tangent argument
+    behind it needs u = v."""
     if mu1 <= 0:
         raise ConfigurationError("mu1 must be positive")
     uf = 4.0 * mu1 / (27.0 * inf_f) if inf_f > 0 else None
@@ -93,9 +100,6 @@ class BoundReport:
     volume: float
     dimension: int
     equal_measure_radius: float
-
-    def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
 
 
 def bound_report(mesh: Mesh, f: Profile, g: Profile) -> BoundReport:
@@ -157,59 +161,6 @@ class RaySample:
     upper_unverified: bool = False
 
 
-@dataclass(frozen=True)
-class CurveTrace:
-    samples: tuple[RaySample, ...]
-    mesh_fingerprint: str
-    profile_fingerprints: tuple[str, str]
-
-
-class _RayOracle:
-    """Feasibility probe with warm starts: one ``minimal_solve`` per probe.
-
-    Each probe runs once at ``probe_budget``, 16x the configured
-    ``max_iter``; a probe still inconclusive there reports None so the
-    bisection can stop without mis-shrinking the bracket on that side.  A
-    probe asks for the super-solution certificate (``certify_feasible``), so
-    it is feasible as soon as the Picard loop exhibits a discrete
-    super-solution below the touch band (Verdict.FEASIBLE), or when it
-    converges.  Either way the state returned is a Picard iterate, a
-    sub-solution lying below the minimal solution of every larger lam on the
-    ray; the oracle keeps the one of its largest feasible lam, and a probe
-    there starts from it (``minimal_solve``'s ``start``).
-    """
-
-    def __init__(self, mesh, f, g, theta, cfg: CurveConfig):
-        self.mesh, self.f, self.g, self.theta = mesh, f, g, theta
-        self.budget = probe_budget(cfg.solve)
-        self.iterations = 0
-        self.newton_steps = 0
-        self.unresolved = 0
-        self.certified = 0      # feasible by the super-solution certificate
-        self.reasons = Counter()
-        self.feasible = (-math.inf, None)   # (largest feasible lam, its state)
-
-    def probe(self, lam: float) -> bool | None:
-        best, state = self.feasible
-        start = (state.u, state.v) if state is not None and lam > best else None
-        out = minimal_solve(
-            self.mesh, self.f, self.g, lam, self.theta * lam, self.budget, start=start,
-            certify_feasible=True,
-        )
-        self.iterations += out.iterations
-        self.newton_steps += out.newton_steps
-        if out.verdict in (Verdict.CONVERGED, Verdict.FEASIBLE):
-            self.certified += out.verdict is Verdict.FEASIBLE
-            if lam > best:
-                self.feasible = (lam, out.state)
-            return True
-        if out.verdict is Verdict.NONEXISTENCE_SUSPECTED:
-            self.reasons[out.reason] += 1
-            return False
-        self.unresolved += 1
-        return None
-
-
 def check_theta_grid(grid, upper: float = math.inf) -> None:
     """Reject a grid that is empty, has an entry that is not a finite number
     (a boolean is not one) in the open interval (0, ``upper``), or is not
@@ -236,11 +187,22 @@ def extremal_on_ray(
     """Locate the critical parameter along the ray mu = theta * lam.
 
     The bracket starts at the certified lower box corner scaled into the
-    ray and at the eigenvalue upper bound when available (geometric
-    expansion otherwise), then bisects to the configured relative width.
-    An unresolved probe ends the expansion without showing infeasibility;
-    the sample then reports ``upper_unverified`` unless a later bisection
-    probe turns out infeasible.
+    ray and at the eigenvalue corner when available (geometric expansion
+    otherwise), then bisects to the configured relative width.
+
+    Each feasibility probe is one ``minimal_solve`` at ``probe_budget``, 16x
+    the configured ``max_iter``; a probe still inconclusive there reports
+    None so the bisection can stop without mis-shrinking the bracket on that
+    side.  A probe asks for the super-solution certificate
+    (``certify_feasible``), so it is feasible as soon as the Picard loop
+    exhibits a discrete super-solution below the touch band
+    (Verdict.FEASIBLE), or when it converges.  Either way the state returned
+    is a Picard iterate, a sub-solution lying below the minimal solution of
+    every larger lam on the ray; the state of the largest feasible lam is
+    kept, and a probe above it starts from it (``minimal_solve``'s
+    ``start``).  An unresolved probe ends the expansion without showing
+    infeasibility; the sample then reports ``upper_unverified`` unless a
+    later bisection probe turns out infeasible.
     """
     if not 0 < theta < math.inf:
         raise ConfigurationError(f"theta must be finite and positive, got {theta!r}")
@@ -250,11 +212,29 @@ def extremal_on_ray(
     if report.upper_f is not None and report.upper_g is not None:
         upper_corner = min(report.upper_f, report.upper_g / theta)
 
-    oracle = _RayOracle(mesh, f, g, theta, cfg)
+    budget = probe_budget(cfg.solve)
+    best, warm = -math.inf, None   # largest feasible lam and its state
+    ends = Counter()               # probe verdicts; nonexistence by reason
+    iterations = newton_steps = 0
+
+    def probe(lam: float) -> bool | None:
+        nonlocal best, warm, iterations, newton_steps
+        out = minimal_solve(mesh, f, g, lam, theta * lam, budget,
+                            start=warm if lam > best else None, certify_feasible=True)
+        iterations += out.iterations
+        newton_steps += out.newton_steps
+        ends[out.reason or out.verdict] += 1
+        if out.verdict is Verdict.NONEXISTENCE_SUSPECTED:
+            return False
+        if out.verdict is Verdict.INCONCLUSIVE:
+            return None
+        if lam > best:
+            best, warm = lam, (out.state.u, out.state.v)
+        return True
 
     a = lower_corner
     for _ in range(8):
-        verdict = oracle.probe(a)
+        verdict = probe(a)
         if verdict:
             break
         a *= 0.5
@@ -268,7 +248,7 @@ def extremal_on_ray(
     else:
         b = 2.0 * a
     doublings = 0
-    while (verdict := oracle.probe(b)) is True:
+    while (verdict := probe(b)) is True:
         a = b
         b *= 2.0
         doublings += 1
@@ -280,7 +260,7 @@ def extremal_on_ray(
 
     while (b - a) > cfg.rtol * b:
         mid = 0.5 * (a + b)
-        verdict = oracle.probe(mid)
+        verdict = probe(mid)
         if verdict is None:
             break  # unresolved probe: keep the honest bracket
         if verdict:
@@ -296,12 +276,12 @@ def extremal_on_ray(
         bracket_width=(b - a) / lam_star,
         lower_cert=lower_corner,
         upper_cert=upper_corner,
-        iterations_total=oracle.iterations,
-        unresolved_probes=oracle.unresolved,
-        newton_steps=oracle.newton_steps,
-        supersolution_probes=oracle.certified,
-        unstable_probes=oracle.reasons[NonexistenceReason.UNSTABLE_SUBSOLUTION],
-        touched_probes=oracle.reasons[NonexistenceReason.TOUCHED_ONE],
+        iterations_total=iterations,
+        unresolved_probes=ends[Verdict.INCONCLUSIVE],
+        newton_steps=newton_steps,
+        supersolution_probes=ends[Verdict.FEASIBLE],
+        unstable_probes=ends[NonexistenceReason.UNSTABLE_SUBSOLUTION],
+        touched_probes=ends[NonexistenceReason.TOUCHED_ONE],
         upper_unverified=upper_unverified,
     )
 
@@ -327,13 +307,13 @@ def compare_symmetrized(
     return original, rearranged
 
 
-def write_trace_csv(path, trace: CurveTrace, fingerprint: str = "") -> None:
+def write_trace_csv(path, samples, mesh: Mesh, f: Profile, g: Profile,
+                    fingerprint: str = "") -> None:
     """Columns: theta, lambda_star, mu_star, bracket_width, lower_cert,
     upper_cert, solver_iters_total, unresolved_probes, newton_steps,
     supersolution_probes, unstable_probes, touched_probes, upper_unverified.
     The last seven are integers (the flag as 0 or 1), so every cell but an
     absent upper_cert parses as a float."""
-    f_fp, g_fp = trace.profile_fingerprints
     write_csv(
         path,
         ["theta", "lambda_star", "mu_star", "bracket_width",
@@ -343,11 +323,12 @@ def write_trace_csv(path, trace: CurveTrace, fingerprint: str = "") -> None:
         ((s.theta, s.lam_star, s.mu_star, s.bracket_width, s.lower_cert,
           s.upper_cert, s.iterations_total, s.unresolved_probes,
           s.newton_steps, s.supersolution_probes, s.unstable_probes,
-          s.touched_probes, int(s.upper_unverified)) for s in trace.samples),
+          s.touched_probes, int(s.upper_unverified)) for s in samples),
         fingerprint,
-        comments=[f"mesh: {trace.mesh_fingerprint} profiles: {f_fp},{g_fp}"],
+        comments=[f"mesh: {mesh.fingerprint()} "
+                  f"profiles: {f.fingerprint()},{g.fingerprint()}"],
     )
 
 
 def write_bounds_json(path, report: BoundReport, fingerprint: str = "") -> None:
-    write_json(path, report.to_dict(), fingerprint)
+    write_json(path, asdict(report), fingerprint)

@@ -9,7 +9,6 @@ from memslab.acceptance import GOLDEN_DISK_LAM_STAR
 from memslab.curve import (
     BoundReport,
     CurveConfig,
-    CurveTrace,
     RaySample,
     bound_report,
     check_theta_grid,
@@ -224,10 +223,8 @@ class TestCompareSymmetrized:
 class TestSerialization:
     def test_trace_csv(self, disk, one, tmp_path):
         rays = [extremal_on_ray(disk, one, one, theta, FAST) for theta in (0.5, 1.0)]
-        trace = CurveTrace(tuple(rays), disk.fingerprint(),
-                           (one.fingerprint(), one.fingerprint()))
         path = tmp_path / "curve.csv"
-        write_trace_csv(path, trace, fingerprint="f00d")
+        write_trace_csv(path, rays, disk, one, one, fingerprint="f00d")
         lines = path.read_text().splitlines()
         assert lines[0] == "# config_fingerprint: f00d"
         header = lines[2].split(",")
@@ -240,13 +237,15 @@ class TestSerialization:
         rows = [dict(zip(header, line.split(","))) for line in lines[3:]]
         assert all(int(r["supersolution_probes"]) >= 1 for r in rows)
 
-    def test_trace_csv_without_upper_cert(self, tmp_path):
+    def test_trace_csv_without_upper_cert(self, disk, one, tmp_path):
+        half = constant_profile(disk, 0.5)
         ray = RaySample(theta=1.0, lam_star=1.5, mu_star=1.5, bracket_width=1e-3,
                         lower_cert=0.5, upper_cert=None, iterations_total=7)
         path = tmp_path / "curve.csv"
-        write_trace_csv(path, CurveTrace((ray,), "m", ("f", "g")))
+        write_trace_csv(path, [ray], disk, one, half)
         lines = path.read_text().splitlines()
-        assert lines[0] == "# mesh: m profiles: f,g"
+        assert lines[0] == (f"# mesh: {disk.fingerprint()} "
+                            f"profiles: {one.fingerprint()},{half.fingerprint()}")
         assert lines[2] == "1.0,1.5,1.5,0.001,0.5,,7,0,0,0,0,0,0"
 
     def test_bounds_json(self, disk, one, tmp_path):

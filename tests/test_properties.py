@@ -3,7 +3,8 @@ a documented input error, never a numerical failure; the minimal solution
 increases with the parameter along a ray; a converged state is ordered,
 u >= v >= (mu/lam) u, when mu <= lam; no probe below lam* ends by the
 nonexistence certificate, and none above it by the feasibility certificate;
-the decreasing rearrangement of a profile on a rectangle is equimeasurable
+lam*(theta) does not increase when the domain grows at equal spacing; the
+decreasing rearrangement of a profile on a rectangle is equimeasurable
 with it; and the CLI answers every small config with an exit code of its
 contract, never a traceback.
 
@@ -207,6 +208,49 @@ def test_supersolution_certificate_only_below_lambda_star(name, theta, t, s):
             assert minimal_solve(mesh, one, one, lam, theta * lam, start=start).converged
         else:
             assert out.converged
+
+
+_SPACING = st.floats(0.02, 0.2)
+
+
+@st.composite
+def _nested_meshes(draw):
+    """Two meshes of equal spacing, the first's domain inside the second's:
+    balls of one dimension with n1 < n2 nodes (node i at i h), or
+    rectangles with nx1 <= nx2 and ny1 <= ny2, not both equal (cell centres
+    on one grid)."""
+    if draw(st.booleans()):
+        dim = draw(st.sampled_from((1, 2, 3, 9)))
+        n1 = draw(st.integers(16, 47))
+        n2 = draw(st.integers(n1 + 1, 48))
+        h = draw(_SPACING)
+        return tuple(build_radial(dim, h * (2 * n - 1) / 2, n) for n in (n1, n2))
+    nx1, ny1 = draw(st.integers(16, 24)), draw(st.integers(16, 24))
+    nx2, ny2 = draw(st.integers(nx1, 24)), draw(st.integers(ny1, 24))
+    assume((nx1, ny1) != (nx2, ny2))
+    hx, hy = draw(_SPACING), draw(_SPACING)
+    return tuple(build_rect(nx * hx, ny * hy, nx, ny)
+                 for nx, ny in ((nx1, ny1), (nx2, ny2)))
+
+
+@FEW
+@given(meshes=_nested_meshes(),
+       theta=st.floats(math.log(0.2), math.log(5.0)).map(math.exp),
+       cf=st.floats(0.1, 1.0), cg=st.floats(0.1, 1.0))
+def test_critical_parameter_decreases_with_the_domain(meshes, theta, cf, cg):
+    # the larger mesh's solution restricted to the smaller one is a discrete
+    # super-solution there (the half-cell Dirichlet closure only adds
+    # nonnegative (u_i + u_i+1) / h^2 terms), so whatever is feasible on the
+    # larger mesh is feasible on the smaller: the larger mesh's feasible end
+    # lies below the smaller one's infeasible end
+    small, large = (
+        extremal_on_ray(m, constant_profile(m, cf), constant_profile(m, cg), theta,
+                        CurveConfig(rtol=1e-2))
+        for m in meshes)
+    assert not small.upper_unverified
+    feasible_large = large.lam_star * (1.0 - 0.5 * large.bracket_width)
+    infeasible_small = small.lam_star * (1.0 + 0.5 * small.bracket_width)
+    assert feasible_large <= infeasible_small * (1.0 + 1e-12)
 
 
 @st.composite

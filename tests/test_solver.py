@@ -5,7 +5,10 @@ from hypothesis import strategies as st
 from scipy.sparse.linalg import spsolve
 from scipy.special import jn_zeros
 
+import memslab.mesh
+import memslab.solver
 from memslab import PreconditionError, build_radial, build_rect, principal_eigenpair
+from memslab.mesh import DirichletLaplacian
 from memslab.profiles import constant_profile, tabulated_profile
 from memslab.solver import (
     DELTA_FLOOR,
@@ -13,6 +16,9 @@ from memslab.solver import (
     SolveConfig,
     StatePair,
     Verdict,
+    _coefficients,
+    _unstable_subsolution,
+    coupling_weights,
     minimal_solve,
     residual,
     write_solution_csv,
@@ -317,6 +323,72 @@ class TestNonexistenceCertificate:
         assert out.iterations <= 0.1 * 1418
         below = minimal_solve(mesh, one, one, lam / (1.0 + 2e-6), lam / (1.0 + 2e-6))
         assert below.converged
+
+
+class TestRefusals:
+    """Checks that refuse a Newton step or end the Collatz-Wielandt test
+    early.  At lam = mu = 0.78 on the 256-node disk the solve converges in
+    20 loop steps, 3 of them Newton steps; with its first Newton step
+    refused it ends Newton there and converges by Picard steps alone."""
+
+    def _picard_finish(self, disk256, ones_disk, newton):
+        out = minimal_solve(disk256, ones_disk, ones_disk, 0.78, 0.78)
+        assert out.converged
+        assert out.iterations == 93 and out.newton_steps == 0
+        assert np.max(np.abs(out.state.u - newton.state.u)) <= 3.7e-10
+        assert np.max(np.abs(out.state.v - newton.state.v)) <= 3.7e-10
+
+    def test_cg_missing_its_tolerance_refuses(self, disk256, ones_disk, monkeypatch):
+        newton = minimal_solve(disk256, ones_disk, ones_disk, 0.78, 0.78)
+        assert newton.iterations == 20 and newton.newton_steps == 3
+        monkeypatch.setattr(memslab.mesh, "_CG_MAX_ITER", 0)
+        self._picard_finish(disk256, ones_disk, newton)
+
+    @pytest.mark.parametrize("entry", [-1.0, np.nan])
+    def test_step_not_nonnegative_refuses(self, disk256, ones_disk, monkeypatch, entry):
+        newton = minimal_solve(disk256, ones_disk, ones_disk, 0.78, 0.78)
+        calls = []
+
+        def solve_coupled(self, a, r):
+            calls.append(1)
+            return np.full_like(r, entry)
+
+        monkeypatch.setattr(DirichletLaplacian, "solve_coupled", solve_coupled)
+        self._picard_finish(disk256, ones_disk, newton)
+        assert len(calls) == 1   # one refused step ends Newton for the solve
+
+    def _coupling_calls(self, monkeypatch):
+        calls = []
+
+        def counted(coeff, x):
+            calls.append(1)
+            return coupling_weights(coeff, x)
+
+        monkeypatch.setattr(memslab.solver, "coupling_weights", counted)
+        return calls
+
+    def test_unstable_test_needs_a_nonzero_residual(self, disk256, ones_disk, monkeypatch):
+        # x = T(prev) with x == prev: the residual F(x) - F(prev) is 0
+        state = minimal_solve(disk256, ones_disk, ones_disk, 0.5, 0.5).state
+        x = np.stack([state.u, state.v])
+        calls = self._coupling_calls(monkeypatch)
+        coeff = _coefficients(ones_disk, ones_disk, 0.5, 0.5)
+        assert not _unstable_subsolution(disk256.operator, coeff, x, x.copy(),
+                                         np.empty_like(x))
+        assert not calls   # refused before the couplings
+
+    def test_unstable_test_needs_a_positive_start(self, disk256, ones_disk, monkeypatch):
+        # prev = 0 makes the residual >= 0 and nonzero; the zero entry of
+        # x[1], the Perron test's first z, ends it before any solve
+        state = minimal_solve(disk256, ones_disk, ones_disk, 0.5, 0.5).state
+        x = np.stack([state.u, state.v])
+        x[1, 0] = 0.0
+        calls = self._coupling_calls(monkeypatch)
+        monkeypatch.setattr(DirichletLaplacian, "solve", None)   # any solve fails
+        coeff = _coefficients(ones_disk, ones_disk, 0.5, 0.5)
+        assert not _unstable_subsolution(disk256.operator, coeff, x, np.zeros_like(x),
+                                         np.empty_like(x))
+        assert len(calls) == 1
 
 
 def _indicator_square():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.sparse.linalg import eigsh
 
 from memslab import PreconditionError, build_radial, build_rect, principal_eigenpair
+from memslab.mesh import DirichletLaplacian
 from memslab.profiles import constant_profile, power_profile, tabulated_profile
 from memslab.solver import StatePair, coupling_weights, minimal_solve
 from memslab.stability import (
@@ -166,6 +167,26 @@ class TestLinearizedEigen:
         r2 = op.apply(res.phi2) - a21 * res.phi1 - res.nu1 * res.phi2
         total = np.max(np.abs(r1)) + np.max(np.abs(r2))
         assert total <= 1e-6 * (1.0 + abs(res.nu1))
+
+    @pytest.mark.parametrize("lam", [0.3, 0.5, 0.78])
+    def test_refused_shift_reads_as_rho_above_one(self, disk, one, monkeypatch, lam):
+        # no shifted solver above the true nu1, where rho(K(nu)) > 1 holds:
+        # the secant takes the refusal as log rho = inf and finds the same
+        # root.  At nu = 0 a refusal would be false for a stable state
+        state = minimal_solve(disk, one, one, lam, lam).state
+        nu1 = linearized_eigen(disk, one, one, lam, lam, state).nu1
+        shifted_solver, refused = DirichletLaplacian.shifted_solver, []
+
+        def refusing(self, nu):
+            if nu > nu1:
+                refused.append(nu)
+                return None
+            return shifted_solver(self, nu)
+
+        monkeypatch.setattr(DirichletLaplacian, "shifted_solver", refusing)
+        res = linearized_eigen(disk, one, one, lam, lam, state)
+        assert refused
+        assert res.nu1 == pytest.approx(nu1, rel=1e-13, abs=0)
 
     def test_scalar_consistency(self, disk, one):
         # symmetric data: block eigenvalue equals the scalar linearized one

@@ -1,11 +1,14 @@
 """Smoke tests of ``tools/artifact_digest.py``, the digest list that shows a
-refactor left every CLI artifact byte-identical, and ``tools/ray_probe.py``,
-whose passes must repeat bit for bit."""
+refactor left every CLI artifact byte-identical, of ``tools/ray_probe.py``,
+whose passes must repeat bit for bit, and of every script in ``demos/``."""
 
+import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "artifact_digest.py"
 
@@ -40,3 +43,16 @@ def test_ray_probe_passes_repeat_bit_for_bit():
         assert match, line
         hashes.append(match[1])
     assert hashes[0] == hashes[1]
+
+
+ROOT = TOOL.parent.parent
+DEMOS = sorted(p.name for p in (ROOT / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("demo", DEMOS)
+def test_demo_runs(demo, tmp_path):
+    # a fresh interpreter in an empty directory, so files a demo writes land there
+    out = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], cwd=tmp_path,
+                         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
