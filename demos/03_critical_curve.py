@@ -4,8 +4,9 @@
 Every ray mu = theta * lam crosses the curve once; bisection with the
 monotone solver as feasibility oracle locates the crossing, bracketed by
 the analytic certificates: a dimension-constant lower box and the
-eigenvalue corner, an upper bound only at theta = 1 with f = g.  Rays are
-independent, so the curve is one extremal_on_ray call per theta.  The
+certified upper end of the ray (printed below for theta = 1, where it is
+the eigenvalue corner).  Rays are independent, so the curve is one
+extremal_on_ray call per theta.  The
 curve is non-increasing along the grid and symmetric under swapping the
 two components.
 """

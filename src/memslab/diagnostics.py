@@ -88,8 +88,7 @@ def approach_extremal(
         raise PreconditionError(f"fractions {exc}") from exc
 
     ray = extremal_on_ray(mesh, f, g, theta, cfg)
-    # stay pessimistic: sweep below the certified-feasible end of the bracket
-    lam_star = ray.lam_star * (1.0 - 0.5 * ray.bracket_width)
+    lam_star = ray.lam_lo   # stay pessimistic: sweep below the feasible end
 
     budget = probe_budget(cfg.solve)
     samples = []

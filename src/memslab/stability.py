@@ -45,7 +45,7 @@ _EIG_RESIDUAL_RTOL = 1e-7  # block residual target, relative to 1 + |nu1|
 # coupling scale b below which the gap mu1 - nu1 (about b) is lost in the
 # rounding of the shifted solves next to mu1
 _WEAK_COUPLING = 1e-7
-_POWER_RTOL = 1e-13        # Perron residual of K(nu), relative to rho
+_POWER_RTOL = 1e-13        # sup-norm Perron residual of K(nu), relative to rho sup|x|
 _POWER_MAX = 5_000         # applications of K per eigen solve
 _SECANT_MAX = 100          # evaluations of rho per eigen solve
 _ROOT_TOL = 1e-13          # root tolerance in nu, relative to 1 + |nu|
@@ -92,11 +92,10 @@ def _principal_block_eigen(
             applications += 1
             y = solve(a21 * x)
             z = solve(a12 * y)
-            norm2 = left @ (x * x)
-            rho = (left @ (x * z)) / norm2
+            rho = (left @ (x * z)) / (left @ (x * x))
             r = z - rho * x
             tol = max(_POWER_RTOL, 1e-3 * abs(math.log(rho))) * rho
-            if left @ (r * r) <= tol * tol * norm2:
+            if np.abs(r).max() <= tol * np.abs(x).max():
                 return math.log(rho), y
             x = z / z.max()
         raise ConvergenceError("power iteration on K(nu) did not converge")

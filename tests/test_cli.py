@@ -515,10 +515,13 @@ class TestExitFive:
         failures = json.loads((out / "curve_failures.json").read_text())
         assert failures["failures"][0]["theta"] == 2.0
 
-    def test_eigen_failure_manifest(self, tmp_path, capsys):
+    def test_eigen_failure_manifest(self, tmp_path, capsys, monkeypatch):
         # the minimal solve converges just below the feasible end of the
-        # theta = 1 ray, but the block eigen solve misses its residual
-        # contract: a failure manifest and exit 5, not a traceback
+        # theta = 1 ray, but the block eigen solve runs out of its budget of
+        # K applications: a failure manifest and exit 5, not a traceback
+        import memslab.stability as stability_mod
+
+        monkeypatch.setattr(stability_mod, "_POWER_MAX", 1)
         ball = {"kind": "radial", "dimension": 10, "radius": 1.0, "nodes": 512}
         lam = 5.777656722759934
         code, out = run(tmp_path, "eigen", {"domain": ball, "lambda": lam, "mu": lam})
@@ -526,7 +529,7 @@ class TestExitFive:
         assert capsys.readouterr().err == ""
         failures = json.loads((out / "eigen_failures.json").read_text())["failures"]
         assert [(f["lambda"], f["mu"]) for f in failures] == [(lam, lam)]
-        assert "residual" in failures[0]["error"]
+        assert "did not converge" in failures[0]["error"]
         assert not (out / "eigenfunctions.csv").exists()
 
 

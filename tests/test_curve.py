@@ -10,7 +10,9 @@ from memslab.curve import (
     BoundReport,
     CurveConfig,
     RaySample,
+    Witness,
     bound_report,
+    ray_upper_bound,
     check_theta_grid,
     compare_symmetrized,
     dimension_constant,
@@ -102,6 +104,28 @@ class TestBoundArithmetic:
         fpow = power_profile(disk, 2.0)
         rep = bound_report(disk, fpow, fpow)
         assert rep.upper_f is None and rep.upper_g is None
+        assert ray_upper_bound(rep, 1.0) is None
+        assert ray_upper_bound(bound_report(disk, constant_profile(disk, 1.0), fpow),
+                               1.0) is None
+
+    def test_ray_upper_bound_arms(self, disk, one):
+        # the product bound in the middle, each single-equation cap at an end
+        rep = bound_report(disk, one, constant_profile(disk, 0.5))
+        mu1 = rep.mu1 * (1.0 + 1e-9)
+        assert ray_upper_bound(rep, 1.0) == 4.0 * mu1 / (27.0 * math.sqrt(0.5))
+        assert ray_upper_bound(rep, 1e-4) == mu1           # lam < mu1 / inf f
+        assert ray_upper_bound(rep, 1e4) == mu1 / (1e4 * 0.5)  # mu < mu1 / inf g
+        # on the diagonal of the symmetric reduction it is the eigenvalue corner
+        assert ray_upper_bound(bound_report(disk, one, one), 1.0) == pytest.approx(
+            bound_report(disk, one, one).upper_f, rel=2e-9)
+
+    @pytest.mark.parametrize("theta", [0.05, 0.2, 1.0, 4.0, 20.0])
+    def test_ray_upper_bound_holds_off_the_diagonal(self, disk, one, theta):
+        # the eigenvalue corner lay below lam* off the diagonal (0.857 against
+        # 1.544 at theta = 0.2); the coupled bound lies above the whole bracket
+        s = extremal_on_ray(disk, one, one, theta, FAST)
+        assert s.lower_cert <= s.lam_lo < s.lam_hi <= s.upper_cert
+        assert 0.55 < s.lam_star / s.upper_cert < 0.93   # 0.59 at theta = 20
 
 
 class TestExtremalOnRay:
@@ -143,16 +167,15 @@ class TestExtremalOnRay:
                 extremal_on_ray(disk, one, one, theta, FAST)
 
     def test_newton_step_into_touch_band_ends_probe(self):
-        # the probe at lam = 0.5947174, warm-started from a certified feasible
-        # iterate, makes a Newton step to max z = 1.14; z lies below every
-        # solution, so it is a touch witness.  Refusing the step instead left
-        # the probe 284 Picard steps to crawl to the band (366 for the ray).
+        # the probe at lam = 0.7637870, warm-started from a certified feasible
+        # iterate, makes a Newton step to max z = 1.13; z lies below every
+        # solution, so it is a touch witness that ends the probe after 8 steps
         ball = build_radial(1, 1.0, 512)
         one = constant_profile(ball, 1.0)
-        s = extremal_on_ray(ball, one, one, 0.3)
+        s = extremal_on_ray(ball, one, one, 0.158)
         assert s.iterations_total <= 150
-        assert s.touched_probes == 2
-        assert s.lam_star == pytest.approx(0.5945389616440351, rel=1e-12)
+        assert s.touched_probes == 3
+        assert s.lam_star == pytest.approx(0.7452212809532319, rel=1e-12)
 
 
 class TestTraceCurve:
@@ -231,22 +254,29 @@ class TestSerialization:
         assert header == ["theta", "lambda_star", "mu_star", "bracket_width",
                           "lower_cert", "upper_cert", "solver_iters_total",
                           "unresolved_probes", "newton_steps", "supersolution_probes",
-                          "unstable_probes", "touched_probes", "upper_unverified"]
+                          "unstable_probes", "touched_probes", "upper_unverified",
+                          "lambda_lo", "lambda_hi", "lo_witness", "hi_witness"]
         assert len(lines) == 3 + 2
         # the integer columns, and at least one probe ended by the certificate
         rows = [dict(zip(header, line.split(","))) for line in lines[3:]]
         assert all(int(r["supersolution_probes"]) >= 1 for r in rows)
+        for ray, row in zip(rays, rows):
+            assert (float(row["lambda_lo"]), float(row["lambda_hi"])) == (ray.lam_lo,
+                                                                           ray.lam_hi)
+            assert int(row["lo_witness"]) in (Witness.CONVERGED, Witness.SUPERSOLUTION)
+            assert int(row["hi_witness"]) in (Witness.TOUCHED, Witness.UNSTABLE)
 
     def test_trace_csv_without_upper_cert(self, disk, one, tmp_path):
         half = constant_profile(disk, 0.5)
-        ray = RaySample(theta=1.0, lam_star=1.5, mu_star=1.5, bracket_width=1e-3,
+        ray = RaySample(theta=1.0, lam_lo=1.25, lam_hi=1.75,
+                        lo_witness=Witness.CONVERGED, hi_witness=Witness.UNRESOLVED,
                         lower_cert=0.5, upper_cert=None, iterations_total=7)
         path = tmp_path / "curve.csv"
         write_trace_csv(path, [ray], disk, one, half)
         lines = path.read_text().splitlines()
         assert lines[0] == (f"# mesh: {disk.fingerprint()} "
                             f"profiles: {one.fingerprint()},{half.fingerprint()}")
-        assert lines[2] == "1.0,1.5,1.5,0.001,0.5,,7,0,0,0,0,0,0"
+        assert lines[2] == "1.0,1.5,1.5,0.3333333333333333,0.5,,7,0,0,0,0,0,1,1.25,1.75,1,0"
 
     def test_bounds_json(self, disk, one, tmp_path):
         import json
@@ -262,17 +292,20 @@ class TestSerialization:
 class TestBudgetHonesty:
     def test_unresolved_probes_keep_bracket(self):
         # starve the oracle: unresolved probes must widen, never mis-shrink.
-        # At theta = 3 a budget of 2 (a probe gets 32 steps) resolves the
-        # first 19 probes, most feasible ones by the super-solution
-        # certificate; the 20th, mid-bisection at a bracket width of about
-        # 1e-5, needs more than 32
+        # At theta = 4 a budget of 2 (a probe gets 32 steps) resolves the
+        # first 9 probes, most feasible ones by the super-solution
+        # certificate; the 10th, mid-bisection at a bracket width of about
+        # 6e-3, needs more than 32
         mesh = build_radial(2, 1.0, 64)
         one = constant_profile(mesh, 1.0)
         cfg = CurveConfig(rtol=1e-6, solve=SolveConfig(max_iter=2))
-        s = extremal_on_ray(mesh, one, one, 3.0, cfg)
+        s = extremal_on_ray(mesh, one, one, 4.0, cfg)
         assert s.unresolved_probes >= 1
         assert s.bracket_width > cfg.rtol
         assert s.lam_star > s.lower_cert * 0.99
+        # both ends are probe verdicts: the unresolved probe is neither
+        assert s.lo_witness is Witness.SUPERSOLUTION
+        assert s.hi_witness is Witness.TOUCHED
 
     def test_one_solve_per_probe(self, monkeypatch):
         # the starved ray above has an unresolved probe: it is not retried
@@ -289,26 +322,28 @@ class TestBudgetHonesty:
 
         monkeypatch.setattr(curve_mod, "minimal_solve", recording)
         cfg = CurveConfig(rtol=1e-6, solve=SolveConfig(max_iter=2))
-        s = extremal_on_ray(mesh, one, one, 3.0, cfg)
+        s = extremal_on_ray(mesh, one, one, 4.0, cfg)
         assert s.unresolved_probes >= 1
         assert all(a != b for a, b in zip(lams, lams[1:]))
 
     def test_unresolved_expansion_marks_upper_unverified(self):
-        # at theta = 0.145 lam* lies 0.04% below twice the upper corner, so
-        # the expansion probe there needs 27 steps to certify nonexistence; a
-        # budget of 1 (a probe gets 16 steps) resolves the lower and corner
-        # probes (10 and 12 steps) only
+        # g = r^2 vanishes at the origin, so the ray has no certified upper
+        # end and the expansion doubles from the lower corner; at
+        # theta = 0.251 lam* lies 0.6% above four times that corner, and a
+        # budget of 1 (a probe gets 16 steps) leaves the probe there
+        # unresolved.  Bisection below it finds only feasible probes, so no
+        # probe ever showed the upper end infeasible, and indeed it is not
         mesh = build_radial(2, 1.0, 64)
         one = constant_profile(mesh, 1.0)
+        g = power_profile(mesh, 2.0)
         starved = CurveConfig(rtol=1e-3, solve=SolveConfig(max_iter=1))
-        s = extremal_on_ray(mesh, one, one, 0.145, starved)
-        assert s.upper_unverified
+        s = extremal_on_ray(mesh, one, g, 0.251, starved)
+        assert s.upper_unverified and s.hi_witness is Witness.UNRESOLVED
         assert s.unresolved_probes >= 1
-        upper_end = s.lam_star * (1.0 + 0.5 * s.bracket_width)
-        assert upper_end == pytest.approx(2.0 * s.upper_cert, rel=1e-12)
-        full = extremal_on_ray(mesh, one, one, 0.145, CurveConfig(rtol=1e-3))
+        assert s.lam_hi == 4.0 * s.lower_cert
+        full = extremal_on_ray(mesh, one, g, 0.251, CurveConfig(rtol=1e-3))
         assert not full.upper_unverified
-        assert full.lam_star < 2.0 * s.upper_cert
+        assert full.lam_lo > 4.0 * s.lower_cert
 
 
 class TestIntervalPipeline:
@@ -375,8 +410,103 @@ class TestHigherDimensions:
         s = extremal_on_ray(mesh, one, one, 1.0, CurveConfig(rtol=1e-6))
         assert sum(refused) >= 1 and sum(uncertified) >= 1
         assert s == RaySample(
-            theta=1.0, lam_star=4.443603634792183, mu_star=4.443603634792183,
-            bracket_width=8.171640039857932e-07, lower_cert=4.444444444444445,
-            upper_cert=6.029762045774499, iterations_total=633, unresolved_probes=0,
-            newton_steps=28, supersolution_probes=5, unstable_probes=2,
-            touched_probes=10, upper_unverified=False)
+            theta=1.0, lam_lo=4.443601822733571, lam_hi=4.443605453886516,
+            lo_witness=Witness.CONVERGED, hi_witness=Witness.TOUCHED,
+            lower_cert=4.444444444444445, upper_cert=6.029762051804261,
+            iterations_total=635, unresolved_probes=0, newton_steps=28,
+            supersolution_probes=5, unstable_probes=2, touched_probes=10)
+
+
+def _step_profile(mesh, edge):
+    """1 inside r < edge and 0.5 outside, a jump the coarse radii miss."""
+    return tabulated_profile(mesh, np.where(mesh.radii < edge, 1.0, 0.5))
+
+
+class TestTwoLevel:
+    @pytest.fixture(scope="class")
+    def disk2k(self):
+        return build_radial(2, 1.0, 2048)
+
+    @pytest.fixture()
+    def fine_probes(self, disk2k, monkeypatch):
+        """The lam of every probe on the fine mesh, in order."""
+        import memslab.curve as curve_mod
+
+        lams, real = [], curve_mod.minimal_solve
+
+        def recording(mesh, f, g, lam, *args, **kwargs):
+            if mesh is disk2k:
+                lams.append(lam)
+            return real(mesh, f, g, lam, *args, **kwargs)
+
+        monkeypatch.setattr(curve_mod, "minimal_solve", recording)
+        return lams
+
+    def test_prediction_needs_a_large_radial_mesh(self, disk2k):
+        from memslab.curve import _coarse_prediction
+
+        for mesh in (build_radial(2, 1.0, 2047), build_rect(1.0, 1.0, 64, 64)):
+            one = constant_profile(mesh, 1.0)
+            assert _coarse_prediction(mesh, one, one, 1.0, CurveConfig()) is None
+        one = constant_profile(disk2k, 1.0)
+        assert _coarse_prediction(disk2k, one, one, 1.0, CurveConfig(rtol=5e-6)) is None
+        lam_c = _coarse_prediction(disk2k, one, one, 1.0, CurveConfig())
+        assert lam_c == pytest.approx(GOLDEN_DISK_LAM_STAR, rel=5e-4)
+
+    def test_two_probes_when_the_prediction_holds(self, disk2k, fine_probes):
+        one = constant_profile(disk2k, 1.0)
+        s = extremal_on_ray(disk2k, one, one, 1.0)
+        assert len(fine_probes) == 2 and fine_probes == [s.lam_lo, s.lam_hi]
+        assert s.bracket_width == pytest.approx(8e-4, rel=1e-9)
+        assert s.lo_witness is Witness.SUPERSOLUTION
+        assert s.hi_witness in (Witness.TOUCHED, Witness.UNSTABLE)
+
+    @pytest.mark.parametrize("edge, walks", [(0.3, 5), (0.5, 1)])
+    def test_window_walks_to_a_certified_bracket(self, disk2k, fine_probes, edge,
+                                                 walks):
+        # the coarse ray misses the step's edge: its lam_c lies 0.4% below
+        # lam* (edge 0.3), so the window walks up 5 times, or 0.16% above it
+        # (edge 0.5), so it walks down once; each walk is one fine probe
+        import memslab.curve as curve_mod
+
+        f, one = _step_profile(disk2k, edge), constant_profile(disk2k, 1.0)
+        s = extremal_on_ray(disk2k, f, one, 1.0)
+        assert len(fine_probes) == 2 + walks
+        assert s.lo_witness in (Witness.CONVERGED, Witness.SUPERSOLUTION)
+        assert s.hi_witness in (Witness.TOUCHED, Witness.UNSTABLE)
+        assert s.bracket_width <= CurveConfig().rtol
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(curve_mod, "_coarse_prediction", lambda *args: None)
+            bisection = extremal_on_ray(disk2k, f, one, 1.0)
+        assert s.lam_lo < bisection.lam_hi and bisection.lam_lo < s.lam_hi
+
+    def test_too_many_walks_fall_back_to_the_corners(self, disk2k, fine_probes,
+                                                     monkeypatch):
+        import memslab.curve as curve_mod
+
+        monkeypatch.setattr(curve_mod, "_MAX_WALKS", 2)
+        f, one = _step_profile(disk2k, 0.3), constant_profile(disk2k, 1.0)
+        s = extremal_on_ray(disk2k, f, one, 1.0)
+        # four window probes, then the lower corner and the certified upper end
+        assert fine_probes[4:6] == [s.lower_cert, s.upper_cert]
+        assert s.lo_witness in (Witness.CONVERGED, Witness.SUPERSOLUTION)
+        assert s.hi_witness in (Witness.TOUCHED, Witness.UNSTABLE)
+        assert s.bracket_width <= CurveConfig().rtol
+
+    def test_failed_coarse_ray_falls_back_to_bisection(self, disk2k, monkeypatch):
+        import memslab.curve as curve_mod
+        from memslab import ConvergenceError
+
+        one = constant_profile(disk2k, 1.0)
+        real = curve_mod.extremal_on_ray
+
+        def coarse_fails(mesh, *args):
+            if mesh is not disk2k:
+                raise ConvergenceError("injected coarse failure")
+            return real(mesh, *args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(curve_mod, "_coarse_prediction", lambda *args: None)
+            bisection = real(disk2k, one, one, 1.0)
+        monkeypatch.setattr(curve_mod, "extremal_on_ray", coarse_fails)
+        assert real(disk2k, one, one, 1.0) == bisection

@@ -3,7 +3,9 @@ a documented input error, never a numerical failure; the minimal solution
 increases with the parameter along a ray; a converged state is ordered,
 u >= v >= (mu/lam) u, when mu <= lam; no probe below lam* ends by the
 nonexistence certificate, and none above it by the feasibility certificate;
-lam*(theta) does not increase when the domain grows at equal spacing; the
+lam*(theta) does not increase when the domain grows at equal spacing; a
+two-level ray's bracket overlaps the bisection bracket and ends in probe
+verdicts inside the analytic certificates; the
 decreasing rearrangement of a profile on a rectangle is equimeasurable
 with it; and the CLI answers every small config with an exit code of its
 contract, never a traceback.
@@ -29,8 +31,9 @@ from hypothesis import strategies as st
 
 from memslab import ConfigurationError, PreconditionError, build_radial, build_rect, integrate
 from memslab.cli import main
-from memslab.curve import CurveConfig, extremal_on_ray, lower_bound
-from memslab.profiles import constant_profile, symmetrize, tabulated_profile
+import memslab.curve as curve
+from memslab.curve import CurveConfig, Witness, extremal_on_ray, lower_bound
+from memslab.profiles import constant_profile, power_profile, symmetrize, tabulated_profile
 from memslab.solver import SolveConfig, Verdict, minimal_solve
 from memslab.stability import linearized_eigen
 
@@ -248,9 +251,51 @@ def test_critical_parameter_decreases_with_the_domain(meshes, theta, cf, cg):
                         CurveConfig(rtol=1e-2))
         for m in meshes)
     assert not small.upper_unverified
-    feasible_large = large.lam_star * (1.0 - 0.5 * large.bracket_width)
-    infeasible_small = small.lam_star * (1.0 + 0.5 * small.bracket_width)
-    assert feasible_large <= infeasible_small * (1.0 + 1e-12)
+    assert large.lam_lo <= small.lam_hi
+
+
+TWO_LEVEL_MESHES = {dim: build_radial(dim, 1.0, 2048) for dim in (1, 2, 3)}
+
+
+@st.composite
+def _two_level_rays(draw):
+    """A 2,048-node unit ball of dimension 1, 2 or 3, two profiles on it
+    (constant, power, or a tabulated bump over a floor) and a theta."""
+    mesh = TWO_LEVEL_MESHES[draw(st.sampled_from(sorted(TWO_LEVEL_MESHES)))]
+
+    def profile():
+        kind = draw(st.sampled_from(("constant", "power", "tabulated")))
+        if kind == "constant":
+            return constant_profile(mesh, draw(st.floats(0.1, 1.0)))
+        if kind == "power":
+            return power_profile(mesh, draw(st.floats(0.0, 3.0)))
+        floor, centre = draw(st.floats(0.0, 0.9)), draw(st.floats(0.0, 1.0))
+        width = draw(st.floats(0.05, 0.5))
+        bump = np.exp(-((mesh.radii - centre) / width) ** 2)
+        return tabulated_profile(mesh, floor + (1.0 - floor) * bump)
+
+    f, g = profile(), profile()
+    return mesh, f, g, draw(st.floats(math.log(0.2), math.log(5.0)).map(math.exp))
+
+
+@FEW
+@given(case=_two_level_rays())
+def test_two_level_ray_is_certified(case):
+    mesh, f, g, theta = case
+    predictions = []
+    real = curve._coarse_prediction
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(curve, "_coarse_prediction",
+                   lambda *args: predictions.append(real(*args)) or predictions[-1])
+        two = extremal_on_ray(mesh, f, g, theta)
+        mp.setattr(curve, "_coarse_prediction", lambda *args: None)
+        bisection = extremal_on_ray(mesh, f, g, theta)
+    assert predictions[-1] is not None   # the fine ray's; the coarse ray's is None
+    assert two.lam_lo <= bisection.lam_hi and bisection.lam_lo <= two.lam_hi
+    assert two.lo_witness in (Witness.CONVERGED, Witness.SUPERSOLUTION)
+    assert two.hi_witness in (Witness.TOUCHED, Witness.UNSTABLE) or two.upper_unverified
+    if two.upper_cert is not None:
+        assert two.lower_cert <= two.lam_lo and two.lam_hi <= two.upper_cert
 
 
 @st.composite

@@ -12,6 +12,7 @@ from memslab.profiles import constant_profile, power_profile, tabulated_profile
 from memslab.solver import StatePair, coupling_weights, minimal_solve
 from memslab.stability import (
     EigenResult,
+    block_residual,
     classify,
     eigen_ratio_check,
     linearized_eigen,
@@ -167,6 +168,23 @@ class TestLinearizedEigen:
         r2 = op.apply(res.phi2) - a21 * res.phi1 - res.nu1 * res.phi2
         total = np.max(np.abs(r1)) + np.max(np.abs(r2))
         assert total <= 1e-6 * (1.0 + abs(res.nu1))
+
+    def test_ten_ball_state_meets_the_contract(self):
+        # the quadrature weights of the 512-node 10-ball are tiny near the
+        # origin, where a12 peaks at 5.6e5: a power iteration stopped on the
+        # w-weighted residual norm left an error at node 0, and the block
+        # residual missed its contract (2.98e-5 against 2.88e-5); the
+        # sup-norm stop test meets it with room (6.5e-8)
+        ball = build_radial(10, 1.0, 512)
+        one = constant_profile(ball, 1.0)
+        lam = 5.777656722759934
+        state = minimal_solve(ball, one, one, lam, lam).state
+        res = linearized_eigen(ball, one, one, lam, lam, state)
+        assert res.nu1 == pytest.approx(27.80194106, rel=1e-9)
+        a12, a21 = coupling_weights((lam * one.values, lam * one.values),
+                                    (state.u, state.v))
+        total = block_residual(ball, a12, a21, res.nu1, res.phi1, res.phi2)
+        assert total <= 1e-6 * (1.0 + res.nu1)
 
     @pytest.mark.parametrize("lam", [0.3, 0.5, 0.78])
     def test_refused_shift_reads_as_rho_above_one(self, disk, one, monkeypatch, lam):

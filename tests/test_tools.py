@@ -1,6 +1,7 @@
 """Smoke tests of ``tools/artifact_digest.py``, the digest list that shows a
 refactor left every CLI artifact byte-identical, of ``tools/ray_probe.py``,
-whose passes must repeat bit for bit, and of every script in ``demos/``."""
+whose passes must repeat bit for bit, of the summary that
+``tools/bench_pairs.py`` writes, and of every script in ``demos/``."""
 
 import os
 import re
@@ -56,3 +57,28 @@ def test_demo_runs(demo, tmp_path):
                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
+
+
+def test_bench_pairs_summary():
+    # medians, quartiles and the change's wins per metric, over the seeds
+    # that ran on both sides, with the metric's better direction
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location("bench_pairs",
+                                                  TOOL.parent / "bench_pairs.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    assert bench.parse_seeds("1-3,7") == [1, 2, 3, 7]
+    runs = [{"seed": seed, "side": side, "metrics": {"wall_s": wall, "gap": gap}}
+            for seed, side, wall, gap in [
+                (1, "parent", 4.0, 1.0), (1, "change", 3.0, 2.0),
+                (2, "parent", 2.0, 1.0), (2, "change", 1.0, 0.5),
+                (3, "parent", 1.0, 1.0), (3, "change", 1.0, 1.0),
+                (4, "parent", 9.0, 9.0)]]
+    metrics = [{"name": "wall_s", "unit": "s", "better": "lower"},
+               {"name": "gap", "unit": "ratio", "better": "higher"}]
+    out = bench.summarize(runs, metrics)
+    assert out["wall_s"]["pairs"] == 3 and out["wall_s"]["change_wins"] == 2
+    assert out["wall_s"]["parent"] == {"median": 2.0, "q1": 1.5, "q3": 3.0}
+    assert out["wall_s"]["change"] == {"median": 1.0, "q1": 1.0, "q3": 2.0}
+    assert out["gap"]["change_wins"] == 1

@@ -1,0 +1,142 @@
+#!/usr/bin/env python3
+"""Benchmark a change against a parent revision in interleaved pairs.
+
+    python3 tools/bench_pairs.py --parent <rev> --out BENCH_<n>.json \\
+        [--seeds 1-10] [--seconds 10]
+
+The change is the checkout this script lives in, as its files stand.  The
+parent is checked out with ``git worktree add`` into a temporary directory,
+which is removed again at exit.  For each workload that ``BENCHMARK.json``
+declares and each seed, ``perfbench/run.py --trace 0`` runs once on each
+side, one run at a time; the parent goes first on odd seeds and the change
+first on even ones.  The output file holds the environment, every run's
+result, and per workload and side the median and quartiles of each
+end-to-end metric, with the number of seeds on which the change was better.
+
+Nothing under ``perfbench/`` and no benchmark declaration is changed; each
+side runs its own copy of the benchmark.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def git(*args: str, cwd: Path = ROOT) -> str:
+    done = subprocess.run(["git", *args], cwd=cwd, capture_output=True, text=True,
+                          check=True)
+    return done.stdout.strip()
+
+
+def parse_seeds(text: str) -> list[int]:
+    """``3`` or ``1-10`` or ``1,4,7``."""
+    seeds = []
+    for part in text.split(","):
+        lo, _, hi = part.partition("-")
+        seeds.extend(range(int(lo), int(hi or lo) + 1))
+    if not seeds:
+        raise argparse.ArgumentTypeError("no seeds")
+    return seeds
+
+
+def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One ``perfbench/run.py`` run; its last output line is the result."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    done = subprocess.run(cmd, cwd=root, capture_output=True, text=True, check=True)
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    return {"correct": result["correct"], "attempted": result["attempted"],
+            "failed": result["failed"],
+            "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
+
+
+def quartiles(values: list[float]) -> dict:
+    q1, median, q3 = (statistics.quantiles(values, n=4, method="inclusive")
+                      if len(values) > 1 else values * 3)
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def summarize(runs: list[dict], metrics: list[dict]) -> dict:
+    """Per metric: each side's median and quartiles over the seeds, and the
+    seeds on which the change beat the parent."""
+    by_seed = {}
+    for run in runs:
+        by_seed.setdefault(run["seed"], {})[run["side"]] = run["metrics"]
+    pairs = [p for p in by_seed.values() if len(p) == 2]
+    out = {}
+    for metric in metrics:
+        name, lower = metric["name"], metric["better"] == "lower"
+        sides = {side: [p[side][name] for p in pairs] for side in ("parent", "change")}
+        wins = sum((c < p) if lower else (c > p)
+                   for p, c in zip(sides["parent"], sides["change"]))
+        out[name] = {"unit": metric["unit"], "better": metric["better"],
+                     "pairs": len(pairs), "change_wins": wins,
+                     **{side: quartiles(v) for side, v in sides.items() if v}}
+    return out
+
+
+def environment(parent_rev: str) -> dict:
+    import numpy
+    import scipy
+
+    cpu = platform.processor()
+    try:
+        with open("/proc/cpuinfo") as fh:
+            cpu = next((line.split(":", 1)[1].strip() for line in fh
+                        if line.startswith("model name")), cpu)
+    except OSError:
+        pass
+    return {
+        "python": platform.python_version(), "numpy": numpy.__version__,
+        "scipy": scipy.__version__, "cpu": cpu, "nproc": os.cpu_count(),
+        "parent": {"rev": parent_rev, "commit": git("rev-parse", parent_rev)},
+        "change": {"commit": git("rev-parse", "HEAD"),
+                   "uncommitted_changes": bool(git("status", "--porcelain"))},
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", required=True, help="git revision to compare with")
+    parser.add_argument("--out", required=True, type=Path)
+    parser.add_argument("--seeds", type=parse_seeds, default=parse_seeds("1-10"))
+    parser.add_argument("--seconds", type=float, default=10.0)
+    args = parser.parse_args(argv)
+
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = [w["name"] for w in bench["workloads"]]
+    report = {"environment": environment(args.parent), "seeds": args.seeds,
+              "seconds": args.seconds, "workloads": {}}
+    with tempfile.TemporaryDirectory() as tmp:
+        parent = Path(tmp) / "parent"
+        git("worktree", "add", "--detach", str(parent), args.parent)
+        try:
+            for workload in workloads:
+                runs = []
+                for seed in args.seeds:
+                    sides = [("parent", parent), ("change", ROOT)]
+                    for side, root in sides if seed % 2 else sides[::-1]:
+                        print(f"{workload} seed {seed} {side}", file=sys.stderr, flush=True)
+                        runs.append({"seed": seed, "side": side,
+                                     **run_once(root, workload, seed, args.seconds)})
+                report["workloads"][workload] = {
+                    "metrics": summarize(runs, bench["end_to_end"]), "runs": runs}
+        finally:
+            git("worktree", "remove", "--force", str(parent))
+            git("worktree", "prune")
+    args.out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
