@@ -221,8 +221,9 @@ def cmd_curve(config: dict, args, out: Path, fp: str) -> int:
     write_bounds_json(out / "bounds.json", bound_report(mesh, f, g), fp)
     samples, failures = [], []
     for theta in config["theta_grid"]:
-        try:
-            samples.append(extremal_on_ray(mesh, f, g, float(theta), cfg))
+        try:   # the previous ray's fold starts this ray's fold solve
+            samples.append(extremal_on_ray(mesh, f, g, float(theta), cfg,
+                                           previous=samples[-1] if samples else None))
         except Exception as exc:  # per-ray failure: keep going, keep partial data
             failures.append({"theta": theta, "error": str(exc)})
     write_trace_csv(out / "curve.csv", samples, mesh, f, g, fp)

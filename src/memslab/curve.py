@@ -8,16 +8,21 @@ both ends (``lam_lo`` feasible, ``lam_hi`` infeasible) with the witness
 that settled them.
 
 On radial meshes of at least 2,048 nodes the bracket starts from a
-prediction: the same ray on the radial mesh with 1/32 of the nodes, whose
-lam_star converges at O(h^2) and so lands well inside the fine bracket
-(nested iteration).  Two fine probes at lam_c (1 -+ 0.4 rtol) then bracket
-lam_star; a probe that disagrees walks the window.  The prediction is
-never a certificate.  Elsewhere, and whenever the prediction fails, the
-bracket starts from the analytic certificates: a dimension constant lower
-box that is always feasible, and, where inf f and inf g are both positive,
-the certified upper end ``upper_cert`` of ``ray_upper_bound`` (geometric
-expansion otherwise).  Bisection then narrows either start to the
-configured relative width.
+prediction: the fold of the same ray on the 64-node radial mesh of the same
+ball, whose lam_star converges at O(h^2) and so lands inside the fine
+window (nested iteration).  The fold is a Moore-Spence Newton solve
+(``fold_point``), continued in theta along a sweep: each ray starts from
+the fold of the one before, which its sample carries, and only the first
+ray, or one whose solve fails, runs a coarse ray to start from.  The fine
+window is lam_c (1 -+ 0.4 rtol): its lower end is certified feasible by
+the fold state, prolonged to the fine mesh, in two solves, and one probe
+shows the upper end infeasible; a probe that disagrees walks the window.
+The prediction is never a certificate.  Elsewhere, and whenever the
+prediction fails, the bracket starts from the analytic certificates: a
+dimension constant lower box that is always feasible, and, where inf f and
+inf g are both positive, the certified upper end ``upper_cert`` of
+``ray_upper_bound`` (geometric expansion otherwise).  Bisection then
+narrows either start to the configured relative width.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ import enum
 import math
 import sys
 from collections import Counter
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -35,24 +40,31 @@ from .exceptions import (ConfigurationError, ConvergenceError, NumericsError,
                          UnboundedRayError)
 from .mesh import Mesh, build_radial, principal_eigenpair, unit_ball_volume
 from .profiles import Profile, symmetrize
-from .solver import NonexistenceReason, SolveConfig, Verdict, minimal_solve
+from .solver import (NonexistenceReason, SolveConfig, Verdict, certify_supersolution,
+                     minimal_solve)
 
 _MAX_DOUBLINGS = 60
 _PROBE_BUDGET_FACTOR = 16   # a probe's loop-step budget, in units of max_iter
 # the relative rounding of mu1 that ray_upper_bound allows for, about 100x
 # the measured error of principal_eigenpair (1e-11)
 _MU1_ROUNDING = 1e-9
-# two-level rays: the coarse twin of a radial mesh has 1/_COARSE_RATIO of its
-# nodes, and at least _COARSE_MIN_NODES; its ray runs at _WINDOW * rtol, and
-# the fine window is lam_c (1 -+ _WINDOW * rtol)
-_COARSE_RATIO = 32
-_COARSE_MIN_NODES = 64
-# below this rtol the coarse ray costs more two-field solves than the
-# bisection it replaces (4,096-node disk: at 1e-6, 1,427-1,682 against
-# 587-726 a ray), and the window walks
+# two-level rays: a radial mesh of at least _TWO_LEVEL_NODES nodes predicts
+# lam_star on its coarse twin of _COARSE_NODES nodes, and the fine window is
+# lam_c (1 -+ _WINDOW * rtol); a coarse ray there, the start of a fold solve,
+# runs at _WINDOW * rtol but no tighter than at rtol _COARSE_RAY_RTOL
+_TWO_LEVEL_NODES = 2048
+_COARSE_NODES = 64
+_COARSE_RAY_RTOL = 1e-3
+# below this rtol a single ray costs more two-field solves than bisection:
+# the window walks far, as the 64-node fold misses the fine lam_star by up to
+# 2.5e-4 (4,096-node disk at 1e-6: 705-851 against 587-761 a ray; 480-548
+# along a continued sweep)
 _COARSE_MIN_RTOL = 1e-5
 _WINDOW = 0.4
-_MAX_WALKS = 8
+_MAX_WALKS = 8      # walks of the window's own width; as many more double it
+# a fold solve ends once |d lam| <= _FOLD_RTOL * lam, within _FOLD_STEPS steps
+_FOLD_RTOL = 1e-8
+_FOLD_STEPS = 12
 
 
 def dimension_constant(dimension: int) -> float:
@@ -202,11 +214,25 @@ _WITNESS = {
 }
 
 
+@dataclass(frozen=True, eq=False)
+class Fold:
+    """The fold of a ray's minimal branch on a radial mesh: the turning
+    point ``lam``, the state ``x = (u, v)`` there and the null vector ``phi``
+    of the linearization, both ``(2, n)`` stacks over the nodes ``radii``."""
+
+    lam: float
+    x: np.ndarray
+    phi: np.ndarray
+    radii: np.ndarray
+
+
 @dataclass(frozen=True)
 class RaySample:
     """One ray's bracket: ``lam_lo``, the last feasible probed lam, and
     ``lam_hi``, the last infeasible one (or the unresolved probe that ended
-    the search), each with the witness that settled it."""
+    the search), each with the witness that settled it.  ``fold`` is the
+    coarse fold that predicted a two-level ray (None elsewhere), the start
+    of the next ray's fold solve; it is no part of the repr or of equality."""
 
     theta: float
     lam_lo: float
@@ -221,6 +247,7 @@ class RaySample:
     supersolution_probes: int = 0  # feasible by the super-solution certificate
     unstable_probes: int = 0      # infeasible by the unstable-subsolution certificate
     touched_probes: int = 0       # infeasible by touching the band below 1
+    fold: Fold | None = field(default=None, repr=False, compare=False)
 
     @property
     def lam_star(self) -> float:
@@ -256,29 +283,134 @@ def check_theta_grid(grid, upper: float = math.inf) -> None:
         raise ConfigurationError("must be strictly increasing")
 
 
-def _coarse_prediction(
-    mesh: Mesh, f: Profile, g: Profile, theta: float, cfg: CurveConfig
-) -> float | None:
-    """lam_star of the same ray on the radial mesh of the same ball with
-    1/32 of the nodes, at the rtol of the window; None on rectangles, on
-    meshes whose coarse twin would have fewer than 64 nodes, below
-    ``_COARSE_MIN_RTOL``, or when the coarse ray raises.  The profiles are
-    restricted by linear interpolation onto the coarse radii, keeping their
-    ``sup``: the result is only a prediction, so any restriction is sound."""
-    nodes = mesh.n_nodes // _COARSE_RATIO
-    if mesh.radii is None or nodes < _COARSE_MIN_NODES or cfg.rtol < _COARSE_MIN_RTOL:
+def _solve_jacobian(schur: np.ndarray, s_t: np.ndarray, a: np.ndarray,
+                    r: np.ndarray) -> np.ndarray:
+    """y with J y = r for each ``(2, n)`` slice of the ``(k, 2, n)`` stack r,
+    J = [[A, -a12], [-a21, A]]: with S = A^-1, y_2 solves the Schur
+    complement system (A - a21 S a12) y_2 = r_2 + a21 S r_1, and
+    y_1 = S (r_1 + a12 y_2).  ``s_t`` is S^T, C-contiguous, so that S acts
+    on the rows of a stack as ``rows @ s_t``."""
+    r1, r2 = r[:, 0], r[:, 1]
+    y2 = np.linalg.solve(schur, (r2 + a[1] * (r1 @ s_t)).T).T
+    return np.stack([(r1 + a[0] * y2) @ s_t, y2], axis=1)
+
+
+def fold_point(mesh: Mesh, f: Profile, g: Profile, theta: float,
+               start: Fold) -> Fold | None:
+    """The fold of the ray mu = theta * lam on a radial mesh, by Newton's
+    method on the Moore-Spence system from ``start``; None if it fails.
+
+    The unknowns are (x, phi, lam), and the equations G(x, lam) = A x -
+    lam s(x) = 0, J phi = 0 and sum w (phi_1 + phi_2) = 1, with
+    s = (f / (1 - v)^2, theta g / (1 - u)^2) and J = G_x the coupled
+    linearization (Moore & Spence, SIAM J. Numer. Anal. 17, 1980).  A step
+    eliminates by blocks: J [p, q] = [-G, s] gives dx = p + dlam q, then
+    J [c, e] = [-J phi - (J phi)_x p, -(J phi)_x q - (J phi)_lam] gives
+    dphi = c + dlam e, and the normalization fixes dlam.  The second
+    derivatives are diagonal, (J phi)_x dx = -(6 lam f / (1 - v)^4 phi_2 dv,
+    6 theta lam g / (1 - u)^4 phi_1 du).  Each pair of solves with J is one
+    dense ``numpy.linalg.solve`` with its Schur complement, of order n
+    (``_solve_jacobian``): OpenBLAS runs an LU solve on one thread below
+    10,000 matrix entries, and a threaded one of order 100 or 128 stalled
+    for 7-112 ms at times on a loaded two-core host.  The matrix products
+    take A^T and S^T as C-contiguous right factors (``rows @ a_t``), a shape
+    OpenBLAS also keeps on one thread; ``rows @ a.T`` ran on two.
+
+    phi starts as one step of inverse iteration, J^-1 phi, from the start.
+    The solve succeeds when |dlam| <= ``_FOLD_RTOL`` lam within
+    ``_FOLD_STEPS`` steps at lam > 0, 0 <= x < 1 and phi > 0: the fold of
+    the minimal branch, where its principal eigenvalue reaches 0, has a
+    positive null vector.  A step to max x >= 1 fails at once; so balls of
+    dimension 8 and up, whose fold the 64-node mesh does not resolve, fail
+    (on a 9-ball the first step went to max x = 20).
+    The last step updates x and lam only: from a state at the fold to
+    rounding, J is singular to rounding too, and dphi = c + dlam e is lost to
+    cancellation (it flipped the sign of phi on a 64-node disk at theta =
+    0.99), while dx and dlam stay accurate.
+    """
+    a_t = mesh.operator.apply(np.eye(mesh.n_nodes))   # A^T: row i is A e_i
+    s_t = np.linalg.inv(a_t)                           # S^T
+    w = np.tile(mesh.weights, 2)
+    coeff = np.stack([f.values, theta * g.values])
+    x, phi, lam = start.x, start.phi, start.lam
+    with np.errstate(all="ignore"):
+        for step in range(_FOLD_STEPS):
+            d = 1.0 - x[::-1]                 # (1 - v, 1 - u)
+            s = coeff / d ** 2                # the source over lam
+            a = 2.0 * lam * coeff / d ** 3    # the couplings (a12, a21) of J
+            schur = a_t.T - a[1][:, None] * s_t.T * a[0]
+            try:
+                if not step:   # phi starts with one step of inverse iteration
+                    phi = _solve_jacobian(schur, s_t, a, phi[None])[0]
+                    phi /= w @ phi.ravel()
+                b = 3.0 * a / d * phi[::-1]   # (J phi)_x dx = -b dx[::-1]
+                p, q = _solve_jacobian(schur, s_t, a, np.stack([lam * s - x @ a_t, s]))
+                j_phi = phi @ a_t - a * phi[::-1]
+                c, e = _solve_jacobian(schur, s_t, a, np.stack(
+                    [b * p[::-1] - j_phi, b * q[::-1] + a * phi[::-1] / lam]))
+            except np.linalg.LinAlgError:
+                return None
+            dlam = (1.0 - w @ (phi + c).ravel()) / (w @ e.ravel())
+            x, lam = x + p + dlam * q, lam + dlam
+            if not x.max() < 1.0:   # past the singularity, or NaN
+                return None
+            if abs(dlam) <= _FOLD_RTOL * lam:
+                break
+            phi = phi + c + dlam * e
+        else:
+            return None
+    if not (lam > 0 and x.min() >= 0 and phi.min() > 0):
         return None
-    coarse = build_radial(mesh.dimension, mesh.radius, nodes)
+    return Fold(float(lam), x, phi, mesh.radii)
+
+
+def _coarse_twin(mesh: Mesh, f: Profile, g: Profile) -> tuple[Mesh, Profile, Profile]:
+    """The 64-node radial mesh of the same ball as ``mesh``, with the
+    profiles restricted onto its radii by linear interpolation, keeping
+    their ``sup``."""
+    coarse = build_radial(mesh.dimension, mesh.radius, _COARSE_NODES)
 
     def restrict(p: Profile) -> Profile:
         return Profile(np.interp(coarse.radii, mesh.radii, p.values), sup=p.sup)
 
+    return coarse, restrict(f), restrict(g)
+
+
+def _coarse_prediction(
+    mesh: Mesh, f: Profile, g: Profile, theta: float, cfg: CurveConfig,
+    previous: RaySample | None = None,
+) -> tuple[float, Fold | None] | None:
+    """The predicted lam_star of a two-level ray and the coarse fold it came
+    from, if any; None on rectangles, on meshes of fewer than 2,048 nodes,
+    below ``_COARSE_MIN_RTOL``, or when a coarse ray raises.
+
+    The coarse twin is the radial mesh of the same ball with 64 nodes
+    (``_coarse_twin``); the result is only a prediction, so any restriction
+    of the profiles onto it is sound.  The fold of the ray there
+    (``fold_point``) starts from ``previous.fold``, continuing the fold
+    along a sweep in theta.  Where there is none, or that solve fails, a
+    coarse ray runs at 0.4 max(rtol, 1e-3), and the fold starts from its
+    feasible end, with that state as phi too; a fold that fails or lands
+    outside the coarse bracket leaves the coarse ray's lam_star as the
+    prediction."""
+    if (mesh.radii is None or mesh.n_nodes < _TWO_LEVEL_NODES
+            or cfg.rtol < _COARSE_MIN_RTOL):
+        return None
+    coarse, f, g = _coarse_twin(mesh, f, g)
+    if previous is not None and previous.fold is not None:
+        fold = fold_point(coarse, f, g, theta, previous.fold)
+        if fold is not None:
+            return fold.lam, fold
     try:
-        ray = extremal_on_ray(coarse, restrict(f), restrict(g), theta,
-                              replace(cfg, rtol=_WINDOW * cfg.rtol))
+        ray, warm = _bracket(coarse, f, g, theta,
+                             replace(cfg, rtol=_WINDOW * max(cfg.rtol, _COARSE_RAY_RTOL)))
     except (ConvergenceError, NumericsError, UnboundedRayError):
         return None
-    return ray.lam_star
+    x = np.stack(warm)
+    fold = fold_point(coarse, f, g, theta, Fold(ray.lam_lo, x, x, coarse.radii))
+    if fold is None or not ray.lam_lo <= fold.lam <= ray.lam_hi:
+        return ray.lam_star, None
+    return fold.lam, fold
 
 
 def extremal_on_ray(
@@ -287,19 +419,31 @@ def extremal_on_ray(
     g: Profile,
     theta: float,
     cfg: CurveConfig = CurveConfig(),
+    previous: RaySample | None = None,
 ) -> RaySample:
     """Locate the critical parameter along the ray mu = theta * lam.
 
     On radial meshes of at least 2,048 nodes, at rtol >= 1e-5, the bracket
-    starts from the same ray on a 1/32 coarse mesh (``_coarse_prediction``):
-    the fine mesh is probed at lam_c (1 - d) and lam_c (1 + d), d = 0.4 rtol,
-    and while a probe disagrees with the prediction the window walks by its
-    own width in that direction.  A coarse ray that fails, an unresolved
-    window probe, or more than ``_MAX_WALKS`` walks falls back to the
-    analytic start: the certified lower box corner scaled into the ray and
-    the certified ``ray_upper_bound`` when available (geometric expansion
-    otherwise).  Either way the bracket is then bisected to the configured
-    relative width, and both of its ends are probe verdicts on ``mesh``.
+    starts from a prediction on a 64-node coarse twin
+    (``_coarse_prediction``): the fold of the same ray there, continued from
+    ``previous``, the sample of the ray before this one in a theta sweep
+    (see ``fold_point``), or else from a coarse ray.  The fine mesh is then
+    probed at lam_c (1 - d) and lam_c (1 + d), d = 0.4 rtol.  With a fold,
+    the lower end is first tried as a certificate: the fold state,
+    interpolated onto the fine radii, takes one Picard step there, and
+    ``certify_supersolution`` tests the result (two solves); only if that
+    fails is the lower end probed.  While a probe disagrees with the
+    prediction the window walks by its own width in that direction, and
+    after ``_MAX_WALKS`` walks by twice its last width.  An unresolved
+    window probe, or as many walks again, ends the window; the ends it
+    showed are kept, and a missing end comes from the analytic start: the
+    certified lower box corner scaled into the ray, halved until feasible,
+    and the certified ``ray_upper_bound`` when available (geometric
+    expansion otherwise).  Elsewhere the bracket starts there.  Either way
+    it is then bisected to the configured relative width, and both of its
+    ends are verdicts on ``mesh``: the prediction is never a certificate.
+    The sample carries the coarse fold, if any, as ``fold`` for the next
+    ray of a sweep.
 
     Each feasibility probe is one ``minimal_solve`` at ``probe_budget``, 16x
     the configured ``max_iter``; a probe still inconclusive there reports
@@ -311,12 +455,25 @@ def extremal_on_ray(
     is a Picard iterate, a sub-solution lying below the minimal solution of
     every larger lam on the ray; the state of the largest feasible lam is
     kept, and a probe above it starts from it (``minimal_solve``'s
-    ``start``).  An unresolved probe ends the expansion without showing
-    infeasibility; the sample's upper end then carries the witness
-    ``UNRESOLVED`` unless a later bisection probe turns out infeasible.
+    ``start``).  A lower window end certified from the fold leaves no such
+    state, so the probe above it starts from (0, 0).  An unresolved probe
+    ends the expansion without showing infeasibility; the sample's upper
+    end then carries the witness ``UNRESOLVED`` unless a later bisection
+    probe turns out infeasible.
     """
     if not 0 < theta < math.inf:
         raise ConfigurationError(f"theta must be finite and positive, got {theta!r}")
+    prediction = _coarse_prediction(mesh, f, g, theta, cfg, previous)
+    return _bracket(mesh, f, g, theta, cfg, prediction)[0]
+
+
+def _bracket(
+    mesh: Mesh, f: Profile, g: Profile, theta: float, cfg: CurveConfig,
+    prediction: tuple[float, Fold | None] | None = None,
+) -> tuple[RaySample, tuple[np.ndarray, np.ndarray] | None]:
+    """The ray of ``extremal_on_ray`` from the given prediction, and the
+    Picard state of its feasible end (None if that end was certified from
+    the fold)."""
     report = bound_report(mesh, f, g)
     lower_corner = min(report.a_f, report.a_g / theta)
     upper_corner = ray_upper_bound(report, theta)
@@ -341,29 +498,42 @@ def extremal_on_ray(
             best, warm = lam, (out.state.u, out.state.v)
         return True
 
-    def window(lam_c: float) -> tuple[float, float] | None:
-        """A feasible and an infeasible probe one window apart around the
-        prediction, or None to fall back."""
+    def certified(lam: float, fold: Fold) -> bool:
+        """lam shown feasible by the fold state, one Picard step counted."""
+        nonlocal best, iterations
+        iterations += 1
+        x = np.stack([np.interp(mesh.radii, fold.radii, c) for c in fold.x])
+        if not certify_supersolution(mesh, f, g, lam, theta * lam, x, budget):
+            return False
+        best, witness[lam] = lam, Witness.SUPERSOLUTION
+        return True
+
+    def window(lam_c: float, fold: Fold | None) -> tuple[float | None, float | None]:
+        """The last feasible and infeasible probes of a window walked from
+        the prediction, None for an end no probe showed."""
         step = (1.0 + _WINDOW * cfg.rtol) / (1.0 - _WINDOW * cfg.rtol)
         lo = hi = None
         lam = lam_c * (1.0 - _WINDOW * cfg.rtol)
-        for _ in range(_MAX_WALKS + 2):
+        probes = range(2 * _MAX_WALKS + 2)   # the two ends, then the walks
+        if fold is not None and certified(lam, fold):
+            lo, lam, probes = lam, lam * step, probes[1:]
+        for k in probes:
             verdict = probe(lam)
             if verdict is None:
-                return None
+                break
             if verdict:
-                lo, lam = lam, lam * step
+                lo = lam
             else:
-                hi, lam = lam, lam / step
+                hi = lam
             if lo is not None and hi is not None:
-                return lo, hi
-        return None
+                break
+            if k > _MAX_WALKS:
+                step *= step
+            lam = lam * step if verdict else lam / step
+        return lo, hi
 
-    lam_c = _coarse_prediction(mesh, f, g, theta, cfg)
-    bracket = None if lam_c is None else window(lam_c)
-    if bracket is not None:
-        a, b = bracket
-    else:
+    a, b = (None, None) if prediction is None else window(*prediction)
+    if a is None:
         a = lower_corner
         for _ in range(8):
             if probe(a):
@@ -373,7 +543,7 @@ def extremal_on_ray(
             raise ConvergenceError(
                 "certified lower bound numerically infeasible; discretization too coarse"
             )
-
+    if b is None:
         b = upper_corner if upper_corner is not None and upper_corner > a else 2.0 * a
         doublings = 0
         while probe(b):
@@ -410,7 +580,8 @@ def extremal_on_ray(
         supersolution_probes=ends[Witness.SUPERSOLUTION],
         unstable_probes=ends[Witness.UNSTABLE],
         touched_probes=ends[Witness.TOUCHED],
-    )
+        fold=None if prediction is None else prediction[1],
+    ), warm
 
 
 def compare_symmetrized(

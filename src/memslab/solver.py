@@ -341,6 +341,19 @@ def _supersolution(op, coeff: np.ndarray, x_hat: np.ndarray, cfg: SolveConfig,
     return bool(np.all(y <= (1.0 - _SUPER_MARGIN) * x_hat))
 
 
+def certify_supersolution(mesh: Mesh, f: Profile, g: Profile, lam: float, mu: float,
+                          x: np.ndarray, cfg: SolveConfig = SolveConfig()) -> bool:
+    """True if T(x), one Picard step at (lam, mu) from the ``(2, n)`` stack
+    x, passes the super-solution test of ``certify_feasible`` (see the
+    module notes), which shows (lam, mu) feasible.  x need not be a
+    sub-solution: any guess of the solution will do.  Two two-field solves."""
+    check_parameters(lam, mu)
+    op = mesh.operator
+    coeff = _coefficients(f, g, lam, mu)
+    y = _picard(op, coeff, x)
+    return _supersolution(op, coeff, y, cfg, np.empty_like(y))
+
+
 def minimal_solve(
     mesh: Mesh,
     f: Profile,

@@ -124,6 +124,23 @@ class TestCurve:
         code2, out2 = run(tmp_path, "curve", config)
         assert (out2 / "curve.csv").read_bytes() == first  # byte-identical rerun
 
+    def test_two_level_sweep_is_deterministic(self, tmp_path):
+        # the fold is continued from ray to ray through the samples of one
+        # sweep; nothing of it may outlive the sweep, so a second run in the
+        # same process writes the same bytes
+        config = {"domain": dict(DISK, nodes=2048), "f": ONES, "g": ONES,
+                  "theta_grid": [0.5, 1.0, 2.0]}
+        code, out = run(tmp_path, "curve", config)
+        assert code == 0
+        first = (out / "curve.csv").read_bytes()
+        header, *rows = first.decode().splitlines()[2:]
+        assert len(rows) == 3 and b"np." not in first
+        # each lower end certified from a fold: witness code 2
+        assert [dict(zip(header.split(","), r.split(",")))["lo_witness"] for r in rows] \
+            == ["2"] * 3
+        code2, out2 = run(tmp_path, "curve", config)
+        assert code2 == 0 and (out2 / "curve.csv").read_bytes() == first
+
     def test_lower_cert_below_lambda_star(self, tmp_path):
         code, out = run(
             tmp_path, "curve",
@@ -498,10 +515,10 @@ class TestExitFive:
 
         real = cli_mod.extremal_on_ray
 
-        def flaky(mesh, f, g, theta, cfg):
+        def flaky(mesh, f, g, theta, cfg, **kwargs):
             if theta == 2.0:
                 raise RuntimeError("injected ray failure")
-            return real(mesh, f, g, theta, cfg)
+            return real(mesh, f, g, theta, cfg, **kwargs)
 
         monkeypatch.setattr(cli_mod, "extremal_on_ray", flaky)
         code, out = run(

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -450,28 +451,70 @@ class TestTwoLevel:
             assert _coarse_prediction(mesh, one, one, 1.0, CurveConfig()) is None
         one = constant_profile(disk2k, 1.0)
         assert _coarse_prediction(disk2k, one, one, 1.0, CurveConfig(rtol=5e-6)) is None
-        lam_c = _coarse_prediction(disk2k, one, one, 1.0, CurveConfig())
-        assert lam_c == pytest.approx(GOLDEN_DISK_LAM_STAR, rel=5e-4)
+        # with no previous ray, the 64-node fold is polished from a coarse ray
+        lam_c, fold = _coarse_prediction(disk2k, one, one, 1.0, CurveConfig())
+        assert lam_c == fold.lam == pytest.approx(GOLDEN_DISK_LAM_STAR, rel=5e-4)
+        assert fold.x.shape == fold.phi.shape == (2, 64) and fold.phi.min() > 0
 
     def test_two_probes_when_the_prediction_holds(self, disk2k, fine_probes):
+        # the lower end is certified from the fold state, two solves and no
+        # minimal_solve, and counts as a super-solution probe; the upper end
+        # is the one probe left
         one = constant_profile(disk2k, 1.0)
         s = extremal_on_ray(disk2k, one, one, 1.0)
-        assert len(fine_probes) == 2 and fine_probes == [s.lam_lo, s.lam_hi]
+        assert fine_probes == [s.lam_hi]
+        assert s.lam_lo == s.fold.lam * (1.0 - 0.4 * CurveConfig().rtol)
+        assert s.bracket_width == pytest.approx(8e-4, rel=1e-9)
+        assert s.lo_witness is Witness.SUPERSOLUTION and s.supersolution_probes == 1
+        assert s.hi_witness in (Witness.TOUCHED, Witness.UNSTABLE)
+
+    def test_a_sweep_continues_the_fold(self, disk2k, fine_probes, monkeypatch):
+        import memslab.curve as curve_mod
+
+        one = constant_profile(disk2k, 1.0)
+        first = extremal_on_ray(disk2k, one, one, 1.0)
+        rays, real = [], curve_mod._bracket
+
+        def recording(mesh, *args):
+            rays.append(mesh.n_nodes)
+            return real(mesh, *args)
+
+        monkeypatch.setattr(curve_mod, "_bracket", recording)
+        fine_probes.clear()
+        s = extremal_on_ray(disk2k, one, one, 1.6, previous=first)
+        assert rays == [2048]   # no coarse ray: the fold came from first's
+        assert fine_probes == [s.lam_hi] and s.lo_witness is Witness.SUPERSOLUTION
+        assert s.fold.lam < first.fold.lam
+        # a previous ray without a fold starts from a coarse ray again
+        rays.clear()
+        again = extremal_on_ray(disk2k, one, one, 1.6, previous=replace(first, fold=None))
+        assert rays == [64, 2048] and again.fold is not None
+
+    def test_failed_fold_solve_keeps_the_coarse_ray(self, disk2k, fine_probes,
+                                                    monkeypatch):
+        # no fold: the coarse ray's lam_star predicts, and both ends are probed
+        import memslab.curve as curve_mod
+
+        monkeypatch.setattr(curve_mod, "fold_point", lambda *args: None)
+        one = constant_profile(disk2k, 1.0)
+        s = extremal_on_ray(disk2k, one, one, 1.0)
+        assert s.fold is None and fine_probes == [s.lam_lo, s.lam_hi]
         assert s.bracket_width == pytest.approx(8e-4, rel=1e-9)
         assert s.lo_witness is Witness.SUPERSOLUTION
         assert s.hi_witness in (Witness.TOUCHED, Witness.UNSTABLE)
 
-    @pytest.mark.parametrize("edge, walks", [(0.3, 5), (0.5, 1)])
+    @pytest.mark.parametrize("edge, walks", [(0.3, 5), (0.5, 2)])
     def test_window_walks_to_a_certified_bracket(self, disk2k, fine_probes, edge,
                                                  walks):
-        # the coarse ray misses the step's edge: its lam_c lies 0.4% below
-        # lam* (edge 0.3), so the window walks up 5 times, or 0.16% above it
-        # (edge 0.5), so it walks down once; each walk is one fine probe
+        # the 64-node fold misses the step's edge: it lies 0.4% below lam*
+        # (edge 0.3), so from the certified lower end the window walks up 5
+        # times, or 0.2% above it (edge 0.5), where the certificate fails and
+        # the window walks down twice; each walk is one fine probe
         import memslab.curve as curve_mod
 
         f, one = _step_profile(disk2k, edge), constant_profile(disk2k, 1.0)
         s = extremal_on_ray(disk2k, f, one, 1.0)
-        assert len(fine_probes) == 2 + walks
+        assert len(fine_probes) == 1 + walks
         assert s.lo_witness in (Witness.CONVERGED, Witness.SUPERSOLUTION)
         assert s.hi_witness in (Witness.TOUCHED, Witness.UNSTABLE)
         assert s.bracket_width <= CurveConfig().rtol
@@ -480,15 +523,18 @@ class TestTwoLevel:
             bisection = extremal_on_ray(disk2k, f, one, 1.0)
         assert s.lam_lo < bisection.lam_hi and bisection.lam_lo < s.lam_hi
 
-    def test_too_many_walks_fall_back_to_the_corners(self, disk2k, fine_probes,
-                                                     monkeypatch):
+    def test_too_many_walks_double_the_window(self, disk2k, fine_probes, monkeypatch):
+        # after _MAX_WALKS walks each walk doubles the window's width, and
+        # the bisection starts from the window's ends: no corner is probed
         import memslab.curve as curve_mod
 
         monkeypatch.setattr(curve_mod, "_MAX_WALKS", 2)
         f, one = _step_profile(disk2k, 0.3), constant_profile(disk2k, 1.0)
         s = extremal_on_ray(disk2k, f, one, 1.0)
-        # four window probes, then the lower corner and the certified upper end
-        assert fine_probes[4:6] == [s.lower_cert, s.upper_cert]
+        step = (1.0 + 0.4e-3) / (1.0 - 0.4e-3)
+        ratios = [b / a for a, b in zip(fine_probes, fine_probes[1:5])]
+        assert ratios == pytest.approx([step, step, step ** 2, step ** 4], rel=1e-12)
+        assert s.lower_cert not in fine_probes and s.upper_cert not in fine_probes
         assert s.lo_witness in (Witness.CONVERGED, Witness.SUPERSOLUTION)
         assert s.hi_witness in (Witness.TOUCHED, Witness.UNSTABLE)
         assert s.bracket_width <= CurveConfig().rtol
@@ -498,7 +544,7 @@ class TestTwoLevel:
         from memslab import ConvergenceError
 
         one = constant_profile(disk2k, 1.0)
-        real = curve_mod.extremal_on_ray
+        real = curve_mod._bracket
 
         def coarse_fails(mesh, *args):
             if mesh is not disk2k:
@@ -507,6 +553,7 @@ class TestTwoLevel:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(curve_mod, "_coarse_prediction", lambda *args: None)
-            bisection = real(disk2k, one, one, 1.0)
-        monkeypatch.setattr(curve_mod, "extremal_on_ray", coarse_fails)
-        assert real(disk2k, one, one, 1.0) == bisection
+            bisection = extremal_on_ray(disk2k, one, one, 1.0)
+        monkeypatch.setattr(curve_mod, "_bracket", coarse_fails)
+        s = extremal_on_ray(disk2k, one, one, 1.0)
+        assert s == bisection and s.fold is None

@@ -5,7 +5,9 @@ u >= v >= (mu/lam) u, when mu <= lam; no probe below lam* ends by the
 nonexistence certificate, and none above it by the feasibility certificate;
 lam*(theta) does not increase when the domain grows at equal spacing; a
 two-level ray's bracket overlaps the bisection bracket and ends in probe
-verdicts inside the analytic certificates; the
+verdicts inside the analytic certificates; the 64-node fold continued in
+theta lies inside the coarse bisection bracket, and on a 9-ball, which has
+no fold to resolve, the fold solve is rejected; the
 decreasing rearrangement of a profile on a rectangle is equimeasurable
 with it; and the CLI answers every small config with an exit code of its
 contract, never a traceback.
@@ -296,6 +298,40 @@ def test_two_level_ray_is_certified(case):
     assert two.hi_witness in (Witness.TOUCHED, Witness.UNSTABLE) or two.upper_unverified
     if two.upper_cert is not None:
         assert two.lower_cert <= two.lam_lo and two.lam_hi <= two.upper_cert
+
+
+@FEW
+@given(case=_two_level_rays(),
+       ratio=st.floats(math.log(1 / 1.6), math.log(1.6)).map(math.exp))
+def test_continued_fold_lies_inside_the_coarse_bracket(case, ratio):
+    # two independent ways to lam* on the 64-node coarse twin: the fold
+    # continued from the ray at theta * ratio, as along a sweep, and bisection
+    mesh, f, g, theta = case
+    _, start = curve._coarse_prediction(mesh, f, g, theta * ratio, CurveConfig())
+    coarse, cf, cg = curve._coarse_twin(mesh, f, g)
+    # a branch that ends by touching 1 (g of 1e-44 where u nears 1, say)
+    # has no fold to continue: there the coarse ray's lam_star predicts
+    assume(start is not None)
+    fold = curve.fold_point(coarse, cf, cg, theta, start)
+    assert fold is not None
+    ray = extremal_on_ray(coarse, cf, cg, theta, CurveConfig(rtol=1e-4))
+    assert not ray.upper_unverified
+    assert ray.lam_lo <= fold.lam <= ray.lam_hi
+
+
+def test_fold_is_rejected_on_the_nine_ball():
+    # N >= 8: the 64-node fold solve fails, and each ray of a sweep is the
+    # coarse-ray prediction's, as if there were no fold solve
+    mesh = build_radial(9, 1.0, 2048)
+    one = constant_profile(mesh, 1.0)
+    first = extremal_on_ray(mesh, one, one, 1.0)
+    second = extremal_on_ray(mesh, one, one, 1.6, previous=first)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(curve, "fold_point", lambda *args: None)
+        fallback = [extremal_on_ray(mesh, one, one, theta) for theta in (1.0, 1.6)]
+    assert first.fold is None and second.fold is None
+    assert [first, second] == fallback
+    assert all(not s.upper_unverified and s.bracket_width <= 1e-3 for s in fallback)
 
 
 @st.composite

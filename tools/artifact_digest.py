@@ -28,6 +28,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from memslab.cli import main  # noqa: E402
 
 DISK = {"kind": "radial", "dimension": 2, "radius": 1.0, "nodes": 64}
+# large enough for two-level rays: a 64-node fold predicts, continued in theta
+DISK2K = dict(DISK, nodes=2048)
 BALL3 = {"kind": "radial", "dimension": 3, "radius": 1.5, "nodes": 48}
 INTERVAL = {"kind": "radial", "dimension": 1, "radius": 1.0, "nodes": 512}
 SQUARE = {"kind": "rect", "lx": 1.0, "ly": 1.0, "nx": 16, "ny": 16}
@@ -79,6 +81,8 @@ RUNS = (
     ("curve-disk", "curve",
      {"domain": DISK, "f": ONES, "g": ONES, "theta_grid": [0.5, 1.0, 2.0],
       "curve": CURVE}),
+    ("curve-disk-two-level", "curve",
+     {"domain": DISK2K, "f": ONES, "g": ONES, "theta_grid": [0.5, 1.0, 2.0]}),
     ("curve-disk-power", "curve",
      {"domain": DISK, "f": ONES, "g": POWER, "theta_grid": [1.0], "curve": CURVE}),
     # a starved budget (32 loop steps a probe): unresolved probes end rays

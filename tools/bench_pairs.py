@@ -2,16 +2,18 @@
 """Benchmark a change against a parent revision in interleaved pairs.
 
     python3 tools/bench_pairs.py --parent <rev> --out BENCH_<n>.json \\
-        [--seeds 1-10] [--seconds 10]
+        [--seeds 1-10] [--seconds 10] [--parent-dir <path>]
 
 The change is the checkout this script lives in, as its files stand.  The
 parent is checked out with ``git worktree add`` into a temporary directory,
-which is removed again at exit.  For each workload that ``BENCHMARK.json``
-declares and each seed, ``perfbench/run.py --trace 0`` runs once on each
-side, one run at a time; the parent goes first on odd seeds and the change
-first on even ones.  The output file holds the environment, every run's
-result, and per workload and side the median and quartiles of each
-end-to-end metric, with the number of seeds on which the change was better.
+which is removed again at exit; with ``--parent-dir`` it is an existing
+copy of ``<rev>`` (from ``git archive``, say), run as it stands.  For each
+workload that ``BENCHMARK.json`` declares and each seed,
+``perfbench/run.py --trace 0`` runs once on each side, one run at a time;
+the parent goes first on odd seeds and the change first on even ones.
+The output file holds the environment, every run's result, and per
+workload and side the median and quartiles of each end-to-end metric, with
+the number of seeds on which the change was better.
 
 Nothing under ``perfbench/`` and no benchmark declaration is changed; each
 side runs its own copy of the benchmark.
@@ -111,6 +113,8 @@ def main(argv=None) -> int:
     parser.add_argument("--out", required=True, type=Path)
     parser.add_argument("--seeds", type=parse_seeds, default=parse_seeds("1-10"))
     parser.add_argument("--seconds", type=float, default=10.0)
+    parser.add_argument("--parent-dir", type=Path,
+                        help="an existing copy of the parent revision to run")
     args = parser.parse_args(argv)
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -118,8 +122,9 @@ def main(argv=None) -> int:
     report = {"environment": environment(args.parent), "seeds": args.seeds,
               "seconds": args.seconds, "workloads": {}}
     with tempfile.TemporaryDirectory() as tmp:
-        parent = Path(tmp) / "parent"
-        git("worktree", "add", "--detach", str(parent), args.parent)
+        parent = args.parent_dir or Path(tmp) / "parent"
+        if args.parent_dir is None:
+            git("worktree", "add", "--detach", str(parent), args.parent)
         try:
             for workload in workloads:
                 runs = []
@@ -132,8 +137,9 @@ def main(argv=None) -> int:
                 report["workloads"][workload] = {
                     "metrics": summarize(runs, bench["end_to_end"]), "runs": runs}
         finally:
-            git("worktree", "remove", "--force", str(parent))
-            git("worktree", "prune")
+            if args.parent_dir is None:
+                git("worktree", "remove", "--force", str(parent))
+                git("worktree", "prune")
     args.out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return 0
 

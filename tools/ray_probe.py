@@ -4,10 +4,12 @@
     python3 tools/ray_probe.py [--passes K]
 
 Builds the 4,096-node unit disk with f = g = 1, runs ``extremal_on_ray`` on
-the 8 frozen theta of ``perfbench/workloads.py`` once as a warm-up, then K
-more passes (3 by default).  For each pass it prints the wall seconds, the
-minor page faults the process took (the ``ru_minflt`` delta of
-``resource.getrusage``) and the sha256 of the pass's ``RaySample`` reprs:
+the 8 frozen theta of ``perfbench/workloads.py`` as one sweep, each ray
+passed the one before as ``previous`` as ``memslab curve`` does, once as a
+warm-up, then K more passes (3 by default).  For each pass it prints the
+wall seconds, the minor page faults the process took (the ``ru_minflt``
+delta of ``resource.getrusage``) and the sha256 of the pass's ``RaySample``
+reprs:
 
     pass <k>  wall_s=<seconds>  minflt=<faults>  rays=<sha256>
 
@@ -43,7 +45,10 @@ def run_pass(mesh, one) -> tuple[float, int, str]:
     """Wall seconds, minor faults and RaySample digest of one pass."""
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     start = time.perf_counter()
-    rays = [extremal_on_ray(mesh, one, one, theta) for theta in DISK_THETAS]
+    rays = []
+    for theta in DISK_THETAS:
+        rays.append(extremal_on_ray(mesh, one, one, theta,
+                                    previous=rays[-1] if rays else None))
     wall = time.perf_counter() - start
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
     digest = hashlib.sha256("\n".join(map(repr, rays)).encode()).hexdigest()
