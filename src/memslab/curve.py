@@ -16,7 +16,8 @@ the fold of the one before, which its sample carries, and only the first
 ray, or one whose solve fails, runs a coarse ray to start from.  The fine
 window is lam_c (1 -+ 0.4 rtol): its lower end is certified feasible by
 the fold state, prolonged to the fine mesh, in two solves, and one probe
-shows the upper end infeasible; a probe that disagrees walks the window.
+shows the upper end infeasible, started just below the fold from a state
+certified stable; a probe that disagrees walks the window.
 The prediction is never a certificate.  Elsewhere, and whenever the
 prediction fails, the bracket starts from the analytic certificates: a
 dimension constant lower box that is always feasible, and, where inf f and
@@ -40,8 +41,8 @@ from .exceptions import (ConfigurationError, ConvergenceError, NumericsError,
                          UnboundedRayError)
 from .mesh import Mesh, build_radial, principal_eigenpair, unit_ball_volume
 from .profiles import Profile, symmetrize
-from .solver import (NonexistenceReason, SolveConfig, Verdict, certify_supersolution,
-                     minimal_solve)
+from .solver import (NonexistenceReason, SolveConfig, Verdict, certify_stable_start,
+                     certify_supersolution, minimal_solve)
 
 _MAX_DOUBLINGS = 60
 _PROBE_BUDGET_FACTOR = 16   # a probe's loop-step budget, in units of max_iter
@@ -62,6 +63,9 @@ _COARSE_RAY_RTOL = 1e-3
 _COARSE_MIN_RTOL = 1e-5
 _WINDOW = 0.4
 _MAX_WALKS = 8      # walks of the window's own width; as many more double it
+# the upper window end starts from the fold state lowered along its null
+# vector by this fraction of its sup, where that is certified stable
+_BELOW_FOLD = 0.07
 # a fold solve ends once |d lam| <= _FOLD_RTOL * lam, within _FOLD_STEPS steps
 _FOLD_RTOL = 1e-8
 _FOLD_STEPS = 12
@@ -364,6 +368,22 @@ def fold_point(mesh: Mesh, f: Profile, g: Profile, theta: float,
     return Fold(float(lam), x, phi, mesh.radii)
 
 
+def _prolong(stack: np.ndarray, fold: Fold, mesh: Mesh) -> np.ndarray:
+    """A ``(2, n)`` stack over the fold's radii, interpolated linearly onto
+    the radii of the ball ``mesh``, through the boundary value 0 at its
+    radius (beyond the last coarse radius ``np.interp`` would hold the last
+    value)."""
+    radii = np.append(fold.radii, mesh.radius)
+    return np.stack([np.interp(mesh.radii, radii, np.append(c, 0.0)) for c in stack])
+
+
+def _below_fold(fold: Fold, mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
+    """The fold state prolonged onto ``mesh`` and lowered along the
+    prolonged null vector phi by ``_BELOW_FOLD`` of its sup, and phi."""
+    x, phi = _prolong(fold.x, fold, mesh), _prolong(fold.phi, fold, mesh)
+    return x - _BELOW_FOLD * (x.max() / phi.max()) * phi, phi
+
+
 def _coarse_twin(mesh: Mesh, f: Profile, g: Profile) -> tuple[Mesh, Profile, Profile]:
     """The 64-node radial mesh of the same ball as ``mesh``, with the
     profiles restricted onto its radii by linear interpolation, keeping
@@ -456,7 +476,12 @@ def extremal_on_ray(
     every larger lam on the ray; the state of the largest feasible lam is
     kept, and a probe above it starts from it (``minimal_solve``'s
     ``start``).  A lower window end certified from the fold leaves no such
-    state, so the probe above it starts from (0, 0).  An unresolved probe
+    state.  The probe above it starts instead from the fold state, prolonged
+    onto the fine radii and lowered along the fold's null vector phi by 0.07
+    of its sup, where ``certify_stable_start`` shows rho(K(0)) < 1 there at
+    the probed lam (2 to 6 single-field solves): such a state lies below
+    every solution (see the ``solver`` notes), so the probe's witnesses
+    keep their proofs; otherwise it starts from (0, 0).  An unresolved probe
     ends the expansion without showing infeasibility; the sample's upper
     end then carries the witness ``UNRESOLVED`` unless a later bisection
     probe turns out infeasible.
@@ -473,7 +498,8 @@ def _bracket(
 ) -> tuple[RaySample, tuple[np.ndarray, np.ndarray] | None]:
     """The ray of ``extremal_on_ray`` from the given prediction, and the
     Picard state of its feasible end (None if that end was certified from
-    the fold)."""
+    the fold).  The stable start below the fold serves the window's upper
+    end only: it is certified at that lam, not above."""
     report = bound_report(mesh, f, g)
     lower_corner = min(report.a_f, report.a_g / theta)
     upper_corner = ray_upper_bound(report, theta)
@@ -483,10 +509,12 @@ def _bracket(
     witness = {}                   # probed lam -> its witness
     iterations = newton_steps = 0
 
-    def probe(lam: float) -> bool | None:
+    def probe(lam: float, start=None) -> bool | None:
         nonlocal best, warm, iterations, newton_steps
+        if start is None and lam > best:
+            start = warm
         out = minimal_solve(mesh, f, g, lam, theta * lam, budget,
-                            start=warm if lam > best else None, certify_feasible=True)
+                            start=start, certify_feasible=True)
         iterations += out.iterations
         newton_steps += out.newton_steps
         witness[lam] = _WITNESS[out.reason or out.verdict]
@@ -502,23 +530,30 @@ def _bracket(
         """lam shown feasible by the fold state, one Picard step counted."""
         nonlocal best, iterations
         iterations += 1
-        x = np.stack([np.interp(mesh.radii, fold.radii, c) for c in fold.x])
+        x = _prolong(fold.x, fold, mesh)
         if not certify_supersolution(mesh, f, g, lam, theta * lam, x, budget):
             return False
         best, witness[lam] = lam, Witness.SUPERSOLUTION
         return True
+
+    def stable_start(lam: float, fold: Fold) -> np.ndarray | None:
+        """The fold state lowered along its null vector, if certified
+        stable at lam: a valid start of the probe there."""
+        s, phi = _below_fold(fold, mesh)
+        return s if certify_stable_start(mesh, f, g, lam, theta * lam, s, phi[1]) else None
 
     def window(lam_c: float, fold: Fold | None) -> tuple[float | None, float | None]:
         """The last feasible and infeasible probes of a window walked from
         the prediction, None for an end no probe showed."""
         step = (1.0 + _WINDOW * cfg.rtol) / (1.0 - _WINDOW * cfg.rtol)
         lo = hi = None
-        lam = lam_c * (1.0 - _WINDOW * cfg.rtol)
+        lam, start = lam_c * (1.0 - _WINDOW * cfg.rtol), None
         probes = range(2 * _MAX_WALKS + 2)   # the two ends, then the walks
         if fold is not None and certified(lam, fold):
             lo, lam, probes = lam, lam * step, probes[1:]
+            start = stable_start(lam, fold)
         for k in probes:
-            verdict = probe(lam)
+            verdict, start = probe(lam, start), None
             if verdict is None:
                 break
             if verdict:

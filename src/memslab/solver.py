@@ -80,6 +80,26 @@ fires (3.4e-5 and up).  A zero or non-finite entry of z, or no such z
 within the steps, gives no certificate: the Picard loop goes on, and touch
 stays the fallback.
 
+Both witnesses need every iterate to lie below every solution, so a start
+other than (0, 0) must lie below every solution too.  A state the solver
+reached at a smaller parameter on the same ray does, and so does a stable
+sub-solution, wherever it sits (the discrete form of the minimality of the
+stable solution; Crandall & Rabinowitz and Montenegro, as above).  Let
+s < 1 with T(s) >= s and rho(K(0)) < 1 at s, let u be any solution, and
+w = s - u.  Then w <= T(s) - T(u) = S (F(s) - F(u)) <= S F'(s) w, the last
+by the convexity of F.  S F'(s) = [[0, S a12], [S a21, 0]] is nonnegative
+with spectral radius sqrt(rho(K(0))) < 1, so (I - S F'(s))^-1 =
+sum_k (S F'(s))^k >= 0, and w <= 0.  The iterates from s therefore lie
+below every solution, and where one exists they increase to the minimal
+solution.  ``certify_stable_start`` bounds rho(K(0)) < 1 by the
+Collatz-Wielandt test above turned around: a positive z with
+max(K z / z) <= 1 - ``_PERRON_MARGIN``.  Against a refined sparse LU the
+node-wise relative rounding of K z was at most 1.5e-11 there (the states
+of ``curve``'s two-level rays at theta from 0.2 to 4 on 2,048- to
+16,384-node disks, three applications each).  K grows with lam and mu, so
+the bound holds at every smaller parameter as well.  T(s) >= s is the
+start check of ``minimal_solve``.
+
 Feasibility has a certificate of its own (Sattinger, Indiana Univ. Math.
 J. 21, 1972; Amann, SIAM Review 18, 1976): if 0 <= x_hat, max x_hat < 1 and
 T(x_hat) <= x_hat node-wise, T maps the order interval [0, x_hat] into
@@ -111,8 +131,10 @@ on rectangles, where the monotonicity of the rounded T is not proved.
 The test needs a measured q, so it runs only once three Picard steps in a
 row lead to y_k: from the start, or from a Newton step, whose jump makes
 the ratio meaningless.  After a failed test the next one waits twice as
-long as the last wait, so a probe above lam* (where every test fails) or a
-slow one pays a number of failing tests logarithmic in its loop steps.
+long as the last wait, and a Newton step only postpones it to the third
+step after, keeping the wait, so a probe above lam* (where every test
+fails) or a slow one pays a number of failing tests logarithmic in its
+loop steps.
 """
 
 from __future__ import annotations
@@ -134,7 +156,9 @@ _RESIDUAL_FLOOR = np.finfo(float).tiny   # ... or below this, where that underfl
 _NEWTON_AFTER = 5             # straight slow Picard steps before a Newton step is tried
 _SLOW_RATIO = 0.5             # a Picard step is slow if its increment ratio exceeds this
 _PERRON_STEPS = 8             # applications of K(0) in the Collatz-Wielandt test
-_PERRON_MARGIN = 1e-8         # min(K z / z) - 1 that certifies rho(K(0)) > 1
+_PERRON_MARGIN = 1e-8         # min(K z / z) - 1 that certifies rho(K(0)) > 1, and
+                              # 1 - max(K z / z) that certifies rho(K(0)) < 1
+_STABLE_STEPS = 3             # applications of K(0) in the stable-start test
 _SUPER_MARGIN = 1e-8          # T(x_hat) <= (1 - margin) x_hat certifies a super-solution
 _SUPER_Q_CAP = 0.99           # cap on the ratio q of successive two-step increments
 
@@ -302,31 +326,59 @@ def _newton_step(op, coeff: np.ndarray, x: np.ndarray, cfg: SolveConfig,
     return z, y
 
 
+def _collatz_wielandt(op, a: np.ndarray, z: np.ndarray, steps: int,
+                      buffers: np.ndarray):
+    """Collatz-Wielandt bounds on rho(K), ``K = S a12 S a21`` with the
+    couplings ``a = (a12, a21)`` and ``S = A^-1``: yields
+    ``(min(K z / z), max(K z / z))``, which enclose rho(K), for up to
+    ``steps`` positive z, the given one and then each K z normalized to
+    sup 1; a z that is not positive and finite ends it.  Each K z is two
+    single-field solves, into the rows of the ``(2, n)`` ``buffers``.  The
+    bounds are NaN if K z has a NaN, which fails every test on them."""
+    a12, a21 = a
+    kz, spare = buffers
+    for _ in range(steps):
+        if not (z.min() > 0 and z.max() < math.inf):
+            return
+        op.solve(np.multiply(a21, z, out=kz), out=kz)
+        op.solve(np.multiply(a12, kz, out=kz), out=kz)
+        ratio = np.divide(kz, z, out=spare)
+        yield ratio.min(), ratio.max()
+        z = np.divide(kz, kz.max(), out=spare)
+
+
 def _unstable_subsolution(op, coeff: np.ndarray, x: np.ndarray, prev: np.ndarray,
                           scratch: np.ndarray) -> bool:
     """Collatz-Wielandt certificate that no solution exists; see the module
     notes.  x = T(prev) is a Picard iterate; True if its residual
     ``F(x) - A x = F(x) - F(prev)`` (F the source map) is >= 0 and not 0,
     and some positive z, started from x[1], gives
-    ``min(K z / z) >= 1 + _PERRON_MARGIN`` with ``K = S a12 S a21`` at x,
-    ``S = A^-1``.  ``scratch`` is a ``(2, n)`` buffer it may overwrite.
-    The sign tests read min and max, which propagate NaN."""
+    ``min(K z / z) >= 1 + _PERRON_MARGIN`` with K at x.  ``scratch`` is a
+    ``(2, n)`` buffer it may overwrite."""
     r = _source(coeff, x[::-1])
     r -= _source(coeff, prev[::-1], scratch)
     if not (r.min() >= 0 and r.max() > 0):
         return False
-    a12, a21 = coupling_weights(coeff, x)
-    kz, spare = r           # r is spent: its rows hold K z and the next z
-    z = x[1]
-    for _ in range(_PERRON_STEPS):
-        if not (z.min() > 0 and z.max() < math.inf):
-            return False
-        op.solve(np.multiply(a21, z, out=kz), out=kz)
-        op.solve(np.multiply(a12, kz, out=kz), out=kz)
-        if np.divide(kz, z, out=spare).min() >= 1.0 + _PERRON_MARGIN:
-            return True
-        z = np.divide(kz, kz.max(), out=spare)
-    return False
+    # r is spent: its rows hold K z and the next z
+    bounds = _collatz_wielandt(op, coupling_weights(coeff, x), x[1], _PERRON_STEPS, r)
+    return any(lo >= 1.0 + _PERRON_MARGIN for lo, _ in bounds)
+
+
+def certify_stable_start(mesh: Mesh, f: Profile, g: Profile, lam: float, mu: float,
+                         x: np.ndarray, z: np.ndarray) -> bool:
+    """True if rho(K(0)) < 1 at the ``(2, n)`` stack x < 1 for (lam, mu) is
+    certified: some positive z, started from the given field and applying
+    K at most ``_STABLE_STEPS`` times, gives
+    ``max(K z / z) <= 1 - _PERRON_MARGIN``.  Then x lies below every
+    solution at (lam, mu) and at every smaller parameter with the same
+    profiles, so, where ``T(x) >= x``, it is a valid ``start`` of
+    ``minimal_solve``; see the module notes.  2 to 6 single-field solves."""
+    check_parameters(lam, mu)
+    if not x.max() < 1.0:
+        return False
+    a = coupling_weights(_coefficients(f, g, lam, mu), x)
+    bounds = _collatz_wielandt(mesh.operator, a, z, _STABLE_STEPS, np.empty_like(x))
+    return any(hi <= 1.0 - _PERRON_MARGIN for _, hi in bounds)
 
 
 def _supersolution(op, coeff: np.ndarray, x_hat: np.ndarray, cfg: SolveConfig,
@@ -394,8 +446,10 @@ def minimal_solve(
 
     ``start = (u0, v0)`` should lie below every solution, for instance a
     state the solver converged to at a smaller lam and mu on the same ray
-    (with the same profiles): the first step checks ``T(start) >= start``
-    node-wise and, if that fails, restarts from (0, 0).
+    (with the same profiles), or a state that ``certify_stable_start``
+    passes at (lam, mu) or above: the first step checks
+    ``T(start) >= start`` node-wise and, if that fails, restarts from
+    (0, 0).
 
     ``on_step(it, u, v)`` is invoked with every fresh Picard iterate, and
     with a Newton iterate that enters the touch band, mainly for trace
@@ -439,7 +493,7 @@ def minimal_solve(
         else:
             x, y = step
             newton_steps += 1
-            next_test, gap = it + 2, 1
+            next_test = max(next_test, it + 2)
         if on_step is not None:
             on_step(it, y[0], y[1])
         inc = float(np.abs(np.subtract(y, x, out=scratch), out=scratch).max())

@@ -414,8 +414,8 @@ class TestHigherDimensions:
             theta=1.0, lam_lo=4.443601822733571, lam_hi=4.443605453886516,
             lo_witness=Witness.CONVERGED, hi_witness=Witness.TOUCHED,
             lower_cert=4.444444444444445, upper_cert=6.029762051804261,
-            iterations_total=635, unresolved_probes=0, newton_steps=28,
-            supersolution_probes=5, unstable_probes=2, touched_probes=10)
+            iterations_total=645, unresolved_probes=0, newton_steps=30,
+            supersolution_probes=4, unstable_probes=2, touched_probes=10)
 
 
 def _step_profile(mesh, edge):
@@ -489,6 +489,31 @@ class TestTwoLevel:
         rays.clear()
         again = extremal_on_ray(disk2k, one, one, 1.6, previous=replace(first, fold=None))
         assert rays == [64, 2048] and again.fold is not None
+
+    def test_upper_probe_starts_below_the_fold(self, disk2k, monkeypatch):
+        # the upper probe starts from the fold state lowered along its null
+        # vector, certified stable there; without the certificate it starts
+        # from (0, 0), takes more loop steps and ends on the same bracket
+        import memslab.curve as curve_mod
+
+        starts, real = [], curve_mod.minimal_solve
+
+        def recording(mesh, f, g, lam, *args, start=None, **kwargs):
+            if mesh is disk2k:
+                starts.append(start)
+            return real(mesh, f, g, lam, *args, start=start, **kwargs)
+
+        monkeypatch.setattr(curve_mod, "minimal_solve", recording)
+        one = constant_profile(disk2k, 1.0)
+        s = extremal_on_ray(disk2k, one, one, 1.0)
+        (start,) = starts
+        np.testing.assert_array_equal(start, curve_mod._below_fold(s.fold, disk2k)[0])
+        starts.clear()
+        monkeypatch.setattr(curve_mod, "certify_stable_start", lambda *args: False)
+        cold = extremal_on_ray(disk2k, one, one, 1.0)
+        assert starts == [None]
+        assert (cold.lam_lo, cold.lam_hi) == (s.lam_lo, s.lam_hi)
+        assert s.iterations_total < cold.iterations_total
 
     def test_failed_fold_solve_keeps_the_coarse_ray(self, disk2k, fine_probes,
                                                     monkeypatch):

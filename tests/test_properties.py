@@ -36,6 +36,7 @@ from memslab.cli import main
 import memslab.curve as curve
 from memslab.curve import CurveConfig, Witness, extremal_on_ray, lower_bound
 from memslab.profiles import constant_profile, power_profile, symmetrize, tabulated_profile
+import memslab.solver as solver
 from memslab.solver import SolveConfig, Verdict, minimal_solve
 from memslab.stability import linearized_eigen
 
@@ -260,13 +261,14 @@ TWO_LEVEL_MESHES = {dim: build_radial(dim, 1.0, 2048) for dim in (1, 2, 3)}
 
 
 @st.composite
-def _two_level_rays(draw):
+def _two_level_rays(draw, kinds=("constant", "power", "tabulated")):
     """A 2,048-node unit ball of dimension 1, 2 or 3, two profiles on it
-    (constant, power, or a tabulated bump over a floor) and a theta."""
+    (constant, power, or a tabulated bump over a floor; of the given
+    ``kinds``) and a theta."""
     mesh = TWO_LEVEL_MESHES[draw(st.sampled_from(sorted(TWO_LEVEL_MESHES)))]
 
     def profile():
-        kind = draw(st.sampled_from(("constant", "power", "tabulated")))
+        kind = draw(st.sampled_from(kinds))
         if kind == "constant":
             return constant_profile(mesh, draw(st.floats(0.1, 1.0)))
         if kind == "power":
@@ -317,6 +319,25 @@ def test_continued_fold_lies_inside_the_coarse_bracket(case, ratio):
     ray = extremal_on_ray(coarse, cf, cg, theta, CurveConfig(rtol=1e-4))
     assert not ray.upper_unverified
     assert ray.lam_lo <= fold.lam <= ray.lam_hi
+
+
+@FEW
+@given(case=_two_level_rays(kinds=("constant", "power")), eps=st.floats(0.03, 0.3))
+def test_certified_stable_start_lies_below_the_minimal_solution(case, eps):
+    # a state s with T(s) >= s and rho(K(0)) < 1 certified lies below every
+    # solution (solver notes), here the fold state lowered by eps of its sup
+    # along the null vector, just below the coarse fold on the fine mesh
+    mesh, f, g, theta = case
+    _, fold = curve._coarse_prediction(mesh, f, g, theta, CurveConfig())
+    assume(fold is not None)
+    x, phi = (curve._prolong(c, fold, mesh) for c in (fold.x, fold.phi))
+    s = x - eps * (x.max() / phi.max()) * phi
+    lam, mu = (1.0 - 1e-3) * fold.lam, (1.0 - 1e-3) * fold.lam * theta
+    out = minimal_solve(mesh, f, g, lam, mu)
+    assume(out.converged)
+    t = solver._picard(mesh.operator, solver._coefficients(f, g, lam, mu), s)
+    assume(np.all(t >= s) and solver.certify_stable_start(mesh, f, g, lam, mu, s, phi[1]))
+    assert np.all(s <= np.stack([out.state.u, out.state.v]))
 
 
 def test_fold_is_rejected_on_the_nine_ball():

@@ -18,6 +18,7 @@ from memslab.solver import (
     Verdict,
     _coefficients,
     _unstable_subsolution,
+    certify_stable_start,
     coupling_weights,
     minimal_solve,
     residual,
@@ -480,6 +481,46 @@ class TestWarmStart:
         with pytest.raises(PreconditionError):
             minimal_solve(disk256, ones_disk, ones_disk, 0.5, 0.5,
                           start=(np.zeros(3), np.zeros(3)))
+
+
+class TestStableStart:
+    def test_passes_at_a_stable_state(self, disk256, ones_disk):
+        # the minimal solution below lam* is stable: rho(K(0)) < 1 there
+        lam = 0.9 * DISK4096_LAM_STAR
+        out = minimal_solve(disk256, ones_disk, ones_disk, lam, lam)
+        assert out.converged
+        x = np.stack([out.state.u, out.state.v])
+        assert certify_stable_start(disk256, ones_disk, ones_disk, lam, lam, x, x[1])
+
+    def test_refuses_at_the_fold(self):
+        # at the upper window end lam_hat (1 + 0.4 rtol) of a two-level ray,
+        # the 64-node fold state on the 2,048-node disk has rho(K(0)) just
+        # above 1 (1.0003); lowered along its null vector it is stable
+        from memslab.curve import CurveConfig, _below_fold, _coarse_prediction, _prolong
+
+        mesh = build_radial(2, 1.0, 2048)
+        one = constant_profile(mesh, 1.0)
+        _, fold = _coarse_prediction(mesh, one, one, 1.0, CurveConfig())
+        s, phi = _below_fold(fold, mesh)
+        x, lam = _prolong(fold.x, fold, mesh), fold.lam * (1.0 + 0.4 * CurveConfig().rtol)
+        # max(K z / z) bounds rho from above whatever the positive z; from
+        # z = 1, far from the Perron vector, min(K z / z) falls below 1
+        for z in (phi[1], np.ones(mesh.n_nodes)):
+            assert not certify_stable_start(mesh, one, one, lam, lam, x, z)
+        assert certify_stable_start(mesh, one, one, lam, lam, s, phi[1])
+        assert np.all(s < x)
+
+    def test_refusals(self, disk256, ones_disk):
+        # a state touching 1, or a start field that is not positive, proves nothing
+        x = np.zeros((2, disk256.n_nodes))
+        z = np.ones(disk256.n_nodes)
+        assert certify_stable_start(disk256, ones_disk, ones_disk, 0.1, 0.1, x, z)
+        x[0, 3] = 1.0
+        assert not certify_stable_start(disk256, ones_disk, ones_disk, 0.1, 0.1, x, z)
+        x[0, 3], z[3] = 0.0, 0.0
+        assert not certify_stable_start(disk256, ones_disk, ones_disk, 0.1, 0.1, x, z)
+        with pytest.raises(PreconditionError):
+            certify_stable_start(disk256, ones_disk, ones_disk, -0.1, 0.1, x, z + 1.0)
 
 
 class TestSupersolutionDescend:

@@ -37,13 +37,14 @@ def test_ray_probe_passes_repeat_bit_for_bit():
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
     assert len(lines) == 2
-    hashes = []
+    passes = []
     for label, line in zip(("warm-up", "pass 1"), lines):
-        match = re.fullmatch(label + r"  wall_s=\d+\.\d{4}  minflt=\d+  rays=([0-9a-f]{64})",
-                             line)
+        match = re.fullmatch(label + r"  wall_s=\d+\.\d{4}  minflt=\d+  solves=(\d+)  "
+                             r"rays=([0-9a-f]{64})  ends=([0-9a-f]{64})", line)
         assert match, line
-        hashes.append(match[1])
-    assert hashes[0] == hashes[1]
+        passes.append(match.groups())
+    assert passes[0] == passes[1]   # the solve count and both hashes
+    assert int(passes[0][0]) > 0
 
 
 ROOT = TOOL.parent.parent

@@ -11,6 +11,11 @@ copy of ``<rev>`` (from ``git archive``, say), run as it stands.  For each
 workload that ``BENCHMARK.json`` declares and each seed,
 ``perfbench/run.py --trace 0`` runs once on each side, one run at a time;
 the parent goes first on odd seeds and the change first on even ones.
+Before the runs the Python sources under ``src/`` and ``perfbench/`` of
+both sides are compiled to bytecode (``compileall``), so that neither side
+compiles them at every import while the other reads a cache: with
+``PYTHONDONTWRITEBYTECODE`` set, a fresh copy never gets one, and its
+``setup_s`` and ``peak_rss_mb`` read higher.
 The output file holds the environment, every run's result, and per
 workload and side the median and quartiles of each end-to-end metric, with
 the number of seeds on which the change was better.
@@ -22,6 +27,7 @@ side runs its own copy of the benchmark.
 from __future__ import annotations
 
 import argparse
+import compileall
 import json
 import os
 import platform
@@ -49,6 +55,17 @@ def parse_seeds(text: str) -> list[int]:
     if not seeds:
         raise argparse.ArgumentTypeError("no seeds")
     return seeds
+
+
+BYTECODE_DIRS = ("src", "perfbench")
+
+
+def compile_sources(root: Path) -> None:
+    """Write the bytecode of one side's ``BYTECODE_DIRS``, as imports would
+    without ``PYTHONDONTWRITEBYTECODE``."""
+    for sub in BYTECODE_DIRS:
+        if not compileall.compile_dir(root / sub, quiet=1):
+            raise RuntimeError(f"{root / sub} does not compile")
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -104,6 +121,8 @@ def environment(parent_rev: str) -> dict:
         "parent": {"rev": parent_rev, "commit": git("rev-parse", parent_rev)},
         "change": {"commit": git("rev-parse", "HEAD"),
                    "uncommitted_changes": bool(git("status", "--porcelain"))},
+        "bytecode": {"precompiled": list(BYTECODE_DIRS),
+                     "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE")},
     }
 
 
@@ -126,6 +145,8 @@ def main(argv=None) -> int:
         if args.parent_dir is None:
             git("worktree", "add", "--detach", str(parent), args.parent)
         try:
+            for root in (parent, ROOT):
+                compile_sources(root)
             for workload in workloads:
                 runs = []
                 for seed in args.seeds:

@@ -8,14 +8,17 @@ the 8 frozen theta of ``perfbench/workloads.py`` as one sweep, each ray
 passed the one before as ``previous`` as ``memslab curve`` does, once as a
 warm-up, then K more passes (3 by default).  For each pass it prints the
 wall seconds, the minor page faults the process took (the ``ru_minflt``
-delta of ``resource.getrusage``) and the sha256 of the pass's ``RaySample``
-reprs:
+delta of ``resource.getrusage``), the two-field solves on the 4,096-node
+mesh (the coarse twin's are not counted), the sha256 of the pass's
+``RaySample`` reprs and the sha256 of its (theta, lam_lo, lam_hi) alone:
 
-    pass <k>  wall_s=<seconds>  minflt=<faults>  rays=<sha256>
+    pass <k>  wall_s=<seconds>  minflt=<faults>  solves=<n>  rays=<sha256>  ends=<sha256>
 
-Run it on two checkouts and compare: the hash shows whether every ray came
-out bit for bit the same, the fault counts show how much the hot loop makes
-the allocator hand pages back and fault them in again.
+Run it on two checkouts and compare: the ``rays`` hash shows whether every
+ray came out bit for bit the same, the ``ends`` hash whether the brackets
+did when only the counters of a sample moved, and the fault counts show how
+much the hot loop makes the allocator hand pages back and fault them in
+again.
 
 memslab is imported from the ``src/`` next to this script.
 """
@@ -41,9 +44,28 @@ from memslab.profiles import constant_profile  # noqa: E402
 from workloads import DISK, DISK_THETAS  # noqa: E402
 
 
-def run_pass(mesh, one) -> tuple[float, int, str]:
-    """Wall seconds, minor faults and RaySample digest of one pass."""
+def sha256(lines) -> str:
+    return hashlib.sha256("\n".join(map(repr, lines)).encode()).hexdigest()
+
+
+def count_two_field_solves(op) -> list[int]:
+    """Wrap ``op.solve`` to count its calls on a ``(2, n)`` stack; the
+    returned one-element list holds the count."""
+    count, solve = [0], op.solve
+
+    def counted(rhs, out=None):
+        count[0] += rhs.ndim == 2
+        return solve(rhs, out)
+
+    op.solve = counted
+    return count
+
+
+def run_pass(mesh, one, solves: list[int]) -> tuple[float, int, int, str, str]:
+    """Wall seconds, minor faults, fine two-field solves and the RaySample
+    and ends digests of one pass."""
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    solves[0] = 0
     start = time.perf_counter()
     rays = []
     for theta in DISK_THETAS:
@@ -51,8 +73,8 @@ def run_pass(mesh, one) -> tuple[float, int, str]:
                                     previous=rays[-1] if rays else None))
     wall = time.perf_counter() - start
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
-    digest = hashlib.sha256("\n".join(map(repr, rays)).encode()).hexdigest()
-    return wall, faults, digest
+    ends = [(r.theta, r.lam_lo, r.lam_hi) for r in rays]
+    return wall, faults, solves[0], sha256(rays), sha256(ends)
 
 
 def main(argv=None) -> int:
@@ -61,10 +83,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     mesh = build_radial(DISK["dimension"], DISK["radius"], DISK["nodes"])
     one = constant_profile(mesh, 1.0)
+    solves = count_two_field_solves(mesh.operator)
     for k in range(args.passes + 1):
-        wall, faults, digest = run_pass(mesh, one)
+        wall, faults, n, rays, ends = run_pass(mesh, one, solves)
         label = "warm-up" if k == 0 else f"pass {k}"
-        print(f"{label}  wall_s={wall:.4f}  minflt={faults}  rays={digest}", flush=True)
+        print(f"{label}  wall_s={wall:.4f}  minflt={faults}  solves={n}  "
+              f"rays={rays}  ends={ends}", flush=True)
     return 0
 
 
