@@ -79,6 +79,13 @@ def approach_extremal(
     t = 0.99 raises ConvergenceError: a nonexistence verdict there means the
     critical parameter was overestimated, an inconclusive one that the solve
     budget ran out.  At t >= 0.99 the sample is skipped.
+
+    The sweep continues along the branch.  Each branch solve starts from the
+    last converged state, which lies below every solution at a larger
+    fraction (minimal solutions increase along the ray), as
+    ``minimal_solve``'s start must.  Each eigen solve starts from the last
+    phi1 and nu1 extrapolated linearly in t from the last two samples; a
+    start changes where a solve begins, not its contract.
     """
     if not alpha > 1:
         raise PreconditionError("alpha must exceed 1")
@@ -91,11 +98,11 @@ def approach_extremal(
     lam_star = ray.lam_lo   # stay pessimistic: sweep below the feasible end
 
     budget = probe_budget(cfg.solve)
-    samples = []
+    samples, start, phi1 = [], None, None
     for t in fractions:
         lam = t * lam_star
         mu = theta * lam
-        out = minimal_solve(mesh, f, g, lam, mu, budget)
+        out = minimal_solve(mesh, f, g, lam, mu, budget, start=start)
         if out.verdict is not Verdict.CONVERGED:
             if t < 0.99:
                 cause = ("critical parameter likely overestimated"
@@ -105,7 +112,15 @@ def approach_extremal(
                     f"minimal solve failed at fraction {t} ({out.verdict.value}); {cause}"
                 )
             continue
-        eig = linearized_eigen(mesh, f, g, lam, mu, out.state)
+        start = (out.state.u, out.state.v)
+        eig_start = None
+        if samples:
+            last, slope = samples[-1], 0.0
+            if len(samples) > 1:
+                slope = (last.nu1 - samples[-2].nu1) / (last.t - samples[-2].t)
+            eig_start = (last.nu1 + slope * (t - last.t), phi1)
+        eig = linearized_eigen(mesh, f, g, lam, mu, out.state, start=eig_start)
+        phi1 = eig.phi1
         x_val, y_val = moser_integrals(mesh, out.state, alpha)
         su, sv = out.state.sup()
         samples.append(

@@ -117,10 +117,10 @@ class DirichletLaplacian:
         self._bands = bands       # ((offset, values), ...), offsets ascending
         self._weights = weights
         self._modes = modes       # (qx, qy, eig), rectangle case
-        # qx^T, C-contiguous: the modal solve's first product is faster on
-        # it and bit for bit the same.  qy^T stays a view: the last product
-        # by a C-contiguous copy rounded differently at ny = 32 and 40
+        # qx^T and qy^T, C-contiguous: OpenBLAS's plain path multiplies
+        # by them faster than by the transposed views
         self._qx_t = None if modes is None else np.ascontiguousarray(modes[0].T)
+        self._qy_t = None if modes is None else np.ascontiguousarray(modes[1].T)
         self._solver = None       # shifted_solver(0.0), built on first use
         self._eigenpair = None    # principal_eigenpair, computed on first use
         self._work = None         # solve_coupled's (7, 2, n) workspace
@@ -212,7 +212,7 @@ class DirichletLaplacian:
         """
         if self._modes is not None:
             qx, qy, eig = self._modes
-            qx_t = self._qx_t
+            qx_t, qy_t = self._qx_t, self._qy_t
             if not nu < eig[0, 0]:
                 return None
             inv_eig = 1.0 / (eig - nu)
@@ -231,13 +231,16 @@ class DirichletLaplacian:
                     rhs = rhs / scale
                 r = rhs.reshape(rhs.shape[:-1] + inv_eig.shape)
                 u = np.matmul(qx_t, r)
-                m = np.matmul(u, qy)
+                # a right-hand product is one GEMM over every row of the
+                # stack; flat is a view of u, so it sees the qx product too
+                flat = u.reshape(-1, qy.shape[0])
+                m = (flat @ qy).reshape(u.shape)
                 m *= inv_eig
                 np.matmul(qx, m, out=u)
                 if out is None:
-                    out = (u @ qy.T).reshape(rhs.shape)
+                    out = (flat @ qy_t).reshape(rhs.shape)
                 else:
-                    np.matmul(u, qy.T, out=out.reshape(r.shape))
+                    np.matmul(flat, qy_t, out=out.reshape(flat.shape))
                 if scaled:   # an overflow of the solution gives +-inf, quietly
                     with np.errstate(over="ignore"):
                         out *= scale

@@ -86,23 +86,34 @@ def tabulated_profile(mesh: Mesh, values: np.ndarray) -> Profile:
 
 def load_tabulated(mesh: Mesh, path) -> Profile:
     """Load a tabulated profile from CSV with columns (node index, value); a
-    row without both cells or with a repeated index is rejected."""
+    row without both cells or with a repeated index is rejected.  Blank,
+    ``#`` comment and ``index`` header rows are skipped; only a row whose
+    first cell is not an integer is tested for that."""
     raw = {}
     with open(path, newline="") as fh:
-        rows = csv.reader(fh)
+        rows = csv.reader(fh.readlines())   # the lines iterating fh gives
         for row in rows:
-            if not row or row[0].startswith("#") or row[0].strip().lower() == "index":
-                continue
-            if len(row) < 2 or int(row[0]) in raw:
+            try:
+                index = int(row[0])
+            except (IndexError, ValueError):
+                if not row or row[0].startswith("#") or row[0].strip().lower() == "index":
+                    continue
+                if len(row) > 1:
+                    raise
+            if len(row) < 2 or index in raw:
                 fault = ("expected a node index and a value" if len(row) < 2
-                         else f"node {int(row[0])} given twice")
+                         else f"node {index} given twice")
                 raise ConfigurationError(f"profile file {path} line {rows.line_num}: {fault}")
-            raw[int(row[0])] = float(row[1])
-    if sorted(raw) != list(range(mesh.n_nodes)):
+            raw[index] = float(row[1])
+    n = mesh.n_nodes
+    # n distinct integers from 0 to n - 1 are exactly 0..n-1
+    if len(raw) != n or min(raw) != 0 or max(raw) != n - 1:
         raise ConfigurationError(
-            f"profile file {path} must cover node indices 0..{mesh.n_nodes - 1}"
+            f"profile file {path} must cover node indices 0..{n - 1}"
         )
-    return tabulated_profile(mesh, np.array([raw[i] for i in range(mesh.n_nodes)]))
+    values = np.empty(n)
+    values[np.fromiter(raw, int, n)] = np.fromiter(raw.values(), float, n)
+    return tabulated_profile(mesh, values)
 
 
 def symmetrize(profile: Profile, source: Mesh, target: Mesh) -> Profile:

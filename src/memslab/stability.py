@@ -23,8 +23,16 @@ iteration, each application of K being two shifted solves
 weighted by w * a21, which gives its Rayleigh quotient.  The root is found
 by a safeguarded secant on log rho in s = log(mu1 - nu), where log rho has
 slope near -2 both close to mu1 and far below it.  No block matrix is
-formed or factorized, and the fixed all-ones start vector makes runs
-repeatable.
+formed or factorized.  The secant starts at nu = 0 and the power
+iteration at x = ones, so runs are repeatable, unless ``linearized_eigen``
+is given a start.  K is self-adjoint in the weighted product, so the error
+of its Rayleigh quotient is second order in the weighted Perron residual r
+(Parlett, *The Symmetric Eigenvalue Problem*, SIAM 1998, sec. 4).  With
+need = max(1e-13, 1e-3 |log rho|), until the root test first passes an
+evaluation stops once ||r||_L^2 <= 0.1 need rho^2 ||x||_L^2 and
+sup|r| <= sqrt(need) rho sup|x|.  Later ones stop on the strict
+sup|r| <= need rho sup|x| and the root test must pass again, so the
+returned pair meets the contract of strict evaluations.
 """
 
 from __future__ import annotations
@@ -70,14 +78,15 @@ class EigenResult:
 
 
 def _principal_block_eigen(
-    mesh: Mesh, a12: np.ndarray, a21: np.ndarray
+    mesh: Mesh, a12: np.ndarray, a21: np.ndarray, start=None
 ) -> tuple[float, np.ndarray, np.ndarray, int]:
     """nu1 as the root of rho(K(nu)) = 1; the count is of K applications."""
     op, w = mesh.operator, mesh.weights
     mu1 = principal_eigenpair(op).value
     left = w * a21       # K is self-adjoint in <x, y> = sum(left * x * y)
-    x = np.ones(a12.size)
+    x = np.ones(a12.size) if start is None else start[1] / start[1].max()
     applications = 0
+    strict = False       # the stop rule of every evaluation after a root test
 
     def log_rho(nu: float):
         """log rho(K(nu)) and y = (A - nu)^-1 a21 x, with x left as the
@@ -92,37 +101,46 @@ def _principal_block_eigen(
             applications += 1
             y = solve(a21 * x)
             z = solve(a12 * y)
-            rho = (left @ (x * z)) / (left @ (x * x))
+            mass = left @ (x * x)
+            rho = (left @ (x * z)) / mass
             r = z - rho * x
-            tol = max(_POWER_RTOL, 1e-3 * abs(math.log(rho))) * rho
-            if np.abs(r).max() <= tol * np.abs(x).max():
+            need = max(_POWER_RTOL, 1e-3 * abs(math.log(rho)))
+            sup = np.abs(r).max() / (rho * np.abs(x).max())
+            if sup <= need or (not strict and sup * sup <= need
+                               and left @ (r * r) <= 0.1 * need * rho * rho * mass):
                 return math.log(rho), y
             x = z / z.max()
         raise ConvergenceError("power iteration on K(nu) did not converge")
 
     # bracket in s = log(mu1 - nu): A has nonnegative row sums, so below 0
     # ||(A - nu)^-1||_inf <= 1 / |nu| and rho <= b^2 / nu^2, under 1/4 at
-    # nu = -(2b + 1); rho grows without bound as nu -> mu1.  The secant
-    # starts at nu = 0, the stability threshold.
+    # nu = -(2b + 1); rho grows without bound as nu -> mu1.  A cold secant
+    # starts at nu = 0, the stability threshold; a warm one at its guess
+    # when that lies inside the bracket.
     b = math.sqrt(a12.max()) * math.sqrt(a21.max())
     s_neg, s_pos = math.log(mu1 + 2.0 * b + 1.0), -math.inf
-    s, s_old, g_old, nu_old = math.log(mu1), math.inf, math.inf, math.inf
+    s = math.log(mu1)
+    if start is not None and -(2.0 * b + 1.0) < start[0] < mu1:
+        s = math.log(mu1 - start[0])
+    s_old, g_old, nu_old = math.inf, math.inf, math.inf
     for _ in range(_SECANT_MAX):
         nu = mu1 - math.exp(s)
         g, y = log_rho(nu)
         if g > 0:
             s_pos = s
-        else:
+        elif g < 0:   # at g == 0 a strict evaluation follows at the same s
             s_neg = s
         width = min(abs(nu - nu_old), math.exp(s_neg) - math.exp(s_pos))
         # rho rounds to exactly 1 near the root often enough to test for
         if y is not None and (g == 0 or width <= _ROOT_TOL * (1.0 + abs(nu))):
-            # scale phi2 by <phi2, a12 phi2>_w = <phi1, a21 phi1>_w, which
-            # holds at the eigenpair because A is symmetric in the quadrature
-            # product; unlike 1 / rho it does not blow up an error in nu by
-            # 1 / (mu1 - nu)
-            scale = math.sqrt((left @ (x * x)) / ((w * a12) @ (y * y)))
-            return nu, x, scale * y, applications
+            if strict:
+                # scale phi2 by <phi2, a12 phi2>_w = <phi1, a21 phi1>_w,
+                # which holds at the eigenpair because A is symmetric in the
+                # quadrature product; unlike 1 / rho it does not blow up an
+                # error in nu by 1 / (mu1 - nu)
+                scale = math.sqrt((left @ (x * x)) / ((w * a12) @ (y * y)))
+                return nu, x, scale * y, applications
+            strict = True
         s_new = s + 0.5 * g      # log rho has slope near -2 at both ends
         if math.isfinite(g - g_old) and g != g_old:
             s_new = s - g * (s - s_old) / (g - g_old)
@@ -167,6 +185,7 @@ def linearized_eigen(
     lam: float,
     mu: float,
     state: StatePair,
+    start: tuple[float, np.ndarray] | None = None,
 ) -> EigenResult:
     """Principal eigenpair of the linearization at (u, v).
 
@@ -182,6 +201,11 @@ def linearized_eigen(
     take the first-order pair next to it (``_weakly_coupled_eigen``).  With
     exactly one of lam, mu zero the block is triangular and has no positive
     eigenpair, which raises PreconditionError.
+
+    ``start = (nu, phi1)``, say the pair of a nearby state on the branch,
+    begins the secant at the guess nu (at nu = 0 if nu >= mu1) and the
+    power iteration at the positive phi1; only where the solve begins
+    changes, not the contract.  The weakly coupled pair ignores it.
     """
     check_parameters(lam, mu)
     if (lam == 0) != (mu == 0):
@@ -193,7 +217,7 @@ def linearized_eigen(
     if math.sqrt(a12.max()) * math.sqrt(a21.max()) <= _WEAK_COUPLING:
         nu, phi1, phi2, iters = _weakly_coupled_eigen(mesh, a12, a21)
     else:
-        nu, phi1, phi2, iters = _principal_block_eigen(mesh, a12, a21)
+        nu, phi1, phi2, iters = _principal_block_eigen(mesh, a12, a21, start)
     if not (np.all(phi1 > 0) and np.all(phi2 > 0)):
         raise NumericsError("principal eigenfunction pair not strictly positive")
     scale = phi1.max()

@@ -4,16 +4,17 @@ import math
 import numpy as np
 import pytest
 
-from memslab import PreconditionError, build_radial
-from memslab.curve import CurveConfig
+from memslab import PreconditionError, build_radial, build_rect
+from memslab.curve import CurveConfig, probe_budget
 from memslab.diagnostics import (
     approach_extremal,
     moser_integrals,
     singular_residual,
     write_approach_csv,
 )
-from memslab.profiles import constant_profile
+from memslab.profiles import constant_profile, tabulated_profile
 from memslab.solver import StatePair, minimal_solve
+from memslab.stability import linearized_eigen
 
 
 @pytest.fixture(scope="module")
@@ -117,3 +118,31 @@ class TestApproachExtremal:
         write_approach_csv(path, dataclasses.replace(record, samples=(sample,)))
         lines = path.read_text().splitlines()
         assert lines[1].split(",")[4] == "2.5"
+
+
+def test_continued_sweep_matches_cold_solves():
+    # the branch-stability anchor: the 64^2 square, f the indicator of
+    # x < 0.55, g = 1, theta = 1.  Each fraction's branch and eigen solves
+    # start from the previous fraction's; a cold minimal_solve and
+    # linearized_eigen at the same (lam, mu) agree to the solver tolerance.
+    # Measured: sup u 1.5e-10 relative and nu1 1.2e-10 below t = 0.99,
+    # 2.9e-9 and 5.3e-8 at t = 0.999, where nu1 is small; the bounds allow
+    # about ten times that
+    square = build_rect(1.0, 1.0, 64, 64)
+    one = constant_profile(square, 1.0)
+    f = tabulated_profile(square, np.repeat((np.arange(64) + 0.5) / 64 < 0.55, 64)
+                          .astype(float))
+    fractions = [0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95, 0.999]
+    cfg = CurveConfig()
+    record = approach_extremal(square, f, one, 1.0, fractions, 2.0, cfg)
+    assert [s.t for s in record.samples] == fractions
+    continued = cold = 0
+    for s in record.samples:
+        out = minimal_solve(square, f, one, s.lam, s.mu, probe_budget(cfg.solve))
+        eig = linearized_eigen(square, f, one, s.lam, s.mu, out.state)
+        sup_tol, nu_tol = (1e-9, 1e-9) if s.t < 0.99 else (3e-8, 5e-7)
+        assert s.sup_u == pytest.approx(out.state.sup()[0], rel=sup_tol, abs=0)
+        assert s.nu1 == pytest.approx(eig.nu1, rel=nu_tol, abs=0)
+        continued += s.iterations
+        cold += out.iterations
+    assert continued < cold

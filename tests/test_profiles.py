@@ -117,6 +117,46 @@ class TestTabulated:
         with pytest.raises(ConfigurationError):
             load_tabulated(disk256, path)
 
+    def test_csv_skips_headers_comments_and_blank_rows(self, tmp_path):
+        # a header may repeat in any case, a comment or blank row may sit
+        # anywhere; rows keep their extra cells, and their order is free
+        mesh = build_radial(2, 1.0, 16)
+        rows = [f"{i},{i / 16!r},extra" for i in reversed(range(16))]
+        path = tmp_path / "profile.csv"
+        path.write_text("# comment\nindex,value\n\n" + "\n".join(rows[:8])
+                        + "\n  INDEX ,x\n#9,oops\n" + "\n".join(rows[8:]) + "\n")
+        p = load_tabulated(mesh, path)
+        np.testing.assert_array_equal(p.values, np.arange(16) / 16)
+
+    @pytest.mark.parametrize("text, error, message", [
+        # the line number counts physical lines, a quoted cell's newline too
+        ("index,value\n0,0.5\n1\n", ConfigurationError,
+         "line 3: expected a node index and a value"),
+        ('"0","0.5"\n"1\n",0.5\n1,0.5\n', ConfigurationError,
+         "line 4: node 1 given twice"),
+        # the first fault in file order wins: a repeat before a short row,
+        # a bad value before a repeat
+        ("0,0.5\n0,0.5\n1\n", ConfigurationError, "line 2: node 0 given twice"),
+        ("0,0.5\n1,half\n0,0.5\n", ValueError,
+         "could not convert string to float: 'half'"),
+        ("0,0.5\nx1,0.5\n", ValueError, "invalid literal for int() with base 10: 'x1'"),
+        ("x1\n", ConfigurationError, "line 1: expected a node index and a value"),
+        ("0,0.5\n1,0.5\n", ConfigurationError, "must cover node indices 0..15"),
+        ("".join(f"{i},0.5\n" for i in range(1, 17)), ConfigurationError,
+         "must cover node indices 0..15"),
+        ("".join(f"{i},0.5\n" for i in range(15)) + "99999999999999999999,0.5\n",
+         ConfigurationError, "must cover node indices 0..15"),
+    ])
+    def test_csv_faults_name_their_line(self, tmp_path, text, error, message):
+        mesh = build_radial(2, 1.0, 16)
+        path = tmp_path / "profile.csv"
+        path.write_text(text)
+        with pytest.raises(error) as info:
+            load_tabulated(mesh, path)
+        assert str(info.value).endswith(message)
+        if error is ConfigurationError:
+            assert str(info.value).startswith(f"profile file {path} ")
+
 
 class TestFingerprint:
     def test_same_data_same_fingerprint(self):

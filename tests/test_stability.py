@@ -274,6 +274,79 @@ def test_zero_state_closed_form_property(mesh, lam, mu):
     np.testing.assert_allclose(res.phi2 / res.phi1, np.sqrt(mu / lam), rtol=1e-6)
 
 
+# the feasible end of the theta = 1 ray with f = g = 1 (rtol 1e-6 rays): a
+# pair with max(lam, mu) below it is feasible for every f, g <= 1
+DISK_LAM_STAR, SQUARE_LAM_STAR = 0.7889121003438502, 2.67355874775476
+HALF_INDICATOR = tabulated_profile(SQUARE16, np.repeat(np.arange(16) < 8, 16).astype(float))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(case=st.sampled_from(["disk", "square", "square-indicator"]),
+       t=st.floats(0.01, 0.999), theta=st.floats(np.log(0.2), np.log(5.0)).map(np.exp))
+@example(case="disk", t=0.999, theta=1.0)
+@example(case="square-indicator", t=0.999, theta=0.2)
+def test_nu1_inside_the_collatz_wielandt_bracket(case, t, theta):
+    # J = [[A, -a12], [-a21, A]] is a Z-matrix, so for any positive pair phi
+    # min (J phi)/phi <= nu1 <= max (J phi)/phi over both fields and all
+    # nodes; each computed ratio is widened by the rounding of one apply
+    # (|A| phi from the scipy oracle) and nu1 by the secant's root tolerance
+    mesh, lam_star = ((SMALL_DISK, DISK_LAM_STAR) if case == "disk"
+                      else (SQUARE16, SQUARE_LAM_STAR))
+    one = constant_profile(mesh, 1.0)
+    f = HALF_INDICATOR if case == "square-indicator" else one
+    lam = t * lam_star / max(1.0, theta)
+    out = minimal_solve(mesh, f, one, lam, theta * lam)
+    assert out.converged
+    res = linearized_eigen(mesh, f, one, lam, theta * lam, out.state)
+    a = np.stack(coupling_weights((lam * f.values, theta * lam * one.values),
+                                  (out.state.u, out.state.v)))
+    phi = np.stack([res.phi1, res.phi2])
+    other = phi[::-1]
+    ratio = (mesh.operator.apply(phi) - a * other) / phi
+    eps = np.finfo(float).eps
+    abs_a_phi = np.stack([abs(oracle_matrix(mesh)) @ row for row in phi])
+    slack = 8 * eps * (abs_a_phi + a * other) / phi + 2 * eps * np.abs(ratio)
+    root = 1e-13 * (1.0 + abs(res.nu1))
+    lower, upper = (ratio - slack).min(), (ratio + slack).max()
+    assert lower - root <= res.nu1 <= upper + root
+    assert lower > 0   # the minimal branch below lam* is stable
+
+
+@pytest.mark.parametrize("case, lam0, lam", [
+    pytest.param(lambda: build_radial(2, 1.0, 4096), 0.75, 0.788, id="disk4096"),
+    pytest.param(lambda: build_rect(1.0, 1.0, 16, 16), 2.0, 2.6, id="square16"),
+    pytest.param(lambda: build_rect(2.0, 0.5, 16, 40), 1.5, 2.0, id="wide"),
+    pytest.param(lambda: build_radial(10, 1.0, 512), 0.95 * 5.777656722759934,
+                 5.777656722759934, id="ball10"),
+])
+def test_warm_start_agrees_with_cold(case, lam0, lam):
+    # the pair of a smaller lam on the ray starts the solve at the larger:
+    # the same nu1 to 1e-12 relative, in fewer applications of K
+    mesh = case()
+    one = constant_profile(mesh, 1.0)
+    near = linearized_eigen(mesh, one, one, lam0, lam0,
+                            minimal_solve(mesh, one, one, lam0, lam0).state)
+    state = minimal_solve(mesh, one, one, lam, lam).state
+    cold = linearized_eigen(mesh, one, one, lam, lam, state)
+    warm = linearized_eigen(mesh, one, one, lam, lam, state, start=(near.nu1, near.phi1))
+    assert warm.nu1 == pytest.approx(cold.nu1, rel=1e-12, abs=0)
+    np.testing.assert_allclose(warm.phi1, cold.phi1, rtol=0, atol=1e-9)
+    if mesh.dimension == 10:
+        assert warm.iterations < cold.iterations
+
+
+def test_start_above_mu1_is_a_cold_start(disk, one, mu1):
+    # a guess at or above mu1 begins at nu = 0; with x = ones as well the
+    # solve is the cold one, bit for bit
+    state = minimal_solve(disk, one, one, 0.6, 0.5).state
+    cold = linearized_eigen(disk, one, one, 0.6, 0.5, state)
+    ones = np.ones(disk.n_nodes)
+    for guess in (mu1, mu1 + 1.0, np.inf):
+        warm = linearized_eigen(disk, one, one, 0.6, 0.5, state, start=(guess, ones))
+        assert warm.nu1 == cold.nu1 and warm.iterations == cold.iterations
+        np.testing.assert_array_equal(warm.phi2, cold.phi2)
+
+
 class TestClassify:
     def test_bands(self):
         phi = np.ones(4)

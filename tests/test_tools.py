@@ -83,3 +83,12 @@ def test_bench_pairs_summary():
     assert out["wall_s"]["parent"] == {"median": 2.0, "q1": 1.5, "q3": 3.0}
     assert out["wall_s"]["change"] == {"median": 1.0, "q1": 1.0, "q3": 2.0}
     assert out["gap"]["change_wins"] == 1
+    # the artifacts whose digests differ between the sides
+    parent = bench.parse_digests("aa  run/a.csv\nbb  run/b.json\ncc  old/c.csv\n")
+    assert parent == {"run/a.csv": "aa", "run/b.json": "bb", "old/c.csv": "cc"}
+    change = {"run/a.csv": "aa", "run/b.json": "b2", "new/d.csv": "dd"}
+    assert bench.compare_digests(parent, change) == {
+        "equal": False, "changed": ["run/b.json"], "added": ["new/d.csv"],
+        "removed": ["old/c.csv"]}
+    assert bench.compare_digests(parent, dict(parent)) == {
+        "equal": True, "changed": [], "added": [], "removed": []}

@@ -18,7 +18,10 @@ compiles them at every import while the other reads a cache: with
 ``setup_s`` and ``peak_rss_mb`` read higher.
 The output file holds the environment, every run's result, and per
 workload and side the median and quartiles of each end-to-end metric, with
-the number of seeds on which the change was better.
+the number of seeds on which the change was better.  It also runs
+``tools/artifact_digest.py`` once on each side and lists, under
+``digests``, the artifacts whose bytes differ, or that only one side
+writes.
 
 Nothing under ``perfbench/`` and no benchmark declaration is changed; each
 side runs its own copy of the benchmark.
@@ -104,6 +107,27 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     return out
 
 
+def parse_digests(text: str) -> dict[str, str]:
+    """``{artifact: sha256}`` from ``tools/artifact_digest.py``'s lines."""
+    return {path: digest for digest, path in
+            (line.split("  ", 1) for line in text.splitlines() if line)}
+
+
+def compare_digests(parent: dict[str, str], change: dict[str, str]) -> dict:
+    """Which artifacts differ between the sides, each list sorted."""
+    return {"equal": parent == change,
+            "changed": sorted(p for p in parent.keys() & change.keys()
+                              if parent[p] != change[p]),
+            "added": sorted(change.keys() - parent.keys()),
+            "removed": sorted(parent.keys() - change.keys())}
+
+
+def artifact_digests(root: Path) -> dict[str, str]:
+    done = subprocess.run([sys.executable, "tools/artifact_digest.py"], cwd=root,
+                          capture_output=True, text=True, check=True)
+    return parse_digests(done.stdout)
+
+
 def environment(parent_rev: str) -> dict:
     import numpy
     import scipy
@@ -147,6 +171,8 @@ def main(argv=None) -> int:
         try:
             for root in (parent, ROOT):
                 compile_sources(root)
+            report["digests"] = compare_digests(artifact_digests(parent),
+                                                artifact_digests(ROOT))
             for workload in workloads:
                 runs = []
                 for seed in args.seeds:
