@@ -1,4 +1,5 @@
-"""Critical existence curve: two-level ray brackets and analytic bounds.
+"""Critical existence curve: a walk and a bisection per ray, and the
+analytic bounds.
 
 For each direction theta > 0 the feasible parameters along the ray
 mu = theta * lam form a bounded interval whose supremum lam_star(theta)
@@ -7,23 +8,33 @@ of a bracket is a probe verdict on the given mesh, and each sample carries
 both ends (``lam_lo`` feasible, ``lam_hi`` infeasible) with the witness
 that settled them.
 
-On radial meshes of at least 2,048 nodes the bracket starts from a
-prediction: the fold of the same ray on the 64-node radial mesh of the same
-ball, whose lam_star converges at O(h^2) and so lands inside the fine
-window (nested iteration).  The fold is a Moore-Spence Newton solve
+A ray walks geometrically until it holds both ends, then bisects them to
+the configured relative width, the shape of an unbounded search (Bentley &
+Yao, Inf. Process. Lett. 5, 1976).  A feasible probe is the lower end and
+moves the walk up by its step; an infeasible one is the upper end and
+moves it down.  An unresolved probe moves it down too, and is the upper
+end (witness UNRESOLVED) only once a lower end is known.  After
+``_MAX_WALKS`` moves the step squares at each move.  The walk gives up
+after ``_MAX_PROBES`` probes, or once lam leaves (0, inf): with
+``ConvergenceError`` if no probe was feasible, else with
+``UnboundedRayError``.
+
+On radial meshes of at least 2,048 nodes the walk starts from a
+prediction: the fold of the same ray on the 64-node radial mesh of the
+same ball, whose lam_star converges at O(h^2) and so lands within rtol of
+the fine one (nested iteration).  The fold is a Moore-Spence Newton solve
 (``fold_point``), continued in theta along a sweep: each ray starts from
 the fold of the one before, which its sample carries, and only the first
-ray, or one whose solve fails, runs a coarse ray to start from.  The fine
-window is lam_c (1 -+ 0.4 rtol): its lower end is certified feasible by
-the fold state, prolonged to the fine mesh, in two solves, and one probe
-shows the upper end infeasible, started just below the fold from a state
-certified stable; a probe that disagrees walks the window.
-The prediction is never a certificate.  Elsewhere, and whenever the
-prediction fails, the bracket starts from the analytic certificates: a
-dimension constant lower box that is always feasible, and, where inf f and
-inf g are both positive, the certified upper end ``upper_cert`` of
-``ray_upper_bound`` (geometric expansion otherwise).  Bisection then
-narrows either start to the configured relative width.
+ray, or one whose solve fails, runs a coarse ray to start from.  The walk
+starts at lam_c (1 - 0.4 rtol) with step (1 + 0.4 rtol) / (1 - 0.4 rtol).
+Where the fold state, prolonged to the fine mesh, certifies that start
+feasible (two solves), it is the lower end, and the first probe is one
+step up, started just below the fold from a state certified stable.  The
+prediction is never a certificate.  Elsewhere, and whenever the prediction
+fails, the walk starts at the certified lower box corner with step 2, and
+its first step up goes to the certified upper end ``ray_upper_bound``
+where that lies above the probe (it exists where inf f and inf g are both
+positive).
 """
 
 from __future__ import annotations
@@ -42,29 +53,31 @@ from .exceptions import (ConfigurationError, ConvergenceError, NumericsError,
 from .mesh import Mesh, build_radial, principal_eigenpair, unit_ball_volume
 from .profiles import Profile, symmetrize
 from .solver import (NonexistenceReason, SolveConfig, Verdict, certify_stable_start,
-                     certify_supersolution, minimal_solve)
+                     certify_supersolution, coupling_weights, minimal_solve, source)
 
-_MAX_DOUBLINGS = 60
+_MAX_PROBES = 60    # probes of one walk
 _PROBE_BUDGET_FACTOR = 16   # a probe's loop-step budget, in units of max_iter
 # the relative rounding of mu1 that ray_upper_bound allows for, about 100x
 # the measured error of principal_eigenpair (1e-11)
 _MU1_ROUNDING = 1e-9
 # two-level rays: a radial mesh of at least _TWO_LEVEL_NODES nodes predicts
-# lam_star on its coarse twin of _COARSE_NODES nodes, and the fine window is
-# lam_c (1 -+ _WINDOW * rtol); a coarse ray there, the start of a fold solve,
-# runs at _WINDOW * rtol but no tighter than at rtol _COARSE_RAY_RTOL
+# lam_star on its coarse twin of _COARSE_NODES nodes, and the walk starts at
+# lam_c (1 - _WINDOW * rtol) with step (1 + _WINDOW * rtol) / (1 - _WINDOW *
+# rtol); a coarse ray there, the start of a fold solve, runs at
+# _WINDOW * rtol but no tighter than at rtol _COARSE_RAY_RTOL
 _TWO_LEVEL_NODES = 2048
 _COARSE_NODES = 64
 _COARSE_RAY_RTOL = 1e-3
 # below this rtol a single ray costs more two-field solves than bisection:
-# the window walks far, as the 64-node fold misses the fine lam_star by up to
+# the walk goes far, as the 64-node fold misses the fine lam_star by up to
 # 2.5e-4 (4,096-node disk at 1e-6: 705-851 against 587-761 a ray; 480-548
 # along a continued sweep)
 _COARSE_MIN_RTOL = 1e-5
 _WINDOW = 0.4
-_MAX_WALKS = 8      # walks of the window's own width; as many more double it
-# the upper window end starts from the fold state lowered along its null
-# vector by this fraction of its sup, where that is certified stable
+_MAX_WALKS = 8      # moves of a walk by its first step; later moves square it
+# the probe above a start that the fold certified starts from the fold state
+# lowered along its null vector by this fraction of its sup, where that is
+# certified stable
 _BELOW_FOLD = 0.07
 # a fold solve ends once |d lam| <= _FOLD_RTOL * lam, within _FOLD_STEPS steps
 _FOLD_RTOL = 1e-8
@@ -340,8 +353,8 @@ def fold_point(mesh: Mesh, f: Profile, g: Profile, theta: float,
     with np.errstate(all="ignore"):
         for step in range(_FOLD_STEPS):
             d = 1.0 - x[::-1]                 # (1 - v, 1 - u)
-            s = coeff / d ** 2                # the source over lam
-            a = 2.0 * lam * coeff / d ** 3    # the couplings (a12, a21) of J
+            s = source(coeff, x[::-1])        # the source over lam
+            a = coupling_weights(lam * coeff, x)   # the couplings (a12, a21) of J
             schur = a_t.T - a[1][:, None] * s_t.T * a[0]
             try:
                 if not step:   # phi starts with one step of inverse iteration
@@ -441,50 +454,20 @@ def extremal_on_ray(
     cfg: CurveConfig = CurveConfig(),
     previous: RaySample | None = None,
 ) -> RaySample:
-    """Locate the critical parameter along the ray mu = theta * lam.
+    """The bracket of lam_star on the ray mu = theta * lam, walked and
+    bisected as the module notes describe.
 
-    On radial meshes of at least 2,048 nodes, at rtol >= 1e-5, the bracket
-    starts from a prediction on a 64-node coarse twin
-    (``_coarse_prediction``): the fold of the same ray there, continued from
-    ``previous``, the sample of the ray before this one in a theta sweep
-    (see ``fold_point``), or else from a coarse ray.  The fine mesh is then
-    probed at lam_c (1 - d) and lam_c (1 + d), d = 0.4 rtol.  With a fold,
-    the lower end is first tried as a certificate: the fold state,
-    interpolated onto the fine radii, takes one Picard step there, and
-    ``certify_supersolution`` tests the result (two solves); only if that
-    fails is the lower end probed.  While a probe disagrees with the
-    prediction the window walks by its own width in that direction, and
-    after ``_MAX_WALKS`` walks by twice its last width.  An unresolved
-    window probe, or as many walks again, ends the window; the ends it
-    showed are kept, and a missing end comes from the analytic start: the
-    certified lower box corner scaled into the ray, halved until feasible,
-    and the certified ``ray_upper_bound`` when available (geometric
-    expansion otherwise).  Elsewhere the bracket starts there.  Either way
-    it is then bisected to the configured relative width, and both of its
-    ends are verdicts on ``mesh``: the prediction is never a certificate.
-    The sample carries the coarse fold, if any, as ``fold`` for the next
-    ray of a sweep.
-
-    Each feasibility probe is one ``minimal_solve`` at ``probe_budget``, 16x
-    the configured ``max_iter``; a probe still inconclusive there reports
-    None so the bisection can stop without mis-shrinking the bracket on that
-    side.  A probe asks for the super-solution certificate
-    (``certify_feasible``), so it is feasible as soon as the Picard loop
-    exhibits a discrete super-solution below the touch band
-    (Verdict.FEASIBLE), or when it converges.  Either way the state returned
-    is a Picard iterate, a sub-solution lying below the minimal solution of
-    every larger lam on the ray; the state of the largest feasible lam is
-    kept, and a probe above it starts from it (``minimal_solve``'s
-    ``start``).  A lower window end certified from the fold leaves no such
-    state.  The probe above it starts instead from the fold state, prolonged
-    onto the fine radii and lowered along the fold's null vector phi by 0.07
-    of its sup, where ``certify_stable_start`` shows rho(K(0)) < 1 there at
-    the probed lam (2 to 6 single-field solves): such a state lies below
-    every solution (see the ``solver`` notes), so the probe's witnesses
-    keep their proofs; otherwise it starts from (0, 0).  An unresolved probe
-    ends the expansion without showing infeasibility; the sample's upper
-    end then carries the witness ``UNRESOLVED`` unless a later bisection
-    probe turns out infeasible.
+    ``previous``, the sample of the ray before this one in a theta sweep,
+    starts this ray's coarse fold solve (``_coarse_prediction``); the sample
+    carries its own fold as ``fold``.  Each probe is one ``minimal_solve``
+    at ``probe_budget`` that asks for the super-solution certificate, and a
+    probe above the largest feasible one starts from that probe's Picard
+    state, a sub-solution below the minimal solution of every larger lam.
+    Both ends are verdicts on ``mesh``.  An unresolved probe ends the
+    bisection without shrinking the bracket on its side; as the upper end
+    it carries the witness ``UNRESOLVED``.  Raises ``ConvergenceError`` if
+    no probe was feasible and ``UnboundedRayError`` if none showed an upper
+    end.
     """
     if not 0 < theta < math.inf:
         raise ConfigurationError(f"theta must be finite and positive, got {theta!r}")
@@ -498,8 +481,7 @@ def _bracket(
 ) -> tuple[RaySample, tuple[np.ndarray, np.ndarray] | None]:
     """The ray of ``extremal_on_ray`` from the given prediction, and the
     Picard state of its feasible end (None if that end was certified from
-    the fold).  The stable start below the fold serves the window's upper
-    end only: it is certified at that lam, not above."""
+    the fold)."""
     report = bound_report(mesh, f, g)
     lower_corner = min(report.a_f, report.a_g / theta)
     upper_corner = ray_upper_bound(report, theta)
@@ -526,69 +508,47 @@ def _bracket(
             best, warm = lam, (out.state.u, out.state.v)
         return True
 
-    def certified(lam: float, fold: Fold) -> bool:
-        """lam shown feasible by the fold state, one Picard step counted."""
-        nonlocal best, iterations
-        iterations += 1
-        x = _prolong(fold.x, fold, mesh)
-        if not certify_supersolution(mesh, f, g, lam, theta * lam, x, budget):
-            return False
-        best, witness[lam] = lam, Witness.SUPERSOLUTION
-        return True
-
-    def stable_start(lam: float, fold: Fold) -> np.ndarray | None:
-        """The fold state lowered along its null vector, if certified
-        stable at lam: a valid start of the probe there."""
-        s, phi = _below_fold(fold, mesh)
-        return s if certify_stable_start(mesh, f, g, lam, theta * lam, s, phi[1]) else None
-
-    def window(lam_c: float, fold: Fold | None) -> tuple[float | None, float | None]:
-        """The last feasible and infeasible probes of a window walked from
-        the prediction, None for an end no probe showed."""
+    a = b = start = None   # the feasible end, the infeasible end, a probe's start
+    if prediction is None:
+        lam, step, jump = lower_corner, 2.0, upper_corner or 0.0
+    else:
+        lam_c, fold = prediction
         step = (1.0 + _WINDOW * cfg.rtol) / (1.0 - _WINDOW * cfg.rtol)
-        lo = hi = None
-        lam, start = lam_c * (1.0 - _WINDOW * cfg.rtol), None
-        probes = range(2 * _MAX_WALKS + 2)   # the two ends, then the walks
-        if fold is not None and certified(lam, fold):
-            lo, lam, probes = lam, lam * step, probes[1:]
-            start = stable_start(lam, fold)
-        for k in probes:
-            verdict, start = probe(lam, start), None
-            if verdict is None:
-                break
-            if verdict:
-                lo = lam
-            else:
-                hi = lam
-            if lo is not None and hi is not None:
-                break
-            if k > _MAX_WALKS:
-                step *= step
-            lam = lam * step if verdict else lam / step
-        return lo, hi
-
-    a, b = (None, None) if prediction is None else window(*prediction)
-    if a is None:
-        a = lower_corner
-        for _ in range(8):
-            if probe(a):
-                break
-            a *= 0.5
+        lam, jump = lam_c * (1.0 - _WINDOW * cfg.rtol), 0.0
+        if fold is not None:   # the fold state certifies lam in one Picard step
+            iterations += 1
+            x = _prolong(fold.x, fold, mesh)
+            if certify_supersolution(mesh, f, g, lam, theta * lam, x, budget):
+                a = best = lam
+                witness[lam] = Witness.SUPERSOLUTION
+                lam *= step
+                s, phi = _below_fold(fold, mesh)   # a start certified at lam only
+                if certify_stable_start(mesh, f, g, lam, theta * lam, s, phi[1]):
+                    start = s
+    for k in range(_MAX_PROBES):
+        if not 0.0 < lam < math.inf:
+            break
+        verdict, start = probe(lam, start), None
+        if verdict:
+            a = lam
+        elif verdict is False or a is not None:
+            b = lam
+        if a is not None and b is not None:
+            break
+        if k >= _MAX_WALKS:
+            step *= step
+        if not verdict:
+            lam /= step
+        elif jump > lam:   # the first step up of an analytic walk
+            lam = jump
         else:
-            raise ConvergenceError(
-                "certified lower bound numerically infeasible; discretization too coarse"
-            )
+            lam *= step
+    if a is None:
+        raise ConvergenceError(
+            f"no feasible parameter found on theta={theta}; discretization too coarse")
     if b is None:
-        b = upper_corner if upper_corner is not None and upper_corner > a else 2.0 * a
-        doublings = 0
-        while probe(b):
-            a = b
-            b *= 2.0
-            doublings += 1
-            if doublings > _MAX_DOUBLINGS:
-                raise UnboundedRayError(
-                    f"no infeasible parameter found below {b:.3e} on theta={theta}"
-                )
+        raise UnboundedRayError(
+            f"no infeasible parameter found above {a:.3e} on theta={theta}")
 
     while (b - a) > cfg.rtol * b:
         mid = 0.5 * (a + b)

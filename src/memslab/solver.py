@@ -238,9 +238,10 @@ def _clamped_denominator(w: np.ndarray, out: np.ndarray | None = None) -> np.nda
     return np.maximum(d, DELTA_FLOOR, out=d)
 
 
-def _source(coeff: np.ndarray, other: np.ndarray,
-            out: np.ndarray | None = None) -> np.ndarray:
-    """``coeff / max(1 - other, DELTA_FLOOR)^2``, written into ``out`` if given."""
+def source(coeff: np.ndarray, other: np.ndarray,
+           out: np.ndarray | None = None) -> np.ndarray:
+    """The sources ``coeff / max(1 - other, DELTA_FLOOR)^2``, with ``other =
+    (v, u)`` for ``coeff = (lam f, mu g)``, written into ``out`` if given."""
     d = _clamped_denominator(other, out)
     np.multiply(d, d, out=d)
     return np.divide(coeff, d, out=d)
@@ -263,8 +264,8 @@ def _defect(op, coeff: np.ndarray, x: np.ndarray,
             scratch: np.ndarray | None = None) -> np.ndarray:
     """``A x - (lam f / (1 - v)^2, mu g / (1 - u)^2)`` at ``x = (u, v)``;
     A x is formed in ``scratch`` if given."""
-    source = _source(coeff, x[::-1])
-    return np.subtract(op.apply(x, out=scratch), source, out=source)
+    d = source(coeff, x[::-1])
+    return np.subtract(op.apply(x, out=scratch), d, out=d)
 
 
 def _residual(op, coeff: np.ndarray, x: np.ndarray,
@@ -290,7 +291,7 @@ def _picard(op, coeff: np.ndarray, x: np.ndarray,
     the touch test reads as touching; only NaN signals a failed clamp (max
     propagates NaN).
     """
-    y = _source(coeff, x[::-1], out)
+    y = source(coeff, x[::-1], out)
     op.solve(y, out=y)
     if np.isnan(y.max()):
         raise NumericsError("NaN iterate; floor clamp failed")
@@ -355,8 +356,8 @@ def _unstable_subsolution(op, coeff: np.ndarray, x: np.ndarray, prev: np.ndarray
     and some positive z, started from x[1], gives
     ``min(K z / z) >= 1 + _PERRON_MARGIN`` with K at x.  ``scratch`` is a
     ``(2, n)`` buffer it may overwrite."""
-    r = _source(coeff, x[::-1])
-    r -= _source(coeff, prev[::-1], scratch)
+    r = source(coeff, x[::-1])
+    r -= source(coeff, prev[::-1], scratch)
     if not (r.min() >= 0 and r.max() > 0):
         return False
     # r is spent: its rows hold K z and the next z

@@ -532,6 +532,35 @@ class TestExitFive:
         failures = json.loads((out / "curve_failures.json").read_text())
         assert failures["failures"][0]["theta"] == 2.0
 
+    @pytest.mark.parametrize("lam, error", [(1e6, "no feasible parameter"),
+                                            (1e-3, "no infeasible parameter")])
+    def test_ray_walk_failure_manifest(self, tmp_path, capsys, monkeypatch, lam,
+                                       error):
+        # every probe of the ray solves at lam: far past lam* no probe is
+        # feasible (ConvergenceError), and near 0 none is infeasible
+        # (UnboundedRayError); curve and extremal list the ray and exit 5
+        import memslab.curve as curve_mod
+
+        real = curve_mod.minimal_solve
+        monkeypatch.setattr(curve_mod, "minimal_solve",
+                            lambda mesh, f, g, _, __, *args, **kwargs:
+                            real(mesh, f, g, lam, lam, *args, **kwargs))
+        base = {"domain": DISK, "f": ONES, "g": ONES}
+        for sub in ("curve", "extremal"):
+            (tmp_path / sub).mkdir()
+        code, out = run(tmp_path / "curve", "curve", {**base, "theta_grid": [1.0]})
+        assert code == 5
+        failures = json.loads((out / "curve_failures.json").read_text())["failures"]
+        assert [f["theta"] for f in failures] == [1.0] and error in failures[0]["error"]
+        assert len((out / "curve.csv").read_text().splitlines()) == 3   # no row
+        code, out = run(tmp_path / "extremal", "extremal",
+                        {**base, "theta": 1.0, "fractions": [0.5]})
+        assert code == 5
+        assert capsys.readouterr().err == ""
+        failures = json.loads((out / "extremal_failures.json").read_text())["failures"]
+        assert [f["theta"] for f in failures] == [1.0] and error in failures[0]["error"]
+        assert not (out / "approach.csv").exists()
+
     def test_eigen_failure_manifest(self, tmp_path, capsys, monkeypatch):
         # the minimal solve converges just below the feasible end of the
         # theta = 1 ray, but the block eigen solve runs out of its budget of

@@ -408,14 +408,121 @@ class TestHigherDimensions:
         monkeypatch.setattr(solver, "_unstable_subsolution", counted_unstable)
         mesh = build_radial(8, 1.0, 128)
         one = constant_profile(mesh, 1.0)
-        s = extremal_on_ray(mesh, one, one, 1.0, CurveConfig(rtol=1e-6))
+        s = extremal_on_ray(mesh, one, one, 0.5, CurveConfig(rtol=1e-7))
         assert sum(refused) >= 1 and sum(uncertified) >= 1
         assert s == RaySample(
-            theta=1.0, lam_lo=4.443601822733571, lam_hi=4.443605453886516,
+            theta=0.5, lam_lo=6.098952519047208, lam_hi=6.098953005770014,
             lo_witness=Witness.CONVERGED, hi_witness=Witness.TOUCHED,
+            lower_cert=4.444444444444445, upper_cert=8.527371271544206,
+            iterations_total=816, unresolved_probes=0, newton_steps=38,
+            supersolution_probes=5, unstable_probes=0, touched_probes=10)
+
+    def test_infeasible_lower_corner_is_the_upper_end(self, monkeypatch):
+        # on the 8-ball the box constant is the continuum lam* itself, above
+        # the discrete one: the corner probe is infeasible, so it is the upper
+        # end, and the walk steps down once to a feasible lower end
+        import memslab.curve as curve_mod
+
+        lams, real = [], curve_mod.minimal_solve
+
+        def recording(mesh, f, g, lam, *args, **kwargs):
+            lams.append(lam)
+            return real(mesh, f, g, lam, *args, **kwargs)
+
+        monkeypatch.setattr(curve_mod, "minimal_solve", recording)
+        mesh = build_radial(8, 1.0, 128)
+        one = constant_profile(mesh, 1.0)
+        s = extremal_on_ray(mesh, one, one, 1.0, CurveConfig(rtol=1e-6))
+        assert lams[:2] == [s.lower_cert, 0.5 * s.lower_cert]
+        assert s.upper_cert not in lams and s.lam_hi < s.lower_cert
+        assert s == RaySample(
+            theta=1.0, lam_lo=4.443600972493488, lam_hi=4.443605211046006,
+            lo_witness=Witness.CONVERGED, hi_witness=Witness.UNSTABLE,
             lower_cert=4.444444444444445, upper_cert=6.029762051804261,
-            iterations_total=645, unresolved_probes=0, newton_steps=30,
-            supersolution_probes=4, unstable_probes=2, touched_probes=10)
+            iterations_total=621, unresolved_probes=0, newton_steps=30,
+            supersolution_probes=7, unstable_probes=2, touched_probes=3)
+
+
+class TestWalk:
+    """The walk that finds both ends of an analytic ray, on the 64-node disk."""
+
+    @pytest.fixture()
+    def probes(self, monkeypatch):
+        """The lams a ray probes, in order; once ``probes.at`` is set to a
+        pair (lam, mu), every probe solves there instead."""
+        import memslab.curve as curve_mod
+
+        class Probes(list):
+            at = None
+
+        probes, real = Probes(), curve_mod.minimal_solve
+
+        def patched(mesh, f, g, lam, mu, *args, **kwargs):
+            probes.append(lam)
+            lam, mu = (lam, mu) if probes.at is None else probes.at
+            return real(mesh, f, g, lam, mu, *args, **kwargs)
+
+        monkeypatch.setattr(curve_mod, "minimal_solve", patched)
+        return probes
+
+    @pytest.fixture(scope="class")
+    def disk64(self):
+        return build_radial(2, 1.0, 64)
+
+    def test_no_feasible_probe_raises(self, disk64, probes):
+        # every probe solves at a parameter far past lam*: the walk goes down
+        # from the corner, its step squares, and lam reaches 0
+        from memslab import ConvergenceError
+
+        one = constant_profile(disk64, 1.0)
+        probes.at = (1e6, 1e6)
+        with pytest.raises(ConvergenceError, match="no feasible parameter"):
+            extremal_on_ray(disk64, one, one, 1.0)
+        corner = probes[0]
+        assert probes[:9] == [corner * 0.5 ** k for k in range(9)]
+        assert probes[9] == probes[8] / 4.0 and probes[10] == probes[9] / 16.0
+        assert 0.0 < probes[-1] and len(probes) < 60
+
+    def test_every_probe_feasible_raises(self, disk64, probes):
+        # every probe solves at a small parameter: from the corner the walk
+        # goes to the certified upper end, then doubles, then squares its
+        # step until lam overflows
+        from memslab import UnboundedRayError
+
+        one = constant_profile(disk64, 1.0)
+        probes.at = (1e-3, 1e-3)
+        with pytest.raises(UnboundedRayError, match="no infeasible parameter"):
+            extremal_on_ray(disk64, one, one, 1.0)
+        upper = ray_upper_bound(bound_report(disk64, one, one), 1.0)
+        assert probes[1] == upper and probes[2] == 2.0 * upper
+        assert probes[-1] < math.inf and len(probes) < 60
+
+    def test_unresolved_lower_corner_walks_down(self, disk64, monkeypatch):
+        # the corner probe runs out of budget: it sets no end, and the walk
+        # steps down to a feasible lower end, then up to the certified upper
+        # end
+        import memslab.curve as curve_mod
+
+        one = constant_profile(disk64, 1.0)
+        corner = bound_report(disk64, one, one).a_f
+        lams, real = [], curve_mod.minimal_solve
+
+        def starved_corner(mesh, f, g, lam, mu, cfg, **kwargs):
+            lams.append(lam)
+            if lam == corner:
+                cfg = replace(cfg, max_iter=1)
+            return real(mesh, f, g, lam, mu, cfg, **kwargs)
+
+        monkeypatch.setattr(curve_mod, "minimal_solve", starved_corner)
+        s = extremal_on_ray(disk64, one, one, 1.0)
+        assert lams[:3] == [corner, 0.5 * corner, s.upper_cert]
+        assert s == RaySample(
+            theta=1.0, lam_lo=0.788839769021003, lam_hi=0.7893870395462526,
+            lo_witness=Witness.SUPERSOLUTION, hi_witness=Witness.UNSTABLE,
+            lower_cert=0.5925925925925926, upper_cert=0.8567013141519626,
+            iterations_total=102, unresolved_probes=1, newton_steps=7,
+            supersolution_probes=5, unstable_probes=6, touched_probes=1)
+        assert len(lams) == 13
 
 
 def _step_profile(mesh, edge):
@@ -549,8 +656,8 @@ class TestTwoLevel:
         assert s.lam_lo < bisection.lam_hi and bisection.lam_lo < s.lam_hi
 
     def test_too_many_walks_double_the_window(self, disk2k, fine_probes, monkeypatch):
-        # after _MAX_WALKS walks each walk doubles the window's width, and
-        # the bisection starts from the window's ends: no corner is probed
+        # after _MAX_WALKS moves each move squares the step, and the
+        # bisection starts from the walk's ends: no corner is probed
         import memslab.curve as curve_mod
 
         monkeypatch.setattr(curve_mod, "_MAX_WALKS", 2)
@@ -563,6 +670,59 @@ class TestTwoLevel:
         assert s.lo_witness in (Witness.CONVERGED, Witness.SUPERSOLUTION)
         assert s.hi_witness in (Witness.TOUCHED, Witness.UNSTABLE)
         assert s.bracket_width <= CurveConfig().rtol
+
+    def test_unresolved_probe_is_the_upper_end(self, disk2k, fine_probes):
+        # a budget of 1 (a probe gets 16 loop steps) leaves the first probe
+        # above the certified lower end unresolved: it ends the walk as the
+        # upper end, and the bracket is one step wide
+        one = constant_profile(disk2k, 1.0)
+        starved = CurveConfig(solve=SolveConfig(max_iter=1))
+        s = extremal_on_ray(disk2k, one, one, 0.5, starved)
+        assert fine_probes == [s.lam_hi]
+        assert (s.lam_lo, s.lam_hi) == (1.087896899052912, 1.0887675648384685)
+        assert s.lo_witness is Witness.SUPERSOLUTION and s.upper_unverified
+        assert s.iterations_total == 17 and s.unresolved_probes == 1
+
+    @pytest.mark.parametrize("exit", ["singular", "step cap", "final check"])
+    def test_failed_fold_solve_falls_back_to_the_coarse_ray(self, disk2k, exit,
+                                                            monkeypatch):
+        # each failure exit of fold_point returns None, and the prediction
+        # is the coarse ray's lam_star
+        import memslab.curve as curve_mod
+
+        one = constant_profile(disk2k, 1.0)
+        coarse = curve_mod._coarse_twin(disk2k, one, one)
+        ray = curve_mod._bracket(*coarse, 1.0, CurveConfig(
+            rtol=curve_mod._WINDOW * curve_mod._COARSE_RAY_RTOL))[0]
+        real_solve, real_fold = curve_mod._solve_jacobian, curve_mod.fold_point
+
+        def singular(*args):
+            raise np.linalg.LinAlgError("injected singular Schur complement")
+
+        def sign_change(schur, s_t, a, r):
+            # the null vector's first estimate changes sign halfway out
+            y = real_solve(schur, s_t, a, r)
+            if len(r) == 1:
+                y[0, :, 32:] *= -1.0
+            return y
+
+        if exit == "singular":
+            monkeypatch.setattr(curve_mod, "_solve_jacobian", singular)
+        elif exit == "step cap":
+            monkeypatch.setattr(curve_mod, "_FOLD_STEPS", 1)
+        else:   # one step, after which phi is not positive
+            monkeypatch.setattr(curve_mod, "_FOLD_RTOL", math.inf)
+            monkeypatch.setattr(curve_mod, "_solve_jacobian", sign_change)
+        folds = []
+
+        def recording(*args):
+            folds.append(real_fold(*args))
+            return folds[-1]
+
+        monkeypatch.setattr(curve_mod, "fold_point", recording)
+        assert curve_mod._coarse_prediction(disk2k, one, one, 1.0,
+                                            CurveConfig()) == (ray.lam_star, None)
+        assert folds == [None]
 
     def test_failed_coarse_ray_falls_back_to_bisection(self, disk2k, monkeypatch):
         import memslab.curve as curve_mod

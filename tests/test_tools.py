@@ -1,7 +1,7 @@
 """Smoke tests of ``tools/artifact_digest.py``, the digest list that shows a
 refactor left every CLI artifact byte-identical, of ``tools/ray_probe.py``,
-whose passes must repeat bit for bit, of the summary that
-``tools/bench_pairs.py`` writes, and of every script in ``demos/``."""
+whose passes must repeat bit for bit, of the summary and the parsers of
+``tools/bench_pairs.py``, and of every script in ``demos/``."""
 
 import os
 import re
@@ -92,3 +92,7 @@ def test_bench_pairs_summary():
         "removed": ["old/c.csv"]}
     assert bench.compare_digests(parent, dict(parent)) == {
         "equal": True, "changed": [], "added": [], "removed": []}
+    # the hashes and solves of ray_probe's timed pass, its last line
+    probe = ("warm-up  wall_s=0.0735  minflt=879  solves=371  rays=aa  ends=bb\n"
+             "pass 1  wall_s=0.0686  minflt=801  solves=370  rays=cc  ends=dd\n")
+    assert bench.parse_ray_probe(probe) == {"rays": "cc", "ends": "dd", "solves": 370}

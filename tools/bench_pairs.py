@@ -21,7 +21,9 @@ workload and side the median and quartiles of each end-to-end metric, with
 the number of seeds on which the change was better.  It also runs
 ``tools/artifact_digest.py`` once on each side and lists, under
 ``digests``, the artifacts whose bytes differ, or that only one side
-writes.
+writes; and it runs ``tools/ray_probe.py --passes 1`` once on each side
+and records, under ``ray_probe``, each side's ray and end hashes and fine
+two-field solves of the timed pass, and whether they are equal.
 
 Nothing under ``perfbench/`` and no benchmark declaration is changed; each
 side runs its own copy of the benchmark.
@@ -128,6 +130,20 @@ def artifact_digests(root: Path) -> dict[str, str]:
     return parse_digests(done.stdout)
 
 
+def parse_ray_probe(text: str) -> dict:
+    """``{rays, ends, solves}`` of the last pass ``tools/ray_probe.py`` prints."""
+    fields = dict(item.split("=", 1) for item in text.splitlines()[-1].split()
+                  if "=" in item)
+    return {"rays": fields["rays"], "ends": fields["ends"],
+            "solves": int(fields["solves"])}
+
+
+def ray_probe(root: Path) -> dict:
+    done = subprocess.run([sys.executable, "tools/ray_probe.py", "--passes", "1"],
+                          cwd=root, capture_output=True, text=True, check=True)
+    return parse_ray_probe(done.stdout)
+
+
 def environment(parent_rev: str) -> dict:
     import numpy
     import scipy
@@ -173,6 +189,9 @@ def main(argv=None) -> int:
                 compile_sources(root)
             report["digests"] = compare_digests(artifact_digests(parent),
                                                 artifact_digests(ROOT))
+            probes = {"parent": ray_probe(parent), "change": ray_probe(ROOT)}
+            report["ray_probe"] = {**probes,
+                                   "equal": probes["parent"] == probes["change"]}
             for workload in workloads:
                 runs = []
                 for seed in args.seeds:
