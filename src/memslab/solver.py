@@ -93,12 +93,17 @@ sum_k (S F'(s))^k >= 0, and w <= 0.  The iterates from s therefore lie
 below every solution, and where one exists they increase to the minimal
 solution.  ``certify_stable_start`` bounds rho(K(0)) < 1 by the
 Collatz-Wielandt test above turned around: a positive z with
-max(K z / z) <= 1 - ``_PERRON_MARGIN``.  Against a refined sparse LU the
-node-wise relative rounding of K z was at most 1.5e-11 there (the states
-of ``curve``'s two-level rays at theta from 0.2 to 4 on 2,048- to
-16,384-node disks, three applications each).  K grows with lam and mu, so
-the bound holds at every smaller parameter as well.  T(s) >= s is the
-start check of ``minimal_solve``.
+max(K z / z) <= 1 - ``_PERRON_MARGIN``.  Against a sparse LU refined once
+with a long-double residual, the node-wise relative rounding of K z was at
+most 6.6e-11 there (the starts of ``curve``'s two-level rays at theta from
+0.2 to 4 on 2,048- to 16,384-node disks, three applications each).  K
+grows with lam and mu, so the bound holds at every smaller parameter as
+well.  T(s) >= s is the start check of ``minimal_solve``.  ``curve``
+takes s from one Picard step on the fine mesh, the one that certified the
+ray's lower end from the prolonged 64-node fold state, lowered along the
+fold's null vector: the step smooths the kinks of the linear
+prolongation, which broke T(s) >= s where a profile makes a boundary
+layer (g = r^2).
 
 Feasibility has a certificate of its own (Sattinger, Indiana Univ. Math.
 J. 21, 1972; Amann, SIAM Review 18, 1976): if 0 <= x_hat, max x_hat < 1 and
@@ -395,16 +400,17 @@ def _supersolution(op, coeff: np.ndarray, x_hat: np.ndarray, cfg: SolveConfig,
 
 
 def certify_supersolution(mesh: Mesh, f: Profile, g: Profile, lam: float, mu: float,
-                          x: np.ndarray, cfg: SolveConfig = SolveConfig()) -> bool:
-    """True if T(x), one Picard step at (lam, mu) from the ``(2, n)`` stack
-    x, passes the super-solution test of ``certify_feasible`` (see the
-    module notes), which shows (lam, mu) feasible.  x need not be a
-    sub-solution: any guess of the solution will do.  Two two-field solves."""
+                          x: np.ndarray, cfg: SolveConfig = SolveConfig()) -> np.ndarray | None:
+    """T(x), one Picard step at (lam, mu) from the ``(2, n)`` stack x, if it
+    passes the super-solution test of ``certify_feasible`` (see the module
+    notes), which shows (lam, mu) feasible; None if it does not.  x need not
+    be a sub-solution: any guess of the solution will do, and T(x) is that
+    guess smoothed on this mesh.  Two two-field solves."""
     check_parameters(lam, mu)
     op = mesh.operator
     coeff = _coefficients(f, g, lam, mu)
     y = _picard(op, coeff, x)
-    return _supersolution(op, coeff, y, cfg, np.empty_like(y))
+    return y if _supersolution(op, coeff, y, cfg, np.empty_like(y)) else None
 
 
 def minimal_solve(

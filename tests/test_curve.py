@@ -20,6 +20,7 @@ from memslab.curve import (
     extremal_on_ray,
     lower_bound,
     lower_bound_power,
+    probe_budget,
     upper_bound,
     write_bounds_json,
     write_trace_csv,
@@ -598,10 +599,12 @@ class TestTwoLevel:
         assert rays == [64, 2048] and again.fold is not None
 
     def test_upper_probe_starts_below_the_fold(self, disk2k, monkeypatch):
-        # the upper probe starts from the fold state lowered along its null
-        # vector, certified stable there; without the certificate it starts
-        # from (0, 0), takes more loop steps and ends on the same bracket
+        # the upper probe starts from the Picard step of the lower end's
+        # certificate lowered along the fold's null vector, certified stable
+        # there; without the certificate it starts from (0, 0), takes more
+        # loop steps and ends on the same bracket
         import memslab.curve as curve_mod
+        from memslab.solver import certify_supersolution
 
         starts, real = [], curve_mod.minimal_solve
 
@@ -614,13 +617,41 @@ class TestTwoLevel:
         one = constant_profile(disk2k, 1.0)
         s = extremal_on_ray(disk2k, one, one, 1.0)
         (start,) = starts
-        np.testing.assert_array_equal(start, curve_mod._below_fold(s.fold, disk2k)[0])
+        x = curve_mod._prolong(s.fold.x, s.fold, disk2k)
+        y = certify_supersolution(disk2k, one, one, s.lam_lo, s.lam_lo, x,
+                                  probe_budget(CurveConfig().solve))
+        np.testing.assert_array_equal(start, curve_mod._below_fold(y, s.fold, disk2k)[0])
         starts.clear()
         monkeypatch.setattr(curve_mod, "certify_stable_start", lambda *args: False)
         cold = extremal_on_ray(disk2k, one, one, 1.0)
         assert starts == [None]
         assert (cold.lam_lo, cold.lam_hi) == (s.lam_lo, s.lam_hi)
         assert s.iterations_total < cold.iterations_total
+
+    def test_upper_probes_keep_their_start_in_a_boundary_layer(self, disk2k, monkeypatch):
+        # with g = r^2 the linear prolongation of the 64-node fold state
+        # misses the boundary layer, and lowered by 7% it failed T(s) >= s
+        # on 4 of these 8 rays; the certificate's Picard step smooths it, so
+        # every fine upper probe of the sweep keeps its start
+        import memslab.curve as curve_mod
+        from memslab.solver import source
+
+        starts, real = [], curve_mod.minimal_solve
+
+        def recording(mesh, f, g, lam, mu, *args, start=None, **kwargs):
+            if mesh is disk2k and start is not None:
+                starts.append((lam, mu, np.stack(start)))
+            return real(mesh, f, g, lam, mu, *args, start=start, **kwargs)
+
+        monkeypatch.setattr(curve_mod, "minimal_solve", recording)
+        f, g = constant_profile(disk2k, 1.0), power_profile(disk2k, 2.0)
+        ray = None
+        for theta in (0.2, 0.3, 0.45, 0.7, 1.0, 1.6, 2.5, 4.0):   # disk-sweep's grid
+            ray = extremal_on_ray(disk2k, f, g, theta, previous=ray)
+        assert len(starts) == 8
+        for lam, mu, s in starts:
+            coeff = np.stack([lam * f.values, mu * g.values])
+            assert np.all(disk2k.operator.solve(source(coeff, s[::-1])) >= s)
 
     def test_failed_fold_solve_keeps_the_coarse_ray(self, disk2k, fine_probes,
                                                     monkeypatch):
@@ -671,10 +702,13 @@ class TestTwoLevel:
         assert s.hi_witness in (Witness.TOUCHED, Witness.UNSTABLE)
         assert s.bracket_width <= CurveConfig().rtol
 
-    def test_unresolved_probe_is_the_upper_end(self, disk2k, fine_probes):
-        # a budget of 1 (a probe gets 16 loop steps) leaves the first probe
-        # above the certified lower end unresolved: it ends the walk as the
-        # upper end, and the bracket is one step wide
+    def test_unresolved_probe_is_the_upper_end(self, disk2k, fine_probes, monkeypatch):
+        # a budget of 1 (a probe gets 16 loop steps) and no stable start
+        # leave the first probe above the certified lower end unresolved: it
+        # ends the walk as the upper end, and the bracket is one step wide
+        import memslab.curve as curve_mod
+
+        monkeypatch.setattr(curve_mod, "certify_stable_start", lambda *args: False)
         one = constant_profile(disk2k, 1.0)
         starved = CurveConfig(solve=SolveConfig(max_iter=1))
         s = extremal_on_ray(disk2k, one, one, 0.5, starved)

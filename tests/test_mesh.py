@@ -353,16 +353,51 @@ class TestStackedSolve:
         assert op.solve(rhs, out=rhs) is rhs
         np.testing.assert_array_equal(rhs, expected)
 
+    @pytest.mark.parametrize("layout", ["mixed sign", "rows reversed", "nodes reversed"])
+    def test_radial_stack_layouts(self, disk256, layout, rng):
+        # the paired scans of a (2, n) stack read any sign and any strides,
+        # each row bit for bit the two running sums of its single field
+        op = disk256.operator
+        (_, off), = op._bands
+        inv_c = 1.0 / np.append(-off, op._diag[-1] + off[-1])
+
+        def running_sums(rhs):
+            return np.cumsum((np.cumsum(disk256.weights * rhs) * inv_c)[::-1])[::-1]
+
+        stack = rng.uniform(-1.0 if layout == "mixed sign" else 0.0, 1.0, (2, op.size))
+        if layout == "rows reversed":
+            stack = stack[::-1]
+        elif layout == "nodes reversed":
+            stack = stack[:, ::-1]
+        expected = np.stack([running_sums(row) for row in stack])
+        for row, field in zip(expected, stack):
+            np.testing.assert_array_equal(op.solve(field), row)
+        np.testing.assert_array_equal(op.solve(stack), expected)
+        np.testing.assert_array_equal(op.solve(stack, out=np.empty((2, op.size))), expected)
+
     @pytest.mark.parametrize("stacked", [False, True])
     def test_radial_overflow_gives_inf_quietly(self, disk256, stacked):
-        # pyproject turns every RuntimeWarning into an error, so a warning
-        # from the overflowing running sums fails this test
+        # the unit disk's solution of 1e308 is 1e308 times the torsion
+        # function (sup 1/4), but the first running sum of w rhs would
+        # overflow without the power-of-two scaling; pyproject turns every
+        # RuntimeWarning into an error, so a warning fails this test
         op = disk256.operator
-        rhs = np.full((2, op.size) if stacked else op.size, 1e308)
-        assert np.all(op.solve(rhs) == np.inf)
-        out = np.empty_like(rhs)
-        assert np.all(op.solve(rhs, out=out) == np.inf)
-        assert np.all(op.solve(rhs, out=rhs) == np.inf)
+        shape = (2, op.size) if stacked else op.size
+        rhs = np.full(shape, 1e308)
+        expected = op.solve(rhs / 2.0**64) * 2.0**64
+        assert expected.max() == pytest.approx(0.25e308, rel=1e-3)
+        np.testing.assert_array_equal(op.solve(rhs), expected)
+        np.testing.assert_array_equal(op.solve(rhs, out=np.empty_like(rhs)), expected)
+        np.testing.assert_array_equal(op.solve(rhs, out=rhs), expected)
+        # on a disk of radius 100 the solution itself overflows: +inf, quietly
+        wide = build_radial(2, 100.0, 64).operator
+        assert np.all(wide.solve(np.full((2, 64) if stacked else 64, 1e308)) == np.inf)
+        # so do mixed signs: the running sum over the inner 7/8 overflows
+        rhs = np.full(shape, 1e308)
+        rhs[..., -op.size // 8:] *= -1.0
+        expected = op.solve(rhs / 2.0**64) * 2.0**64
+        assert np.all(np.isfinite(expected))
+        np.testing.assert_array_equal(op.solve(rhs), expected)
 
     @pytest.mark.parametrize("name", ["disk256", "square64"])
     def test_solvers_free_without_a_collection(self, request, name):

@@ -19,9 +19,11 @@ from memslab.solver import (
     _coefficients,
     _unstable_subsolution,
     certify_stable_start,
+    certify_supersolution,
     coupling_weights,
     minimal_solve,
     residual,
+    source,
     write_solution_csv,
 )
 
@@ -495,20 +497,25 @@ class TestStableStart:
     def test_refuses_at_the_fold(self):
         # at the upper window end lam_hat (1 + 0.4 rtol) of a two-level ray,
         # the 64-node fold state on the 2,048-node disk has rho(K(0)) just
-        # above 1 (1.0003); lowered along its null vector it is stable
-        from memslab.curve import CurveConfig, _below_fold, _coarse_prediction, _prolong
+        # above 1 (1.0003); the Picard step y that certifies the lower end
+        # lam_hat (1 - 0.4 rtol), lowered along the null vector, is stable
+        from memslab.curve import (CurveConfig, _below_fold, _coarse_prediction, _prolong,
+                                   probe_budget)
 
         mesh = build_radial(2, 1.0, 2048)
         one = constant_profile(mesh, 1.0)
-        _, fold = _coarse_prediction(mesh, one, one, 1.0, CurveConfig())
-        s, phi = _below_fold(fold, mesh)
-        x, lam = _prolong(fold.x, fold, mesh), fold.lam * (1.0 + 0.4 * CurveConfig().rtol)
+        cfg = CurveConfig()
+        _, fold = _coarse_prediction(mesh, one, one, 1.0, cfg)
+        x = _prolong(fold.x, fold, mesh)
+        lo, lam = fold.lam * (1.0 - 0.4 * cfg.rtol), fold.lam * (1.0 + 0.4 * cfg.rtol)
+        y = certify_supersolution(mesh, one, one, lo, lo, x, probe_budget(cfg.solve))
+        s, phi = _below_fold(y, fold, mesh)
         # max(K z / z) bounds rho from above whatever the positive z; from
         # z = 1, far from the Perron vector, min(K z / z) falls below 1
         for z in (phi[1], np.ones(mesh.n_nodes)):
             assert not certify_stable_start(mesh, one, one, lam, lam, x, z)
         assert certify_stable_start(mesh, one, one, lam, lam, s, phi[1])
-        assert np.all(s < x)
+        assert np.all(s < y)
 
     def test_refusals(self, disk256, ones_disk):
         # a state touching 1, or a start field that is not positive, proves nothing
@@ -521,6 +528,21 @@ class TestStableStart:
         assert not certify_stable_start(disk256, ones_disk, ones_disk, 0.1, 0.1, x, z)
         with pytest.raises(PreconditionError):
             certify_stable_start(disk256, ones_disk, ones_disk, -0.1, 0.1, x, z + 1.0)
+
+
+class TestCertifySupersolution:
+    def test_returns_the_picard_step_it_certified(self, disk256, ones_disk):
+        # the solution x at lam passes at 0.9 lam, where T(x) = 0.9 x with
+        # f = g = 1, and the certificate returns that T(x); at lam itself
+        # T(x) = x is not strictly below x
+        lam = 0.8 * DISK4096_LAM_STAR
+        out = minimal_solve(disk256, ones_disk, ones_disk, lam, lam)
+        x = np.stack([out.state.u, out.state.v])
+        y = certify_supersolution(disk256, ones_disk, ones_disk, 0.9 * lam, 0.9 * lam, x)
+        coeff = np.stack([0.9 * lam * ones_disk.values] * 2)
+        np.testing.assert_array_equal(y, disk256.operator.solve(source(coeff, x[::-1])))
+        np.testing.assert_allclose(y, 0.9 * x, rtol=1e-6)
+        assert certify_supersolution(disk256, ones_disk, ones_disk, lam, lam, x) is None
 
 
 class TestSupersolutionDescend:

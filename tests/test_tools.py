@@ -40,11 +40,14 @@ def test_ray_probe_passes_repeat_bit_for_bit():
     passes = []
     for label, line in zip(("warm-up", "pass 1"), lines):
         match = re.fullmatch(label + r"  wall_s=\d+\.\d{4}  minflt=\d+  solves=(\d+)  "
+                             r"starts=(\d+)  restarts=(\d+)  "
                              r"rays=([0-9a-f]{64})  ends=([0-9a-f]{64})", line)
         assert match, line
         passes.append(match.groups())
-    assert passes[0] == passes[1]   # the solve count and both hashes
+    assert passes[0] == passes[1]   # the counts and both hashes
     assert int(passes[0][0]) > 0
+    # every ray's upper probe starts below the fold and keeps its start
+    assert passes[0][1:3] == ("8", "0")
 
 
 ROOT = TOOL.parent.parent

@@ -9,10 +9,12 @@ passed the one before as ``previous`` as ``memslab curve`` does, once as a
 warm-up, then K more passes (3 by default).  For each pass it prints the
 wall seconds, the minor page faults the process took (the ``ru_minflt``
 delta of ``resource.getrusage``), the two-field solves on the 4,096-node
-mesh (the coarse twin's are not counted), the sha256 of the pass's
-``RaySample`` reprs and the sha256 of its (theta, lam_lo, lam_hi) alone:
+mesh (the coarse twin's are not counted), the probes on that mesh handed
+a start and how many of those ``minimal_solve`` restarted from (0, 0)
+because T(s) >= s failed, the sha256 of the pass's ``RaySample`` reprs and
+the sha256 of its (theta, lam_lo, lam_hi) alone:
 
-    pass <k>  wall_s=<seconds>  minflt=<faults>  solves=<n>  rays=<sha256>  ends=<sha256>
+    pass <k>  wall_s=<seconds>  minflt=<faults>  solves=<n>  starts=<n>  restarts=<n>  rays=<sha256>  ends=<sha256>
 
 Run it on two checkouts and compare: the ``rays`` hash shows whether every
 ray came out bit for bit the same, the ``ends`` hash whether the brackets
@@ -38,6 +40,9 @@ for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[var] = "1"   # before numpy loads, as perfbench/run.py does
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
+import numpy as np  # noqa: E402
+
+import memslab.curve  # noqa: E402
 from memslab.curve import extremal_on_ray  # noqa: E402
 from memslab.mesh import build_radial  # noqa: E402
 from memslab.profiles import constant_profile  # noqa: E402
@@ -61,11 +66,36 @@ def count_two_field_solves(op) -> list[int]:
     return count
 
 
-def run_pass(mesh, one, solves: list[int]) -> tuple[float, int, int, str, str]:
-    """Wall seconds, minor faults, fine two-field solves and the RaySample
-    and ends digests of one pass."""
+def count_started_probes(mesh) -> list[int]:
+    """Wrap ``memslab.curve.minimal_solve`` to count the probes on ``mesh``
+    handed a start s and those of them restarted from (0, 0); the returned
+    list holds the two counts.  A probe restarted exactly when its first
+    Picard iterate is not >= s: kept, that iterate is T(s) >= s; restarted,
+    it is T(0), which lies below s wherever T(s) does, as T is monotone and
+    s >= 0.  No solve is added."""
+    counts, solve = [0, 0], memslab.curve.minimal_solve
+
+    def counted(m, f, g, lam, mu, *args, start=None, **kwargs):
+        if m is mesh and start is not None:
+            counts[0] += 1
+
+            def on_step(it, u, v):
+                if it == 1:
+                    counts[1] += bool(np.any(u < start[0]) or np.any(v < start[1]))
+
+            kwargs["on_step"] = on_step
+        return solve(m, f, g, lam, mu, *args, start=start, **kwargs)
+
+    memslab.curve.minimal_solve = counted
+    return counts
+
+
+def run_pass(mesh, one, solves: list[int],
+             starts: list[int]) -> tuple[float, int, int, int, int, str, str]:
+    """Wall seconds, minor faults, fine two-field solves, fine probes handed
+    a start and restarted, and the RaySample and ends digests of one pass."""
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    solves[0] = 0
+    solves[0] = starts[0] = starts[1] = 0
     start = time.perf_counter()
     rays = []
     for theta in DISK_THETAS:
@@ -74,7 +104,7 @@ def run_pass(mesh, one, solves: list[int]) -> tuple[float, int, int, str, str]:
     wall = time.perf_counter() - start
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
     ends = [(r.theta, r.lam_lo, r.lam_hi) for r in rays]
-    return wall, faults, solves[0], sha256(rays), sha256(ends)
+    return wall, faults, solves[0], starts[0], starts[1], sha256(rays), sha256(ends)
 
 
 def main(argv=None) -> int:
@@ -84,11 +114,13 @@ def main(argv=None) -> int:
     mesh = build_radial(DISK["dimension"], DISK["radius"], DISK["nodes"])
     one = constant_profile(mesh, 1.0)
     solves = count_two_field_solves(mesh.operator)
+    starts = count_started_probes(mesh)
     for k in range(args.passes + 1):
-        wall, faults, n, rays, ends = run_pass(mesh, one, solves)
+        wall, faults, n, started, restarted, rays, ends = run_pass(mesh, one, solves, starts)
         label = "warm-up" if k == 0 else f"pass {k}"
         print(f"{label}  wall_s={wall:.4f}  minflt={faults}  solves={n}  "
-              f"rays={rays}  ends={ends}", flush=True)
+              f"starts={started}  restarts={restarted}  rays={rays}  ends={ends}",
+              flush=True)
     return 0
 
 
