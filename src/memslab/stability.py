@@ -17,22 +17,36 @@ spectral radius of
     K(nu) = (A - nu)^-1 a12 (A - nu)^-1 a21
 
 is below 1.  So nu1 is the unique nu < mu1 with rho(K(nu)) = 1, and
-phi1 = K(nu1) phi1, phi2 = (A - nu1)^-1 a21 phi1.  rho is found by power
-iteration, each application of K being two shifted solves
-(``DirichletLaplacian.shifted_solver``); K is self-adjoint in the product
-weighted by w * a21, which gives its Rayleigh quotient.  The root is found
-by a safeguarded secant on log rho in s = log(mu1 - nu), where log rho has
-slope near -2 both close to mu1 and far below it.  No block matrix is
-formed or factorized.  The secant starts at nu = 0 and the power
-iteration at x = ones, so runs are repeatable, unless ``linearized_eigen``
-is given a start.  K is self-adjoint in the weighted product, so the error
-of its Rayleigh quotient is second order in the weighted Perron residual r
-(Parlett, *The Symmetric Eigenvalue Problem*, SIAM 1998, sec. 4).  With
-need = max(1e-13, 1e-3 |log rho|), until the root test first passes an
-evaluation stops once ||r||_L^2 <= 0.1 need rho^2 ||x||_L^2 and
-sup|r| <= sqrt(need) rho sup|x|.  Later ones stop on the strict
-sup|r| <= need rho sup|x| and the root test must pass again, so the
-returned pair meets the contract of strict evaluations.
+phi1 = K(nu1) phi1, phi2 = (A - nu1)^-1 a21 phi1.  No block matrix is
+formed or factorized.
+
+One loop finds the Perron vector and the root together.  Each pass applies
+K(nu) once, y = S a21 x and z = S a12 y with S = (A - nu)^-1 from
+``DirichletLaplacian.shifted_solver``.  K is self-adjoint in the product
+weighted by L = w * a21, which gives its Rayleigh quotient
+rho = <x, z>_L / <x, x>_L, and, as S' = S^2 and S is self-adjoint in the
+quadrature product, the Hellmann-Feynman slope
+d rho / d nu = 2 <y, z>_w / <x, x>_L at no extra solve.  With them the
+pass takes a Newton step on log rho in s = log(mu1 - nu), where log rho
+has slope near -2 both close to mu1 and far below it, and sets
+x = z / max z.  Every pass narrows a bracket in s: a Rayleigh quotient
+above 1 proves rho > 1 (it is at most the top eigenvalue of the
+self-adjoint K, which is rho), max z / x < 1 with x > 0 proves rho < 1
+(Collatz-Wielandt), and a refused shifted solver counts as rho > 1 and
+sends the loop halfway back to the last shift it solved at.  A Newton
+step that leaves the bracket halves the way to the end it crosses.
+A step within the root tolerance keeps the shift and its solver, so the
+last applications converge x at a fixed nu.  The loop stops on
+sup|z - rho x| <= 1e-13 rho sup|x| with a nu step within
+1e-13 (1 + |nu|), and returns the Newton-corrected nu.  On radial meshes
+the factors of A - nu change only when nu moves by about an ulp of the
+stiffness diagonal over the weight (1.5e-11 to 3.7e-11 on a 256-node
+disk), so the computed rho is a staircase at that scale, and nu1 repeats
+between solves that start apart to about 1e-12, not to 1e-13.  By the
+self-adjointness the error of rho is second order in the Perron residual
+(Parlett, *The Symmetric Eigenvalue Problem*, SIAM 1998, sec. 4).  A cold
+solve starts at nu = 0 and x = ones, so runs are repeatable, unless
+``linearized_eigen`` is given a start.
 """
 
 from __future__ import annotations
@@ -54,8 +68,7 @@ _EIG_RESIDUAL_RTOL = 1e-7  # block residual target, relative to 1 + |nu1|
 # rounding of the shifted solves next to mu1
 _WEAK_COUPLING = 1e-7
 _POWER_RTOL = 1e-13        # sup-norm Perron residual of K(nu), relative to rho sup|x|
-_POWER_MAX = 5_000         # applications of K per eigen solve
-_SECANT_MAX = 100          # evaluations of rho per eigen solve
+_POWER_MAX = 5_000         # K applications and refused shifts per eigen solve
 _ROOT_TOL = 1e-13          # root tolerance in nu, relative to 1 + |nu|
 
 
@@ -85,36 +98,9 @@ def _principal_block_eigen(
     mu1 = principal_eigenpair(op).value
     left = w * a21       # K is self-adjoint in <x, y> = sum(left * x * y)
     x = np.ones(a12.size) if start is None else start[1] / start[1].max()
-    applications = 0
-    strict = False       # the stop rule of every evaluation after a root test
-
-    def log_rho(nu: float):
-        """log rho(K(nu)) and y = (A - nu)^-1 a21 x, with x left as the
-        Perron vector (sup 1); (inf, None) when A - nu is not positive
-        definite.  Far from the root, log rho is needed only to about
-        1e-3 of its size."""
-        nonlocal x, applications
-        solve = op.shifted_solver(nu)
-        if solve is None:
-            return math.inf, None
-        while applications < _POWER_MAX:
-            applications += 1
-            y = solve(a21 * x)
-            z = solve(a12 * y)
-            mass = left @ (x * x)
-            rho = (left @ (x * z)) / mass
-            r = z - rho * x
-            need = max(_POWER_RTOL, 1e-3 * abs(math.log(rho)))
-            sup = np.abs(r).max() / (rho * np.abs(x).max())
-            if sup <= need or (not strict and sup * sup <= need
-                               and left @ (r * r) <= 0.1 * need * rho * rho * mass):
-                return math.log(rho), y
-            x = z / z.max()
-        raise ConvergenceError("power iteration on K(nu) did not converge")
-
     # bracket in s = log(mu1 - nu): A has nonnegative row sums, so below 0
     # ||(A - nu)^-1||_inf <= 1 / |nu| and rho <= b^2 / nu^2, under 1/4 at
-    # nu = -(2b + 1); rho grows without bound as nu -> mu1.  A cold secant
+    # nu = -(2b + 1); rho grows without bound as nu -> mu1.  A cold solve
     # starts at nu = 0, the stability threshold; a warm one at its guess
     # when that lies inside the bracket.
     b = math.sqrt(a12.max()) * math.sqrt(a21.max())
@@ -122,33 +108,43 @@ def _principal_block_eigen(
     s = math.log(mu1)
     if start is not None and -(2.0 * b + 1.0) < start[0] < mu1:
         s = math.log(mu1 - start[0])
-    s_old, g_old, nu_old = math.inf, math.inf, math.inf
-    for _ in range(_SECANT_MAX):
+    held, applications = None, 0    # (s, nu, solver) of the last shift solved at
+    for _ in range(_POWER_MAX):
         nu = mu1 - math.exp(s)
-        g, y = log_rho(nu)
-        if g > 0:
+        # a step within the root tolerance keeps the shift and its solver
+        if held is None or abs(nu - held[1]) > _ROOT_TOL * (1.0 + abs(held[1])):
+            solve = op.shifted_solver(nu)
+            if solve is None:    # A - nu is not positive definite: rho > 1
+                s_pos = s
+                s = 0.5 * (s + (s_neg if held is None else held[0]))
+                continue
+            held = s, nu, solve
+        s, nu, solve = held
+        applications += 1
+        y = solve(a21 * x)
+        z = solve(a12 * y)
+        mass = left @ (x * x)
+        rho = (left @ (x * z)) / mass
+        converged = np.abs(z - rho * x).max() <= _POWER_RTOL * rho * np.abs(x).max()
+        if rho > 1.0:        # a Rayleigh quotient of K is at most rho(K)
             s_pos = s
-        elif g < 0:   # at g == 0 a strict evaluation follows at the same s
+        elif x.min() > 0 and (z / x).max() < 1.0:   # Collatz-Wielandt
             s_neg = s
-        width = min(abs(nu - nu_old), math.exp(s_neg) - math.exp(s_pos))
-        # rho rounds to exactly 1 near the root often enough to test for
-        if y is not None and (g == 0 or width <= _ROOT_TOL * (1.0 + abs(nu))):
-            if strict:
-                # scale phi2 by <phi2, a12 phi2>_w = <phi1, a21 phi1>_w,
-                # which holds at the eigenpair because A is symmetric in the
-                # quadrature product; unlike 1 / rho it does not blow up an
-                # error in nu by 1 / (mu1 - nu)
-                scale = math.sqrt((left @ (x * x)) / ((w * a12) @ (y * y)))
-                return nu, x, scale * y, applications
-            strict = True
-        s_new = s + 0.5 * g      # log rho has slope near -2 at both ends
-        if math.isfinite(g - g_old) and g != g_old:
-            s_new = s - g * (s - s_old) / (g - g_old)
-        s_old, g_old, nu_old = s, g, nu
+        # Newton on log rho in s, with d rho / d nu = 2 <y, z>_w / <x, x>_L
+        s_new = s + math.log(rho) * rho * mass / (2.0 * (w @ (y * z)) * (mu1 - nu))
         if not s_pos < s_new < s_neg:
-            s_new = 0.5 * (s_pos + s_neg) if s_pos > -math.inf else s + 0.5 * g
+            s_new = 0.5 * (s + (s_pos if s_new <= s_pos else s_neg))
+        nu_new = mu1 - math.exp(s_new)
+        if converged and abs(nu_new - nu) <= _ROOT_TOL * (1.0 + abs(nu)):
+            # scale phi2 by <phi2, a12 phi2>_w = <phi1, a21 phi1>_w,
+            # which holds at the eigenpair because A is symmetric in the
+            # quadrature product; unlike 1 / rho it does not blow up an
+            # error in nu by 1 / (mu1 - nu)
+            scale = math.sqrt(mass / ((w * a12) @ (y * y)))
+            return nu_new, x, scale * y, applications
+        x = z / z.max()
         s = s_new
-    raise ConvergenceError("secant on rho(K(nu)) = 1 did not converge")
+    raise ConvergenceError("block eigen solve did not converge")
 
 
 def _weakly_coupled_eigen(
@@ -203,9 +199,10 @@ def linearized_eigen(
     eigenpair, which raises PreconditionError.
 
     ``start = (nu, phi1)``, say the pair of a nearby state on the branch,
-    begins the secant at the guess nu (at nu = 0 if nu >= mu1) and the
-    power iteration at the positive phi1; only where the solve begins
-    changes, not the contract.  The weakly coupled pair ignores it.
+    begins the eigen loop at the shift nu and the Perron vector phi1, which
+    must be positive; a nu outside (-(2b + 1), mu1), with b the coupling
+    scale, begins at nu = 0 as a cold solve does.  Only where the solve
+    begins changes, not the contract.  The weakly coupled pair ignores it.
     """
     check_parameters(lam, mu)
     if (lam == 0) != (mu == 0):

@@ -401,8 +401,10 @@ class TestStackedSolve:
 
     @pytest.mark.parametrize("name", ["disk256", "square64"])
     def test_solvers_free_without_a_collection(self, request, name):
-        # stability builds a shifted solver per secant step: one caught in a
-        # reference cycle keeps its arrays until the cyclic collector runs
+        # the eigen loop of stability builds a shifted solver at each new
+        # shift, so one per K application until the shift settles: one
+        # caught in a reference cycle keeps its arrays until the cyclic
+        # collector runs
         op = request.getfixturevalue(name).operator
         gc.disable()
         try:

@@ -46,7 +46,7 @@ def dense_block_eigenvalue(mesh, a12, a21):
     """Smallest real part of the spectrum of [[A, -a12], [-a21, A]].
 
     Independent oracle for the block solve: a dense QR eigensolve of the
-    whole block, with no shift, power iteration or secant.
+    whole block, with no shift, power iteration or root search.
     """
     amat = oracle_matrix(mesh).toarray()
     block = np.block([[amat, -np.diag(a12)], [-np.diag(a21), amat]])
@@ -189,7 +189,7 @@ class TestLinearizedEigen:
     @pytest.mark.parametrize("lam", [0.3, 0.5, 0.78])
     def test_refused_shift_reads_as_rho_above_one(self, disk, one, monkeypatch, lam):
         # no shifted solver above the true nu1, where rho(K(nu)) > 1 holds:
-        # the secant takes the refusal as log rho = inf and finds the same
+        # the eigen loop takes the refusal as rho > 1 and finds the same
         # root.  At nu = 0 a refusal would be false for a stable state
         state = minimal_solve(disk, one, one, lam, lam).state
         nu1 = linearized_eigen(disk, one, one, lam, lam, state).nu1
@@ -280,6 +280,37 @@ DISK_LAM_STAR, SQUARE_LAM_STAR = 0.7889121003438502, 2.67355874775476
 HALF_INDICATOR = tabulated_profile(SQUARE16, np.repeat(np.arange(16) < 8, 16).astype(float))
 
 
+@pytest.mark.parametrize("mesh", [SQUARE16, SMALL_DISK], ids=["square16", "disk32"])
+def test_hellmann_feynman_slope(mesh):
+    # the Newton step of the eigen loop rests on
+    # d rho(K(nu)) / d nu = 2 <y, z>_w / <x, x>_L at the Perron vector x of
+    # K(nu), with y = S a21 x, z = S a12 y, S = (A - nu)^-1 and L = w a21:
+    # K' = S^2 a12 S a21 + S a12 S^2 a21, S is self-adjoint in the
+    # quadrature product and K in L.  Checked at a stable state against a
+    # central difference of the dense spectral radius
+    one = constant_profile(mesh, 1.0)
+    lam_star = DISK_LAM_STAR if mesh is SMALL_DISK else SQUARE_LAM_STAR
+    lam, mu = 0.8 * lam_star, 0.5 * lam_star
+    state = minimal_solve(mesh, one, one, lam, mu).state
+    res = linearized_eigen(mesh, one, one, lam, mu, state)
+    assert res.nu1 > 0
+    a12, a21 = coupling_weights((lam * one.values, mu * one.values), (state.u, state.v))
+    x, w = res.phi1, mesh.weights
+    solve = mesh.operator.shifted_solver(res.nu1)
+    y = solve(a21 * x)
+    z = solve(a12 * y)
+    slope = 2.0 * (w @ (y * z)) / ((w * a21) @ (x * x))
+    amat = oracle_matrix(mesh).toarray()
+
+    def rho(nu):
+        inv = np.linalg.inv(amat - nu * np.eye(mesh.n_nodes))
+        return np.abs(np.linalg.eigvals(inv @ (a12[:, None] * inv) * a21)).max()
+
+    h = 1e-4 * (principal_eigenpair(mesh.operator).value - res.nu1)
+    difference = (rho(res.nu1 + h) - rho(res.nu1 - h)) / (2.0 * h)
+    assert slope == pytest.approx(difference, rel=1e-6)
+
+
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(case=st.sampled_from(["disk", "square", "square-indicator"]),
        t=st.floats(0.01, 0.999), theta=st.floats(np.log(0.2), np.log(5.0)).map(np.exp))
@@ -289,7 +320,7 @@ def test_nu1_inside_the_collatz_wielandt_bracket(case, t, theta):
     # J = [[A, -a12], [-a21, A]] is a Z-matrix, so for any positive pair phi
     # min (J phi)/phi <= nu1 <= max (J phi)/phi over both fields and all
     # nodes; each computed ratio is widened by the rounding of one apply
-    # (|A| phi from the scipy oracle) and nu1 by the secant's root tolerance
+    # (|A| phi from the scipy oracle) and nu1 by the loop's root tolerance
     mesh, lam_star = ((SMALL_DISK, DISK_LAM_STAR) if case == "disk"
                       else (SQUARE16, SQUARE_LAM_STAR))
     one = constant_profile(mesh, 1.0)
@@ -310,9 +341,12 @@ def test_nu1_inside_the_collatz_wielandt_bracket(case, t, theta):
     lower, upper = (ratio - slack).min(), (ratio + slack).max()
     assert lower - root <= res.nu1 <= upper + root
     assert lower > 0   # the minimal branch below lam* is stable
+    # and a second, independent way: the dense spectrum of the block
+    assert res.nu1 == pytest.approx(dense_block_eigenvalue(mesh, *a), rel=1e-10)
 
 
 @pytest.mark.parametrize("case, lam0, lam", [
+    pytest.param(lambda: build_radial(2, 1.0, 4096), 0.7, 0.75, id="disk4096-0.7"),
     pytest.param(lambda: build_radial(2, 1.0, 4096), 0.75, 0.788, id="disk4096"),
     pytest.param(lambda: build_rect(1.0, 1.0, 16, 16), 2.0, 2.6, id="square16"),
     pytest.param(lambda: build_rect(2.0, 0.5, 16, 40), 1.5, 2.0, id="wide"),
@@ -321,7 +355,10 @@ def test_nu1_inside_the_collatz_wielandt_bracket(case, t, theta):
 ])
 def test_warm_start_agrees_with_cold(case, lam0, lam):
     # the pair of a smaller lam on the ray starts the solve at the larger:
-    # the same nu1 to 1e-12 relative, in fewer applications of K
+    # the same nu1 to 1e-12 relative, in no more applications of K.  On the
+    # disk the guess lies farther from the root than the cold start at 0
+    # (nu1 2.83 -> 2.05 and 2.05 -> 0.43), so there the warm start has only
+    # to break even
     mesh = case()
     one = constant_profile(mesh, 1.0)
     near = linearized_eigen(mesh, one, one, lam0, lam0,
@@ -331,8 +368,7 @@ def test_warm_start_agrees_with_cold(case, lam0, lam):
     warm = linearized_eigen(mesh, one, one, lam, lam, state, start=(near.nu1, near.phi1))
     assert warm.nu1 == pytest.approx(cold.nu1, rel=1e-12, abs=0)
     np.testing.assert_allclose(warm.phi1, cold.phi1, rtol=0, atol=1e-9)
-    if mesh.dimension == 10:
-        assert warm.iterations < cold.iterations
+    assert warm.iterations <= cold.iterations
 
 
 def test_start_above_mu1_is_a_cold_start(disk, one, mu1):

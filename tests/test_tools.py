@@ -99,3 +99,15 @@ def test_bench_pairs_summary():
     probe = ("warm-up  wall_s=0.0735  minflt=879  solves=371  rays=aa  ends=bb\n"
              "pass 1  wall_s=0.0686  minflt=801  solves=370  rays=cc  ends=dd\n")
     assert bench.parse_ray_probe(probe) == {"rays": "cc", "ends": "dd", "solves": 370}
+    # the per-layer counts of a traced run, and which of them moved
+    traced = {"correct": True, "metrics": {
+        "stability.eigen_iters": {"value": 194, "unit": "count"},
+        "mesh.solve.calls": {"value": 1031, "unit": "count"},
+        "mesh.solve.s": {"value": 0.07, "unit": "s"},
+        "solver.decisive_ratio": {"value": 1.0, "unit": "ratio"}}}
+    counts = bench.layer_counts(traced)
+    assert counts == {"stability.eigen_iters": 194, "mesh.solve.calls": 1031}
+    parent = {"stability.eigen_iters": 371, "mesh.solve.calls": 1031}
+    assert bench.compare_counts(parent, counts) == {
+        "seed": 1, "parent": parent, "change": counts,
+        "changed": ["stability.eigen_iters"]}

@@ -23,7 +23,11 @@ the number of seeds on which the change was better.  It also runs
 ``digests``, the artifacts whose bytes differ, or that only one side
 writes; and it runs ``tools/ray_probe.py --passes 1`` once on each side
 and records, under ``ray_probe``, each side's ray and end hashes and fine
-two-field solves of the timed pass, and whether they are equal.
+two-field solves of the timed pass, and whether they are equal.  Last, one
+``perfbench/run.py --trace 1`` run per side and workload at seed 1 records,
+under ``trace``, the per-layer counts of each side (``stability.eigen_iters``,
+``mesh.solve.calls``, ``solver.iterations``, ...) and the names of those that
+differ, so that a change in time can be read against a change in work.
 
 Nothing under ``perfbench/`` and no benchmark declaration is changed; each
 side runs its own copy of the benchmark.
@@ -73,12 +77,18 @@ def compile_sources(root: Path) -> None:
             raise RuntimeError(f"{root / sub} does not compile")
 
 
-def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
+def perfbench(root: Path, workload: str, seed: int, seconds: float,
+              trace: int = 0) -> dict:
     """One ``perfbench/run.py`` run; its last output line is the result."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     done = subprocess.run(cmd, cwd=root, capture_output=True, text=True, check=True)
-    result = json.loads(done.stdout.strip().splitlines()[-1])
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
+    """The checks and end-to-end metrics of one untraced run."""
+    result = perfbench(root, workload, seed, seconds)
     return {"correct": result["correct"], "attempted": result["attempted"],
             "failed": result["failed"],
             "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
@@ -107,6 +117,22 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
                      "pairs": len(pairs), "change_wins": wins,
                      **{side: quartiles(v) for side, v in sides.items() if v}}
     return out
+
+
+TRACE_SEED = 1
+
+
+def layer_counts(result: dict) -> dict[str, int]:
+    """The per-layer counts (unit ``count``) of a traced run's result."""
+    return {name: metric["value"] for name, metric in result["metrics"].items()
+            if metric["unit"] == "count"}
+
+
+def compare_counts(parent: dict[str, int], change: dict[str, int]) -> dict:
+    """Both sides' counts and the sorted names of those that differ."""
+    return {"seed": TRACE_SEED, "parent": parent, "change": change,
+            "changed": sorted(k for k in parent.keys() | change.keys()
+                              if parent.get(k) != change.get(k))}
 
 
 def parse_digests(text: str) -> dict[str, str]:
@@ -202,6 +228,13 @@ def main(argv=None) -> int:
                                      **run_once(root, workload, seed, args.seconds)})
                 report["workloads"][workload] = {
                     "metrics": summarize(runs, bench["end_to_end"]), "runs": runs}
+            report["trace"] = {}
+            for workload in workloads:
+                print(f"{workload} seed {TRACE_SEED} traced", file=sys.stderr, flush=True)
+                counts = [layer_counts(perfbench(root, workload, TRACE_SEED,
+                                                 args.seconds, trace=1))
+                          for root in (parent, ROOT)]
+                report["trace"][workload] = compare_counts(*counts)
         finally:
             if args.parent_dir is None:
                 git("worktree", "remove", "--force", str(parent))
