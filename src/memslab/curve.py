@@ -24,9 +24,13 @@ prediction: the fold of the same ray on the 64-node radial mesh of the
 same ball, whose lam_star converges at O(h^2) and so lands within rtol of
 the fine one (nested iteration).  The fold is a Moore-Spence Newton solve
 (``fold_point``), continued in theta along a sweep: each ray starts from
-the fold of the one before, which its sample carries, and only the first
-ray, or one whose solve fails, runs a coarse ray to start from.  The walk
-starts at lam_c (1 - 0.4 rtol) with step (1 + 0.4 rtol) / (1 - 0.4 rtol).
+the secant in log theta through the folds of the two rays before, which
+their samples carry, and only the first ray, or one whose solve fails, runs
+a coarse ray to start from, which stops as soon as the fold solves from its
+1e-2 wide bracket.  The coarse twin (mesh, restricted profiles and the dense
+matrices of the fold solve) is built once per sweep and travels with the
+fold.  The walk starts at lam_c (1 - 0.4 rtol) with step (1 + 0.4 rtol) /
+(1 - 0.4 rtol).
 Where the fold state, prolonged to the fine mesh, certifies that start
 feasible (two solves), it is the lower end, and the first probe is one
 step up.  That probe starts just below the fold, from the certificate's
@@ -44,6 +48,7 @@ import enum
 import math
 import sys
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -65,10 +70,12 @@ _MU1_ROUNDING = 1e-9
 # lam_star on its coarse twin of _COARSE_NODES nodes, and the walk starts at
 # lam_c (1 - _WINDOW * rtol) with step (1 + _WINDOW * rtol) / (1 - _WINDOW *
 # rtol); a coarse ray there, the start of a fold solve, runs at
-# _WINDOW * rtol but no tighter than at rtol _COARSE_RAY_RTOL
+# _WINDOW * rtol but no tighter than at rtol _COARSE_RAY_RTOL, and tries the
+# fold first once its bracket is _LOOSE_RTOL wide
 _TWO_LEVEL_NODES = 2048
 _COARSE_NODES = 64
 _COARSE_RAY_RTOL = 1e-3
+_LOOSE_RTOL = 1e-2
 # below this rtol a single ray costs more two-field solves than bisection:
 # the walk goes far, as the 64-node fold misses the fine lam_star by up to
 # 2.5e-4 (4,096-node disk at 1e-6: 705-851 against 587-761 a ray; 480-548
@@ -82,7 +89,8 @@ _MAX_WALKS = 8      # moves of a walk by its first step; later moves square it
 # 236, 250, 364 and 371 fine two-field solves at rtol 1e-3, and 2,414,
 # 1,856, 1,947 and 2,063 at 1e-5
 _BELOW_FOLD = 0.02
-# a fold solve ends once |d lam| <= _FOLD_RTOL * lam, within _FOLD_STEPS steps
+# a fold solve ends once its step and residual are below _FOLD_RTOL, relative
+# (fold_point), within _FOLD_STEPS steps
 _FOLD_RTOL = 1e-8
 _FOLD_STEPS = 12
 
@@ -235,15 +243,38 @@ _WITNESS = {
 
 
 @dataclass(frozen=True, eq=False)
+class CoarseTwin:
+    """The 64-node radial mesh of the ball of a fine radial mesh, the
+    profiles restricted onto its radii, and the dense transposes ``a_t`` of
+    its operator A and ``s_t`` of S = A^-1, C-contiguous, as ``fold_point``
+    uses them.  ``fine`` holds the mesh and profiles it was built from."""
+
+    mesh: Mesh
+    f: Profile
+    g: Profile
+    a_t: np.ndarray
+    s_t: np.ndarray
+    fine: tuple[Mesh, Profile, Profile]
+
+    def built_from(self, mesh: Mesh, f: Profile, g: Profile) -> bool:
+        """Whether this twin was built from these very objects."""
+        return all(a is b for a, b in zip(self.fine, (mesh, f, g)))
+
+
+@dataclass(frozen=True, eq=False)
 class Fold:
-    """The fold of a ray's minimal branch on a radial mesh: the turning
+    """The fold of the ray mu = theta * lam on a coarse twin: the turning
     point ``lam``, the state ``x = (u, v)`` there and the null vector ``phi``
-    of the linearization, both ``(2, n)`` stacks over the nodes ``radii``."""
+    of the linearization, both ``(2, n)`` stacks over the twin's nodes.
+    ``before`` is the fold it was continued from along a sweep, with its own
+    ``before`` dropped, and None for a fold solved from a coarse ray."""
 
     lam: float
     x: np.ndarray
     phi: np.ndarray
-    radii: np.ndarray
+    theta: float
+    twin: CoarseTwin
+    before: Fold | None = None
 
 
 @dataclass(frozen=True)
@@ -315,10 +346,10 @@ def _solve_jacobian(schur: np.ndarray, s_t: np.ndarray, a: np.ndarray,
     return np.stack([(r1 + a[0] * y2) @ s_t, y2], axis=1)
 
 
-def fold_point(mesh: Mesh, f: Profile, g: Profile, theta: float,
-               start: Fold) -> Fold | None:
-    """The fold of the ray mu = theta * lam on a radial mesh, by Newton's
-    method on the Moore-Spence system from ``start``; None if it fails.
+def fold_point(start: Fold, theta: float) -> Fold | None:
+    """The fold of the ray mu = theta * lam on the coarse twin of ``start``,
+    by Newton's method on the Moore-Spence system from ``start``; None if it
+    fails.
 
     The unknowns are (x, phi, lam), and the equations G(x, lam) = A x -
     lam s(x) = 0, J phi = 0 and sum w (phi_1 + phi_2) = 1, with
@@ -333,25 +364,29 @@ def fold_point(mesh: Mesh, f: Profile, g: Profile, theta: float,
     (``_solve_jacobian``): OpenBLAS runs an LU solve on one thread below
     10,000 matrix entries, and a threaded one of order 100 or 128 stalled
     for 7-112 ms at times on a loaded two-core host.  The matrix products
-    take A^T and S^T as C-contiguous right factors (``rows @ a_t``), a shape
-    OpenBLAS also keeps on one thread; ``rows @ a.T`` ran on two.
+    take the twin's A^T and S^T as C-contiguous right factors
+    (``rows @ a_t``), a shape OpenBLAS also keeps on one thread;
+    ``rows @ a.T`` ran on two.
 
     phi starts as one step of inverse iteration, J^-1 phi, from the start.
-    The solve succeeds when |dlam| <= ``_FOLD_RTOL`` lam within
-    ``_FOLD_STEPS`` steps at lam > 0, 0 <= x < 1 and phi > 0: the fold of
-    the minimal branch, where its principal eigenvalue reaches 0, has a
-    positive null vector.  A step to max x >= 1 fails at once; so balls of
-    dimension 8 and up, whose fold the 64-node mesh does not resolve, fail
-    (on a 9-ball the first step went to max x = 20).
-    The last step updates x and lam only: from a state at the fold to
+    The solve succeeds within ``_FOLD_STEPS`` steps once a step has
+    |dlam| <= ``_FOLD_RTOL`` lam and sup |dx| <= ``_FOLD_RTOL`` sup x, and
+    leaves sup |G| <= ``_FOLD_RTOL`` sup lam s, at lam > 0, 0 <= x < 1 and
+    phi > 0: the fold of the minimal branch, where its principal eigenvalue
+    reaches 0, has a positive null vector.  dlam alone is no test: from a
+    start whose lam happens to be where the Newton step keeps it, it stopped
+    after one step at a state with sup |G| = 0.067.  A step to max x >= 1
+    fails at once; so balls of dimension 8 and up, whose fold the 64-node
+    mesh does not resolve, fail (on a 9-ball the first step went to max x =
+    20).  The last step updates x and lam only: from a state at the fold to
     rounding, J is singular to rounding too, and dphi = c + dlam e is lost to
     cancellation (it flipped the sign of phi on a 64-node disk at theta =
     0.99), while dx and dlam stay accurate.
     """
-    a_t = mesh.operator.apply(np.eye(mesh.n_nodes))   # A^T: row i is A e_i
-    s_t = np.linalg.inv(a_t)                           # S^T
-    w = np.tile(mesh.weights, 2)
-    coeff = np.stack([f.values, theta * g.values])
+    twin = start.twin
+    a_t, s_t = twin.a_t, twin.s_t
+    w = np.tile(twin.mesh.weights, 2)
+    coeff = np.stack([twin.f.values, theta * twin.g.values])
     x, phi, lam = start.x, start.phi, start.lam
     with np.errstate(all="ignore"):
         for step in range(_FOLD_STEPS):
@@ -371,25 +406,33 @@ def fold_point(mesh: Mesh, f: Profile, g: Profile, theta: float,
             except np.linalg.LinAlgError:
                 return None
             dlam = (1.0 - w @ (phi + c).ravel()) / (w @ e.ravel())
-            x, lam = x + p + dlam * q, lam + dlam
+            dx = p + dlam * q
+            x, lam = x + dx, lam + dlam
             if not x.max() < 1.0:   # past the singularity, or NaN
                 return None
-            if abs(dlam) <= _FOLD_RTOL * lam:
+            if (abs(dlam) <= _FOLD_RTOL * lam and abs(dx).max() <= _FOLD_RTOL * x.max()
+                    and _residual(x, lam, coeff, a_t) <= _FOLD_RTOL):
                 break
             phi = phi + c + dlam * e
         else:
             return None
     if not (lam > 0 and x.min() >= 0 and phi.min() > 0):
         return None
-    return Fold(float(lam), x, phi, mesh.radii)
+    return Fold(float(lam), x, phi, theta, twin)
+
+
+def _residual(x: np.ndarray, lam: float, coeff: np.ndarray, a_t: np.ndarray) -> float:
+    """sup |A x - lam s(x)| / sup lam s(x), the relative residual of G."""
+    ls = lam * source(coeff, x[::-1])
+    return abs(x @ a_t - ls).max() / ls.max()
 
 
 def _prolong(stack: np.ndarray, fold: Fold, mesh: Mesh) -> np.ndarray:
-    """A ``(2, n)`` stack over the fold's radii, interpolated linearly onto
-    the radii of the ball ``mesh``, through the boundary value 0 at its
-    radius (beyond the last coarse radius ``np.interp`` would hold the last
-    value)."""
-    radii = np.append(fold.radii, mesh.radius)
+    """A ``(2, n)`` stack over the radii of the fold's twin, interpolated
+    linearly onto the radii of the ball ``mesh``, through the boundary value
+    0 at its radius (beyond the last coarse radius ``np.interp`` would hold
+    the last value)."""
+    radii = np.append(fold.twin.mesh.radii, mesh.radius)
     return np.stack([np.interp(mesh.radii, radii, np.append(c, 0.0)) for c in stack])
 
 
@@ -402,16 +445,39 @@ def _below_fold(x: np.ndarray, fold: Fold, mesh: Mesh) -> tuple[np.ndarray, np.n
     return x - _BELOW_FOLD * (x.max() / phi.max()) * phi, phi
 
 
-def _coarse_twin(mesh: Mesh, f: Profile, g: Profile) -> tuple[Mesh, Profile, Profile]:
-    """The 64-node radial mesh of the same ball as ``mesh``, with the
-    profiles restricted onto its radii by linear interpolation, keeping
-    their ``sup``."""
+def _coarse_twin(mesh: Mesh, f: Profile, g: Profile) -> CoarseTwin:
+    """The ``CoarseTwin`` of ``mesh``: the 64-node radial mesh of the same
+    ball, with the profiles restricted onto its radii by linear
+    interpolation, keeping their ``sup``."""
     coarse = build_radial(mesh.dimension, mesh.radius, _COARSE_NODES)
 
     def restrict(p: Profile) -> Profile:
         return Profile(np.interp(coarse.radii, mesh.radii, p.values), sup=p.sup)
 
-    return coarse, restrict(f), restrict(g)
+    a_t = coarse.operator.apply(np.eye(_COARSE_NODES))   # A^T: row i is A e_i
+    return CoarseTwin(coarse, restrict(f), restrict(g), a_t, np.linalg.inv(a_t),
+                      (mesh, f, g))
+
+
+def _secant(fold: Fold, theta: float) -> Fold:
+    """The start of the fold solve at theta continued from ``fold``: the
+    secant in log theta through ``fold.before`` and ``fold``, on (x, phi,
+    lam), or ``fold`` itself if it has no fold before at another theta."""
+    before = fold.before
+    if before is None or before.theta == fold.theta:
+        return fold
+    t = math.log(theta / fold.theta) / math.log(fold.theta / before.theta)
+    return Fold(fold.lam + t * (fold.lam - before.lam), fold.x + t * (fold.x - before.x),
+                fold.phi + t * (fold.phi - before.phi), theta, fold.twin)
+
+
+def _fold_inside(twin: CoarseTwin, theta: float, a: float, b: float,
+                 warm: tuple[np.ndarray, np.ndarray]) -> Fold | None:
+    """The fold solved from a coarse ray's feasible end ``a`` and its Picard
+    state ``warm``, that state as phi too, if it lies inside [a, b]."""
+    x = np.stack(warm)
+    fold = fold_point(Fold(a, x, x, theta, twin), theta)
+    return fold if fold is not None and a <= fold.lam <= b else None
 
 
 def _coarse_prediction(
@@ -424,31 +490,45 @@ def _coarse_prediction(
 
     The coarse twin is the radial mesh of the same ball with 64 nodes
     (``_coarse_twin``); the result is only a prediction, so any restriction
-    of the profiles onto it is sound.  The fold of the ray there
-    (``fold_point``) starts from ``previous.fold``, continuing the fold
-    along a sweep in theta.  Where there is none, or that solve fails, a
-    coarse ray runs at 0.4 max(rtol, 1e-3), and the fold starts from its
-    feasible end, with that state as phi too; a fold that fails or lands
-    outside the coarse bracket leaves the coarse ray's lam_star as the
-    prediction."""
+    of the profiles onto it is sound.  The twin of ``previous.fold`` is
+    reused where it was built from the same mesh and profile objects, so a
+    sweep builds one.  There the fold of the ray (``fold_point``) starts
+    from the secant through the previous two folds (``_secant``), continuing
+    the fold along a sweep in theta.  Where there is no such fold, or that
+    solve fails, a coarse ray runs at 0.4 max(rtol, 1e-3), and the fold
+    starts from its feasible end, with that state as phi too: first once the
+    bracket is ``_LOOSE_RTOL`` wide, which ends the coarse ray where it
+    lands inside the bracket, else once more at the end of the same
+    bisection.  A fold that fails or lands outside the coarse bracket there
+    leaves the coarse ray's lam_star as the prediction.  The walk and the
+    midpoints do not depend on rtol, so the loose try probes no lam twice
+    and changes no fallback prediction."""
     if (mesh.radii is None or mesh.n_nodes < _TWO_LEVEL_NODES
             or cfg.rtol < _COARSE_MIN_RTOL):
         return None
-    coarse, f, g = _coarse_twin(mesh, f, g)
-    if previous is not None and previous.fold is not None:
-        fold = fold_point(coarse, f, g, theta, previous.fold)
+    last = previous.fold if previous is not None else None
+    if last is not None and last.twin.built_from(mesh, f, g):
+        fold = fold_point(_secant(last, theta), theta)
         if fold is not None:
-            return fold.lam, fold
+            return fold.lam, replace(fold, before=replace(last, before=None))
+        twin = last.twin
+    else:
+        twin = _coarse_twin(mesh, f, g)
+    loose = None   # the fold tried from the loose bracket
+
+    def settle(a: float, b: float, warm: tuple[np.ndarray, np.ndarray]) -> bool:
+        nonlocal loose
+        loose = _fold_inside(twin, theta, a, b, warm)
+        return loose is not None
+
     try:
-        ray, warm = _bracket(coarse, f, g, theta,
-                             replace(cfg, rtol=_WINDOW * max(cfg.rtol, _COARSE_RAY_RTOL)))
+        ray, warm = _bracket(twin.mesh, twin.f, twin.g, theta,
+                             replace(cfg, rtol=_WINDOW * max(cfg.rtol, _COARSE_RAY_RTOL)),
+                             None, settle)
     except (ConvergenceError, NumericsError, UnboundedRayError):
         return None
-    x = np.stack(warm)
-    fold = fold_point(coarse, f, g, theta, Fold(ray.lam_lo, x, x, coarse.radii))
-    if fold is None or not ray.lam_lo <= fold.lam <= ray.lam_hi:
-        return ray.lam_star, None
-    return fold.lam, fold
+    fold = loose or _fold_inside(twin, theta, ray.lam_lo, ray.lam_hi, warm)
+    return (ray.lam_star, None) if fold is None else (fold.lam, fold)
 
 
 def extremal_on_ray(
@@ -463,11 +543,12 @@ def extremal_on_ray(
     bisected as the module notes describe.
 
     ``previous``, the sample of the ray before this one in a theta sweep,
-    starts this ray's coarse fold solve (``_coarse_prediction``); the sample
-    carries its own fold as ``fold``.  Each probe is one ``minimal_solve``
-    at ``probe_budget`` that asks for the super-solution certificate, and a
-    probe above the largest feasible one starts from that probe's Picard
-    state, a sub-solution below the minimal solution of every larger lam.
+    lends this ray its coarse twin and starts its coarse fold solve
+    (``_coarse_prediction``); the sample carries its own fold as ``fold``.
+    Each probe is one ``minimal_solve`` at ``probe_budget`` that asks for the
+    super-solution certificate, and a probe above the largest feasible one
+    starts from that probe's Picard state, a sub-solution below the minimal
+    solution of every larger lam.
     Both ends are verdicts on ``mesh``.  An unresolved probe ends the
     bisection without shrinking the bracket on its side; as the upper end
     it carries the witness ``UNRESOLVED``.  Raises ``ConvergenceError`` if
@@ -483,10 +564,14 @@ def extremal_on_ray(
 def _bracket(
     mesh: Mesh, f: Profile, g: Profile, theta: float, cfg: CurveConfig,
     prediction: tuple[float, Fold | None] | None = None,
+    settle: Callable[[float, float, tuple[np.ndarray, np.ndarray]], bool] | None = None,
 ) -> tuple[RaySample, tuple[np.ndarray, np.ndarray] | None]:
     """The ray of ``extremal_on_ray`` from the given prediction, and the
     Picard state of its feasible end (None if that end was certified from
-    the fold)."""
+    the fold).  ``settle(a, b, warm)``, if given, is called once, when the
+    bisection's bracket is first ``_LOOSE_RTOL`` wide, with its ends and
+    the feasible end's Picard state; the bisection ends there if it returns
+    True."""
     report = bound_report(mesh, f, g)
     lower_corner = min(report.a_f, report.a_g / theta)
     upper_corner = ray_upper_bound(report, theta)
@@ -557,6 +642,10 @@ def _bracket(
             f"no infeasible parameter found above {a:.3e} on theta={theta}")
 
     while (b - a) > cfg.rtol * b:
+        if settle is not None and (b - a) <= _LOOSE_RTOL * b:
+            if settle(a, b, warm):
+                break
+            settle = None
         mid = 0.5 * (a + b)
         verdict = probe(mid)
         if verdict is None:

@@ -531,6 +531,9 @@ def _step_profile(mesh, edge):
     return tabulated_profile(mesh, np.where(mesh.radii < edge, 1.0, 0.5))
 
 
+SWEEP = (0.2, 0.3, 0.45, 0.7, 1.0, 1.6, 2.5, 4.0)   # disk-sweep's grid
+
+
 class TestTwoLevel:
     @pytest.fixture(scope="class")
     def disk2k(self):
@@ -713,20 +716,21 @@ class TestTwoLevel:
         starved = CurveConfig(solve=SolveConfig(max_iter=1))
         s = extremal_on_ray(disk2k, one, one, 0.5, starved)
         assert fine_probes == [s.lam_hi]
-        assert (s.lam_lo, s.lam_hi) == (1.087896899052912, 1.0887675648384685)
+        assert (s.lam_lo, s.lam_hi) == (1.087896899052898, 1.0887675648384545)
         assert s.lo_witness is Witness.SUPERSOLUTION and s.upper_unverified
         assert s.iterations_total == 17 and s.unresolved_probes == 1
 
     @pytest.mark.parametrize("exit", ["singular", "step cap", "final check"])
     def test_failed_fold_solve_falls_back_to_the_coarse_ray(self, disk2k, exit,
                                                             monkeypatch):
-        # each failure exit of fold_point returns None, and the prediction
-        # is the coarse ray's lam_star
+        # each failure exit of fold_point returns None, both for the fold
+        # tried from the loose bracket and for the one tried at the end of the
+        # same bisection, and the prediction is the coarse ray's lam_star
         import memslab.curve as curve_mod
 
         one = constant_profile(disk2k, 1.0)
-        coarse = curve_mod._coarse_twin(disk2k, one, one)
-        ray = curve_mod._bracket(*coarse, 1.0, CurveConfig(
+        twin = curve_mod._coarse_twin(disk2k, one, one)
+        ray = curve_mod._bracket(twin.mesh, twin.f, twin.g, 1.0, CurveConfig(
             rtol=curve_mod._WINDOW * curve_mod._COARSE_RAY_RTOL))[0]
         real_solve, real_fold = curve_mod._solve_jacobian, curve_mod.fold_point
 
@@ -756,7 +760,7 @@ class TestTwoLevel:
         monkeypatch.setattr(curve_mod, "fold_point", recording)
         assert curve_mod._coarse_prediction(disk2k, one, one, 1.0,
                                             CurveConfig()) == (ray.lam_star, None)
-        assert folds == [None]
+        assert folds == [None, None]
 
     def test_failed_coarse_ray_falls_back_to_bisection(self, disk2k, monkeypatch):
         import memslab.curve as curve_mod
@@ -776,3 +780,127 @@ class TestTwoLevel:
         monkeypatch.setattr(curve_mod, "_bracket", coarse_fails)
         s = extremal_on_ray(disk2k, one, one, 1.0)
         assert s == bisection and s.fold is None
+
+    def test_a_sweep_builds_one_twin(self, disk2k, monkeypatch):
+        # the coarse mesh, restricted profiles and dense matrices are built
+        # once and travel with the folds; only the first ray runs a coarse
+        # ray, and each later one starts from the secant through the two
+        # folds before it
+        import memslab.curve as curve_mod
+
+        twins, probes, schur = [], [], []
+        real_twin, real_solve, real_schur = (curve_mod._coarse_twin, curve_mod.minimal_solve,
+                                             curve_mod._solve_jacobian)
+
+        def twin(*args):
+            twins.append(real_twin(*args))
+            return twins[-1]
+
+        def probe(mesh, *args, **kwargs):
+            probes[-1] += mesh is not disk2k
+            return real_solve(mesh, *args, **kwargs)
+
+        def solve(*args):
+            schur[-1] += 1
+            return real_schur(*args)
+
+        monkeypatch.setattr(curve_mod, "_coarse_twin", twin)
+        monkeypatch.setattr(curve_mod, "minimal_solve", probe)
+        monkeypatch.setattr(curve_mod, "_solve_jacobian", solve)
+        one = constant_profile(disk2k, 1.0)
+        rays = []
+        for theta in SWEEP:
+            probes.append(0)
+            schur.append(0)
+            rays.append(extremal_on_ray(disk2k, one, one, theta,
+                                        previous=rays[-1] if rays else None))
+        assert len(twins) == 1 and all(s.fold.twin is twins[0] for s in rays)
+        # the first coarse ray stops once the fold solves from its 1e-2
+        # bracket: 9 probes where bisecting to 4e-4 took 14
+        assert probes == [9, 0, 0, 0, 0, 0, 0, 0]
+        # the Schur-complement solves of each fold solve, 1 + 2 a Newton
+        # step: continued from the fold before alone, the later rays took 11
+        assert schur == [9, 11, 7, 7, 7, 9, 9, 9]
+        assert rays[0].fold.before is None
+        for before, s in zip(rays, rays[1:]):
+            assert s.fold.before.theta == before.theta and s.fold.before.before is None
+        # other profile objects, even of equal values, get their own twin
+        other = constant_profile(disk2k, 1.0)
+        extremal_on_ray(disk2k, other, other, 4.0, previous=rays[-1])
+        assert len(twins) == 2
+        # a repeated theta leaves no secant to draw, and the next ray
+        # continues from the fold alone
+        again = extremal_on_ray(disk2k, one, one, 4.0, previous=rays[-1])
+        assert extremal_on_ray(disk2k, one, one, 5.0, previous=again).fold is not None
+
+    def test_failed_loose_fold_continues_the_bisection(self, disk2k, monkeypatch):
+        # the fold tried from the 1e-2 bracket fails: the same bisection goes
+        # on to 4e-4, probing no lam twice and exactly the lam a coarse ray
+        # at 4e-4 probes, and the prediction is the fold from its end
+        import memslab.curve as curve_mod
+
+        one = constant_profile(disk2k, 1.0)
+        twin = curve_mod._coarse_twin(disk2k, one, one)
+        lams, real_solve, real_fold = [], curve_mod.minimal_solve, curve_mod.fold_point
+
+        def probe(mesh, f, g, lam, *args, **kwargs):
+            lams.append(lam)
+            return real_solve(mesh, f, g, lam, *args, **kwargs)
+
+        monkeypatch.setattr(curve_mod, "minimal_solve", probe)
+        ray, warm = curve_mod._bracket(twin.mesh, twin.f, twin.g, 1.0, CurveConfig(rtol=4e-4))
+        today = curve_mod._fold_inside(twin, 1.0, ray.lam_lo, ray.lam_hi, warm)
+        straight, lams[:] = list(lams), []
+        folds = []
+
+        def first_fails(start, theta):
+            folds.append(None if not folds else real_fold(start, theta))
+            return folds[-1]
+
+        monkeypatch.setattr(curve_mod, "fold_point", first_fails)
+        lam_c, fold = curve_mod._coarse_prediction(disk2k, one, one, 1.0, CurveConfig())
+        assert lams == straight and len(set(lams)) == len(lams) == 12
+        assert len(folds) == 2 and lam_c == fold.lam == today.lam
+
+    def test_fold_solve_needs_a_small_step_and_residual(self, disk2k):
+        # from the theta = 1 fold with lam set where the first Newton step
+        # at theta = 1.6 keeps it, |d lam| alone accepted that lam after one
+        # step, with sup |A x - lam s(x)| = 0.067; the true fold is
+        # 0.6166986107 (the twin of any disk with f = g = 1 is this one)
+        import memslab.curve as curve_mod
+        from memslab.solver import source
+
+        one = constant_profile(disk2k, 1.0)
+        _, fold = curve_mod._coarse_prediction(disk2k, one, one, 1.0, CurveConfig())
+        out = curve_mod.fold_point(replace(fold, lam=0.6238788458), 1.6)
+        if out is not None:
+            assert out.lam == pytest.approx(0.6166986107, rel=1e-9)
+            coeff = np.stack([fold.twin.f.values, 1.6 * fold.twin.g.values])
+            residual = out.x @ fold.twin.a_t - out.lam * source(coeff, out.x[::-1])
+            assert abs(residual).max() < 1e-8
+
+
+@pytest.mark.parametrize("g_power", [0.0, 2.0])
+@pytest.mark.parametrize("theta", [0.3, 1.0, 3.0])
+def test_fold_slope_matches_a_central_difference(theta, g_power):
+    # at a fold the adjoint null vector is W phi[::-1], so differentiating
+    # A x - lam s(x, theta) = 0 along the fold gives the slope of the
+    # critical curve with no solve: kappa = d log lam / d log theta =
+    # -<w phi_1, s_2> / <w, phi_2 s_1 + phi_1 s_2>; it lies in [-1, 0], is
+    # -1/2 at theta = 1 with f = g, and matches the folds at theta e^(+-h)
+    import memslab.curve as curve_mod
+    from memslab.solver import source
+
+    mesh = build_radial(2, 1.0, 2048)
+    f, g = constant_profile(mesh, 1.0), power_profile(mesh, g_power)
+    _, fold = curve_mod._coarse_prediction(mesh, f, g, theta, CurveConfig())
+    twin, (phi1, phi2) = fold.twin, fold.phi
+    s1, s2 = source(np.stack([twin.f.values, theta * twin.g.values]), fold.x[::-1])
+    w = twin.mesh.weights
+    kappa = -(w @ (phi1 * s2)) / (w @ (phi2 * s1 + phi1 * s2))
+    assert -1.0 <= kappa <= 0.0
+    if theta == 1.0 and g_power == 0.0:
+        assert kappa == pytest.approx(-0.5, abs=1e-8)
+    h = 1e-3
+    up, down = (curve_mod.fold_point(fold, theta * math.exp(e)) for e in (h, -h))
+    assert kappa == pytest.approx(math.log(up.lam / down.lam) / (2.0 * h), abs=1e-8)

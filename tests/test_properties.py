@@ -310,13 +310,13 @@ def test_continued_fold_lies_inside_the_coarse_bracket(case, ratio):
     # continued from the ray at theta * ratio, as along a sweep, and bisection
     mesh, f, g, theta = case
     _, start = curve._coarse_prediction(mesh, f, g, theta * ratio, CurveConfig())
-    coarse, cf, cg = curve._coarse_twin(mesh, f, g)
     # a branch that ends by touching 1 (g of 1e-44 where u nears 1, say)
     # has no fold to continue: there the coarse ray's lam_star predicts
     assume(start is not None)
-    fold = curve.fold_point(coarse, cf, cg, theta, start)
+    fold = curve.fold_point(start, theta)
     assert fold is not None
-    ray = extremal_on_ray(coarse, cf, cg, theta, CurveConfig(rtol=1e-4))
+    twin = start.twin
+    ray = extremal_on_ray(twin.mesh, twin.f, twin.g, theta, CurveConfig(rtol=1e-4))
     assert not ray.upper_unverified
     assert ray.lam_lo <= fold.lam <= ray.lam_hi
 

@@ -40,7 +40,8 @@ def test_ray_probe_passes_repeat_bit_for_bit():
     passes = []
     for label, line in zip(("warm-up", "pass 1"), lines):
         match = re.fullmatch(label + r"  wall_s=\d+\.\d{4}  minflt=\d+  solves=(\d+)  "
-                             r"starts=(\d+)  restarts=(\d+)  "
+                             r"starts=(\d+)  restarts=(\d+)  coarse_probes=(\d+)  "
+                             r"coarse_solves=(\d+)  fold_solves=(\d+)  "
                              r"rays=([0-9a-f]{64})  ends=([0-9a-f]{64})", line)
         assert match, line
         passes.append(match.groups())
@@ -48,6 +49,8 @@ def test_ray_probe_passes_repeat_bit_for_bit():
     assert int(passes[0][0]) > 0
     # every ray's upper probe starts below the fold and keeps its start
     assert passes[0][1:3] == ("8", "0")
+    # only the first ray runs a coarse ray, and each ray solves a fold
+    assert all(int(n) > 0 for n in passes[0][3:6])
 
 
 ROOT = TOOL.parent.parent
@@ -95,10 +98,18 @@ def test_bench_pairs_summary():
         "removed": ["old/c.csv"]}
     assert bench.compare_digests(parent, dict(parent)) == {
         "equal": True, "changed": [], "added": [], "removed": []}
-    # the hashes and solves of ray_probe's timed pass, its last line
+    # the hashes and counts of ray_probe's timed pass, its last line; an
+    # older tool prints no coarse counts
     probe = ("warm-up  wall_s=0.0735  minflt=879  solves=371  rays=aa  ends=bb\n"
              "pass 1  wall_s=0.0686  minflt=801  solves=370  rays=cc  ends=dd\n")
-    assert bench.parse_ray_probe(probe) == {"rays": "cc", "ends": "dd", "solves": 370}
+    assert bench.parse_ray_probe(probe) == {
+        "rays": "cc", "ends": "dd", "solves": 370,
+        "coarse_probes": None, "coarse_solves": None, "fold_solves": None}
+    probe = ("pass 1  wall_s=0.0473  minflt=1329  solves=250  starts=8  restarts=0  "
+             "coarse_probes=9  coarse_solves=75  fold_solves=68  rays=ee  ends=ff\n")
+    assert bench.parse_ray_probe(probe) == {
+        "rays": "ee", "ends": "ff", "solves": 250,
+        "coarse_probes": 9, "coarse_solves": 75, "fold_solves": 68}
     # the per-layer counts of a traced run, and which of them moved
     traced = {"correct": True, "metrics": {
         "stability.eigen_iters": {"value": 194, "unit": "count"},

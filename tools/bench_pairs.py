@@ -22,8 +22,10 @@ the number of seeds on which the change was better.  It also runs
 ``tools/artifact_digest.py`` once on each side and lists, under
 ``digests``, the artifacts whose bytes differ, or that only one side
 writes; and it runs ``tools/ray_probe.py --passes 1`` once on each side
-and records, under ``ray_probe``, each side's ray and end hashes and fine
-two-field solves of the timed pass, and whether they are equal.  Last, one
+and records, under ``ray_probe``, each side's ray and end hashes, fine
+two-field solves and coarse predictor counts (coarse probes, coarse
+two-field solves and fold Schur solves; None where that side's tool does
+not print them) of the timed pass, and whether they are equal.  Last, one
 ``perfbench/run.py --trace 1`` run per side and workload at seed 1 records,
 under ``trace``, the per-layer counts of each side (``stability.eigen_iters``,
 ``mesh.solve.calls``, ``solver.iterations``, ...) and the names of those that
@@ -156,12 +158,18 @@ def artifact_digests(root: Path) -> dict[str, str]:
     return parse_digests(done.stdout)
 
 
+COARSE_COUNTS = ("coarse_probes", "coarse_solves", "fold_solves")
+
+
 def parse_ray_probe(text: str) -> dict:
-    """``{rays, ends, solves}`` of the last pass ``tools/ray_probe.py`` prints."""
+    """``{rays, ends, solves, coarse_probes, coarse_solves, fold_solves}`` of
+    the last pass ``tools/ray_probe.py`` prints; a coarse count the line
+    lacks (an older tool's) is None."""
     fields = dict(item.split("=", 1) for item in text.splitlines()[-1].split()
                   if "=" in item)
     return {"rays": fields["rays"], "ends": fields["ends"],
-            "solves": int(fields["solves"])}
+            "solves": int(fields["solves"]),
+            **{k: int(fields[k]) if k in fields else None for k in COARSE_COUNTS}}
 
 
 def ray_probe(root: Path) -> dict:
