@@ -546,9 +546,10 @@ def extremal_on_ray(
     lends this ray its coarse twin and starts its coarse fold solve
     (``_coarse_prediction``); the sample carries its own fold as ``fold``.
     Each probe is one ``minimal_solve`` at ``probe_budget`` that asks for the
-    super-solution certificate, and a probe above the largest feasible one
-    starts from that probe's Picard state, a sub-solution below the minimal
-    solution of every larger lam.
+    super-solution certificate, and starts from the Picard state of the
+    feasible end found so far, a sub-solution below the minimal solution of
+    every larger lam (every probe lies above that end); the probe above an
+    end that the fold certified starts from the stable start below the fold.
     Both ends are verdicts on ``mesh``.  An unresolved probe ends the
     bisection without shrinking the bracket on its side; as the upper end
     it carries the witness ``UNRESOLVED``.  Raises ``ConvergenceError`` if
@@ -567,8 +568,9 @@ def _bracket(
     settle: Callable[[float, float, tuple[np.ndarray, np.ndarray]], bool] | None = None,
 ) -> tuple[RaySample, tuple[np.ndarray, np.ndarray] | None]:
     """The ray of ``extremal_on_ray`` from the given prediction, and the
-    Picard state of its feasible end (None if that end was certified from
-    the fold).  ``settle(a, b, warm)``, if given, is called once, when the
+    start of its probes: the Picard state of its feasible end, or where the
+    fold certified that end, the stable start below the fold (None if there
+    is none).  ``settle(a, b, warm)``, if given, is called once, when the
     bisection's bracket is first ``_LOOSE_RTOL`` wide, with its ends and
     the feasible end's Picard state; the bisection ends there if it returns
     True."""
@@ -577,28 +579,28 @@ def _bracket(
     upper_corner = ray_upper_bound(report, theta)
 
     budget = probe_budget(cfg.solve)
-    best, warm = -math.inf, None   # largest feasible lam and its state
-    witness = {}                   # probed lam -> its witness
+    # the feasible end, the infeasible end, and the start of every probe: the
+    # Picard state of a, a sub-solution below the minimal solution of every
+    # larger lam, as every probe lies above a
+    a = b = warm = None
+    verdicts = []   # (lam, witness) of every probe, in order
     iterations = newton_steps = 0
 
-    def probe(lam: float, start=None) -> bool | None:
-        nonlocal best, warm, iterations, newton_steps
-        if start is None and lam > best:
-            start = warm
+    def probe(lam: float) -> bool | None:
+        nonlocal a, b, warm, iterations, newton_steps
         out = minimal_solve(mesh, f, g, lam, theta * lam, budget,
-                            start=start, certify_feasible=True)
+                            start=warm, certify_feasible=True)
         iterations += out.iterations
         newton_steps += out.newton_steps
-        witness[lam] = _WITNESS[out.reason or out.verdict]
+        verdicts.append((lam, _WITNESS[out.reason or out.verdict]))
         if out.verdict is Verdict.NONEXISTENCE_SUSPECTED:
+            b = lam
             return False
         if out.verdict is Verdict.INCONCLUSIVE:
             return None
-        if lam > best:
-            best, warm = lam, (out.state.u, out.state.v)
+        a, warm = lam, (out.state.u, out.state.v)
         return True
 
-    a = b = start = None   # the feasible end, the infeasible end, a probe's start
     if prediction is None:
         lam, step, jump = lower_corner, 2.0, upper_corner or 0.0
     else:
@@ -610,20 +612,21 @@ def _bracket(
             y = certify_supersolution(mesh, f, g, lam, theta * lam,
                                       _prolong(fold.x, fold, mesh), budget)
             if y is not None:
-                a = best = lam
-                witness[lam] = Witness.SUPERSOLUTION
+                a = lam
+                verdicts.append((lam, Witness.SUPERSOLUTION))
                 lam *= step
-                s, phi = _below_fold(y, fold, mesh)   # a start certified at lam only
+                # a start certified at lam only: the probe there ends the walk
+                # or replaces it, and the bracket [a, lam] is already narrower
+                # than rtol, so no bisection follows
+                s, phi = _below_fold(y, fold, mesh)
                 if certify_stable_start(mesh, f, g, lam, theta * lam, s, phi[1]):
-                    start = s
+                    warm = s
     for k in range(_MAX_PROBES):
         if not 0.0 < lam < math.inf:
             break
-        verdict, start = probe(lam, start), None
-        if verdict:
-            a = lam
-        elif verdict is False or a is not None:
-            b = lam
+        verdict = probe(lam)
+        if verdict is None and a is not None:
+            b = lam   # an unresolved probe above the feasible end is the upper end
         if a is not None and b is not None:
             break
         if k >= _MAX_WALKS:
@@ -646,16 +649,11 @@ def _bracket(
             if settle(a, b, warm):
                 break
             settle = None
-        mid = 0.5 * (a + b)
-        verdict = probe(mid)
-        if verdict is None:
+        if probe(0.5 * (a + b)) is None:
             break  # unresolved probe: keep the honest bracket
-        if verdict:
-            a = mid
-        else:
-            b = mid
 
-    ends = Counter(witness.values())   # no lam is probed twice
+    witness = dict(verdicts)   # the last verdict at each lam
+    ends = Counter(w for _, w in verdicts)
     return RaySample(
         theta=theta,
         lam_lo=a,

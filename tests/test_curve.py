@@ -328,6 +328,31 @@ class TestBudgetHonesty:
         assert s.unresolved_probes >= 1
         assert all(a != b for a, b in zip(lams, lams[1:]))
 
+    def test_a_lam_probed_twice_counts_both_verdicts(self, monkeypatch):
+        # the 9-ball has no coarse fold, so its walk starts at the coarse
+        # ray's lam_star; at theta = 0.2 a budget of 2 (32 steps a probe)
+        # leaves that first probe unresolved, the walk steps down to a
+        # feasible end and back up to the same lam, feasible from the new
+        # start.  The unresolved verdict counts, and the feasible one is the
+        # witness of that lam
+        import memslab.curve as curve_mod
+
+        mesh = build_radial(9, 1.0, 2048)
+        one = constant_profile(mesh, 1.0)
+        lams, real = [], curve_mod.minimal_solve
+
+        def recording(m, f, g, lam, *args, **kwargs):
+            if m is mesh:
+                lams.append(lam)
+            return real(m, f, g, lam, *args, **kwargs)
+
+        monkeypatch.setattr(curve_mod, "minimal_solve", recording)
+        s = extremal_on_ray(mesh, one, one, 0.2, CurveConfig(solve=SolveConfig(max_iter=2)))
+        assert len(lams) == 5 and lams[2] == lams[0] < s.lam_lo
+        assert s.unresolved_probes == 1
+        assert (s.supersolution_probes, s.unstable_probes, s.touched_probes) == (3, 0, 1)
+        assert s.lo_witness is Witness.SUPERSOLUTION and s.hi_witness is Witness.TOUCHED
+
     def test_unresolved_expansion_marks_upper_unverified(self):
         # g = r^2 vanishes at the origin, so the ray has no certified upper
         # end and the expansion doubles from the lower corner; at

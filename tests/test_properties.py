@@ -7,7 +7,9 @@ lam*(theta) does not increase when the domain grows at equal spacing; a
 two-level ray's bracket overlaps the bisection bracket and ends in probe
 verdicts inside the analytic certificates; the 64-node fold continued in
 theta lies inside the coarse bisection bracket, and on a 9-ball, which has
-no fold to resolve, the fold solve is rejected; the
+no fold to resolve, the fold solve is rejected; a ray's ends are the last
+verdicts of its own probes, each probe starts from the state of the last
+feasible one, and the ray's counts count every probe; the
 decreasing rearrangement of a profile on a rectangle is equimeasurable
 with it; and the CLI answers every small config with an exit code of its
 contract, never a traceback.
@@ -353,6 +355,83 @@ def test_fold_is_rejected_on_the_nine_ball():
     assert first.fold is None and second.fold is None
     assert [first, second] == fallback
     assert all(not s.upper_unverified and s.bracket_width <= 1e-3 for s in fallback)
+
+
+@functools.cache
+def _walk_case(name):
+    """The mesh and profiles of a walk case: f = g = 1, but f the indicator
+    of the left half on the square."""
+    if name == "square16":
+        mesh = build_rect(1.0, 1.0, 16, 16)
+        f = tabulated_profile(mesh, (mesh.coordinates["x"] < 0.5).astype(float))
+        return mesh, f, constant_profile(mesh, 1.0)
+    dim, nodes = {"disk64": (2, 64), "disk2048": (2, 2048), "ball9": (9, 2048)}[name]
+    mesh = build_radial(dim, 1.0, nodes)
+    one = constant_profile(mesh, 1.0)
+    return mesh, one, one
+
+
+@FEW
+@given(name=st.sampled_from(("disk64", "square16", "disk2048", "ball9")),
+       theta=st.floats(math.log(0.2), math.log(5.0)).map(math.exp),
+       max_iter=st.sampled_from((1, 2, 4, 10_000)))
+@example(name="ball9", theta=0.2, max_iter=2)   # probes 9.71134 twice
+def test_each_verdict_moves_its_own_end(name, theta, max_iter):
+    # the ray's bracket from its own probes (the coarse twin's are not
+    # counted): feasible probes rise; each end is the last verdict of its
+    # side, the fold-certified start of the 2,048-node disk or an unresolved
+    # probe above the feasible end; every probe starts from the last feasible
+    # state, or from the stable start below the fold right after the
+    # fold-certified start; and the counts count every probe
+    mesh, f, g = _walk_case(name)
+    probes, certified, stable = [], [], []
+    real_solve = curve.minimal_solve
+    real_super, real_stable = curve.certify_supersolution, curve.certify_stable_start
+
+    def solve(m, f, g, lam, *args, start=None, **kwargs):
+        out = real_solve(m, f, g, lam, *args, start=start, **kwargs)
+        if m is mesh:
+            probes.append((lam, start, out))
+        return out
+
+    def supersolution(m, f, g, lam, *args):
+        y = real_super(m, f, g, lam, *args)
+        if y is not None:
+            certified.append(lam)
+        return y
+
+    def stable_start(m, f, g, lam, mu, s, z):
+        passed = real_stable(m, f, g, lam, mu, s, z)
+        stable.append(s if passed else None)
+        return passed
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(curve, "minimal_solve", solve)
+        mp.setattr(curve, "certify_supersolution", supersolution)
+        mp.setattr(curve, "certify_stable_start", stable_start)
+        ray = extremal_on_ray(mesh, f, g, theta,
+                              CurveConfig(solve=SolveConfig(max_iter=max_iter)))
+    feasible = certified + [lam for lam, _, out in probes
+                            if out.verdict in (Verdict.CONVERGED, Verdict.FEASIBLE)]
+    assert all(x < y for x, y in zip(feasible, feasible[1:]))
+    assert ray.lam_lo == feasible[-1]
+    witnesses = [curve._WITNESS[out.reason or out.verdict] for _, _, out in probes]
+    if ray.hi_witness is Witness.UNRESOLVED:
+        assert ray.lam_hi > ray.lam_lo
+        assert (ray.lam_hi, Witness.UNRESOLVED) in zip([lam for lam, _, _ in probes], witnesses)
+    else:
+        assert ray.lam_hi == [lam for lam, _, out in probes
+                              if out.verdict is Verdict.NONEXISTENCE_SUSPECTED][-1]
+    warm = stable[0] if certified else None
+    for _, start, out in probes:
+        assert (start is None) == (warm is None)
+        assert warm is None or all(np.array_equal(x, y) for x, y in zip(start, warm))
+        if out.verdict in (Verdict.CONVERGED, Verdict.FEASIBLE):
+            warm = (out.state.u, out.state.v)
+    assert ray.unresolved_probes == witnesses.count(Witness.UNRESOLVED)
+    assert ray.supersolution_probes == witnesses.count(Witness.SUPERSOLUTION) + len(certified)
+    assert ray.unstable_probes == witnesses.count(Witness.UNSTABLE)
+    assert ray.touched_probes == witnesses.count(Witness.TOUCHED)
 
 
 @st.composite

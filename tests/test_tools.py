@@ -19,7 +19,7 @@ def test_artifact_digest_lists_each_artifact_once():
                          timeout=120)
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
-    assert len(lines) == 45
+    assert len(lines) == 49
     for line in lines:
         assert re.fullmatch(r"[0-9a-f]{64}  [\w.-]+/[\w.-]+", line), line
     paths = [line.split("  ")[1] for line in lines]

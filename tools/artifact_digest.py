@@ -30,6 +30,10 @@ from memslab.cli import main  # noqa: E402
 DISK = {"kind": "radial", "dimension": 2, "radius": 1.0, "nodes": 64}
 # large enough for two-level rays: a 64-node fold predicts, continued in theta
 DISK2K = dict(DISK, nodes=2048)
+# two-level balls whose 64-node fold solve fails: on the 7-ball some of the
+# time, on the 9-ball, which the coarse mesh does not resolve, always
+BALL7 = {"kind": "radial", "dimension": 7, "radius": 1.0, "nodes": 2048}
+BALL9 = dict(BALL7, dimension=9)
 BALL3 = {"kind": "radial", "dimension": 3, "radius": 1.5, "nodes": 48}
 INTERVAL = {"kind": "radial", "dimension": 1, "radius": 1.0, "nodes": 512}
 SQUARE = {"kind": "rect", "lx": 1.0, "ly": 1.0, "nx": 16, "ny": 16}
@@ -83,6 +87,14 @@ RUNS = (
       "curve": CURVE}),
     ("curve-disk-two-level", "curve",
      {"domain": DISK2K, "f": ONES, "g": ONES, "theta_grid": [0.5, 1.0, 2.0]}),
+    # at theta = 1 the fold from the loose coarse bracket fails and the one
+    # from the end of the coarse ray solves; at 1.6 the continued fold and
+    # both coarse-ray folds fail, so the coarse ray's lam_star predicts
+    ("curve-ball7-two-level", "curve",
+     {"domain": BALL7, "f": ONES, "g": ONES, "theta_grid": [1.0, 1.6]}),
+    # no fold at all: the coarse ray's lam_star predicts
+    ("curve-ball9-two-level", "curve",
+     {"domain": BALL9, "f": ONES, "g": ONES, "theta_grid": [1.0]}),
     ("curve-disk-power", "curve",
      {"domain": DISK, "f": ONES, "g": POWER, "theta_grid": [1.0], "curve": CURVE}),
     # a starved budget (32 loop steps a probe): unresolved probes end rays
